@@ -104,10 +104,7 @@ def cmd_sensitivity(args):
     cfg = load_config(args.config)
     f = np.geomspace(args.f_min, args.f_max, args.n_points)
     s_sqrt = np.sqrt(noiselockin.psd_value(cfg.psd, f))
-    eta = np.array(
-        [noiselockin.sensitivity(cfg.optimized, s, fi) for s, fi in zip(
-            np.atleast_1d(s_sqrt), f)]
-    )
+    eta = noiselockin.sensitivity(cfg.optimized, s_sqrt)
     limits = noiselockin.shot_noise_limit(cfg.optimized.n_spins, cfg.optimized.t2)
     out = _out_dir(args, cfg)
     path = os.path.join(out, "sensitivity.csv")
@@ -136,12 +133,59 @@ def cmd_noise(args):
     return EXIT_OK
 
 
+def _load_init(path):
+    """The init JSON: an object whose "init" maps names to starting values."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            spec = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno, path) from exc
+    if not isinstance(spec, dict) or not isinstance(spec.get("init"), dict):
+        raise ConfigError('expected an object with an "init" object of '
+                          "starting values", path=path)
+    return spec
+
+
+def _bad_csv_row(path):
+    """(line, reason) for the first data row of ``path`` that is not a row of
+    numbers as wide as the first one, or None. Only runs after a failed read."""
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    width = None
+    for line, text in enumerate(lines[1:], start=2):
+        cells = text.split("#")[0].strip()
+        if not cells:
+            continue
+        cells = cells.split(",")
+        width = width or len(cells)
+        if len(cells) != width:
+            return line, f"expected {width} columns, found {len(cells)}"
+        for col, cell in enumerate(cells, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                return line, f"column {col}: {cell.strip()!r} is not a number"
+    return None
+
+
+def _read_xy(path):
+    """The first two columns of a data CSV, or a ConfigError naming the file."""
+    try:
+        _, columns = io.read_csv(path)
+    except ValueError as exc:
+        bad = _bad_csv_row(path)
+        if bad is None:
+            raise ConfigError(str(exc), path=path) from exc
+        raise ConfigError(bad[1], bad[0], path) from exc
+    if len(columns) < 2:
+        raise ConfigError("expected x and y columns of numbers", path=path)
+    return columns[0], columns[1]
+
+
 def cmd_fit(args):
-    with open(args.init, "r", encoding="utf-8") as fh:
-        init_spec = json.load(fh)
+    init_spec = _load_init(args.init)
     init = init_spec["init"]
-    _, columns = io.read_csv(args.input_csv)
-    x, y = columns[0], columns[1]
+    x, y = _read_xy(args.input_csv)
 
     max_iter = args.max_iterations
     if args.model == "reflection_phase":

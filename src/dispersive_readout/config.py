@@ -9,6 +9,7 @@ the offending key in the source file where it can be located.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -102,6 +103,19 @@ def _build(section_name, mapping, data, cls, source):
         ) from exc
 
 
+def _b_fields(value, source) -> tuple:
+    """Non-empty list of finite fields (gauss), else a located ConfigError."""
+    try:
+        fields = tuple(float(b) for b in value) if isinstance(value, list) else ()
+    except (TypeError, ValueError):
+        fields = ()
+    if not fields or not all(math.isfinite(b) for b in fields):
+        raise ConfigError(
+            "b_fields_gauss must be a non-empty list of finite numbers, "
+            f"got {value!r}", _line_of(source, "b_fields_gauss"))
+    return fields
+
+
 def load_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as fh:
         source = fh.read()
@@ -131,7 +145,7 @@ def load_config(path) -> RunConfig:
     optimized = _build("optimized", _OPTIMIZED_KEYS, data.get("optimized", {}),
                        OptimizedDeviceParams, source)
 
-    b_fields = tuple(float(b) for b in data.get("b_fields_gauss", (32.0,)))
+    b_fields = _b_fields(data.get("b_fields_gauss", [32.0]), source)
     p_sat = float(data.get("p_sat", 1.0))
     if not 0 < p_sat <= 1:
         raise ConfigError(f"p_sat must be in (0, 1], got {p_sat}",

@@ -17,11 +17,14 @@ class SingularJacobianError(RuntimeError):
 class ConfigError(ValueError):
     """A run configuration file failed validation.
 
-    Carries an optional line number of the offending key in the source file.
+    Carries an optional line number of the offending key in the source file,
+    and optionally the path of that file.
     """
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line

@@ -2,6 +2,13 @@
 
 CSV: header row, LF line endings, '.' decimal separator, shortest float
 representation that round-trips exactly. JSON: UTF-8, sorted keys.
+
+The CSV writer formats whole columns, not cells: each block of rows is
+converted to Python floats with one ``ndarray.tolist()`` per column and
+formatted with ``repr``, which for a Python float is exactly what
+:func:`format_float` returns (``nan``/``inf``/``-inf`` included). The rows
+of a block are joined and written with one call, so the bytes match a
+row-by-row ``format_float`` loop while memory stays bounded by the block.
 """
 
 from __future__ import annotations
@@ -9,6 +16,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
+
+_BLOCK_ROWS = 4096
 
 
 def format_float(value) -> str:
@@ -24,8 +33,10 @@ def write_csv(path, header, columns):
         raise ValueError("all columns must have equal length")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        for i in range(n):
-            fh.write(",".join(format_float(c[i]) for c in columns) + "\n")
+        for start in range(0, n, _BLOCK_ROWS):
+            cells = [map(repr, c[start:start + _BLOCK_ROWS].tolist())
+                     for c in columns]
+            fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
 def read_csv(path):

@@ -89,13 +89,13 @@ def square_wave(cfg: LockinConfig, amplitude=1.0):
     return np.where(frac < 0.5, amplitude, -amplitude)
 
 
-def sensitivity(p: OptimizedDeviceParams, s_phi_sqrt, f=None):
+def sensitivity(p: OptimizedDeviceParams, s_phi_sqrt):
     """Phase-noise-limited magnetic sensitivity (T/sqrt(Hz)).
 
     eta_B = hbar/(g_e*mu_B*T2) * (omega_0*Delta)/(pi*Q*g^2*N) * S_phi^(1/2),
     with the leading g the Lande factor and the squared g the spin-cavity
     coupling. S_phi^(1/2) is an amplitude spectral density (rad/sqrt(Hz))
-    evaluated at the modulation frequency ``f`` (informational).
+    at the modulation frequency; an array gives one eta_B per element.
     """
     return HBAR / (G_LANDE * MU_B * p.t2) / optimized_phase_shift(p) * s_phi_sqrt
 

@@ -2,10 +2,12 @@
 
 These deliberately avoid the production code paths: the Dawson oracle is a
 high-precision power/asymptotic series in mpmath, and the PSD variance
-oracle is the Parseval identity.
+oracle is the Parseval identity. The CSV oracle is the row-by-row writer
+the block writer replaced: one cell at a time, one write per row.
 """
 
 import mpmath
+import numpy as np
 
 
 def dawson_series(x, dps=150):
@@ -40,3 +42,14 @@ def white_noise_variance(level, fs):
     """Parseval: variance of a white phase-noise series with one-sided PSD
     ``level`` sampled at ``fs`` is level * fs / 2."""
     return level * fs / 2.0
+
+
+def write_csv_rowwise(path, header, columns):
+    """Reference CSV writer: header row, then each row's cells formatted one
+    at a time as ``repr(float(cell))``, comma-joined, one LF-terminated
+    write per row."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        for i in range(len(columns[0])):
+            fh.write(",".join(repr(float(c[i])) for c in columns) + "\n")

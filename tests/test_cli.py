@@ -229,6 +229,53 @@ class TestExitCodes:
         assert main(["spectrum", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("fields",
+                             [[], [float("nan")], [32.0, float("inf")], 32.0],
+                             ids=["empty", "nan", "inf", "not-a-list"])
+    def test_bad_b_fields_exit_2_at_their_line(self, config_path, tmp_path,
+                                               capsys, fields):
+        data = json.loads(config_path.read_text())
+        data["b_fields_gauss"] = fields
+        text = json.dumps(data, indent=2)
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if '"b_fields_gauss"' in row)
+        assert main(["spectrum", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: b_fields_gauss" in err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"amplitude": 1.0, "tau": 1.0}', 'expected an object with an "init"'),
+        ('{"init":\n', "line 2: invalid JSON"),
+    ], ids=["no-init", "invalid-json"])
+    def test_fit_bad_init_exits_2_naming_file(self, tmp_path, capsys,
+                                              text, message):
+        from dispersive_readout.io import write_csv
+        csv = tmp_path / "data.csv"
+        write_csv(csv, ["time_s", "value"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
+        init = tmp_path / "init.json"
+        init.write_text(text)
+        assert main(["fit", str(csv), "--model", "exponential",
+                     "--init", str(init), "--out", str(tmp_path)]) == 2
+        assert f"{init}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows, message", [
+        ("0.0,1.0\n1.0,oops\n2.0,0.2\n", "line 3: column 2: 'oops' is not a number"),
+        ("0.0,1.0\n\n1.0\n", "line 4: expected 2 columns, found 1"),
+        ("0.0\n1.0\n", "expected x and y columns"),
+    ], ids=["non-numeric", "ragged", "one-column"])
+    def test_fit_malformed_csv_exits_2_naming_file(self, tmp_path, capsys,
+                                                   rows, message):
+        csv = tmp_path / "data.csv"
+        csv.write_text("time_s,value\n" + rows)
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
+        assert main(["fit", str(csv), "--model", "exponential",
+                     "--init", str(init), "--out", str(tmp_path)]) == 2
+        assert f"{csv}: {message}" in capsys.readouterr().err
+
     def test_non_convergence_exits_3_but_writes_report(self, tmp_path):
         from dispersive_readout.io import write_csv
         t = np.linspace(0, 2e-3, 60)

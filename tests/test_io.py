@@ -1,0 +1,84 @@
+"""The block CSV writer emits the same bytes as the row-by-row reference."""
+
+import math
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import write_csv_rowwise
+
+from dispersive_readout import synthesize_phase_noise
+from dispersive_readout.config import load_config
+from dispersive_readout.io import _BLOCK_ROWS, read_csv, write_csv
+
+CONFIGS = Path(__file__).parent.parent / "configs"
+
+SPECIAL = [
+    math.nan, math.inf, -math.inf, 0.0, -0.0,
+    5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,  # subnormals, min normal
+    1e308, -1e308, 1.7976931348623157e308,
+]
+LENGTHS = [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 3]
+
+
+@st.composite
+def csv_columns(draw):
+    n_cols = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.sampled_from(LENGTHS))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    picks = draw(st.lists(st.sampled_from(SPECIAL) | st.floats(),
+                          min_size=1, max_size=16))
+    columns = []
+    for _ in range(n_cols):
+        # raw bit patterns reach every exponent, subnormals and NaN payloads;
+        # scaled normals look like the emitted traces
+        bits = np.frombuffer(rng.bytes(8 * n), dtype=np.float64)
+        scaled = rng.standard_normal(n) * 10.0 ** rng.integers(-320, 300, size=n)
+        col = np.where(rng.random(n) < 0.5, bits, scaled)
+        k = min(n, len(picks))
+        col[rng.choice(n, size=k, replace=False)] = picks[:k]
+        columns.append(col)
+    return columns
+
+
+@given(columns=csv_columns())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_block_writer_matches_rowwise_reference(columns, tmp_path):
+    header = [f"c{i}" for i in range(len(columns))]
+    write_csv(tmp_path / "block.csv", header, columns)
+    write_csv_rowwise(tmp_path / "rowwise.csv", header, columns)
+    assert (tmp_path / "block.csv").read_bytes() == (
+        tmp_path / "rowwise.csv").read_bytes()
+
+
+def test_noise_trace_matches_rowwise_reference(tmp_path):
+    cfg = load_config(CONFIGS / "default.json")
+    n = 2**16
+    times = np.arange(n) / cfg.lockin.fs
+    series = synthesize_phase_noise(cfg.psd, cfg.lockin.fs, n, cfg.seed)
+    write_csv(tmp_path / "block.csv", ["time_s", "value"], [times, series])
+    write_csv_rowwise(tmp_path / "rowwise.csv", ["time_s", "value"],
+                      [times, series])
+    data = (tmp_path / "block.csv").read_bytes()
+    assert data == (tmp_path / "rowwise.csv").read_bytes()
+    assert data.count(b"\n") == n + 1
+    _, (t, v) = read_csv(tmp_path / "block.csv")
+    assert np.array_equal(t, times) and np.array_equal(v, series)
+
+
+def test_non_float_inputs_are_written_as_floats(tmp_path):
+    columns = [[1, 2, 3], np.array([4, 5, 6], dtype=np.int64),
+               np.array([0.5, -1.5, 2.0], dtype=np.float32)]
+    write_csv(tmp_path / "block.csv", ["a", "b", "c"], columns)
+    assert (tmp_path / "block.csv").read_text() == (
+        "a,b,c\n1.0,4.0,0.5\n2.0,5.0,-1.5\n3.0,6.0,2.0\n")
+
+
+def test_unequal_lengths_raise_before_writing(tmp_path):
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match="equal length"):
+        write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(4)])
+    assert not path.exists()

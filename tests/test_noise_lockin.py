@@ -166,6 +166,11 @@ class TestSensitivity:
         assert sensitivity(p2, 1e-6) == pytest.approx(sensitivity(p1, 1e-6) / 2,
                                                       rel=1e-12)
 
+    def test_array_matches_elementwise(self):
+        p = OptimizedDeviceParams()
+        s = np.geomspace(1e-8, 1e-4, 37)
+        assert np.array_equal(sensitivity(p, s), [sensitivity(p, v) for v in s])
+
 
 class TestShotNoise:
     def test_optimized_device_point(self):
