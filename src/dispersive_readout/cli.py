@@ -188,26 +188,31 @@ def cmd_fit(args):
     x, y = _read_xy(args.input_csv)
 
     max_iter = args.max_iterations
-    if args.model == "reflection_phase":
-        result = fitting.fit_reflection_phase(
-            x, y, init, x_scale=init_spec.get("x_scale"), max_iterations=max_iter
-        )
-    elif args.model == "exponential":
-        result = fitting.fit_exponential(x, y, init, max_iterations=max_iter)
-    elif args.model == "shift_vs_field":
+    if args.model == "shift_vs_field":
         if args.config is None:
             raise ConfigError("model 'shift_vs_field' requires --config for the "
                               "fixed ensemble/cavity parameters")
         cfg = load_config(args.config)
-        result = fitting.fit_shift_vs_field(
-            x, y,
-            fixed={"ensemble": cfg.ensemble, "cavity": cfg.cavity,
-                   "polarization": cfg.p_sat},
-            init=init,
-            max_iterations=max_iter,
-        )
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown model {args.model}")
+    try:  # the fit entry points look up the starting values they need by name
+        if args.model == "reflection_phase":
+            result = fitting.fit_reflection_phase(
+                x, y, init, x_scale=init_spec.get("x_scale"),
+                max_iterations=max_iter,
+            )
+        elif args.model == "exponential":
+            result = fitting.fit_exponential(x, y, init, max_iterations=max_iter)
+        else:
+            result = fitting.fit_shift_vs_field(
+                x, y,
+                fixed={"ensemble": cfg.ensemble, "cavity": cfg.cavity,
+                       "polarization": cfg.p_sat},
+                init=init,
+                max_iterations=max_iter,
+            )
+    except KeyError as exc:
+        raise ConfigError(f'"init" has no starting value for {exc.args[0]!r}, '
+                          f"which model '{args.model}' needs",
+                          path=args.init) from exc
 
     out = _out_dir(args)
     path = os.path.join(out, f"fit_{args.model}.json")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -79,12 +80,18 @@ class RunConfig:
     output_dir: str
 
 
-def _line_of(source: str, key: str) -> Optional[int]:
-    needle = f'"{key}"'
-    for i, line in enumerate(source.splitlines(), start=1):
-        if needle in line:
-            return i
-    return None
+def _line_of(source: str, key: str, section: Optional[str] = None) -> Optional[int]:
+    """Line of the first ``"key"`` in ``source``; with ``section``, of the
+    first one inside the value of that top-level section."""
+    start, end = 0, len(source)
+    if section is not None:
+        match = re.search(rf'"{re.escape(section)}"\s*:\s*', source)
+        if match is None:
+            return None
+        start = match.end()
+        _, end = json.JSONDecoder().raw_decode(source, start)
+    pos = source.find(f'"{key}"', start, end)
+    return None if pos < 0 else source.count("\n", 0, pos) + 1
 
 
 def _build(section_name, mapping, data, cls, source):
@@ -92,7 +99,8 @@ def _build(section_name, mapping, data, cls, source):
     if unknown:
         key = sorted(unknown)[0]
         raise ConfigError(
-            f"unknown key '{key}' in section '{section_name}'", _line_of(source, key)
+            f"unknown key '{key}' in section '{section_name}'",
+            _line_of(source, key, section_name),
         )
     kwargs = {mapping[k]: v for k, v in data.items()}
     try:

@@ -7,8 +7,8 @@ dispersive shift vs magnetic field).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -24,6 +24,14 @@ MAX_ITERATIONS = 200
 # on the column-normalized Jacobian; exact degeneracies land at the finite-
 # difference rounding floor (~1e-11), genuine fits stay many orders above
 SINGULAR_RTOL = 1e-10
+# _check_rank settles a Jacobian as full rank without the SVD when the
+# eigenvalues of its columns' Gram matrix (the squared singular values of
+# the column-normalized Jacobian) have a ratio above _GRAM_SCREEN_RTOL: the
+# Gram matrix's rounding error, about k*n*eps, is far below it, and the
+# singular-value ratio is then about 1e-3, far above SINGULAR_RTOL. Squared
+# column norms below _GRAM_MIN_SQ_NORM are too close to underflow to trust.
+_GRAM_SCREEN_RTOL = 1e-6
+_GRAM_MIN_SQ_NORM = np.finfo(float).tiny / np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -126,28 +134,40 @@ def _prepare(model, init):
 
 
 def _jacobian(func, params, x, free_idx, y_err):
-    """Central finite differences over the free parameters."""
-    cols = []
+    """Central finite differences over the free parameters, one row per
+    data point (a model value independent of x fills its column)."""
+    jac = np.empty((len(x), len(free_idx)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in free_idx:
+        for j, i in enumerate(free_idx):
             step = max(JAC_REL_STEP * abs(params[i]), JAC_ABS_FLOOR)
             p_hi = params.copy()
             p_lo = params.copy()
             p_hi[i] += step
             p_lo[i] -= step
-            cols.append((func(p_hi, x) - func(p_lo, x)) / (2.0 * step) / y_err)
-    return np.column_stack(cols)
+            jac[:, j] = (func(p_hi, x) - func(p_lo, x)) / (2.0 * step) / y_err
+    return jac
 
 
-def _check_rank(jac):
+def _check_rank(jac, jtj):
     """Raise when a column-normalized Jacobian is rank deficient: a zero
     column means a parameter without influence, proportional columns mean an
     exact degeneracy. Column normalization makes the check insensitive to
-    parameter scale."""
+    parameter scale.
+
+    ``jtj`` is ``jac.T @ jac``. A well-conditioned Jacobian passes on its
+    normalized k x k form; every other one, including any whose squared
+    column norms overflow or come near underflow, is decided by the SVD of
+    the normalized Jacobian."""
     if not np.all(np.isfinite(jac)):
         raise SingularJacobianError(
             "non-finite Jacobian: model not differentiable at current parameters"
         )
+    sq_norms = np.diag(jtj)
+    if sq_norms.min() >= _GRAM_MIN_SQ_NORM and sq_norms.max() < np.inf:
+        norms = np.sqrt(sq_norms)
+        eig = np.linalg.eigvalsh(jtj / np.outer(norms, norms))
+        if eig[0] > _GRAM_SCREEN_RTOL * eig[-1]:
+            return
     norms = np.linalg.norm(jac, axis=0)
     if np.any(norms == 0.0):
         raise SingularJacobianError(
@@ -186,7 +206,7 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
         raise InvalidParameterError("need at least n_free + 1 data points")
 
     uniform_err = y_err is None or np.isscalar(y_err)
-    err = np.full(len(y), float(y_err) if np.isscalar(y_err) and y_err else 1.0)
+    err = float(y_err) if np.isscalar(y_err) and y_err else 1.0
     if not uniform_err:
         err = np.asarray(y_err, dtype=float)
         if np.allclose(err, err[0]):
@@ -206,8 +226,9 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
 
     for n_iter in range(1, max_iterations + 1):
         jac = _jacobian(model.func, p, x, free_idx, err)
-        _check_rank(jac)
-        jtj = jac.T @ jac
+        with np.errstate(over="ignore", invalid="ignore"):
+            jtj = jac.T @ jac  # non-finite or overflowed: _check_rank reports it
+        _check_rank(jac, jtj)
         grad = jac.T @ r
         diag = np.diag(np.diag(jtj))
 
@@ -291,7 +312,7 @@ def fit_reflection_phase(x, y, init, y_err=None, x_scale=None,
     p0 = [init["q"], init["beta"], init.get("k", 0.0), init.get("phi0", 0.0)]
     result = fit_nonlinear(reflection_phase_model(), x, y, y_err=y_err, init=p0,
                            max_iterations=max_iterations)
-    return _renamed(result, "reflection_phase")
+    return replace(result, model_name="reflection_phase")
 
 
 def _exponential_func(params, x):
@@ -314,7 +335,7 @@ def fit_exponential(t, y, init, y_err=None,
     p0 = [init["amplitude"], init["tau"], init.get("offset", 0.0)]
     result = fit_nonlinear(exponential_model(), np.asarray(t, float), y,
                            y_err=y_err, init=p0, max_iterations=max_iterations)
-    return _renamed(result, "exponential")
+    return replace(result, model_name="exponential")
 
 
 def shift_vs_field_model(ens: SpinEnsembleParams, cav: CavityParams,
@@ -360,11 +381,5 @@ def fit_shift_vs_field(b, y, fixed, init, y_err=None,
     p0 = [init["n_spins"], init["t2_star"]]
     result = fit_nonlinear(model, np.asarray(b, float), y, y_err=y_err, init=p0,
                            max_iterations=max_iterations)
-    return _renamed(result, "shift_vs_field")
+    return replace(result, model_name="shift_vs_field")
 
-
-def _renamed(result: FitResult, model_name: str) -> FitResult:
-    return FitResult(
-        result.names, result.params, result.sigma, result.covariance,
-        result.chi2_reduced, result.converged, result.n_iterations, model_name,
-    )

@@ -41,6 +41,10 @@ class CavityParams:
             raise InvalidParameterError(f"omega_c must be > 0, got {self.omega_c}")
         if not self.q > 0:
             raise InvalidParameterError(f"Q must be > 0, got {self.q}")
+        for name in ("beta", "k", "phi0"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidParameterError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.beta < 0:
             raise InvalidParameterError(f"beta must be >= 0, got {self.beta}")
         if abs(self.beta - 1.0) < self.beta_exclusion:

@@ -3,7 +3,9 @@
 These deliberately avoid the production code paths: the Dawson oracle is a
 high-precision power/asymptotic series in mpmath, and the PSD variance
 oracle is the Parseval identity. The CSV oracle is the row-by-row writer
-the block writer replaced: one cell at a time, one write per row.
+the block writer replaced: one cell at a time, one write per row. The rank
+oracle is the fitter's SVD-only Jacobian rank check, which the Gram-matrix
+screen in front of it must never contradict.
 """
 
 import mpmath
@@ -53,3 +55,19 @@ def write_csv_rowwise(path, header, columns):
         fh.write(",".join(header) + "\n")
         for i in range(len(columns[0])):
             fh.write(",".join(repr(float(c[i])) for c in columns) + "\n")
+
+
+def jacobian_rank_defect(jac, rtol=1e-10):
+    """The SVD-only rank check on a Jacobian: None when it is full rank,
+    else the kind of defect ("non-finite", "no influence" for a zero
+    column, "degenerate" when the column-normalized Jacobian's singular
+    values have a ratio of at most ``rtol``)."""
+    if not np.all(np.isfinite(jac)):
+        return "non-finite"
+    norms = np.linalg.norm(jac, axis=0)
+    if np.any(norms == 0.0):
+        return "no influence"
+    svals = np.linalg.svd(jac / norms, compute_uv=False)
+    if svals[-1] <= rtol * svals[0]:
+        return "degenerate"
+    return None

@@ -276,6 +276,51 @@ class TestExitCodes:
                      "--init", str(init), "--out", str(tmp_path)]) == 2
         assert f"{csv}: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("model, init_values, missing", [
+        ("reflection_phase", {"q": 5.0e3}, "beta"),
+        ("shift_vs_field", {"t2_star": 2.0e-8}, "n_spins"),
+        ("exponential", {"tau": 1.0, "offset": 0.0}, "amplitude"),
+    ], ids=["reflection_phase", "shift_vs_field", "exponential"])
+    def test_fit_init_missing_starting_value_exits_2(self, config_path, tmp_path,
+                                                     capsys, model, init_values,
+                                                     missing):
+        from dispersive_readout.io import write_csv
+        csv = tmp_path / "data.csv"
+        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": init_values}))
+        assert main(["fit", str(csv), "--model", model, "--init", str(init),
+                     "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f'{init}: "init" has no starting value for \'{missing}\'' in err
+        assert not (tmp_path / f"fit_{model}.json").exists()
+
+    def test_non_finite_beta_exits_2_at_cavity_line(self, config_path, tmp_path,
+                                                   capsys):
+        text = config_path.read_text().replace('"beta": 0.74', '"beta": NaN')
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if '"cavity"' in row)
+        assert main(["spectrum", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: invalid 'cavity' section: beta must be finite" in err
+
+    def test_unknown_key_is_located_in_its_own_section(self, config_path,
+                                                       tmp_path, capsys):
+        # "g_hz" is also a key of "ensemble" and "optimized"
+        text = config_path.read_text().replace(
+            '"f_mod_hz": 1e4,', '"g_hz": 0.024,\n    "f_mod_hz": 1e4,')
+        config_path.write_text(text)
+        rows = text.splitlines()
+        lockin = next(i for i, row in enumerate(rows) if '"lockin"' in row)
+        line = next(i for i, row in enumerate(rows[lockin:], start=lockin + 1)
+                    if '"g_hz"' in row)
+        assert main(["spectrum", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: unknown key 'g_hz' in section 'lockin'" in err
+
     def test_non_convergence_exits_3_but_writes_report(self, tmp_path):
         from dispersive_readout.io import write_csv
         t = np.linspace(0, 2e-3, 60)

@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import jacobian_rank_defect
 
 from dispersive_readout import (
     CavityParams,
@@ -13,6 +16,8 @@ from dispersive_readout import (
     fit_shift_vs_field,
 )
 from dispersive_readout.fitting import (
+    SINGULAR_RTOL,
+    _check_rank,
     exponential_model,
     format_with_uncertainty,
     reflection_phase_model,
@@ -126,6 +131,73 @@ class TestEngine:
         assert np.allclose(cov, cov.T)
         assert np.all(np.linalg.eigvalsh(cov) > -1e-18)
         assert np.allclose(res.sigma, np.sqrt(np.diag(cov)))
+
+
+    def test_uniform_y_err_forms_give_bitwise_equal_fits(self):
+        rng = np.random.default_rng(7)
+        x, y = reflection_sweep(n=2001)
+        y = y + rng.normal(0, 0.01 * np.max(np.abs(y)), size=len(y))
+        init = {"q": 5.0e3, "beta": 0.6}
+        fits = [fit_reflection_phase(x, y, init, y_err=e)
+                for e in (None, 1.0, np.ones(len(y)))]
+        for res in fits[1:]:
+            for name in ("params", "sigma", "covariance"):
+                assert getattr(res, name).tobytes() == getattr(fits[0], name).tobytes()
+            assert (np.float64(res.chi2_reduced).tobytes()
+                    == np.float64(fits[0].chi2_reduced).tobytes())
+            assert res.n_iterations == fits[0].n_iterations
+
+
+@st.composite
+def jacobians(draw):
+    """An n x k Jacobian of Gaussian columns. One column may be zero, hold a
+    non-finite entry, or be a combination of the others plus a perturbation
+    of relative size 10^(-17..0); every column is then scaled by
+    10^(-160..160), so squared norms can underflow or overflow. Continuous
+    values come from a seeded generator, so they are spread evenly over
+    their ranges."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.one_of(st.integers(k + 1, 64), st.integers(k + 1, 10**5)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    jac = rng.normal(size=(n, k))
+    j = draw(st.integers(0, k - 1))
+    defect = draw(st.sampled_from(["none", "near-degenerate", "near-degenerate",
+                                   "zero", "non-finite"]))
+    if defect == "near-degenerate" and k > 1:
+        combo = np.delete(jac, j, axis=1) @ rng.normal(size=k - 1)
+        eps = 10.0 ** rng.uniform(-17.0, 0.0)
+        jac[:, j] = combo + eps * np.linalg.norm(combo) / math.sqrt(n) * rng.normal(size=n)
+    elif defect == "zero":
+        jac[:, j] = 0.0
+    elif defect == "non-finite":
+        jac[rng.integers(n), j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    extremes = draw(st.lists(st.sampled_from([None, -160.0, 160.0]),
+                             min_size=k, max_size=k))
+    exponents = [rng.uniform(-160.0, 160.0) if e is None else e for e in extremes]
+    return jac * 10.0 ** np.array(exponents)
+
+
+class TestRankCheck:
+    @given(jac=jacobians())
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_svd_only_oracle(self, jac):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            defect = jacobian_rank_defect(jac, SINGULAR_RTOL)
+            if defect is None:
+                _check_rank(jac, jac.T @ jac)
+            else:
+                with pytest.raises(SingularJacobianError, match=defect):
+                    _check_rank(jac, jac.T @ jac)
+
+    def test_well_conditioned_fit_never_needs_the_svd(self, monkeypatch):
+        svd_calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda *a, **kw: svd_calls.append(1) or svd(*a, **kw))
+        x, y = reflection_sweep()
+        res = fit_reflection_phase(x, y, init={"q": 5.0e3, "beta": 0.6})
+        assert res.converged
+        assert svd_calls == []
 
 
 class TestReflectionPhaseFit:

@@ -153,6 +153,13 @@ class TestReflectionPhase:
         with pytest.raises(InvalidParameterError):
             CavityParams(omega_c=2.8e9, q=6e3, beta=1.0005)
 
+    @pytest.mark.parametrize("name", ["beta", "k", "phi0"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_terms_rejected(self, name, value):
+        kwargs = {"omega_c": 2.8e9, "q": 6e3, "beta": 0.74, name: value}
+        with pytest.raises(InvalidParameterError, match=f"{name} must be finite"):
+            CavityParams(**kwargs)
+
 
 class TestOptimizedDevice:
     def test_table_defaults_give_2p83_rad(self):
