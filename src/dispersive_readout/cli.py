@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 configuration error, 3 fit non-convergence
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 
@@ -143,7 +145,24 @@ def _load_init(path):
     if not isinstance(spec, dict) or not isinstance(spec.get("init"), dict):
         raise ConfigError('expected an object with an "init" object of '
                           "starting values", path=path)
+    for key, value in spec["init"].items():
+        if not _is_finite_number(value):
+            raise ConfigError(f'"init" value for {key!r} must be a finite '
+                              f"number, got {value!r}", path=path)
+    x_scale = spec.get("x_scale")
+    if x_scale is not None and not (_is_finite_number(x_scale) and x_scale != 0):
+        raise ConfigError('"x_scale" must be a finite non-zero number, '
+                          f"got {x_scale!r}", path=path)
     return spec
+
+
+def _is_finite_number(value):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 def _bad_csv_row(path):
@@ -222,6 +241,7 @@ def cmd_fit(args):
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="dispersive-readout",

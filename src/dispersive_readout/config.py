@@ -80,21 +80,42 @@ class RunConfig:
     output_dir: str
 
 
+_MEMBER = re.compile(r'\s*("(?:[^"\\]|\\.)*")\s*:\s*')
+_COMMA = re.compile(r"\s*,")
+
+
+def _members(source: str):
+    """(name, key position, value start, value end) of each top-level member
+    of the JSON object in ``source``, in file order."""
+    decoder = json.JSONDecoder()
+    pos = source.index("{") + 1
+    while (member := _MEMBER.match(source, pos)) is not None:
+        _, end = decoder.raw_decode(source, member.end())
+        yield json.loads(member.group(1)), member.start(1), member.end(), end
+        comma = _COMMA.match(source, end)
+        if comma is None:
+            return
+        pos = comma.end()
+
+
 def _line_of(source: str, key: str, section: Optional[str] = None) -> Optional[int]:
-    """Line of the first ``"key"`` in ``source``; with ``section``, of the
-    first one inside the value of that top-level section."""
-    start, end = 0, len(source)
-    if section is not None:
-        match = re.search(rf'"{re.escape(section)}"\s*:\s*', source)
-        if match is None:
-            return None
-        start = match.end()
-        _, end = json.JSONDecoder().raw_decode(source, start)
-    pos = source.find(f'"{key}"', start, end)
-    return None if pos < 0 else source.count("\n", 0, pos) + 1
+    """Line of the top-level ``"key"`` in ``source``; with ``section``, of the
+    first ``"key"`` inside the value of that top-level section."""
+    for name, key_pos, start, end in _members(source):
+        if section is None and name == key:
+            pos = key_pos
+        elif section is not None and name == section:
+            pos = source.find(f'"{key}"', start, end)
+        else:
+            continue
+        return None if pos < 0 else source.count("\n", 0, pos) + 1
+    return None
 
 
 def _build(section_name, mapping, data, cls, source):
+    if not isinstance(data, dict):
+        raise ConfigError(f"section '{section_name}' must be an object",
+                          _line_of(source, section_name))
     unknown = set(data) - set(mapping)
     if unknown:
         key = sorted(unknown)[0]
@@ -131,6 +152,8 @@ def load_config(path) -> RunConfig:
         data = json.loads(source)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
+    if not isinstance(data, dict):
+        raise ConfigError("the configuration must be a JSON object")
 
     unknown = set(data) - _TOP_KEYS
     if unknown:
@@ -146,7 +169,7 @@ def load_config(path) -> RunConfig:
     cycle = _build("cycle", _CYCLE_KEYS, data["cycle"], ChopperCycle, source)
     try:
         psd = PhaseNoisePSD.from_dict(data["psd"])
-    except InvalidParameterError as exc:
+    except (InvalidParameterError, TypeError) as exc:
         raise ConfigError(f"invalid 'psd' section: {exc}",
                           _line_of(source, "psd")) from exc
     lockin = _build("lockin", _LOCKIN_KEYS, data["lockin"], LockinConfig, source)

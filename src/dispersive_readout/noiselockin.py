@@ -60,9 +60,22 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
     return np.fft.irfft(spectrum, n=n_samples)
 
 
-def _reference(cfg: LockinConfig):
-    t = np.arange(cfg.n_samples) / cfg.fs
-    return t, np.sin(2.0 * math.pi * cfg.f_mod * t)
+def _time_grid(cfg: LockinConfig):
+    return np.arange(cfg.n_samples) / cfg.fs
+
+
+def _reference_phase(cfg: LockinConfig, t):
+    """Argument 2*pi*f_mod*t of the sine (in-phase) and cosine (quadrature)
+    references."""
+    return 2.0 * math.pi * cfg.f_mod * t
+
+
+def _unit_square(cfg: LockinConfig, t, amplitude=1.0):
+    """+A where floor(2*f_mod*t) is even (first half of a modulation period),
+    -A where it is odd. For t >= 0 this equals the test (t*f_mod) % 1.0 < 0.5
+    bit for bit: doubling, floor and the remainder are all exact."""
+    odd_half = np.floor(2.0 * (t * cfg.f_mod)).astype(np.int64) & 1
+    return np.where(odd_half, -amplitude, amplitude)
 
 
 def lockin_demodulate(signal, cfg: LockinConfig):
@@ -77,16 +90,14 @@ def lockin_demodulate(signal, cfg: LockinConfig):
         raise ValueError(
             f"signal length {signal.shape} does not match fs*duration = {cfg.n_samples}"
         )
-    _, ref = _reference(cfg)
+    ref = np.sin(_reference_phase(cfg, _time_grid(cfg)))
     return 2.0 * float(np.mean(signal * ref))
 
 
 def square_wave(cfg: LockinConfig, amplitude=1.0):
     """Unit-phase square wave at f_mod sampled on the lock-in grid: +A on the
     first half of each modulation period, -A on the second."""
-    t = np.arange(cfg.n_samples) / cfg.fs
-    frac = (t * cfg.f_mod) % 1.0
-    return np.where(frac < 0.5, amplitude, -amplitude)
+    return _unit_square(cfg, _time_grid(cfg), amplitude)
 
 
 def sensitivity(p: OptimizedDeviceParams, s_phi_sqrt):
@@ -137,12 +148,15 @@ def simulate_readout(p: OptimizedDeviceParams, psd: PhaseNoisePSD,
             "signal_phase above 0.1 rad is outside the intended linear range"
         )
     noise = synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed)
-    unit_sq = square_wave(cfg)
+    # the seed-independent lock-in arrays, each built once per call
+    t = _time_grid(cfg)
+    arg = _reference_phase(cfg, t)
+    ref_sin, ref_cos = np.sin(arg), np.cos(arg)
+    unit_sq = _unit_square(cfg, t)
     total = noise + signal_phase * unit_sq
-    est = lockin_demodulate(total, cfg)
+    est = 2.0 * float(np.mean(total * ref_sin))
     # remove the coherent component before estimating the quadrature density
-    sq_gain = lockin_demodulate(unit_sq, cfg)  # ~4/pi on the discrete grid
+    sq_gain = 2.0 * float(np.mean(unit_sq * ref_sin))  # ~4/pi on the discrete grid
     residual = total - (est / sq_gain) * unit_sq
-    t, _ = _reference(cfg)
-    quad = 2.0 * float(np.mean(residual * np.cos(2.0 * math.pi * cfg.f_mod * t)))
+    quad = 2.0 * float(np.mean(residual * ref_cos))
     return ReadoutResult(est, quad * math.sqrt(cfg.duration))

@@ -37,10 +37,11 @@ class CavityParams:
     beta_exclusion: float = 1e-3  # half-width of rejected band around beta = 1
 
     def __post_init__(self):
-        if not self.omega_c > 0:
-            raise InvalidParameterError(f"omega_c must be > 0, got {self.omega_c}")
-        if not self.q > 0:
-            raise InvalidParameterError(f"Q must be > 0, got {self.q}")
+        if not 0 < self.omega_c < math.inf:
+            raise InvalidParameterError(
+                f"omega_c must be finite and > 0, got {self.omega_c}")
+        if not 0 < self.q < math.inf:
+            raise InvalidParameterError(f"Q must be finite and > 0, got {self.q}")
         for name in ("beta", "k", "phi0"):
             if not math.isfinite(getattr(self, name)):
                 raise InvalidParameterError(
@@ -147,6 +148,17 @@ class PSDSegment:
     level: float            # S_phi at f_break (rad^2/Hz)
 
 
+def _check_keys(what, d, keys):
+    """Reject a key of ``d`` outside ``keys`` and a key of ``keys`` missing
+    from ``d``, naming the first in sorted order."""
+    unknown = set(d) - keys
+    if unknown:
+        raise InvalidParameterError(f"unknown {what} keys: {sorted(unknown)}")
+    missing = keys - set(d)
+    if missing:
+        raise InvalidParameterError(f"{what} lacks key '{sorted(missing)[0]}'")
+
+
 @dataclass(frozen=True)
 class PhaseNoisePSD:
     """Piecewise power-law one-sided phase-noise spectral density.
@@ -186,15 +198,18 @@ class PhaseNoisePSD:
 
     @classmethod
     def from_dict(cls, d):
-        known = {"f_min_hz", "f_max_hz", "segments"}
-        unknown = set(d) - known
-        if unknown:
-            raise InvalidParameterError(f"unknown PSD keys: {sorted(unknown)}")
+        if not isinstance(d, dict):
+            raise InvalidParameterError(f"PSD must be an object, got {d!r}")
+        _check_keys("PSD", d, {"f_min_hz", "f_max_hz", "segments"})
+        if not isinstance(d["segments"], list):
+            raise InvalidParameterError("PSD segments must be a list of objects")
         segs = []
         for s in d["segments"]:
-            extra = set(s) - {"f_break_hz", "exponent", "level_rad2_per_hz"}
-            if extra:
-                raise InvalidParameterError(f"unknown PSD segment keys: {sorted(extra)}")
+            if not isinstance(s, dict):
+                raise InvalidParameterError(
+                    f"PSD segment must be an object, got {s!r}")
+            _check_keys("PSD segment", s,
+                        {"f_break_hz", "exponent", "level_rad2_per_hz"})
             segs.append(
                 PSDSegment(s["f_break_hz"], s["exponent"], s["level_rad2_per_hz"])
             )

@@ -5,11 +5,18 @@ high-precision power/asymptotic series in mpmath, and the PSD variance
 oracle is the Parseval identity. The CSV oracle is the row-by-row writer
 the block writer replaced: one cell at a time, one write per row. The rank
 oracle is the fitter's SVD-only Jacobian rank check, which the Gram-matrix
-screen in front of it must never contradict.
+screen in front of it must never contradict. The readout oracle is the
+Monte-Carlo lock-in readout composed step by step, with the square wave
+taken from the fractional phase and each reference computed where it is
+used, as it was before the lock-in arrays were shared.
 """
+
+import math
 
 import mpmath
 import numpy as np
+
+from dispersive_readout import synthesize_phase_noise
 
 
 def dawson_series(x, dps=150):
@@ -71,3 +78,25 @@ def jacobian_rank_defect(jac, rtol=1e-10):
     if svals[-1] <= rtol * svals[0]:
         return "degenerate"
     return None
+
+
+def square_wave_fmod(t, f_mod):
+    """+1 where the fractional modulation phase (t*f_mod) % 1.0 is below a
+    half, -1 elsewhere."""
+    return np.where((t * f_mod) % 1.0 < 0.5, 1.0, -1.0)
+
+
+def simulate_readout_reference(psd, cfg, signal_phase, seed):
+    """(estimated_amplitude, noise_floor) of ``simulate_readout``: phase
+    noise plus the square-wave signal, demodulated twice against the sine
+    (the signal, then the unit square wave's gain) and once against the
+    cosine after removing the coherent part."""
+    noise = synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed)
+    t = np.arange(cfg.n_samples) / cfg.fs
+    unit_sq = square_wave_fmod(t, cfg.f_mod)
+    total = noise + signal_phase * unit_sq
+    est = 2.0 * float(np.mean(total * np.sin(2.0 * math.pi * cfg.f_mod * t)))
+    sq_gain = 2.0 * float(np.mean(unit_sq * np.sin(2.0 * math.pi * cfg.f_mod * t)))
+    residual = total - (est / sq_gain) * unit_sq
+    quad = 2.0 * float(np.mean(residual * np.cos(2.0 * math.pi * cfg.f_mod * t)))
+    return est, quad * math.sqrt(cfg.duration)

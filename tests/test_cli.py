@@ -321,6 +321,119 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"line {line}: unknown key 'g_hz' in section 'lockin'" in err
 
+    @pytest.mark.parametrize("key", ["q", "omega_c_hz"])
+    def test_infinite_q_or_frequency_exits_2_at_cavity_line(self, config_path,
+                                                            tmp_path, capsys, key):
+        data = json.loads(config_path.read_text())
+        data["cavity"][key] = float("inf")
+        text = json.dumps(data, indent=2)  # writes Infinity
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if '"cavity"' in row)
+        assert main(["spectrum", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: invalid 'cavity' section:" in err
+        assert "must be finite and > 0, got inf" in err
+        assert not (tmp_path / "spectrum.csv").exists()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda psd: 1.0, "PSD must be an object"),
+        (lambda psd: {k: v for k, v in psd.items() if k != "segments"},
+         "PSD lacks key 'segments'"),
+        (lambda psd: {k: v for k, v in psd.items() if k != "f_min_hz"},
+         "PSD lacks key 'f_min_hz'"),
+        (lambda psd: {k: v for k, v in psd.items() if k != "f_max_hz"},
+         "PSD lacks key 'f_max_hz'"),
+        (lambda psd: dict(psd, segments=[{"f_break_hz": 1.0, "exponent": 0.0}]),
+         "PSD segment lacks key 'level_rad2_per_hz'"),
+        (lambda psd: dict(psd, segments=[1.0]), "PSD segment must be an object"),
+        (lambda psd: dict(psd, segments=1.0), "PSD segments must be a list"),
+        (lambda psd: dict(psd, segments=[{"f_break_hz": 1.0, "exponent": 0.0,
+                                          "level_rad2_per_hz": "low"}]),
+         "'>' not supported"),
+    ], ids=["not-an-object", "no-segments", "no-f_min", "no-f_max",
+            "segment-without-level", "segment-not-an-object",
+            "segments-not-a-list", "non-numeric-level"])
+    def test_malformed_psd_exits_2_at_psd_line(self, config_path, tmp_path,
+                                               capsys, edit, message):
+        data = json.loads(config_path.read_text())
+        data["psd"] = edit(data["psd"])
+        text = json.dumps(data, indent=2)
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if '"psd"' in row)
+        assert main(["sensitivity", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"line {line}: invalid 'psd' section: {message}" in err
+
+    def test_section_that_is_not_an_object_exits_2_at_its_line(
+            self, config_path, tmp_path, capsys):
+        data = json.loads(config_path.read_text())
+        data["lockin"] = [1e4, 1e6, 0.01]
+        text = json.dumps(data, indent=2)
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if '"lockin"' in row)
+        assert main(["spectrum", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        assert (f"line {line}: section 'lockin' must be an object"
+                in capsys.readouterr().err)
+
+    def test_config_that_is_not_an_object_exits_2(self, config_path, tmp_path,
+                                                  capsys):
+        config_path.write_text("[1, 2]\n")
+        assert main(["spectrum", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_unknown_top_level_key_is_located_at_its_own_line(self, config_path,
+                                                             tmp_path, capsys):
+        # "q" is also a key of "cavity" and "optimized", both above it
+        text = config_path.read_text().replace('"seed": 1234,',
+                                               '"seed": 1234,\n  "q": 1.0,')
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if row.startswith('  "q"'))
+        assert main(["spectrum", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        assert (f"line {line}: unknown top-level key 'q'"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("model, init_values, key, shown", [
+        ("reflection_phase", {"q": "big", "beta": 0.6}, "q", "'big'"),
+        ("shift_vs_field", {"n_spins": 1.5e12, "t2_star": float("nan")},
+         "t2_star", "nan"),
+        ("exponential", {"amplitude": float("inf"), "tau": 1.0}, "amplitude",
+         "inf"),
+    ], ids=["reflection_phase", "shift_vs_field", "exponential"])
+    def test_fit_bad_init_value_exits_2_naming_file_and_key(
+            self, config_path, tmp_path, capsys, model, init_values, key, shown):
+        from dispersive_readout.io import write_csv
+        csv = tmp_path / "data.csv"
+        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": init_values}))
+        assert main(["fit", str(csv), "--model", model, "--init", str(init),
+                     "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert (f'{init}: "init" value for {key!r} must be a finite number, '
+                f"got {shown}") in err
+        assert not (tmp_path / f"fit_{model}.json").exists()
+
+    def test_fit_non_numeric_x_scale_exits_2_naming_file(self, tmp_path, capsys):
+        from dispersive_readout.io import write_csv
+        csv = tmp_path / "data.csv"
+        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": {"q": 5e3, "beta": 0.6},
+                                    "x_scale": "GHz"}))
+        assert main(["fit", str(csv), "--model", "reflection_phase",
+                     "--init", str(init), "--out", str(tmp_path)]) == 2
+        assert (f'{init}: "x_scale" must be a finite non-zero number'
+                in capsys.readouterr().err)
+
     def test_non_convergence_exits_3_but_writes_report(self, tmp_path):
         from dispersive_readout.io import write_csv
         t = np.linspace(0, 2e-3, 60)
@@ -351,3 +464,19 @@ class TestDeterminism:
             assert sha256(tmp_path / "a" / f"{name}.csv") == sha256(
                 tmp_path / "b" / f"{name}.csv"
             ), name
+
+
+class TestParserReuse:
+    def test_second_call_matches_a_fresh_parser(self, config_path, tmp_path):
+        from dispersive_readout.cli import build_parser
+        assert build_parser() is build_parser()
+        first, second, fresh = (tmp_path / d for d in ("first", "second", "fresh"))
+        assert main(["spectrum", "--n-points", "11", "--config", str(config_path),
+                     "--out", str(first)]) == 0
+        assert main(["spectrum", "--config", str(config_path),
+                     "--out", str(second)]) == 0
+        args = build_parser.__wrapped__().parse_args(
+            ["spectrum", "--config", str(config_path), "--out", str(fresh)])
+        assert args.func(args) == 0
+        assert sha256(second / "spectrum.csv") == sha256(fresh / "spectrum.csv")
+        assert sha256(first / "spectrum.csv") != sha256(second / "spectrum.csv")

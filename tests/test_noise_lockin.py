@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersive_readout import (
     DomainError,
@@ -19,7 +21,8 @@ from dispersive_readout import (
     synthesize_phase_noise,
 )
 
-from oracles import white_noise_variance
+from dispersive_readout.noiselockin import _unit_square
+from oracles import simulate_readout_reference, square_wave_fmod, white_noise_variance
 
 
 def white_psd(level=1e-6, f_max=5e5):
@@ -235,3 +238,61 @@ class TestSimulateReadout:
     def test_large_signal_rejected(self, cfg):
         with pytest.raises(InvalidParameterError):
             simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.5, seed=0)
+
+
+def one_over_f_psd(f_max):
+    return PhaseNoisePSD(
+        (PSDSegment(1.0, -1.0, 1e-3), PSDSegment(1e3, 0.0, 1e-6)), 0.5, f_max,
+    )
+
+
+@st.composite
+def lockin_configs(draw):
+    """Lock-in configs with an integer number of modulation periods and at
+    most a few thousand samples, at arbitrary (not only round) rates."""
+    f_mod = draw(st.floats(min_value=1.0, max_value=1e5))
+    fs = f_mod * draw(st.floats(min_value=10.5, max_value=300.0))
+    periods = draw(st.integers(min_value=1, max_value=12))
+    return LockinConfig(f_mod=f_mod, fs=fs, duration=periods / f_mod)
+
+
+class TestSharedLockinArrays:
+    @given(cfg=lockin_configs(),
+           seed=st.integers(min_value=0, max_value=2**63 - 1),
+           signal_phase=st.floats(min_value=-0.1, max_value=0.1),
+           one_over_f=st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_readout_matches_step_by_step_oracle_bitwise(self, cfg, seed,
+                                                        signal_phase, one_over_f):
+        psd = one_over_f_psd(cfg.fs) if one_over_f else white_psd(f_max=cfg.fs)
+        out = simulate_readout(OptimizedDeviceParams(), psd, cfg, signal_phase, seed)
+        est, floor = simulate_readout_reference(psd, cfg, signal_phase, seed)
+        assert out.estimated_amplitude == est
+        assert out.noise_floor == floor
+
+    @given(cfg=lockin_configs())
+    @settings(max_examples=100, deadline=None)
+    def test_square_wave_matches_fmod_form_on_the_grid(self, cfg):
+        t = np.arange(cfg.n_samples) / cfg.fs
+        assert np.array_equal(square_wave(cfg), square_wave_fmod(t, cfg.f_mod))
+        assert np.array_equal(square_wave(cfg, 0.25),
+                              0.25 * square_wave_fmod(t, cfg.f_mod))
+
+    @given(f_mod=st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=1e6)),
+           k=st.one_of(st.integers(min_value=0, max_value=2**12),
+                       st.integers(min_value=0, max_value=2**62)))
+    @settings(max_examples=300, deadline=None)
+    def test_parity_equals_fmod_at_half_periods_and_neighbours(self, f_mod, k):
+        # t*f_mod lands on k/2 (exactly so for f_mod = 1) and on the floats
+        # either side of it, where the two forms could first disagree
+        cfg = LockinConfig(f_mod=f_mod, fs=20.0 * f_mod, duration=1.0 / f_mod)
+        half = (k / 2.0) / f_mod
+        t = np.array([half, np.nextafter(half, 0.0), np.nextafter(half, np.inf)])
+        assert np.array_equal(_unit_square(cfg, t), square_wave_fmod(t, f_mod))
+
+    def test_parity_equals_fmod_on_every_half_period_of_a_long_record(self):
+        cfg = LockinConfig(f_mod=1.0, fs=20.0, duration=1.0)
+        halves = np.arange(2**16) / 2.0
+        t = np.concatenate([halves, np.nextafter(halves, 0.0),
+                            np.nextafter(halves, np.inf)])
+        assert np.array_equal(_unit_square(cfg, t), square_wave_fmod(t, 1.0))

@@ -161,6 +161,14 @@ class TestReflectionPhase:
             CavityParams(**kwargs)
 
 
+    @pytest.mark.parametrize("name", ["omega_c", "q"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_frequency_and_q_rejected(self, name, value):
+        kwargs = {"omega_c": 2.8e9, "q": 6e3, "beta": 0.74, name: value}
+        with pytest.raises(InvalidParameterError, match="must be finite and > 0"):
+            CavityParams(**kwargs)
+
+
 class TestOptimizedDevice:
     def test_table_defaults_give_2p83_rad(self):
         assert optimized_phase_shift(OptimizedDeviceParams()) == pytest.approx(
