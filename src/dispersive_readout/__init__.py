@@ -24,7 +24,6 @@ from .physics import (
     dawson,
     dispersive_shift_single,
     ensemble_dispersive_shift,
-    ensemble_shift_oracle,
     optimized_phase_shift,
     photon_budget,
     reflection_phase,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -29,6 +28,7 @@ from .errors import (
     InvalidParameterError,
     SingularJacobianError,
 )
+from .params import is_finite_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -146,23 +146,14 @@ def _load_init(path):
         raise ConfigError('expected an object with an "init" object of '
                           "starting values", path=path)
     for key, value in spec["init"].items():
-        if not _is_finite_number(value):
+        if not is_finite_number(value):
             raise ConfigError(f'"init" value for {key!r} must be a finite '
                               f"number, got {value!r}", path=path)
     x_scale = spec.get("x_scale")
-    if x_scale is not None and not (_is_finite_number(x_scale) and x_scale != 0):
+    if x_scale is not None and not (is_finite_number(x_scale) and x_scale != 0):
         raise ConfigError('"x_scale" must be a finite non-zero number, '
                           f"got {x_scale!r}", path=path)
     return spec
-
-
-def _is_finite_number(value):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an integer beyond the float range
-        return False
 
 
 def _bad_csv_row(path):

@@ -9,7 +9,6 @@ the offending key in the source file where it can be located.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -22,6 +21,7 @@ from .params import (
     OptimizedDeviceParams,
     PhaseNoisePSD,
     SpinEnsembleParams,
+    is_finite_number,
 )
 
 _ENSEMBLE_KEYS = {
@@ -134,15 +134,12 @@ def _build(section_name, mapping, data, cls, source):
 
 def _b_fields(value, source) -> tuple:
     """Non-empty list of finite fields (gauss), else a located ConfigError."""
-    try:
-        fields = tuple(float(b) for b in value) if isinstance(value, list) else ()
-    except (TypeError, ValueError):
-        fields = ()
-    if not fields or not all(math.isfinite(b) for b in fields):
+    if not (isinstance(value, list) and value
+            and all(is_finite_number(b) for b in value)):
         raise ConfigError(
             "b_fields_gauss must be a non-empty list of finite numbers, "
             f"got {value!r}", _line_of(source, "b_fields_gauss"))
-    return fields
+    return tuple(float(b) for b in value)
 
 
 def load_config(path) -> RunConfig:
@@ -177,11 +174,17 @@ def load_config(path) -> RunConfig:
                        OptimizedDeviceParams, source)
 
     b_fields = _b_fields(data.get("b_fields_gauss", [32.0]), source)
-    p_sat = float(data.get("p_sat", 1.0))
-    if not 0 < p_sat <= 1:
-        raise ConfigError(f"p_sat must be in (0, 1], got {p_sat}",
+    p_sat = data.get("p_sat", 1.0)
+    if not (is_finite_number(p_sat) and 0 < p_sat <= 1):
+        raise ConfigError(f"p_sat must be a number in (0, 1], got {p_sat!r}",
                           _line_of(source, "p_sat"))
-    seed = int(data.get("seed", 0))
-    output_dir = str(data.get("output_dir", "."))
+    seed = data.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}",
+                          _line_of(source, "seed"))
+    output_dir = data.get("output_dir", ".")
+    if not isinstance(output_dir, str):
+        raise ConfigError(f"output_dir must be a string, got {output_dir!r}",
+                          _line_of(source, "output_dir"))
     return RunConfig(ensemble, cavity, cycle, psd, lockin, optimized,
-                     b_fields, p_sat, seed, output_dir)
+                     b_fields, float(p_sat), seed, output_dir)

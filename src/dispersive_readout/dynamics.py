@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .params import CavityParams, ChopperCycle, SpinEnsembleParams
-from .physics import ensemble_dispersive_shift, reflection_phase, transition_frequency
+from .physics import ensemble_dispersive_shift, transition_frequency
 
 
 @dataclass(frozen=True)
@@ -88,22 +88,16 @@ def polarization_trace(cycle: ChopperCycle, ens: SpinEnsembleParams,
 
 
 def phase_trace(trace: PolarizationTrace, ens: SpinEnsembleParams,
-                cav: CavityParams, b_field, subtract_offset=True,
-                linearized=True) -> PhaseTrace:
+                cav: CavityParams, b_field, subtract_offset=True) -> PhaseTrace:
     """Dispersive reflection-phase trace for a probe parked on the cavity.
 
     Each sample maps the instantaneous ensemble pull delta_c(t) (polarization
-    p(t)) through the reflection-phase response at fractional detuning
-    delta_c/f_c. ``linearized`` (default) uses the small-shift slope
-    4*beta*Q/(1-beta^2) + k; otherwise the full nonlinear response is used.
+    p(t)) through the small-shift slope of the reflection phase,
+    ``cav.phase_slope``, at fractional detuning delta_c/f_c.
     """
     omega0 = transition_frequency(b_field, ens)
     delta_c = ensemble_dispersive_shift(ens, cav.omega_c, omega0, trace.p)
-    x = delta_c / cav.omega_c
-    if linearized:
-        phase = (cav.resonant_slope + cav.k) * x + cav.phi0
-    else:
-        phase = reflection_phase(cav, x)
+    phase = cav.phase_slope * (delta_c / cav.omega_c) + cav.phi0
     if subtract_offset:
         phase = phase - np.mean(phase)
     return PhaseTrace(trace.times, phase, float(b_field), bool(subtract_offset))

@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import InvalidParameterError, SingularJacobianError
 from .params import CavityParams, SpinEnsembleParams
-from .physics import dawson, transition_frequency
+from .physics import ensemble_shift, reflection_phase_kernel, transition_frequency
 
 JAC_REL_STEP = 1e-6
 JAC_ABS_FLOOR = 1e-12
@@ -38,32 +38,25 @@ _GRAM_MIN_SQ_NORM = np.finfo(float).tiny / np.finfo(float).eps
 class FitModel:
     """A model y = func(params, x) with named parameters.
 
-    ``bounds`` are per-parameter (lo, hi) with None for an open side;
-    ``fixed`` is a boolean mask of parameters held at their initial value.
+    ``bounds`` are per-parameter (lo, hi) with None for an open side.
     """
 
     names: tuple
     func: Callable
     bounds: Optional[tuple] = None
-    fixed: Optional[tuple] = None
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
         if self.bounds is not None:
             object.__setattr__(self, "bounds", tuple(tuple(b) for b in self.bounds))
-        if self.fixed is not None:
-            fixed = tuple(bool(f) for f in self.fixed)
-            object.__setattr__(self, "fixed", fixed)
-            if all(fixed):
-                raise InvalidParameterError("at least one parameter must be free")
 
 
 @dataclass(frozen=True)
 class FitResult:
     names: tuple
-    params: np.ndarray        # best-fit values (fixed params at init values)
-    sigma: np.ndarray         # 1-sigma uncertainties (0 for fixed params)
-    covariance: np.ndarray    # covariance of the free parameters, embedded
+    params: np.ndarray        # best-fit values
+    sigma: np.ndarray         # 1-sigma uncertainties
+    covariance: np.ndarray    # parameter covariance
     chi2_reduced: float
     converged: bool
     n_iterations: int
@@ -121,7 +114,6 @@ def _prepare(model, init):
     p0 = np.asarray(init, dtype=float).copy()
     if len(p0) != len(model.names):
         raise InvalidParameterError("init length does not match parameter names")
-    fixed = np.array(model.fixed) if model.fixed is not None else np.zeros(len(p0), bool)
     lo = np.full(len(p0), -np.inf)
     hi = np.full(len(p0), np.inf)
     if model.bounds is not None:
@@ -130,21 +122,21 @@ def _prepare(model, init):
                 lo[i] = a
             if b is not None:
                 hi[i] = b
-    return p0, ~fixed, lo, hi
+    return p0, lo, hi
 
 
-def _jacobian(func, params, x, free_idx, y_err):
-    """Central finite differences over the free parameters, one row per
-    data point (a model value independent of x fills its column)."""
-    jac = np.empty((len(x), len(free_idx)))
+def _jacobian(func, params, x, y_err):
+    """Central finite differences over the parameters, one row per data
+    point (a model value independent of x fills its column)."""
+    jac = np.empty((len(x), len(params)))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for j, i in enumerate(free_idx):
+        for i in range(len(params)):
             step = max(JAC_REL_STEP * abs(params[i]), JAC_ABS_FLOOR)
             p_hi = params.copy()
             p_lo = params.copy()
             p_hi[i] += step
             p_lo[i] -= step
-            jac[:, j] = (func(p_hi, x) - func(p_lo, x)) / (2.0 * step) / y_err
+            jac[:, i] = (func(p_hi, x) - func(p_lo, x)) / (2.0 * step) / y_err
     return jac
 
 
@@ -197,13 +189,12 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
     y = np.asarray(y, dtype=float)
     if init is None:
         raise InvalidParameterError("init is required")
-    p, free, lo, hi = _prepare(model, init)
-    free_idx = np.flatnonzero(free)
-    n_free = len(free_idx)
+    p, lo, hi = _prepare(model, init)
+    n_params = len(p)
     if len(x) != len(y):
         raise InvalidParameterError("x and y must have equal length")
-    if len(y) < n_free + 1:
-        raise InvalidParameterError("need at least n_free + 1 data points")
+    if len(y) < n_params + 1:
+        raise InvalidParameterError("need at least n_params + 1 data points")
 
     uniform_err = y_err is None or np.isscalar(y_err)
     err = float(y_err) if np.isscalar(y_err) and y_err else 1.0
@@ -225,7 +216,7 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
     n_iter = 0
 
     for n_iter in range(1, max_iterations + 1):
-        jac = _jacobian(model.func, p, x, free_idx, err)
+        jac = _jacobian(model.func, p, x, err)
         with np.errstate(over="ignore", invalid="ignore"):
             jtj = jac.T @ jac  # non-finite or overflowed: _check_rank reports it
         _check_rank(jac, jtj)
@@ -239,9 +230,7 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
             except np.linalg.LinAlgError:
                 lam *= 5.0
                 continue
-            p_new = p.copy()
-            p_new[free_idx] += step
-            p_new = np.clip(p_new, lo, hi)
+            p_new = np.clip(p + step, lo, hi)
             r_new = residuals(p_new)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
@@ -251,9 +240,7 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
         if not accepted:
             break
 
-        rel_step = np.linalg.norm(p_new[free_idx] - p[free_idx]) / max(
-            np.linalg.norm(p[free_idx]), 1e-300
-        )
+        rel_step = np.linalg.norm(p_new - p) / max(np.linalg.norm(p), 1e-300)
         rel_dcost = (cost - cost_new) / max(cost, 1e-300)
         p, r, cost = p_new, r_new, cost_new
         lam = max(lam / 3.0, 1e-14)
@@ -261,19 +248,17 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
             converged = True
             break
 
-    jac = _jacobian(model.func, p, x, free_idx, err)
-    dof = max(len(y) - n_free, 1)
+    jac = _jacobian(model.func, p, x, err)
+    dof = max(len(y) - n_params, 1)
     chi2_reduced = cost / dof
     try:
         if not np.all(np.isfinite(jac)):
             raise np.linalg.LinAlgError("non-finite Jacobian")
-        cov_free = np.linalg.inv(jac.T @ jac)
+        cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        cov_free = np.full((n_free, n_free), np.nan)
+        cov = np.full((n_params, n_params), np.nan)
     if uniform_err:
-        cov_free = cov_free * chi2_reduced
-    cov = np.zeros((len(p), len(p)))
-    cov[np.ix_(free_idx, free_idx)] = cov_free
+        cov = cov * chi2_reduced
     sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     return FitResult(model.names, p, sigma, cov, chi2_reduced, converged, n_iter)
@@ -284,17 +269,14 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
 
 
 def _reflection_phase_func(params, x):
-    q, beta, k, phi0 = params
-    qd = q * x
-    return 4.0 * beta * qd / ((2.0 * qd) ** 2 + (1.0 - beta**2)) + k * x + phi0
+    return reflection_phase_kernel(x, *params)
 
 
-def reflection_phase_model(fixed=None) -> FitModel:
+def reflection_phase_model() -> FitModel:
     return FitModel(
         names=("q", "beta", "k", "phi0"),
         func=_reflection_phase_func,
         bounds=((0.0, None), (0.0, None), (None, None), (None, None)),
-        fixed=fixed,
     )
 
 
@@ -320,12 +302,11 @@ def _exponential_func(params, x):
     return amplitude * np.exp(-x / tau) + offset
 
 
-def exponential_model(fixed=None) -> FitModel:
+def exponential_model() -> FitModel:
     return FitModel(
         names=("amplitude", "tau", "offset"),
         func=_exponential_func,
         bounds=((None, None), (1e-300, None), (None, None)),
-        fixed=fixed,
     )
 
 
@@ -347,17 +328,13 @@ def shift_vs_field_model(ens: SpinEnsembleParams, cav: CavityParams,
     n_spins would be exactly degenerate.
     """
 
-    slope = (cav.resonant_slope + cav.k) / cav.omega_c
+    slope = cav.phase_slope / cav.omega_c
 
     def func(params, b):
         n_spins, t2_star = params
         sigma = 1.0 / (2.0 * math.pi * t2_star)
-        delta = cav.omega_c - transition_frequency(b, ens)
-        shift = (
-            polarization * n_spins * ens.g**2 * (math.sqrt(2.0) / sigma)
-            * dawson(delta / (math.sqrt(2.0) * sigma))
-        )
-        return slope * shift
+        detuning = cav.omega_c - transition_frequency(b, ens)
+        return slope * ensemble_shift(polarization, n_spins, ens.g, sigma, detuning)
 
     return FitModel(
         names=("n_spins", "t2_star"),

@@ -10,13 +10,35 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
 # Cosine of the angle between any NV axis and a field along [001];
 # all four orientations are degenerate in this geometry.
 PROJECTION_001 = 1.0 / math.sqrt(3.0)
+
+
+def is_finite_number(value):
+    """True for a finite real number; False for a bool, a non-number and an
+    integer beyond the float range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def check_finite(obj, names, positive=False):
+    """Reject the first field of ``obj`` named in ``names`` that is not a
+    finite number or, with ``positive``, not > 0."""
+    for name in names:
+        value = getattr(obj, name)
+        if not is_finite_number(value) or (positive and not value > 0):
+            rule = "finite and > 0" if positive else "finite"
+            raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -37,15 +59,8 @@ class CavityParams:
     beta_exclusion: float = 1e-3  # half-width of rejected band around beta = 1
 
     def __post_init__(self):
-        if not 0 < self.omega_c < math.inf:
-            raise InvalidParameterError(
-                f"omega_c must be finite and > 0, got {self.omega_c}")
-        if not 0 < self.q < math.inf:
-            raise InvalidParameterError(f"Q must be finite and > 0, got {self.q}")
-        for name in ("beta", "k", "phi0"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidParameterError(
-                    f"{name} must be finite, got {getattr(self, name)}")
+        check_finite(self, ("omega_c", "q"), positive=True)
+        check_finite(self, ("beta", "k", "phi0"))
         if self.beta < 0:
             raise InvalidParameterError(f"beta must be >= 0, got {self.beta}")
         if abs(self.beta - 1.0) < self.beta_exclusion:
@@ -58,6 +73,12 @@ class CavityParams:
     def resonant_slope(self):
         """Slope of the resonant phase term at zero detuning: 4*beta*Q/(1-beta^2)."""
         return 4.0 * self.beta * self.q / (1.0 - self.beta**2)
+
+    @property
+    def phase_slope(self):
+        """Small-shift slope of the full reflection phase at zero detuning,
+        resonant term plus background: 4*beta*Q/(1-beta^2) + k."""
+        return self.resonant_slope + self.k
 
 
 @dataclass(frozen=True)
@@ -75,21 +96,14 @@ class SpinEnsembleParams:
     projection_factor: float = PROJECTION_001  # cos(NV axis, field)
 
     def __post_init__(self):
+        check_finite(self, ("n_spins", "g", "t2_star", "t1_dark", "t1_light",
+                            "zfs", "gamma", "projection_factor"), positive=True)
         if not self.n_spins >= 1:
             raise InvalidParameterError(f"n_spins must be >= 1, got {self.n_spins}")
-        if not self.g > 0:
-            raise InvalidParameterError(f"g must be > 0, got {self.g}")
-        for name in ("t2_star", "t1_dark", "t1_light"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be > 0")
-        if not 0 < self.projection_factor <= 1:
+        if not self.projection_factor <= 1:
             raise InvalidParameterError(
                 f"projection_factor must be in (0, 1], got {self.projection_factor}"
             )
-        if not self.zfs > 0:
-            raise InvalidParameterError(f"zfs must be > 0, got {self.zfs}")
-        if not self.gamma > 0:
-            raise InvalidParameterError(f"gamma must be > 0, got {self.gamma}")
 
     @property
     def sigma_f(self):
@@ -114,9 +128,8 @@ class OptimizedDeviceParams:
     n_spins: float = 1e14   # number of spins
 
     def __post_init__(self):
-        for name in ("g", "omega_0", "q", "delta", "t2", "n_spins"):
-            if not getattr(self, name) > 0:
-                raise InvalidParameterError(f"{name} must be > 0")
+        check_finite(self, ("g", "omega_0", "q", "delta", "t2", "n_spins"),
+                     positive=True)
 
 
 @dataclass(frozen=True)
@@ -129,12 +142,15 @@ class ChopperCycle:
     dt: float = 4e-6        # sample interval (s)
 
     def __post_init__(self):
-        if not self.period > 0:
-            raise InvalidParameterError(f"period must be > 0, got {self.period}")
+        check_finite(self, ("period", "dt"), positive=True)
+        check_finite(self, ("duty",))
         if not 0 <= self.duty <= 1:
             raise InvalidParameterError(f"duty must be in [0, 1], got {self.duty}")
-        if not self.n_periods >= 1:
-            raise InvalidParameterError("n_periods must be >= 1")
+        if (isinstance(self.n_periods, bool)
+                or not isinstance(self.n_periods, numbers.Integral)
+                or self.n_periods < 1):
+            raise InvalidParameterError(
+                f"n_periods must be an integer >= 1, got {self.n_periods!r}")
         if not self.dt < self.period / 20:
             raise InvalidParameterError(
                 f"dt = {self.dt} must resolve the period: dt < period/20"
@@ -146,6 +162,10 @@ class PSDSegment:
     f_break: float          # anchor frequency (Hz)
     exponent: float         # power-law exponent (0 white, -1, -3, ...)
     level: float            # S_phi at f_break (rad^2/Hz)
+
+    def __post_init__(self):
+        check_finite(self, ("f_break", "level"), positive=True)
+        check_finite(self, ("exponent",))
 
 
 def _check_keys(what, d, keys):
@@ -180,14 +200,12 @@ class PhaseNoisePSD:
         object.__setattr__(self, "segments", segments)
         if len(segments) == 0:
             raise InvalidParameterError("PSD needs at least one segment")
-        if not 0 < self.f_min < self.f_max:
+        check_finite(self, ("f_min", "f_max"), positive=True)
+        if not self.f_min < self.f_max:
             raise InvalidParameterError("require 0 < f_min < f_max")
         breaks = [s.f_break for s in segments]
         if any(b2 <= b1 for b1, b2 in zip(breaks, breaks[1:])):
             raise InvalidParameterError("segment breakpoints must be strictly increasing")
-        for s in segments:
-            if not s.level > 0:
-                raise InvalidParameterError("segment levels must be > 0")
         for lo, hi in zip(segments, segments[1:]):
             left = lo.level * (hi.f_break / lo.f_break) ** lo.exponent
             if not math.isclose(left, hi.level, rel_tol=1e-6):
@@ -244,6 +262,7 @@ class LockinConfig:
     duration: float         # total record length (s), integer modulation periods
 
     def __post_init__(self):
+        check_finite(self, ("f_mod", "fs", "duration"), positive=True)
         if not self.fs > 10 * self.f_mod:
             raise InvalidParameterError(
                 f"fs = {self.fs} must exceed 10*f_mod = {10 * self.f_mod}"

@@ -57,6 +57,13 @@ def dawson(x):
     return float(out) if out.ndim == 0 else out
 
 
+def ensemble_shift(p, n_spins, g, sigma, detuning):
+    """Cavity pull (Hz) of a Gaussian-broadened ensemble on plain arrays:
+    p * N * g^2 * (sqrt(2)/sigma) * D(detuning / (sqrt(2) * sigma)), with
+    the detuning omega_c - mean_omega0 and the linewidth sigma in Hz."""
+    return p * n_spins * g**2 * (SQRT2 / sigma) * dawson(detuning / (SQRT2 * sigma))
+
+
 def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
                               polarization):
     """Cavity pull (Hz) from a Gaussian-broadened ensemble of ``n_spins``.
@@ -74,38 +81,16 @@ def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
     p = np.asarray(polarization, dtype=float)
     if np.any((p < 0) | (p > 1)):
         raise InvalidParameterError("polarization must lie in [0, 1]")
-    sigma = ens.sigma_f
-    x = (np.asarray(omega_c, dtype=float) - np.asarray(mean_omega0, dtype=float)) / (
-        SQRT2 * sigma
-    )
-    out = p * ens.n_spins * ens.g**2 * (SQRT2 / sigma) * special.dawsn(x)
+    detuning = np.asarray(omega_c, dtype=float) - np.asarray(mean_omega0, dtype=float)
+    out = ensemble_shift(p, ens.n_spins, ens.g, ens.sigma_f, detuning)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def ensemble_shift_oracle(ens: SpinEnsembleParams, omega_c, mean_omega0,
-                          polarization, n_grid=1_000_000):
-    """Ensemble shift by direct principal-value quadrature (verification path).
-
-    Midpoint rule on a grid symmetric about the pole at omega0 = omega_c,
-    summing paired +/- offsets so the singular contributions cancel exactly.
-    The grid spans the Gaussian out to mean +/- 8 sigma. Converges to
-    ``ensemble_dispersive_shift`` as n_grid grows.
-    """
-    if n_grid < 1000:
-        raise InvalidParameterError("n_grid must be >= 1000")
-    sigma = ens.sigma_f
-    delta = float(omega_c) - float(mean_omega0)
-    half_width = abs(delta) + 8.0 * sigma
-    n_half = n_grid // 2
-    h = half_width / n_half
-    u = (np.arange(n_half) + 0.5) * h
-    # density of omega0, evaluated at omega_c -/+ u; pole terms pair as
-    # [rho(omega_c - u) - rho(omega_c + u)] / u
-    norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
-    rho_minus = norm * np.exp(-0.5 * ((delta - u) / sigma) ** 2)
-    rho_plus = norm * np.exp(-0.5 * ((delta + u) / sigma) ** 2)
-    integral = float(np.sum((rho_minus - rho_plus) / u) * h)
-    return polarization * ens.n_spins * ens.g**2 * integral
+def reflection_phase_kernel(x, q, beta, k, phi0):
+    """Reflection phase arg(S11) (rad) at fractional detuning ``x`` on plain
+    arrays; see ``reflection_phase``."""
+    qd = q * x
+    return 4.0 * beta * qd / ((2.0 * qd) ** 2 + (1.0 - beta**2)) + k * x + phi0
 
 
 def reflection_phase(cav: CavityParams, delta):
@@ -120,13 +105,8 @@ def reflection_phase(cav: CavityParams, delta):
     With k = phi0 = 0 the response is odd in delta, has slope
     4*beta*Q/(1-beta^2) at delta = 0 and decays to zero far off resonance.
     """
-    d = np.asarray(delta, dtype=float)
-    qd = cav.q * d
-    out = (
-        4.0 * cav.beta * qd / ((2.0 * qd) ** 2 + (1.0 - cav.beta**2))
-        + cav.k * d
-        + cav.phi0
-    )
+    out = reflection_phase_kernel(np.asarray(delta, dtype=float), cav.q,
+                                  cav.beta, cav.k, cav.phi0)
     return float(out) if out.ndim == 0 else out
 
 

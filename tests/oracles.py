@@ -8,15 +8,22 @@ oracle is the fitter's SVD-only Jacobian rank check, which the Gram-matrix
 screen in front of it must never contradict. The readout oracle is the
 Monte-Carlo lock-in readout composed step by step, with the square wave
 taken from the fractional phase and each reference computed where it is
-used, as it was before the lock-in arrays were shared.
+used, as it was before the lock-in arrays were shared. The ensemble
+oracle is the principal-value quadrature of the Gaussian-broadened
+dispersive shift, which the closed-form Dawson expression must reproduce.
+The reflection-phase, shift-vs-field and phase-trace oracles are the
+formulas as the fitting models and the phase trace wrote them inline
+before they evaluated the shared physics kernels; the nonlinear trace maps
+each sample through the full reflection phase, as the trace once could.
 """
 
 import math
 
 import mpmath
 import numpy as np
+from scipy import special
 
-from dispersive_readout import synthesize_phase_noise
+from dispersive_readout import InvalidParameterError, synthesize_phase_noise
 
 
 def dawson_series(x, dps=150):
@@ -100,3 +107,84 @@ def simulate_readout_reference(psd, cfg, signal_phase, seed):
     residual = total - (est / sq_gain) * unit_sq
     quad = 2.0 * float(np.mean(residual * np.cos(2.0 * math.pi * cfg.f_mod * t)))
     return est, quad * math.sqrt(cfg.duration)
+
+
+def ensemble_shift_oracle(ens, omega_c, mean_omega0, polarization,
+                          n_grid=1_000_000):
+    """Ensemble shift by direct principal-value quadrature.
+
+    Midpoint rule on a grid symmetric about the pole at omega0 = omega_c,
+    summing paired +/- offsets so the singular contributions cancel exactly.
+    The grid spans the Gaussian out to mean +/- 8 sigma. Converges to
+    ``ensemble_dispersive_shift`` as n_grid grows.
+    """
+    if n_grid < 1000:
+        raise InvalidParameterError("n_grid must be >= 1000")
+    sigma = ens.sigma_f
+    delta = float(omega_c) - float(mean_omega0)
+    half_width = abs(delta) + 8.0 * sigma
+    n_half = n_grid // 2
+    h = half_width / n_half
+    u = (np.arange(n_half) + 0.5) * h
+    # density of omega0, evaluated at omega_c -/+ u; pole terms pair as
+    # [rho(omega_c - u) - rho(omega_c + u)] / u
+    norm = 1.0 / (math.sqrt(2.0 * math.pi) * sigma)
+    rho_minus = norm * np.exp(-0.5 * ((delta - u) / sigma) ** 2)
+    rho_plus = norm * np.exp(-0.5 * ((delta + u) / sigma) ** 2)
+    integral = float(np.sum((rho_minus - rho_plus) / u) * h)
+    return polarization * ens.n_spins * ens.g**2 * integral
+
+
+def reflection_phase_inline(params, x):
+    """arg(S11) at fractional detuning ``x`` for params (q, beta, k, phi0),
+    written out in one expression."""
+    q, beta, k, phi0 = params
+    qd = q * x
+    return 4.0 * beta * qd / ((2.0 * qd) ** 2 + (1.0 - beta**2)) + k * x + phi0
+
+
+def shift_vs_field_inline(ens, cav, polarization=1.0):
+    """The linearized phase vs field b as a model of (n_spins, t2_star): the
+    Zeeman line, the Dawson pull and the slope (4*beta*Q/(1-beta^2) + k)/f_c
+    written out in place."""
+    slope = (4.0 * cav.beta * cav.q / (1.0 - cav.beta**2) + cav.k) / cav.omega_c
+
+    def func(params, b):
+        n_spins, t2_star = params
+        sigma = 1.0 / (2.0 * math.pi * t2_star)
+        omega0 = ens.zfs - ens.gamma * ens.projection_factor * np.asarray(b, float)
+        delta = cav.omega_c - omega0
+        shift = (
+            polarization * n_spins * ens.g**2 * (math.sqrt(2.0) / sigma)
+            * special.dawsn(delta / (math.sqrt(2.0) * sigma))
+        )
+        return slope * shift
+
+    return func
+
+
+def _dawson_pull(p, ens, cav, b_field):
+    """Cavity pull (Hz) of the ensemble at polarizations ``p``, field
+    ``b_field``."""
+    omega0 = ens.zfs - ens.gamma * ens.projection_factor * b_field
+    sigma = ens.sigma_f
+    return (
+        np.asarray(p, float) * ens.n_spins * ens.g**2 * (math.sqrt(2.0) / sigma)
+        * special.dawsn((cav.omega_c - omega0) / (math.sqrt(2.0) * sigma))
+    )
+
+
+def phase_trace_linearized(p, ens, cav, b_field):
+    """Phase trace through the small-shift slope 4*beta*Q/(1-beta^2) + k,
+    without offset subtraction."""
+    slope = 4.0 * cav.beta * cav.q / (1.0 - cav.beta**2) + cav.k
+    return slope * (_dawson_pull(p, ens, cav, b_field) / cav.omega_c) + cav.phi0
+
+
+def phase_trace_nonlinear(p, ens, cav, b_field):
+    """Offset-subtracted phase trace through the full reflection phase: the
+    pull of each polarization sample, as a fractional detuning, mapped
+    through ``reflection_phase_inline``."""
+    phase = reflection_phase_inline((cav.q, cav.beta, cav.k, cav.phi0),
+                                    _dawson_pull(p, ens, cav, b_field) / cav.omega_c)
+    return phase - np.mean(phase)

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import ensemble_shift_oracle
 
 from dispersive_readout import (
     CavityParams,
@@ -18,7 +19,6 @@ from dispersive_readout import (
     PSDSegment,
     SpinEnsembleParams,
     ensemble_dispersive_shift,
-    ensemble_shift_oracle,
     fit_exponential,
     fit_reflection_phase,
     fit_shift_vs_field,

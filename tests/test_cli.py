@@ -1,10 +1,16 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dispersive_readout.cli import main
 from dispersive_readout.io import read_csv
@@ -351,7 +357,7 @@ class TestExitCodes:
         (lambda psd: dict(psd, segments=1.0), "PSD segments must be a list"),
         (lambda psd: dict(psd, segments=[{"f_break_hz": 1.0, "exponent": 0.0,
                                           "level_rad2_per_hz": "low"}]),
-         "'>' not supported"),
+         "level must be finite and > 0, got 'low'"),
     ], ids=["not-an-object", "no-segments", "no-f_min", "no-f_max",
             "segment-without-level", "segment-not-an-object",
             "segments-not-a-list", "non-numeric-level"])
@@ -480,3 +486,106 @@ class TestParserReuse:
         assert args.func(args) == 0
         assert sha256(second / "spectrum.csv") == sha256(fresh / "spectrum.csv")
         assert sha256(first / "spectrum.csv") != sha256(second / "spectrum.csv")
+
+
+# (path into the config, value, message); a key inside a section is located
+# at the section's line, a top-level key at its own
+CONFIG_DEFECTS = [
+    (("lockin", "duration_s"), math.inf, "duration must be finite and > 0"),
+    (("ensemble", "t2_star_s"), math.inf, "t2_star must be finite and > 0"),
+    (("ensemble", "g_hz"), math.inf, "g must be finite and > 0"),
+    (("ensemble", "n_spins"), math.inf, "n_spins must be finite and > 0"),
+    (("cycle", "period_s"), math.inf, "period must be finite and > 0"),
+    (("cycle", "n_periods"), 2.5, "n_periods must be an integer >= 1"),
+    (("cycle", "n_periods"), True, "n_periods must be an integer >= 1"),
+    (("psd", "segments", 1, "exponent"), math.nan, "exponent must be finite"),
+    (("psd", "segments", 1, "exponent"), math.inf, "exponent must be finite"),
+    (("psd", "segments", 1, "exponent"), "steep", "exponent must be finite"),
+    (("psd", "segments", 1, "exponent"), None, "exponent must be finite"),
+    (("psd", "segments", 0, "f_break_hz"), 0, "f_break must be finite and > 0"),
+    (("optimized", "omega_0_hz"), math.inf, "omega_0 must be finite and > 0"),
+    (("optimized", "delta_hz"), math.inf, "delta must be finite and > 0"),
+    (("p_sat",), "x", "p_sat must be a number in (0, 1]"),
+    (("p_sat",), None, "p_sat must be a number in (0, 1]"),
+    (("p_sat",), True, "p_sat must be a number in (0, 1]"),
+    (("seed",), "x", "seed must be a non-negative integer"),
+    (("seed",), None, "seed must be a non-negative integer"),
+    (("seed",), [1], "seed must be a non-negative integer"),
+    (("seed",), {}, "seed must be a non-negative integer"),
+    (("seed",), math.nan, "seed must be a non-negative integer"),
+    (("seed",), math.inf, "seed must be a non-negative integer"),
+    (("seed",), -math.inf, "seed must be a non-negative integer"),
+    (("seed",), -1, "seed must be a non-negative integer"),
+    (("seed",), False, "seed must be a non-negative integer"),
+]
+
+CSV_NAMES = {"spectrum": "spectrum", "relaxation": "relaxation",
+             "shift-vs-field": "shift_vs_field", "sensitivity": "sensitivity"}
+
+
+def _paths(node, prefix=()):
+    """The path of every value below ``node``: sections, lists and leaves."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _paths(value, prefix + (key,))
+
+
+DEFAULT_CONFIG = json.loads((CONFIGS / "default.json").read_text())
+CONFIG_PATHS = list(_paths(DEFAULT_CONFIG))
+DROP = object()
+MUTATIONS = [DROP, math.nan, math.inf, -math.inf, "x", None, [], {}, True, False]
+INTEGER_KEYS = {"n_periods", "seed"}
+# one (path, value): the value replaces the one at the path, or DROP removes
+# it; a key that takes an integer may also get a fraction
+MUTATION = st.sampled_from(CONFIG_PATHS).flatmap(lambda path: st.tuples(
+    st.just(path),
+    st.sampled_from(MUTATIONS + ([2.5] if path[-1] in INTEGER_KEYS else []))))
+
+
+def _mutated(path, value):
+    data = json.loads(json.dumps(DEFAULT_CONFIG))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+    return data
+
+
+class TestConfigMutations:
+    @pytest.mark.parametrize("path, value, message", CONFIG_DEFECTS,
+                             ids=[f"{'.'.join(map(str, p))}={v!r}"
+                                  for p, v, _ in CONFIG_DEFECTS])
+    def test_defect_exits_2_at_its_line(self, config_path, tmp_path, capsys,
+                                        path, value, message):
+        text = json.dumps(_mutated(path, value), indent=2)
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if row.startswith(f'  "{path[0]}"'))
+        for cmd in CSV_NAMES:
+            assert main([cmd, "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 2
+            err = capsys.readouterr().err
+            assert f"line {line}: " in err and message in err, err
+        assert not any(tmp_path.glob("*.csv"))
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutation=MUTATION)
+    def test_any_one_mutation_exits_0_or_2_with_finite_output(self, mutation):
+        path, value = mutation
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps(_mutated(path, value), indent=2))
+            for cmd, name in CSV_NAMES.items():
+                out = Path(tmp) / cmd
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = main([cmd, "--config", str(config), "--out", str(out)])
+                assert code in (0, 2), (cmd, code)
+                if code == 0:
+                    _, columns = read_csv(out / f"{name}.csv")
+                    assert all(np.all(np.isfinite(c)) for c in columns), cmd

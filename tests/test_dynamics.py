@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from oracles import phase_trace_linearized, phase_trace_nonlinear
 
 from dispersive_readout import (
+    CavityParams,
     ChopperCycle,
     InvalidParameterError,
     fit_exponential,
@@ -144,9 +146,18 @@ class TestPhaseTrace:
     def test_full_nonlinear_path_matches_linearized_for_small_signals(
             self, measured_ensemble, measured_cavity, cycle):
         trace = polarization_trace(cycle, measured_ensemble)
-        lin = phase_trace(trace, measured_ensemble, measured_cavity, 31.0,
-                          linearized=True)
-        full = phase_trace(trace, measured_ensemble, measured_cavity, 31.0,
-                           linearized=False)
+        lin = phase_trace(trace, measured_ensemble, measured_cavity, 31.0)
+        full = phase_trace_nonlinear(trace.p, measured_ensemble,
+                                     measured_cavity, 31.0)
         scale = np.max(np.abs(lin.phase))
-        assert np.allclose(full.phase, lin.phase, atol=1e-4 * scale, rtol=0)
+        assert np.allclose(full, lin.phase, atol=1e-4 * scale, rtol=0)
+
+    @pytest.mark.parametrize("b_field", [0.0, 28.0, 31.0, 34.0, 60.0])
+    def test_equals_the_inline_linearized_trace(self, measured_ensemble, cycle,
+                                                b_field):
+        cav = CavityParams(omega_c=2.8175e9, q=6.0e3, beta=0.74, k=3.0, phi0=0.1)
+        trace = polarization_trace(cycle, measured_ensemble, p_sat=0.8)
+        out = phase_trace(trace, measured_ensemble, cav, b_field,
+                          subtract_offset=False)
+        expected = phase_trace_linearized(trace.p, measured_ensemble, cav, b_field)
+        assert out.phase.tobytes() == expected.tobytes()

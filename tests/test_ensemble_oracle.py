@@ -3,12 +3,12 @@ quadrature oracle."""
 
 import numpy as np
 import pytest
+from oracles import ensemble_shift_oracle
 
 from dispersive_readout import (
     InvalidParameterError,
     SpinEnsembleParams,
     ensemble_dispersive_shift,
-    ensemble_shift_oracle,
 )
 
 FLOOR = 1e-30

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import jacobian_rank_defect
+from oracles import (
+    jacobian_rank_defect,
+    reflection_phase_inline,
+    shift_vs_field_inline,
+)
 
 from dispersive_readout import (
     CavityParams,
     FitModel,
+    SpinEnsembleParams,
     SingularJacobianError,
     fit_exponential,
     fit_nonlinear,
     fit_reflection_phase,
     fit_shift_vs_field,
+    reflection_phase,
 )
 from dispersive_readout.fitting import (
     SINGULAR_RTOL,
@@ -348,3 +354,41 @@ class TestReporting:
     ])
     def test_parenthetical_notation(self, value, sigma, expected):
         assert format_with_uncertainty(value, sigma) == expected
+
+
+FRACTIONAL_DETUNINGS = st.lists(st.floats(-1e-2, 1e-2), min_size=1, max_size=16)
+
+
+class TestModelsEvaluateTheKernels:
+    """The fit models, the physics wrappers and the inline formulas agree
+    bit for bit, so a reordered kernel expression fails here."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=st.floats(1.0, 1e6),
+           beta=st.one_of(st.floats(0.0, 0.99), st.floats(1.01, 10.0)),
+           k=st.floats(-10.0, 10.0), phi0=st.floats(-4.0, 4.0),
+           x=FRACTIONAL_DETUNINGS)
+    def test_reflection_phase(self, q, beta, k, phi0, x):
+        x = np.array(x)
+        expected = reflection_phase_inline((q, beta, k, phi0), x).tobytes()
+        model = reflection_phase_model().func(np.array([q, beta, k, phi0]), x)
+        cav = CavityParams(omega_c=2.8175e9, q=q, beta=beta, k=k, phi0=phi0)
+        assert model.tobytes() == expected
+        assert reflection_phase(cav, x).tobytes() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_spins=st.floats(1.0, 1e16), t2_star=st.floats(1e-10, 1e-5),
+           polarization=st.floats(0.0, 1.0),
+           b=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=16),
+           omega_c=st.floats(2.0e9, 4.0e9), q=st.floats(1e2, 1e5),
+           beta=st.floats(0.0, 0.99), k=st.floats(-10.0, 10.0))
+    def test_shift_vs_field(self, n_spins, t2_star, polarization, b, omega_c,
+                            q, beta, k):
+        ens = SpinEnsembleParams(n_spins=2.0e12, g=2.4e-2, t2_star=18e-9,
+                                 t1_dark=740e-6, t1_light=427e-6)
+        cav = CavityParams(omega_c=omega_c, q=q, beta=beta, k=k)
+        b = np.array(b)
+        model = shift_vs_field_model(ens, cav, polarization)
+        expected = shift_vs_field_inline(ens, cav, polarization)
+        assert (model.func(np.array([n_spins, t2_star]), b).tobytes()
+                == expected((n_spins, t2_star), b).tobytes())
