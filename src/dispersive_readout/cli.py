@@ -46,8 +46,44 @@ def _linewidth(cav):
     return np.sqrt(max(1.0 - cav.beta**2, 1e-6)) / (2.0 * cav.q)
 
 
-def cmd_spectrum(args):
-    cfg = load_config(args.config)
+def _emits_csv(compute):
+    """A CSV subcommand from ``compute(args, cfg)``, which returns the file
+    name, the header and the columns.
+
+    The config is loaded and the columns computed with numpy's floating-point
+    warnings off. Values past the float range then end in exit 2 naming the
+    config, never in a traceback or in non-finite cells: an arithmetic error
+    (overflow, division by zero) and a column that is not finite everywhere
+    are reported as a ConfigError, and no file is written.
+    """
+    @functools.wraps(compute)
+    def command(args):
+        try:
+            with np.errstate(all="ignore"):
+                cfg = load_config(args.config)
+                name, header, columns = compute(args, cfg)
+        except ArithmeticError as exc:
+            raise ConfigError("values outside the floating-point range "
+                              f"({type(exc).__name__}: {exc})",
+                              path=args.config) from exc
+        for label, column in zip(header, columns):
+            finite = np.isfinite(column)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise ConfigError(
+                    f"column '{label}' would hold {column[row]} at data row "
+                    f"{row + 1}: values outside the floating-point range; "
+                    "nothing written", path=args.config)
+        path = os.path.join(_out_dir(args, cfg), name)
+        io.write_csv(path, header, columns)
+        print(path)
+        return EXIT_OK
+
+    return command
+
+
+@_emits_csv
+def cmd_spectrum(args, cfg):
     cav = cfg.cavity
     lw_hz = _linewidth(cav) * cav.omega_c
     det_min = args.det_min if args.det_min is not None else -5.0 * lw_hz
@@ -57,17 +93,12 @@ def cmd_spectrum(args):
     shift = physics.ensemble_dispersive_shift(
         cfg.ensemble, cav.omega_c, omega0, cfg.p_sat
     )
-    phase = physics.reflection_phase(cav, (det - shift) / cav.omega_c)
-    phase = np.atleast_1d(phase)
-    out = _out_dir(args, cfg)
-    path = os.path.join(out, "spectrum.csv")
-    io.write_csv(path, ["detuning_hz", "phase_rad"], [det, phase])
-    print(path)
-    return EXIT_OK
+    phase = np.atleast_1d(physics.reflection_phase(cav, (det - shift) / cav.omega_c))
+    return "spectrum.csv", ["detuning_hz", "phase_rad"], [det, phase]
 
 
-def cmd_relaxation(args):
-    cfg = load_config(args.config)
+@_emits_csv
+def cmd_relaxation(args, cfg):
     ptrace = dynamics.polarization_trace(cfg.cycle, cfg.ensemble, p_sat=cfg.p_sat)
     header = ["time_s"]
     columns = [ptrace.times]
@@ -81,58 +112,42 @@ def cmd_relaxation(args):
         else:
             header.append(f"phase_rad_b{io.format_float(b)}")
         columns.append(phase)
-    out = _out_dir(args, cfg)
-    path = os.path.join(out, "relaxation.csv")
-    io.write_csv(path, header, columns)
-    print(path)
-    return EXIT_OK
+    return "relaxation.csv", header, columns
 
 
-def cmd_shift_vs_field(args):
-    cfg = load_config(args.config)
+@_emits_csv
+def cmd_shift_vs_field(args, cfg):
     b = np.linspace(args.b_min, args.b_max, args.n_points)
     model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
     phase = np.atleast_1d(
         model.func([cfg.ensemble.n_spins, cfg.ensemble.t2_star], b)
     )
-    out = _out_dir(args, cfg)
-    path = os.path.join(out, "shift_vs_field.csv")
-    io.write_csv(path, ["b_gauss", "phase_rad"], [b, phase])
-    print(path)
-    return EXIT_OK
+    return "shift_vs_field.csv", ["b_gauss", "phase_rad"], [b, phase]
 
 
-def cmd_sensitivity(args):
-    cfg = load_config(args.config)
+@_emits_csv
+def cmd_sensitivity(args, cfg):
     f = np.geomspace(args.f_min, args.f_max, args.n_points)
     s_sqrt = np.sqrt(noiselockin.psd_value(cfg.psd, f))
     eta = noiselockin.sensitivity(cfg.optimized, s_sqrt)
     limits = noiselockin.shot_noise_limit(cfg.optimized.n_spins, cfg.optimized.t2)
-    out = _out_dir(args, cfg)
-    path = os.path.join(out, "sensitivity.csv")
-    io.write_csv(
-        path,
+    return (
+        "sensitivity.csv",
         ["f_hz", "sensitivity_t_per_sqrthz", "shot_noise_t_per_sqrthz",
          "optical_t_per_sqrthz"],
         [f, eta, np.full_like(f, limits.eta_spin),
          np.full_like(f, limits.optical_estimate)],
     )
-    print(path)
-    return EXIT_OK
 
 
-def cmd_noise(args):
-    cfg = load_config(args.config)
+@_emits_csv
+def cmd_noise(args, cfg):
     seed = args.seed if args.seed is not None else cfg.seed
     series = noiselockin.synthesize_phase_noise(
         cfg.psd, cfg.lockin.fs, args.n_samples, seed
     )
     times = np.arange(args.n_samples) / cfg.lockin.fs
-    out = _out_dir(args, cfg)
-    path = os.path.join(out, "noise.csv")
-    io.write_csv(path, ["time_s", "value"], [times, series])
-    print(path)
-    return EXIT_OK
+    return "noise.csv", ["time_s", "value"], [times, series]
 
 
 def _load_init(path):

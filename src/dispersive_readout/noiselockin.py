@@ -51,31 +51,46 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
             f"Nyquist fs/2 = {fs / 2} exceeds PSD f_max = {psd.f_max}"
         )
     rng = np.random.default_rng(seed)
-    white = rng.standard_normal(n_samples)
-    spectrum = np.fft.rfft(white)
+    spectrum = np.fft.rfft(rng.standard_normal(n_samples))
+    # the gain sqrt(S_phi(f) * fs / 2), built in place
     freqs = np.fft.rfftfreq(n_samples, d=1.0 / fs)
-    s = psd_value(psd, np.clip(freqs, psd.f_min, psd.f_max))
-    spectrum *= np.sqrt(s * fs / 2.0)
+    gain = psd_value(psd, np.clip(freqs, psd.f_min, psd.f_max, out=freqs))
+    del freqs
+    gain *= fs
+    gain /= 2.0
+    spectrum *= np.sqrt(gain, out=gain)
+    del gain
     spectrum[0] = 0.0
     return np.fft.irfft(spectrum, n=n_samples)
 
 
 def _time_grid(cfg: LockinConfig):
-    return np.arange(cfg.n_samples) / cfg.fs
+    t = np.arange(cfg.n_samples, dtype=float)
+    t /= cfg.fs
+    return t
 
 
 def _reference_phase(cfg: LockinConfig, t):
     """Argument 2*pi*f_mod*t of the sine (in-phase) and cosine (quadrature)
-    references."""
-    return 2.0 * math.pi * cfg.f_mod * t
+    references, written over ``t``."""
+    return np.multiply(t, 2.0 * math.pi * cfg.f_mod, out=t)
 
 
 def _unit_square(cfg: LockinConfig, t, amplitude=1.0):
     """+A where floor(2*f_mod*t) is even (first half of a modulation period),
     -A where it is odd. For t >= 0 this equals the test (t*f_mod) % 1.0 < 0.5
     bit for bit: doubling, floor and the remainder are all exact."""
-    odd_half = np.floor(2.0 * (t * cfg.f_mod)).astype(np.int64) & 1
+    half_periods = t * cfg.f_mod
+    half_periods *= 2.0
+    odd_half = np.floor(half_periods, out=half_periods).astype(np.int64)
+    del half_periods
+    odd_half &= 1
     return np.where(odd_half, -amplitude, amplitude)
+
+
+def _demodulate(x, ref, out=None):
+    """Lock-in output 2*mean(x * ref); the product goes to ``out`` if given."""
+    return 2.0 * float(np.mean(np.multiply(x, ref, out=out)))
 
 
 def lockin_demodulate(signal, cfg: LockinConfig):
@@ -90,8 +105,8 @@ def lockin_demodulate(signal, cfg: LockinConfig):
         raise ValueError(
             f"signal length {signal.shape} does not match fs*duration = {cfg.n_samples}"
         )
-    ref = np.sin(_reference_phase(cfg, _time_grid(cfg)))
-    return 2.0 * float(np.mean(signal * ref))
+    ref = _reference_phase(cfg, _time_grid(cfg))
+    return _demodulate(signal, np.sin(ref, out=ref), out=ref)
 
 
 def square_wave(cfg: LockinConfig, amplitude=1.0):
@@ -148,15 +163,18 @@ def simulate_readout(p: OptimizedDeviceParams, psd: PhaseNoisePSD,
             "signal_phase above 0.1 rad is outside the intended linear range"
         )
     noise = synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed)
-    # the seed-independent lock-in arrays, each built once per call
+    # the seed-independent lock-in arrays, each built once per call; one
+    # product buffer serves every demodulation
     t = _time_grid(cfg)
-    arg = _reference_phase(cfg, t)
-    ref_sin, ref_cos = np.sin(arg), np.cos(arg)
     unit_sq = _unit_square(cfg, t)
-    total = noise + signal_phase * unit_sq
-    est = 2.0 * float(np.mean(total * ref_sin))
+    arg = _reference_phase(cfg, t)
+    ref = np.sin(arg)
+    product = np.multiply(unit_sq, signal_phase)
+    noise += product  # the recorded total: noise plus the modulated signal
+    est = _demodulate(noise, ref, out=product)
+    sq_gain = _demodulate(unit_sq, ref, out=product)  # ~4/pi on the discrete grid
+    del ref
     # remove the coherent component before estimating the quadrature density
-    sq_gain = 2.0 * float(np.mean(unit_sq * ref_sin))  # ~4/pi on the discrete grid
-    residual = total - (est / sq_gain) * unit_sq
-    quad = 2.0 * float(np.mean(residual * ref_cos))
+    noise -= np.multiply(unit_sq, est / sq_gain, out=product)
+    quad = _demodulate(noise, np.cos(arg, out=arg), out=product)
     return ReadoutResult(est, quad * math.sqrt(cfg.duration))

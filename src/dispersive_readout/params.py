@@ -8,7 +8,6 @@ them and are written out explicitly there.
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from dataclasses import dataclass
@@ -18,6 +17,9 @@ from .errors import InvalidParameterError
 # Cosine of the angle between any NV axis and a field along [001];
 # all four orientations are degenerate in this geometry.
 PROJECTION_001 = 1.0 / math.sqrt(3.0)
+
+# numpy's ceiling on the length of one float64 array (2**63 bytes)
+MAX_SAMPLES = 2**60
 
 
 def is_finite_number(value):
@@ -155,6 +157,12 @@ class ChopperCycle:
             raise InvalidParameterError(
                 f"dt = {self.dt} must resolve the period: dt < period/20"
             )
+        n_samples = self.n_periods * self.period / self.dt
+        if not n_samples < MAX_SAMPLES:
+            raise InvalidParameterError(
+                f"n_periods*period/dt = {n_samples:g} samples: more than one "
+                f"array can hold ({MAX_SAMPLES:g})"
+            )
 
 
 @dataclass(frozen=True)
@@ -232,25 +240,6 @@ class PhaseNoisePSD:
                 PSDSegment(s["f_break_hz"], s["exponent"], s["level_rad2_per_hz"])
             )
         return cls(tuple(segs), d["f_min_hz"], d["f_max_hz"])
-
-    @classmethod
-    def from_json(cls, path):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def to_dict(self):
-        return {
-            "f_min_hz": self.f_min,
-            "f_max_hz": self.f_max,
-            "segments": [
-                {
-                    "f_break_hz": s.f_break,
-                    "exponent": s.exponent,
-                    "level_rad2_per_hz": s.level,
-                }
-                for s in self.segments
-            ],
-        }
 
 
 @dataclass(frozen=True)

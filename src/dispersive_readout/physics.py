@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DomainError, InvalidParameterError
 from .params import CavityParams, OptimizedDeviceParams, SpinEnsembleParams
@@ -52,8 +51,13 @@ def dawson(x):
     """Dawson integral D(x) = exp(-x^2) * int_0^x exp(t^2) dt.
 
     Odd, peaks at ~0.541 near x = 0.924, decays as 1/(2x) for large |x|.
+    ``scipy.special`` is imported on the first call, not with the package:
+    it is most of the package's import time, and only the Dawson-based
+    models need it.
     """
-    out = special.dawsn(np.asarray(x, dtype=float))
+    from scipy.special import dawsn
+
+    out = dawsn(np.asarray(x, dtype=float))
     return float(out) if out.ndim == 0 else out
 
 

@@ -5,6 +5,7 @@ import json
 import math
 import shutil
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -498,6 +499,7 @@ CONFIG_DEFECTS = [
     (("cycle", "period_s"), math.inf, "period must be finite and > 0"),
     (("cycle", "n_periods"), 2.5, "n_periods must be an integer >= 1"),
     (("cycle", "n_periods"), True, "n_periods must be an integer >= 1"),
+    (("cycle", "dt_s"), 1e-308, "samples: more than one array can hold"),
     (("psd", "segments", 1, "exponent"), math.nan, "exponent must be finite"),
     (("psd", "segments", 1, "exponent"), math.inf, "exponent must be finite"),
     (("psd", "segments", 1, "exponent"), "steep", "exponent must be finite"),
@@ -535,7 +537,8 @@ def _paths(node, prefix=()):
 DEFAULT_CONFIG = json.loads((CONFIGS / "default.json").read_text())
 CONFIG_PATHS = list(_paths(DEFAULT_CONFIG))
 DROP = object()
-MUTATIONS = [DROP, math.nan, math.inf, -math.inf, "x", None, [], {}, True, False]
+MUTATIONS = [DROP, math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308,
+             "x", None, [], {}, True, False]
 INTEGER_KEYS = {"n_periods", "seed"}
 # one (path, value): the value replaces the one at the path, or DROP removes
 # it; a key that takes an integer may also get a fraction
@@ -556,7 +559,43 @@ def _mutated(path, value):
     return data
 
 
+# (path into the config, value, command): finite values whose results leave
+# the float range; each ended in exit 0 with NaN cells or in an
+# OverflowError traceback before the CSV commands were guarded
+OUT_OF_RANGE = [
+    (("cavity", "q"), 1e308, "relaxation"),
+    (("cavity", "q"), 1e308, "shift-vs-field"),
+    (("ensemble", "g_hz"), 1e308, "spectrum"),
+    (("ensemble", "g_hz"), 1e308, "relaxation"),
+    (("ensemble", "g_hz"), 1e308, "shift-vs-field"),
+]
+
+
 class TestConfigMutations:
+    @pytest.mark.parametrize("path, value, cmd", OUT_OF_RANGE,
+                             ids=[f"{'.'.join(p)}={v!r}-{c}"
+                                  for p, v, c in OUT_OF_RANGE])
+    def test_out_of_range_value_exits_2_without_output(self, config_path,
+                                                       tmp_path, capsys,
+                                                       path, value, cmd):
+        config_path.write_text(json.dumps(_mutated(path, value), indent=2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([cmd, "--config", str(config_path), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: "), err
+        assert "floating-point range" in err, err
+        assert not any(tmp_path.glob("*.csv"))
+
+    def test_non_finite_column_is_named_with_its_row(self, config_path,
+                                                     tmp_path, capsys):
+        edit_config(config_path, **{"cavity.q": 1e308})
+        assert main(["shift-vs-field", "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        assert "column 'phase_rad' would hold -inf at data row 1" in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("path, value, message", CONFIG_DEFECTS,
                              ids=[f"{'.'.join(map(str, p))}={v!r}"
                                   for p, v, _ in CONFIG_DEFECTS])
