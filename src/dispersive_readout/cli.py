@@ -150,8 +150,10 @@ def cmd_noise(args, cfg):
     return "noise.csv", ["time_s", "value"], [times, series]
 
 
-def _load_init(path):
-    """The init JSON: an object whose "init" maps names to starting values."""
+def _load_init(path, model, names):
+    """The init JSON: an object whose "init" maps parameters of ``model``
+    (``names``) to starting values; only reflection_phase reads "x_scale",
+    and no model reads any other key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
@@ -161,9 +163,17 @@ def _load_init(path):
         raise ConfigError('expected an object with an "init" object of '
                           "starting values", path=path)
     for key, value in spec["init"].items():
+        if key not in names:
+            raise ConfigError(f'"init" key {key!r} is not a parameter of model '
+                              f"'{model}' ({', '.join(names)})", path=path)
         if not is_finite_number(value):
             raise ConfigError(f'"init" value for {key!r} must be a finite '
                               f"number, got {value!r}", path=path)
+    read = {"init", "x_scale"} if model == "reflection_phase" else {"init"}
+    unread = sorted(set(spec) - read)
+    if unread:
+        raise ConfigError(f"\"{unread[0]}\" is not read by model '{model}'",
+                          path=path)
     x_scale = spec.get("x_scale")
     if x_scale is not None and not (is_finite_number(x_scale) and x_scale != 0):
         raise ConfigError('"x_scale" must be a finite non-zero number, '
@@ -208,16 +218,21 @@ def _read_xy(path):
 
 
 def cmd_fit(args):
-    init_spec = _load_init(args.init)
-    init = init_spec["init"]
-    x, y = _read_xy(args.input_csv)
-
-    max_iter = args.max_iterations
     if args.model == "shift_vs_field":
         if args.config is None:
             raise ConfigError("model 'shift_vs_field' requires --config for the "
                               "fixed ensemble/cavity parameters")
         cfg = load_config(args.config)
+        model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
+    elif args.model == "reflection_phase":
+        model = fitting.reflection_phase_model()
+    else:
+        model = fitting.exponential_model()
+    init_spec = _load_init(args.init, args.model, model.names)
+    init = init_spec["init"]
+    x, y = _read_xy(args.input_csv)
+
+    max_iter = args.max_iterations
     try:  # the fit entry points look up the starting values they need by name
         if args.model == "reflection_phase":
             result = fitting.fit_reflection_phase(
@@ -310,8 +325,11 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # looked up by name on every call: the cached parser holds the cmd_*
+    # functions of its first build, and one replaced since must still run
+    command = globals()[args.func.__name__]
     try:
-        return args.func(args)
+        return command(args)
     except (ConfigError, InvalidParameterError, DomainError,
             SingularJacobianError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,18 @@
 """Run configuration: one JSON file holding the ensemble, cavity, chopper,
 phase-noise and lock-in sections plus run-level settings.
 
-Validation is strict: unknown keys are rejected, and every module-level
-invariant is checked at load time. Error messages carry the line number of
-the offending key in the source file where it can be located.
+Only this module knows the JSON format: one builder makes every section and
+PSD segment from a map of its JSON keys to its parameter class's fields. An
+unknown key is reported at its own line. A missing key (by its JSON name)
+and a bad value are reported at the line of their top-level section.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, InvalidParameterError
 from .params import (
@@ -20,6 +21,7 @@ from .params import (
     LockinConfig,
     OptimizedDeviceParams,
     PhaseNoisePSD,
+    PSDSegment,
     SpinEnsembleParams,
     is_finite_number,
 )
@@ -60,6 +62,16 @@ _OPTIMIZED_KEYS = {
     "t2_s": "t2",
     "n_spins": "n_spins",
 }
+_SEGMENT_KEYS = {
+    "f_break_hz": "f_break",
+    "exponent": "exponent",
+    "level_rad2_per_hz": "level",
+}
+_PSD_KEYS = {
+    "f_min_hz": "f_min",
+    "f_max_hz": "f_max",
+    "segments": ("segments", PSDSegment, _SEGMENT_KEYS),
+}
 _TOP_KEYS = {
     "ensemble", "cavity", "cycle", "psd", "lockin", "optimized",
     "b_fields_gauss", "p_sat", "seed", "output_dir",
@@ -80,56 +92,77 @@ class RunConfig:
     output_dir: str
 
 
-_MEMBER = re.compile(r'\s*("(?:[^"\\]|\\.)*")\s*:\s*')
-_COMMA = re.compile(r"\s*,")
+_ITEM = re.compile(r'\s*(?:("(?:[^"\\]|\\.)*")\s*:\s*)?')
+_SPACE = re.compile(r"\s*")
 
 
-def _members(source: str):
-    """(name, key position, value start, value end) of each top-level member
-    of the JSON object in ``source``, in file order."""
+def _members(source: str, pos: int):
+    """(key, key position, value position) of each member of the JSON object
+    or array that opens at ``source[pos]``, in file order. An array element's
+    key is its index, and its key position is its value position."""
     decoder = json.JSONDecoder()
-    pos = source.index("{") + 1
-    while (member := _MEMBER.match(source, pos)) is not None:
-        _, end = decoder.raw_decode(source, member.end())
-        yield json.loads(member.group(1)), member.start(1), member.end(), end
-        comma = _COMMA.match(source, end)
-        if comma is None:
+    for index in itertools.count():
+        item = _ITEM.match(source, pos + 1)
+        start = item.end()
+        if source[start] in "]}":
             return
-        pos = comma.end()
+        key = item.group(1)
+        yield ((index, start, start) if key is None
+               else (json.loads(key), item.start(1), start))
+        pos = _SPACE.match(source, decoder.raw_decode(source, start)[1]).end()
+        if source[pos] != ",":
+            return
 
 
-def _line_of(source: str, key: str, section: Optional[str] = None) -> Optional[int]:
-    """Line of the top-level ``"key"`` in ``source``; with ``section``, of the
-    first ``"key"`` inside the value of that top-level section."""
-    for name, key_pos, start, end in _members(source):
-        if section is None and name == key:
-            pos = key_pos
-        elif section is not None and name == section:
-            pos = source.find(f'"{key}"', start, end)
-        else:
-            continue
-        return None if pos < 0 else source.count("\n", 0, pos) + 1
-    return None
+def _line_of(source: str, *path) -> int | None:
+    """Line of the member at ``path``, the keys and list indices that lead to
+    it from the top of the JSON object in ``source``; None if it is absent."""
+    key_pos = pos = _SPACE.match(source).end()
+    for step in path:
+        key_pos, pos = next(((at, start) for key, at, start in _members(source, pos)
+                             if key == step), (None, None))
+        if key_pos is None:
+            return None
+    return source.count("\n", 0, key_pos) + 1
 
 
-def _build(section_name, mapping, data, cls, source):
+def _build(source, path, data, cls, keys):
+    """``cls`` from the JSON object ``data`` at ``path`` in ``source``.
+
+    ``keys`` maps each allowed JSON key to a field of ``cls``; a list of
+    objects maps to (field, item class, item keys), each item built alike.
+    Keys whose field has no default are required. An unknown key is located
+    at its own line, any other defect at its top-level section's line.
+    """
+    name = ".".join(map(str, path))
     if not isinstance(data, dict):
-        raise ConfigError(f"section '{section_name}' must be an object",
-                          _line_of(source, section_name))
-    unknown = set(data) - set(mapping)
+        raise ConfigError(f"section '{name}' must be an object",
+                          _line_of(source, path[0]))
+    unknown = sorted(set(data) - set(keys))
     if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(
-            f"unknown key '{key}' in section '{section_name}'",
-            _line_of(source, key, section_name),
-        )
-    kwargs = {mapping[k]: v for k, v in data.items()}
+        raise ConfigError(f"unknown key '{unknown[0]}' in section '{name}'",
+                          _line_of(source, *path, unknown[0]))
+    kwargs = {}
     try:
+        for key, spec in keys.items():
+            field = spec if isinstance(spec, str) else spec[0]
+            if key not in data:
+                if field in {f.name for f in fields(cls) if f.default is MISSING}:
+                    raise InvalidParameterError(f"missing key '{key}'")
+                continue
+            value = data[key]
+            if not isinstance(spec, str):
+                if not isinstance(value, list):
+                    raise InvalidParameterError(f"'{key}' must be a list of objects")
+                value = tuple(_build(source, path + (key, i), item, *spec[1:])
+                              for i, item in enumerate(value))
+            kwargs[field] = value
         return cls(**kwargs)
-    except (InvalidParameterError, TypeError) as exc:
-        raise ConfigError(
-            f"invalid '{section_name}' section: {exc}", _line_of(source, section_name)
-        ) from exc
+    except (InvalidParameterError, ArithmeticError) as exc:
+        reason = exc if isinstance(exc, InvalidParameterError) else (
+            f"values outside the floating-point range ({type(exc).__name__}: {exc})")
+        raise ConfigError(f"invalid '{name}' section: {reason}",
+                          _line_of(source, path[0])) from exc
 
 
 def _b_fields(value, source) -> tuple:
@@ -160,18 +193,14 @@ def load_config(path) -> RunConfig:
         if required not in data:
             raise ConfigError(f"missing required section '{required}'")
 
-    ensemble = _build("ensemble", _ENSEMBLE_KEYS, data["ensemble"],
-                      SpinEnsembleParams, source)
-    cavity = _build("cavity", _CAVITY_KEYS, data["cavity"], CavityParams, source)
-    cycle = _build("cycle", _CYCLE_KEYS, data["cycle"], ChopperCycle, source)
-    try:
-        psd = PhaseNoisePSD.from_dict(data["psd"])
-    except (InvalidParameterError, TypeError) as exc:
-        raise ConfigError(f"invalid 'psd' section: {exc}",
-                          _line_of(source, "psd")) from exc
-    lockin = _build("lockin", _LOCKIN_KEYS, data["lockin"], LockinConfig, source)
-    optimized = _build("optimized", _OPTIMIZED_KEYS, data.get("optimized", {}),
-                       OptimizedDeviceParams, source)
+    ensemble = _build(source, ("ensemble",), data["ensemble"],
+                      SpinEnsembleParams, _ENSEMBLE_KEYS)
+    cavity = _build(source, ("cavity",), data["cavity"], CavityParams, _CAVITY_KEYS)
+    cycle = _build(source, ("cycle",), data["cycle"], ChopperCycle, _CYCLE_KEYS)
+    psd = _build(source, ("psd",), data["psd"], PhaseNoisePSD, _PSD_KEYS)
+    lockin = _build(source, ("lockin",), data["lockin"], LockinConfig, _LOCKIN_KEYS)
+    optimized = _build(source, ("optimized",), data.get("optimized", {}),
+                       OptimizedDeviceParams, _OPTIMIZED_KEYS)
 
     b_fields = _b_fields(data.get("b_fields_gauss", [32.0]), source)
     p_sat = data.get("p_sat", 1.0)

@@ -43,20 +43,17 @@ class PolarizationTrace:
 class PhaseTrace:
     times: np.ndarray
     phase: np.ndarray   # rad
-    b_field: float      # gauss
-    offset_subtracted: bool
 
 
 def polarization_trace(cycle: ChopperCycle, ens: SpinEnsembleParams,
-                       p_sat=1.0, p_initial=0.0) -> PolarizationTrace:
-    """Sampled polarization p(t) over ``cycle.n_periods`` chopper periods.
+                       p_sat=1.0) -> PolarizationTrace:
+    """Sampled polarization p(t) over ``cycle.n_periods`` chopper periods,
+    starting unpolarized (p = 0).
 
     Segments are joined continuously; samples are exact closed-form values.
     """
     if not 0 < p_sat <= 1:
         raise InvalidParameterError(f"p_sat must be in (0, 1], got {p_sat}")
-    if not 0 <= p_initial <= 1:
-        raise InvalidParameterError(f"p_initial must be in [0, 1], got {p_initial}")
 
     n = int(round(cycle.n_periods * cycle.period / cycle.dt))
     times = np.arange(n) * cycle.dt
@@ -69,7 +66,7 @@ def polarization_trace(cycle: ChopperCycle, ens: SpinEnsembleParams,
     # polarization at the start of each period / each dark segment
     p_period = np.empty(cycle.n_periods)
     p_dark = np.empty(cycle.n_periods)
-    p0 = p_initial
+    p0 = 0.0
     for i in range(cycle.n_periods):
         p_period[i] = p0
         p_end_on = p_sat + (p0 - p_sat) * np.exp(-t_on / ens.t1_light)
@@ -100,4 +97,4 @@ def phase_trace(trace: PolarizationTrace, ens: SpinEnsembleParams,
     phase = cav.phase_slope * (delta_c / cav.omega_c) + cav.phi0
     if subtract_offset:
         phase = phase - np.mean(phase)
-    return PhaseTrace(trace.times, phase, float(b_field), bool(subtract_offset))
+    return PhaseTrace(trace.times, phase)

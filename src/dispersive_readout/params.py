@@ -21,6 +21,9 @@ PROJECTION_001 = 1.0 / math.sqrt(3.0)
 # numpy's ceiling on the length of one float64 array (2**63 bytes)
 MAX_SAMPLES = 2**60
 
+# half-width of the band around critical coupling (beta = 1) that beta may not enter
+BETA_EXCLUSION = 1e-3
+
 
 def is_finite_number(value):
     """True for a finite real number; False for a bool, a non-number and an
@@ -58,16 +61,15 @@ class CavityParams:
     beta: float             # port coupling coefficient; beta = 1 is critical
     k: float = 0.0          # background phase slope (rad / fractional detuning)
     phi0: float = 0.0       # phase offset (rad)
-    beta_exclusion: float = 1e-3  # half-width of rejected band around beta = 1
 
     def __post_init__(self):
         check_finite(self, ("omega_c", "q"), positive=True)
         check_finite(self, ("beta", "k", "phi0"))
         if self.beta < 0:
             raise InvalidParameterError(f"beta must be >= 0, got {self.beta}")
-        if abs(self.beta - 1.0) < self.beta_exclusion:
+        if abs(self.beta - 1.0) < BETA_EXCLUSION:
             raise InvalidParameterError(
-                f"beta = {self.beta} lies within {self.beta_exclusion} of the "
+                f"beta = {self.beta} lies within {BETA_EXCLUSION} of the "
                 "critical-coupling singularity at beta = 1"
             )
 
@@ -176,17 +178,6 @@ class PSDSegment:
         check_finite(self, ("exponent",))
 
 
-def _check_keys(what, d, keys):
-    """Reject a key of ``d`` outside ``keys`` and a key of ``keys`` missing
-    from ``d``, naming the first in sorted order."""
-    unknown = set(d) - keys
-    if unknown:
-        raise InvalidParameterError(f"unknown {what} keys: {sorted(unknown)}")
-    missing = keys - set(d)
-    if missing:
-        raise InvalidParameterError(f"{what} lacks key '{sorted(missing)[0]}'")
-
-
 @dataclass(frozen=True)
 class PhaseNoisePSD:
     """Piecewise power-law one-sided phase-noise spectral density.
@@ -202,10 +193,7 @@ class PhaseNoisePSD:
     f_max: float
 
     def __post_init__(self):
-        segments = tuple(
-            s if isinstance(s, PSDSegment) else PSDSegment(**s) for s in self.segments
-        )
-        object.__setattr__(self, "segments", segments)
+        segments = self.segments
         if len(segments) == 0:
             raise InvalidParameterError("PSD needs at least one segment")
         check_finite(self, ("f_min", "f_max"), positive=True)
@@ -221,25 +209,6 @@ class PhaseNoisePSD:
                     f"PSD discontinuous at {hi.f_break} Hz: "
                     f"{left} from below vs {hi.level} from above"
                 )
-
-    @classmethod
-    def from_dict(cls, d):
-        if not isinstance(d, dict):
-            raise InvalidParameterError(f"PSD must be an object, got {d!r}")
-        _check_keys("PSD", d, {"f_min_hz", "f_max_hz", "segments"})
-        if not isinstance(d["segments"], list):
-            raise InvalidParameterError("PSD segments must be a list of objects")
-        segs = []
-        for s in d["segments"]:
-            if not isinstance(s, dict):
-                raise InvalidParameterError(
-                    f"PSD segment must be an object, got {s!r}")
-            _check_keys("PSD segment", s,
-                        {"f_break_hz", "exponent", "level_rad2_per_hz"})
-            segs.append(
-                PSDSegment(s["f_break_hz"], s["exponent"], s["level_rad2_per_hz"])
-            )
-        return cls(tuple(segs), d["f_min_hz"], d["f_max_hz"])
 
 
 @dataclass(frozen=True)

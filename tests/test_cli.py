@@ -345,20 +345,23 @@ class TestExitCodes:
         assert not (tmp_path / "spectrum.csv").exists()
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda psd: 1.0, "PSD must be an object"),
+        (lambda psd: 1.0, "section 'psd' must be an object"),
         (lambda psd: {k: v for k, v in psd.items() if k != "segments"},
-         "PSD lacks key 'segments'"),
+         "invalid 'psd' section: missing key 'segments'"),
         (lambda psd: {k: v for k, v in psd.items() if k != "f_min_hz"},
-         "PSD lacks key 'f_min_hz'"),
+         "invalid 'psd' section: missing key 'f_min_hz'"),
         (lambda psd: {k: v for k, v in psd.items() if k != "f_max_hz"},
-         "PSD lacks key 'f_max_hz'"),
+         "invalid 'psd' section: missing key 'f_max_hz'"),
         (lambda psd: dict(psd, segments=[{"f_break_hz": 1.0, "exponent": 0.0}]),
-         "PSD segment lacks key 'level_rad2_per_hz'"),
-        (lambda psd: dict(psd, segments=[1.0]), "PSD segment must be an object"),
-        (lambda psd: dict(psd, segments=1.0), "PSD segments must be a list"),
+         "invalid 'psd.segments.0' section: missing key 'level_rad2_per_hz'"),
+        (lambda psd: dict(psd, segments=[1.0]),
+         "section 'psd.segments.0' must be an object"),
+        (lambda psd: dict(psd, segments=1.0),
+         "invalid 'psd' section: 'segments' must be a list of objects"),
         (lambda psd: dict(psd, segments=[{"f_break_hz": 1.0, "exponent": 0.0,
                                           "level_rad2_per_hz": "low"}]),
-         "level must be finite and > 0, got 'low'"),
+         "invalid 'psd.segments.0' section: level must be finite and > 0, "
+         "got 'low'"),
     ], ids=["not-an-object", "no-segments", "no-f_min", "no-f_max",
             "segment-without-level", "segment-not-an-object",
             "segments-not-a-list", "non-numeric-level"])
@@ -373,7 +376,7 @@ class TestExitCodes:
         assert main(["sensitivity", "--config", str(config_path),
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
-        assert f"line {line}: invalid 'psd' section: {message}" in err
+        assert f"line {line}: {message}" in err
 
     def test_section_that_is_not_an_object_exits_2_at_its_line(
             self, config_path, tmp_path, capsys):
@@ -427,6 +430,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert (f'{init}: "init" value for {key!r} must be a finite number, '
                 f"got {shown}") in err
+        assert not (tmp_path / f"fit_{model}.json").exists()
+
+    @pytest.mark.parametrize("model, spec, message", [
+        ("reflection_phase", {"init": {"q": 5.0e3, "beta": 0.6, "phi_0": 0.1}},
+         "\"init\" key 'phi_0' is not a parameter of model 'reflection_phase'"),
+        ("exponential", {"init": {"amplitude": 1.0, "tau": 1.0, "rate": 1.0}},
+         "\"init\" key 'rate' is not a parameter of model 'exponential'"),
+        ("shift_vs_field", {"init": {"n_spins": 1.5e12, "t2_star": 1.5e-8,
+                                     "g": 0.024}},
+         "\"init\" key 'g' is not a parameter of model 'shift_vs_field'"),
+        ("exponential", {"init": {"amplitude": 1.0, "tau": 1.0}, "x_scale": 2.0},
+         "\"x_scale\" is not read by model 'exponential'"),
+        ("shift_vs_field", {"init": {"n_spins": 1.5e12, "t2_star": 1.5e-8},
+                            "x_scale": 2.0},
+         "\"x_scale\" is not read by model 'shift_vs_field'"),
+        ("reflection_phase", {"init": {"q": 5.0e3, "beta": 0.6}, "xscale": 2.0},
+         "\"xscale\" is not read by model 'reflection_phase'"),
+    ], ids=["reflection_phase-key", "exponential-key", "shift_vs_field-key",
+            "exponential-x_scale", "shift_vs_field-x_scale",
+            "reflection_phase-top-level-key"])
+    def test_fit_init_key_the_model_does_not_read_exits_2(
+            self, config_path, tmp_path, capsys, model, spec, message):
+        from dispersive_readout.io import write_csv
+        csv = tmp_path / "data.csv"
+        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(spec))
+        assert main(["fit", str(csv), "--model", model, "--init", str(init),
+                     "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert f"{init}: {message}" in capsys.readouterr().err
         assert not (tmp_path / f"fit_{model}.json").exists()
 
     def test_fit_non_numeric_x_scale_exits_2_naming_file(self, tmp_path, capsys):
@@ -488,11 +521,23 @@ class TestParserReuse:
         assert sha256(second / "spectrum.csv") == sha256(fresh / "spectrum.csv")
         assert sha256(first / "spectrum.csv") != sha256(second / "spectrum.csv")
 
+    def test_a_command_replaced_after_the_first_call_is_the_one_run(
+            self, config_path, tmp_path, monkeypatch):
+        from dispersive_readout import cli
+        argv = ["sensitivity", "--config", str(config_path), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_sensitivity",
+                            lambda args: calls.append(args.command) or 0)
+        assert main(argv) == 0
+        assert calls == ["sensitivity"]
+
 
 # (path into the config, value, message); a key inside a section is located
 # at the section's line, a top-level key at its own
 CONFIG_DEFECTS = [
     (("lockin", "duration_s"), math.inf, "duration must be finite and > 0"),
+    (("lockin", "duration_s"), 1e308, "invalid 'lockin' section"),
     (("ensemble", "t2_star_s"), math.inf, "t2_star must be finite and > 0"),
     (("ensemble", "g_hz"), math.inf, "g must be finite and > 0"),
     (("ensemble", "n_spins"), math.inf, "n_spins must be finite and > 0"),
@@ -628,3 +673,47 @@ class TestConfigMutations:
                 if code == 0:
                     _, columns = read_csv(out / f"{name}.csv")
                     assert all(np.all(np.isfinite(c)) for c in columns), cmd
+
+
+def _at(path):
+    node = DEFAULT_CONFIG
+    for key in path:
+        node = node[key]
+    return node
+
+
+# every object of configs/default.json below the top: its sections and the
+# objects in their lists (the PSD segments)
+SECTION_PATHS = [p for p in CONFIG_PATHS if isinstance(_at(p), dict)]
+KEY_PATHS = [p + (key,) for p in SECTION_PATHS for key in _at(p)]
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize("path", KEY_PATHS,
+                             ids=[".".join(map(str, p)) for p in KEY_PATHS])
+    def test_dropped_key_is_named_at_its_section_line(self, config_path, tmp_path,
+                                                      capsys, path):
+        text = json.dumps(_mutated(path, DROP), indent=2)
+        config_path.write_text(text)
+        code = main(["sensitivity", "--config", str(config_path),
+                     "--out", str(tmp_path), "--n-points", "3"])
+        assert code in (0, 2)
+        if code == 2:
+            line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                        if row.startswith(f'  "{path[0]}"'))
+            err = capsys.readouterr().err
+            assert f"line {line}: " in err and f"'{path[-1]}'" in err, err
+
+    @pytest.mark.parametrize("path", SECTION_PATHS,
+                             ids=[".".join(map(str, p)) for p in SECTION_PATHS])
+    def test_unknown_key_is_located_at_its_own_line(self, config_path, tmp_path,
+                                                     capsys, path):
+        text = json.dumps(_mutated(path + ("typo_key",), 1.0), indent=2)
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if '"typo_key"' in row)
+        assert main(["sensitivity", "--config", str(config_path),
+                     "--out", str(tmp_path), "--n-points", "3"]) == 2
+        section = ".".join(map(str, path))
+        assert (f"line {line}: unknown key 'typo_key' in section '{section}'"
+                in capsys.readouterr().err)
