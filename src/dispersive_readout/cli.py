@@ -46,6 +46,18 @@ def _linewidth(cav):
     return np.sqrt(max(1.0 - cav.beta**2, 1e-6)) / (2.0 * cav.q)
 
 
+def _require_finite(labels, columns, path, message):
+    """Raise a ConfigError naming ``path`` for the first cell of ``columns``
+    that is not finite; ``message`` is formatted with the column's ``label``,
+    the cell's ``value`` and its 1-based data ``row``."""
+    for label, column in zip(labels, columns):
+        finite = np.isfinite(column)
+        if not finite.all():
+            row = int(np.argmin(finite))
+            raise ConfigError(message.format(label=label, value=column[row],
+                                             row=row + 1), path=path)
+
+
 def _emits_csv(compute):
     """A CSV subcommand from ``compute(args, cfg)``, which returns the file
     name, the header and the columns.
@@ -66,14 +78,9 @@ def _emits_csv(compute):
             raise ConfigError("values outside the floating-point range "
                               f"({type(exc).__name__}: {exc})",
                               path=args.config) from exc
-        for label, column in zip(header, columns):
-            finite = np.isfinite(column)
-            if not finite.all():
-                row = int(np.argmin(finite))
-                raise ConfigError(
-                    f"column '{label}' would hold {column[row]} at data row "
-                    f"{row + 1}: values outside the floating-point range; "
-                    "nothing written", path=args.config)
+        _require_finite(header, columns, args.config,
+                        "column '{label}' would hold {value} at data row {row}: "
+                        "values outside the floating-point range; nothing written")
         path = os.path.join(_out_dir(args, cfg), name)
         io.write_csv(path, header, columns)
         print(path)
@@ -150,10 +157,11 @@ def cmd_noise(args, cfg):
     return "noise.csv", ["time_s", "value"], [times, series]
 
 
-def _load_init(path, model, names):
-    """The init JSON: an object whose "init" maps parameters of ``model``
-    (``names``) to starting values; only reflection_phase reads "x_scale",
-    and no model reads any other key."""
+def _load_init(path, model):
+    """The init JSON: an object whose "init" maps parameters of ``model`` to
+    starting values under ``fitting.start_values``' rules. Returns the
+    starting values and the entry point's other keyword arguments: only
+    reflection_phase reads "x_scale", and no model reads any other key."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             spec = json.load(fh)
@@ -162,23 +170,21 @@ def _load_init(path, model, names):
     if not isinstance(spec, dict) or not isinstance(spec.get("init"), dict):
         raise ConfigError('expected an object with an "init" object of '
                           "starting values", path=path)
-    for key, value in spec["init"].items():
-        if key not in names:
-            raise ConfigError(f'"init" key {key!r} is not a parameter of model '
-                              f"'{model}' ({', '.join(names)})", path=path)
-        if not is_finite_number(value):
-            raise ConfigError(f'"init" value for {key!r} must be a finite '
-                              f"number, got {value!r}", path=path)
-    read = {"init", "x_scale"} if model == "reflection_phase" else {"init"}
-    unread = sorted(set(spec) - read)
+    try:
+        fitting.start_values(model, spec["init"])
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc), path=path) from exc
+    options = {key: value for key, value in spec.items() if key != "init"}
+    read = {"x_scale"} if model.name == "reflection_phase" else set()
+    unread = sorted(set(options) - read)
     if unread:
-        raise ConfigError(f"\"{unread[0]}\" is not read by model '{model}'",
+        raise ConfigError(f"\"{unread[0]}\" is not read by model '{model.name}'",
                           path=path)
-    x_scale = spec.get("x_scale")
+    x_scale = options.get("x_scale")
     if x_scale is not None and not (is_finite_number(x_scale) and x_scale != 0):
         raise ConfigError('"x_scale" must be a finite non-zero number, '
                           f"got {x_scale!r}", path=path)
-    return spec
+    return spec["init"], options
 
 
 def _bad_csv_row(path):
@@ -214,45 +220,30 @@ def _read_xy(path):
         raise ConfigError(bad[1], bad[0], path) from exc
     if len(columns) < 2:
         raise ConfigError("expected x and y columns of numbers", path=path)
+    _require_finite(("x", "y"), columns[:2], path,
+                    "the {label} column holds {value} at data row {row}: "
+                    "a fit needs finite numbers")
     return columns[0], columns[1]
 
 
 def cmd_fit(args):
+    options = {}
     if args.model == "shift_vs_field":
         if args.config is None:
             raise ConfigError("model 'shift_vs_field' requires --config for the "
                               "fixed ensemble/cavity parameters")
         cfg = load_config(args.config)
         model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
-    elif args.model == "reflection_phase":
-        model = fitting.reflection_phase_model()
+        options["fixed"] = {"ensemble": cfg.ensemble, "cavity": cfg.cavity,
+                            "polarization": cfg.p_sat}
     else:
-        model = fitting.exponential_model()
-    init_spec = _load_init(args.init, args.model, model.names)
-    init = init_spec["init"]
+        model = getattr(fitting, f"{args.model}_model")()
+    init, init_options = _load_init(args.init, model)
     x, y = _read_xy(args.input_csv)
-
-    max_iter = args.max_iterations
-    try:  # the fit entry points look up the starting values they need by name
-        if args.model == "reflection_phase":
-            result = fitting.fit_reflection_phase(
-                x, y, init, x_scale=init_spec.get("x_scale"),
-                max_iterations=max_iter,
-            )
-        elif args.model == "exponential":
-            result = fitting.fit_exponential(x, y, init, max_iterations=max_iter)
-        else:
-            result = fitting.fit_shift_vs_field(
-                x, y,
-                fixed={"ensemble": cfg.ensemble, "cavity": cfg.cavity,
-                       "polarization": cfg.p_sat},
-                init=init,
-                max_iterations=max_iter,
-            )
-    except KeyError as exc:
-        raise ConfigError(f'"init" has no starting value for {exc.args[0]!r}, '
-                          f"which model '{args.model}' needs",
-                          path=args.init) from exc
+    # looked up on every call, so a replaced entry point is the one run
+    fit = getattr(fitting, f"fit_{args.model}")
+    result = fit(x, y, init=init, max_iterations=args.max_iterations,
+                 **options, **init_options)
 
     out = _out_dir(args)
     path = os.path.join(out, f"fit_{args.model}.json")
@@ -315,7 +306,8 @@ def build_parser():
                    choices=["reflection_phase", "exponential", "shift_vs_field"])
     p.add_argument("--init", required=True,
                    help="JSON file: {\"init\": {...}, \"x_scale\": optional}")
-    p.add_argument("--max-iterations", type=int, default=200)
+    p.add_argument("--max-iterations", type=int,
+                   default=fitting.MAX_ITERATIONS)
     common(p, config_required=False)
     p.set_defaults(func=cmd_fit)
 

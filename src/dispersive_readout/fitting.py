@@ -7,13 +7,15 @@ dispersive shift vs magnetic field).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from collections.abc import Mapping
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import InvalidParameterError, SingularJacobianError
-from .params import CavityParams, SpinEnsembleParams
+from .params import CavityParams, SpinEnsembleParams, is_finite_number
 from .physics import ensemble_shift, reflection_phase_kernel, transition_frequency
 
 JAC_REL_STEP = 1e-6
@@ -39,11 +41,15 @@ class FitModel:
     """A model y = func(params, x) with named parameters.
 
     ``bounds`` are per-parameter (lo, hi) with None for an open side.
+    Parameters named in ``optional`` start at 0 when ``init`` leaves them
+    out; every other parameter needs a starting value.
     """
 
     names: tuple
     func: Callable
     bounds: Optional[tuple] = None
+    name: str = "custom"
+    optional: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
@@ -60,7 +66,7 @@ class FitResult:
     chi2_reduced: float
     converged: bool
     n_iterations: int
-    model_name: str = "custom"
+    model_name: str
 
     def __getitem__(self, name):
         return float(self.params[self.names.index(name)])
@@ -110,22 +116,32 @@ def format_with_uncertainty(value, sigma):
     return f"{mantissa:.{digits}f}({sig_digit})e{exp_val:+03d}"
 
 
-def _prepare(model, init):
-    p0 = np.asarray(init, dtype=float).copy()
-    if len(p0) != len(model.names):
-        raise InvalidParameterError("init length does not match parameter names")
-    lo = np.full(len(p0), -np.inf)
-    hi = np.full(len(p0), np.inf)
-    if model.bounds is not None:
-        for i, (a, b) in enumerate(model.bounds):
-            if a is not None:
-                lo[i] = a
-            if b is not None:
-                hi[i] = b
-    return p0, lo, hi
+def start_values(model: FitModel, init) -> np.ndarray:
+    """The start vector of ``model`` from ``init``, a mapping of parameter
+    names to finite numbers. Parameters in ``model.optional`` default to 0;
+    an unknown key, a value that is not a finite number or a missing
+    required parameter raises InvalidParameterError naming the key."""
+    if not isinstance(init, Mapping):
+        raise InvalidParameterError(
+            f"init must map parameter names to starting values, got {init!r}")
+    for key, value in init.items():
+        if key not in model.names:
+            raise InvalidParameterError(
+                f'"init" key {key!r} is not a parameter of model '
+                f"'{model.name}' ({', '.join(model.names)})")
+        if not is_finite_number(value):
+            raise InvalidParameterError(
+                f'"init" value for {key!r} must be a finite number, got {value!r}')
+    start = {**dict.fromkeys(model.optional, 0.0), **init}
+    for name in model.names:
+        if name not in start:
+            raise InvalidParameterError(
+                f'"init" has no starting value for {name!r}, which model '
+                f"'{model.name}' needs")
+    return np.array([start[name] for name in model.names], dtype=float)
 
 
-def _jacobian(func, params, x, y_err):
+def _jacobian(func, params, x):
     """Central finite differences over the parameters, one row per data
     point (a model value independent of x fills its column)."""
     jac = np.empty((len(x), len(params)))
@@ -136,7 +152,7 @@ def _jacobian(func, params, x, y_err):
             p_lo = params.copy()
             p_hi[i] += step
             p_lo[i] -= step
-            jac[:, i] = (func(p_hi, x) - func(p_lo, x)) / (2.0 * step) / y_err
+            jac[:, i] = (func(p_hi, x) - func(p_lo, x)) / (2.0 * step)
     return jac
 
 
@@ -172,42 +188,46 @@ def _check_rank(jac, jtj):
         )
 
 
-def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
+def fit_nonlinear(model: FitModel, x, y, init,
                   max_iterations=MAX_ITERATIONS) -> FitResult:
-    """Levenberg-Marquardt minimization of sum(((y - f(x))/y_err)^2).
+    """Levenberg-Marquardt minimization of the unweighted sum((y - f(x))^2),
+    from the start vector ``start_values(model, init)``.
 
     Accepted steps never increase the cost. Convergence when the relative
     cost change or the relative step norm drops below 1e-10; non-convergence
     is reported through ``converged = False``, not an exception. A rank-
     deficient Jacobian (a parameter without influence, or an exact parameter
-    degeneracy) raises SingularJacobianError.
+    degeneracy) raises SingularJacobianError; non-finite data, too few
+    points or ``max_iterations`` below 1 raise InvalidParameterError.
 
-    With uniform/absent ``y_err`` the covariance is scaled by the reduced
-    chi-square, so the quoted uncertainties reflect the observed scatter.
+    The covariance is scaled by the reduced chi-square, so the quoted
+    uncertainties reflect the observed scatter.
     """
+    p = start_values(model, init)
+    n_params = len(p)
+    bounds = model.bounds or ((None, None),) * n_params
+    lo = np.array([-np.inf if a is None else a for a, _ in bounds], dtype=float)
+    hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
+    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
+        raise InvalidParameterError(
+            f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if init is None:
-        raise InvalidParameterError("init is required")
-    p, lo, hi = _prepare(model, init)
-    n_params = len(p)
     if len(x) != len(y):
         raise InvalidParameterError("x and y must have equal length")
     if len(y) < n_params + 1:
         raise InvalidParameterError("need at least n_params + 1 data points")
-
-    uniform_err = y_err is None or np.isscalar(y_err)
-    err = float(y_err) if np.isscalar(y_err) and y_err else 1.0
-    if not uniform_err:
-        err = np.asarray(y_err, dtype=float)
-        if np.allclose(err, err[0]):
-            uniform_err = True
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidParameterError(
+            f"data point {i} is not finite: x = {x[i]}, y = {y[i]}")
 
     def residuals(params):
         # trial steps may probe wild parameter values; non-finite costs are
         # rejected by the step-acceptance test, so silence the transients
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return (y - model.func(params, x)) / err
+            return y - model.func(params, x)
 
     r = residuals(p)
     cost = float(r @ r)
@@ -216,7 +236,7 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
     n_iter = 0
 
     for n_iter in range(1, max_iterations + 1):
-        jac = _jacobian(model.func, p, x, err)
+        jac = _jacobian(model.func, p, x)
         with np.errstate(over="ignore", invalid="ignore"):
             jtj = jac.T @ jac  # non-finite or overflowed: _check_rank reports it
         _check_rank(jac, jtj)
@@ -248,7 +268,7 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
             converged = True
             break
 
-    jac = _jacobian(model.func, p, x, err)
+    jac = _jacobian(model.func, p, x)
     dof = max(len(y) - n_params, 1)
     chi2_reduced = cost / dof
     try:
@@ -257,11 +277,11 @@ def fit_nonlinear(model: FitModel, x, y, y_err=None, init=None,
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
         cov = np.full((n_params, n_params), np.nan)
-    if uniform_err:
-        cov = cov * chi2_reduced
+    cov = cov * chi2_reduced
     sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
-    return FitResult(model.names, p, sigma, cov, chi2_reduced, converged, n_iter)
+    return FitResult(model.names, p, sigma, cov, chi2_reduced, converged, n_iter,
+                     model.name)
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +297,12 @@ def reflection_phase_model() -> FitModel:
         names=("q", "beta", "k", "phi0"),
         func=_reflection_phase_func,
         bounds=((0.0, None), (0.0, None), (None, None), (None, None)),
+        name="reflection_phase",
+        optional=("k", "phi0"),
     )
 
 
-def fit_reflection_phase(x, y, init, y_err=None, x_scale=None,
+def fit_reflection_phase(x, y, init, x_scale=None,
                          max_iterations=MAX_ITERATIONS) -> FitResult:
     """Fit the single-port reflection-phase response over (Q, beta, k, phi0).
 
@@ -291,10 +313,7 @@ def fit_reflection_phase(x, y, init, y_err=None, x_scale=None,
     x = np.asarray(x, dtype=float)
     if x_scale is not None:
         x = x / x_scale
-    p0 = [init["q"], init["beta"], init.get("k", 0.0), init.get("phi0", 0.0)]
-    result = fit_nonlinear(reflection_phase_model(), x, y, y_err=y_err, init=p0,
-                           max_iterations=max_iterations)
-    return replace(result, model_name="reflection_phase")
+    return fit_nonlinear(reflection_phase_model(), x, y, init, max_iterations)
 
 
 def _exponential_func(params, x):
@@ -307,16 +326,14 @@ def exponential_model() -> FitModel:
         names=("amplitude", "tau", "offset"),
         func=_exponential_func,
         bounds=((None, None), (1e-300, None), (None, None)),
+        name="exponential",
+        optional=("offset",),
     )
 
 
-def fit_exponential(t, y, init, y_err=None,
-                    max_iterations=MAX_ITERATIONS) -> FitResult:
-    """Fit y = amplitude * exp(-t/tau) + offset."""
-    p0 = [init["amplitude"], init["tau"], init.get("offset", 0.0)]
-    result = fit_nonlinear(exponential_model(), np.asarray(t, float), y,
-                           y_err=y_err, init=p0, max_iterations=max_iterations)
-    return replace(result, model_name="exponential")
+def fit_exponential(t, y, init, max_iterations=MAX_ITERATIONS) -> FitResult:
+    """Fit y = amplitude * exp(-t/tau) + offset (offset defaults to 0)."""
+    return fit_nonlinear(exponential_model(), t, y, init, max_iterations)
 
 
 def shift_vs_field_model(ens: SpinEnsembleParams, cav: CavityParams,
@@ -340,10 +357,11 @@ def shift_vs_field_model(ens: SpinEnsembleParams, cav: CavityParams,
         names=("n_spins", "t2_star"),
         func=func,
         bounds=((1.0, None), (1e-300, None)),
+        name="shift_vs_field",
     )
 
 
-def fit_shift_vs_field(b, y, fixed, init, y_err=None,
+def fit_shift_vs_field(b, y, fixed, init,
                        max_iterations=MAX_ITERATIONS) -> FitResult:
     """Fit the field sweep of the linearized dispersive phase over
     (n_spins, t2_star).
@@ -355,8 +373,4 @@ def fit_shift_vs_field(b, y, fixed, init, y_err=None,
     model = shift_vs_field_model(
         fixed["ensemble"], fixed["cavity"], fixed.get("polarization", 1.0)
     )
-    p0 = [init["n_spins"], init["t2_star"]]
-    result = fit_nonlinear(model, np.asarray(b, float), y, y_err=y_err, init=p0,
-                           max_iterations=max_iterations)
-    return replace(result, model_name="shift_vs_field")
-
+    return fit_nonlinear(model, b, y, init, max_iterations)

@@ -230,6 +230,12 @@ class LockinConfig:
             raise InvalidParameterError(
                 "duration must be an integer number of modulation periods"
             )
+        n_samples = self.fs * self.duration
+        if not n_samples < MAX_SAMPLES:
+            raise InvalidParameterError(
+                f"fs*duration = {n_samples:g} samples: more than one array "
+                f"can hold ({MAX_SAMPLES:g})"
+            )
 
     @property
     def n_samples(self):

@@ -474,6 +474,34 @@ class TestExitCodes:
         assert (f'{init}: "x_scale" must be a finite non-zero number'
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf"])
+    def test_fit_non_finite_data_cell_exits_2_naming_file_and_row(
+            self, tmp_path, capsys, cell):
+        csv = tmp_path / "data.csv"
+        csv.write_text(f"time_s,value\n0.0,1.0\n1.0,0.5\n2.0,{cell}\n3.0,0.1\n")
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
+        assert main(["fit", str(csv), "--model", "exponential",
+                     "--init", str(init), "--out", str(tmp_path)]) == 2
+        assert (f"{csv}: the y column holds {cell} at data row 3"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "fit_exponential.json").exists()
+
+    @pytest.mark.parametrize("max_iterations", ["0", "-5"])
+    def test_fit_max_iterations_below_one_exits_2(self, tmp_path, capsys,
+                                                  max_iterations):
+        from dispersive_readout.io import write_csv
+        csv = tmp_path / "data.csv"
+        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.2, 0.1]])
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
+        assert main(["fit", str(csv), "--model", "exponential",
+                     "--init", str(init), "--out", str(tmp_path),
+                     "--max-iterations", max_iterations]) == 2
+        assert (f"max_iterations must be an integer >= 1, got {max_iterations}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "fit_exponential.json").exists()
+
     def test_non_convergence_exits_3_but_writes_report(self, tmp_path):
         from dispersive_readout.io import write_csv
         t = np.linspace(0, 2e-3, 60)
@@ -531,6 +559,36 @@ class TestParserReuse:
                             lambda args: calls.append(args.command) or 0)
         assert main(argv) == 0
         assert calls == ["sensitivity"]
+
+
+    @pytest.mark.parametrize("model, x, init_values", [
+        ("reflection_phase", np.linspace(-1e-3, 1e-3, 8), {"q": 5.0e3, "beta": 0.6}),
+        ("exponential", np.linspace(0.0, 3.0, 8), {"amplitude": 1.0, "tau": 1.0}),
+        ("shift_vs_field", np.linspace(28.0, 38.5, 8),
+         {"n_spins": 1.5e12, "t2_star": 1.5e-8}),
+    ], ids=["reflection_phase", "exponential", "shift_vs_field"])
+    def test_a_fit_entry_point_replaced_after_the_first_call_is_the_one_run(
+            self, config_path, tmp_path, monkeypatch, model, x, init_values):
+        from dispersive_readout import fitting, load_config
+        from dispersive_readout.io import write_csv
+        cfg = load_config(config_path)
+        fit_model = (fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
+                     if model == "shift_vs_field"
+                     else getattr(fitting, f"{model}_model")())
+        csv = tmp_path / "data.csv"
+        write_csv(csv, ["x", "y"],
+                  [x, fit_model.func(fitting.start_values(fit_model, init_values), x)])
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": init_values}))
+        argv = ["fit", str(csv), "--model", model, "--init", str(init),
+                "--config", str(config_path), "--out", str(tmp_path)]
+        assert main(argv) == 0
+        calls = []
+        original = getattr(fitting, f"fit_{model}")
+        monkeypatch.setattr(fitting, f"fit_{model}",
+                            lambda *a, **kw: calls.append(model) or original(*a, **kw))
+        assert main(argv) == 0
+        assert calls == [model]
 
 
 # (path into the config, value, message); a key inside a section is located

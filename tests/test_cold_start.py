@@ -23,7 +23,8 @@ ROOT = Path(__file__).parent.parent
 CONFIG = ROOT / "configs" / "default.json"
 
 # Runs in a fresh interpreter: argv[1] is the config, argv[2] the output
-# directory, argv[3] a reflection-phase CSV and argv[4] its init JSON. Prints
+# directory, argv[3] a reflection-phase CSV, argv[4] its init JSON, argv[5]
+# an exponential-decay CSV and argv[6] its init JSON. Prints
 # the scipy modules loaded after each step, then the Dawson inputs on which
 # physics.dawson and scipy.special.dawsn differ in value, type or bits.
 COLD_PATH = r"""
@@ -33,17 +34,21 @@ import numpy as np
 def scipy_modules():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 
-config, out, csv, init = sys.argv[1:5]
+config, out, csv, init, decay_csv, decay_init = sys.argv[1:7]
 steps = {}
 import dispersive_readout
 from dispersive_readout import cli, load_config, physics, simulate_readout
 steps["import"] = scipy_modules()
-for argv in (["sensitivity", "--config", config],
-             ["noise", "--config", config, "--n-samples", "256"],
-             ["fit", csv, "--model", "reflection_phase", "--init", init]):
+for step, argv in (
+        ("sensitivity", ["sensitivity", "--config", config]),
+        ("noise", ["noise", "--config", config, "--n-samples", "256"]),
+        ("fit reflection_phase",
+         ["fit", csv, "--model", "reflection_phase", "--init", init]),
+        ("fit exponential",
+         ["fit", decay_csv, "--model", "exponential", "--init", decay_init])):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv + ["--out", out])
-    steps[argv[0]] = [code, scipy_modules()]
+    steps[step] = [code, scipy_modules()]
 cfg = load_config(config)
 simulate_readout(cfg.optimized, cfg.psd, cfg.lockin, 0.01, 0)
 steps["simulate_readout"] = scipy_modules()
@@ -77,15 +82,22 @@ def test_scipy_loads_only_with_the_dawson_function(tmp_path):
               [x, reflection_phase(load_config(CONFIG).cavity, x)])
     init = tmp_path / "init.json"
     init.write_text(json.dumps({"init": {"q": 5.0e3, "beta": 0.6}}))
+    t = np.linspace(0.0, 2e-3, 201)
+    decay_csv = tmp_path / "decay.csv"
+    write_csv(decay_csv, ["time_s", "phase_rad"], [t, 0.9 * np.exp(-t / 4e-4) + 0.1])
+    decay_init = tmp_path / "decay_init.json"
+    decay_init.write_text(json.dumps(
+        {"init": {"amplitude": 0.7, "tau": 5e-4, "offset": 0.0}}))
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out = subprocess.run(
         [sys.executable, "-c", COLD_PATH, str(CONFIG), str(tmp_path / "out"),
-         str(csv), str(init)],
+         str(csv), str(init), str(decay_csv), str(decay_init)],
         capture_output=True, text=True, env=env, timeout=120, check=True)
     steps = json.loads(out.stdout.splitlines()[-1])
     assert steps["import"] == []
-    for command in ("sensitivity", "noise", "fit"):
+    for command in ("sensitivity", "noise", "fit reflection_phase",
+                    "fit exponential"):
         assert steps[command] == [0, []], command
     assert steps["simulate_readout"] == []
     assert steps["spectrum"] == [0, ["scipy"]]

@@ -14,6 +14,7 @@ from dispersive_readout import (
     CavityParams,
     FitModel,
     SpinEnsembleParams,
+    InvalidParameterError,
     SingularJacobianError,
     fit_exponential,
     fit_nonlinear,
@@ -28,6 +29,7 @@ from dispersive_readout.fitting import (
     format_with_uncertainty,
     reflection_phase_model,
     shift_vs_field_model,
+    start_values,
 )
 
 
@@ -45,7 +47,7 @@ def reflection_sweep(q=6.0e3, beta=0.74, k=0.0, phi0=0.0, n=401, span=10.0):
 class TestEngine:
     def test_exact_linear_recovery(self):
         x = np.linspace(0, 10, 50)
-        res = fit_nonlinear(linear_model(), x, 3.5 * x, init=[1.0])
+        res = fit_nonlinear(linear_model(), x, 3.5 * x, init={"a": 1.0})
         assert res.converged
         assert res["a"] == pytest.approx(3.5, abs=1e-10)
         assert res.chi2_reduced == pytest.approx(0.0, abs=1e-20)
@@ -60,7 +62,8 @@ class TestEngine:
         )
         y = model.func(true, x)
         fits = [
-            fit_nonlinear(model, x, y, init=rng.uniform(-3, 3, size=3)).params
+            fit_nonlinear(model, x, y,
+                          init=dict(zip(model.names, rng.uniform(-3, 3, size=3)))).params
             for _ in range(10)
         ]
         for p in fits:
@@ -106,9 +109,9 @@ class TestEngine:
         y = 0.6 * np.exp(-x / 8e-4) + 0.05
         y = y + 0.001 * np.sin(1000 * x)  # deterministic "noise"
         init = {"amplitude": 0.5, "tau": 1e-3, "offset": 0.0}
-        r1 = fit_exponential(x, y, init, y_err=0.01)
+        r1 = fit_exponential(x, y, init)
         r2 = fit_exponential(x, 1e3 * y, {"amplitude": 500, "tau": 1e-3,
-                                          "offset": 0.0}, y_err=10.0)
+                                          "offset": 0.0})
         assert r2["tau"] == pytest.approx(r1["tau"], rel=1e-10)
         assert r2["amplitude"] == pytest.approx(1e3 * r1["amplitude"], rel=1e-10)
 
@@ -138,20 +141,6 @@ class TestEngine:
         assert np.all(np.linalg.eigvalsh(cov) > -1e-18)
         assert np.allclose(res.sigma, np.sqrt(np.diag(cov)))
 
-
-    def test_uniform_y_err_forms_give_bitwise_equal_fits(self):
-        rng = np.random.default_rng(7)
-        x, y = reflection_sweep(n=2001)
-        y = y + rng.normal(0, 0.01 * np.max(np.abs(y)), size=len(y))
-        init = {"q": 5.0e3, "beta": 0.6}
-        fits = [fit_reflection_phase(x, y, init, y_err=e)
-                for e in (None, 1.0, np.ones(len(y)))]
-        for res in fits[1:]:
-            for name in ("params", "sigma", "covariance"):
-                assert getattr(res, name).tobytes() == getattr(fits[0], name).tobytes()
-            assert (np.float64(res.chi2_reduced).tobytes()
-                    == np.float64(fits[0].chi2_reduced).tobytes())
-            assert res.n_iterations == fits[0].n_iterations
 
 
 @st.composite
@@ -288,7 +277,7 @@ class TestShiftVsFieldFit:
 
         degenerate = FitModel(names=("n_spins", "g"), func=func)
         with pytest.raises(SingularJacobianError):
-            fit_nonlinear(degenerate, b, y, init=[2.0e12, 2.4e-2])
+            fit_nonlinear(degenerate, b, y, init={"n_spins": 2.0e12, "g": 2.4e-2})
 
     def test_noisy_recovery(self, measured_ensemble, measured_cavity):
         rng = np.random.default_rng(29)
@@ -337,10 +326,90 @@ class TestRoundTripFromPerturbedInits:
             assert np.allclose(res.params, [0.8, 7.4e-4, 0.1], rtol=1e-6)
 
 
+# a complete init of each fit entry point, optional parameters left out
+ENTRY_POINT_INITS = {
+    "reflection_phase": {"q": 5.0e3, "beta": 0.6},
+    "exponential": {"amplitude": 0.7, "tau": 1e-3},
+    "shift_vs_field": {"n_spins": 1.5e12, "t2_star": 1.5e-8},
+}
+
+
+def fit_entry_point(model, init, ensemble, cavity):
+    x = np.linspace(28.0, 38.5, 40)
+    y = np.linspace(1.0, 0.5, 40)
+    if model == "reflection_phase":
+        return fit_reflection_phase(x, y, init)
+    if model == "exponential":
+        return fit_exponential(x, y, init)
+    return fit_shift_vs_field(x, y, {"ensemble": ensemble, "cavity": cavity}, init)
+
+
+class TestStartValues:
+    """Every entry point takes its starting values through start_values, so
+    a bad init raises InvalidParameterError naming the key."""
+
+    @pytest.mark.parametrize("model", ENTRY_POINT_INITS)
+    def test_unknown_key_is_named(self, model, measured_ensemble,
+                                  measured_cavity):
+        init = {**ENTRY_POINT_INITS[model], "typo": 1.0}
+        with pytest.raises(InvalidParameterError,
+                           match=f"'typo' is not a parameter of model '{model}'"):
+            fit_entry_point(model, init, measured_ensemble, measured_cavity)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, "big", None, True])
+    @pytest.mark.parametrize("model", ENTRY_POINT_INITS)
+    def test_value_that_is_not_a_finite_number_is_named(
+            self, model, value, measured_ensemble, measured_cavity):
+        init = dict(ENTRY_POINT_INITS[model])
+        key = next(iter(init))
+        init[key] = value
+        with pytest.raises(InvalidParameterError,
+                           match=f"value for '{key}' must be a finite number"):
+            fit_entry_point(model, init, measured_ensemble, measured_cavity)
+
+    @pytest.mark.parametrize("model", ENTRY_POINT_INITS)
+    def test_missing_required_key_is_named(self, model, measured_ensemble,
+                                           measured_cavity):
+        key, *_ = ENTRY_POINT_INITS[model]
+        init = {k: v for k, v in ENTRY_POINT_INITS[model].items() if k != key}
+        with pytest.raises(InvalidParameterError,
+                           match=f"no starting value for '{key}', which model "
+                                 f"'{model}' needs"):
+            fit_entry_point(model, init, measured_ensemble, measured_cavity)
+
+    def test_optional_parameters_start_at_zero(self):
+        assert start_values(reflection_phase_model(),
+                            {"beta": 0.6, "q": 5.0e3}).tolist() == [5.0e3, 0.6, 0.0, 0.0]
+        assert start_values(exponential_model(),
+                            {"tau": 1e-3, "amplitude": 0.7}).tolist() == [0.7, 1e-3, 0.0]
+
+    def test_init_that_is_not_a_mapping_is_rejected(self):
+        x = np.linspace(0, 10, 30)
+        with pytest.raises(InvalidParameterError, match="must map parameter names"):
+            fit_nonlinear(linear_model(), x, 2.0 * x, init=[1.5])
+
+
+class TestEngineInputs:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", ["x", "y"])
+    def test_non_finite_data_is_rejected(self, axis, value):
+        data = {"x": np.linspace(0, 10, 30), "y": np.linspace(0, 20, 30)}
+        data[axis][7] = value
+        with pytest.raises(InvalidParameterError, match="data point 7 is not finite"):
+            fit_nonlinear(linear_model(), data["x"], data["y"], init={"a": 1.5})
+
+    @pytest.mark.parametrize("max_iterations", [0, -5, 2.5])
+    def test_max_iterations_not_a_positive_integer_is_rejected(self, max_iterations):
+        x = np.linspace(0, 10, 30)
+        with pytest.raises(InvalidParameterError, match="max_iterations must be"):
+            fit_nonlinear(linear_model(), x, 2.0 * x, init={"a": 1.5},
+                          max_iterations=max_iterations)
+
+
 class TestReporting:
     def test_report_structure(self):
         x = np.linspace(0, 10, 30)
-        res = fit_nonlinear(linear_model(), x, 2.0 * x, init=[1.5])
+        res = fit_nonlinear(linear_model(), x, 2.0 * x, init={"a": 1.5})
         rep = res.report()
         assert set(rep) == {"model", "params", "chi2_reduced", "converged",
                             "n_iterations"}

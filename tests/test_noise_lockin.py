@@ -239,6 +239,13 @@ class TestSimulateReadout:
         with pytest.raises(InvalidParameterError):
             simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.5, seed=0)
 
+    @pytest.mark.parametrize("duration", [1e300, 1e13])
+    def test_record_longer_than_an_array_rejected(self, duration):
+        # 1e306 and 1e19 samples; the longest array holds 2**60 (1.15e18)
+        with pytest.raises(InvalidParameterError,
+                           match="samples: more than one array can hold"):
+            LockinConfig(f_mod=1e4, fs=1e6, duration=duration)
+
 
 def one_over_f_psd(f_max):
     return PhaseNoisePSD(

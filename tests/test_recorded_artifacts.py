@@ -1,0 +1,67 @@
+"""The benchmark's recorded CLI artifacts stay byte-identical.
+
+``perfbench/refs/cli_paper.json`` holds the exit code and the sha256 of each
+artifact of the ``cli-paper`` workload at ``configs/default.json``. Here the
+commands that do not read ``--seed`` and both fits run with the workload's
+own init specs, and each artifact is compared with its recorded digest. The
+refs are read, never written.
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from dispersive_readout.cli import main
+
+ROOT = Path(__file__).parent.parent
+CONFIG = ROOT / "configs" / "default.json"
+REFS = json.loads((ROOT / "perfbench" / "refs" / "cli_paper.json").read_text())
+
+
+def _cli_paper():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.CliPaper
+
+
+CLI_PAPER = _cli_paper()
+# in this order: each fit reads the CSV of a command before it
+OPS = ["spectrum", "relaxation", "shift-vs-field", "sensitivity",
+       "fit-reflection_phase", "fit-shift_vs_field"]
+FIT_INPUTS = {"reflection_phase": "spectrum.csv",
+              "shift_vs_field": "shift_vs_field.csv"}
+
+
+@pytest.fixture(scope="module")
+def cli_paper_run(tmp_path_factory):
+    """Runs every op into one output directory; returns (codes, directory)."""
+    work = tmp_path_factory.mktemp("cli_paper")
+    out = work / "out"
+    codes = {}
+    for op in OPS:
+        argv = [op]
+        if op.startswith("fit-"):
+            model = op[len("fit-"):]
+            init = work / f"init_{model}.json"
+            init.write_text(json.dumps(CLI_PAPER.INITS[model]))
+            argv = ["fit", str(out / FIT_INPUTS[model]), "--model", model,
+                    "--init", str(init)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes[op] = main(argv + ["--config", str(CONFIG), "--out", str(out)])
+    return codes, out
+
+
+@pytest.mark.parametrize("op", OPS)
+def test_artifact_matches_recorded_sha256(cli_paper_run, op):
+    codes, out = cli_paper_run
+    assert codes[op] == REFS["exit_codes"][op]
+    name = CLI_PAPER.ARTIFACTS[op]
+    digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
+    assert digest == REFS["artifacts"][name], name
