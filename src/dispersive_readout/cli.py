@@ -240,6 +240,10 @@ def cmd_fit(args):
         model = getattr(fitting, f"{args.model}_model")()
     init, init_options = _load_init(args.init, model)
     x, y = _read_xy(args.input_csv)
+    needed = len(model.names) + 1
+    if len(x) < needed:
+        raise ConfigError(f"{len(x)} data row(s), but model '{model.name}' "
+                          f"needs at least {needed}", path=args.input_csv)
     # looked up on every call, so a replaced entry point is the one run
     fit = getattr(fitting, f"fit_{args.model}")
     result = fit(x, y, init=init, max_iterations=args.max_iterations,

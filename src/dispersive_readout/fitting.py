@@ -2,6 +2,16 @@
 engine with finite-difference Jacobians, plus the three concrete models
 used throughout the package (reflection phase, mono-exponential relaxation,
 dispersive shift vs magnetic field).
+
+A model's ``func`` must be pure in (params, x): its value depends on
+nothing else, and it writes neither argument. The engine evaluates it on a
+private copy of x that no one can write to, and a central-difference step
+changes one parameter at a time, so each built-in model keeps the costly
+part of its last evaluation and reuses it while the parameters that part
+reads keep their bits: the resonant term in (q, beta) of the reflection
+phase, exp(-t/tau) of the exponential, and the field's detuning grid and
+the Dawson profile in t2_star of the shift vs field. The reused part is the
+same array the formula would compute again, so results keep every bit.
 """
 
 from __future__ import annotations
@@ -16,7 +26,12 @@ import numpy as np
 
 from .errors import InvalidParameterError, SingularJacobianError
 from .params import CavityParams, SpinEnsembleParams, is_finite_number
-from .physics import ensemble_shift, reflection_phase_kernel, transition_frequency
+from .physics import (
+    ensemble_profile,
+    ensemble_weight,
+    reflection_resonance,
+    transition_frequency,
+)
 
 JAC_REL_STEP = 1e-6
 JAC_ABS_FLOOR = 1e-12
@@ -40,7 +55,10 @@ _GRAM_MIN_SQ_NORM = np.finfo(float).tiny / np.finfo(float).eps
 class FitModel:
     """A model y = func(params, x) with named parameters.
 
-    ``bounds`` are per-parameter (lo, hi) with None for an open side.
+    ``func`` must be pure in (params, x) and write neither; the built-in
+    models reuse the costly part of their last evaluation (see the module
+    docstring). ``bounds`` are per-parameter (lo, hi) with None for an open
+    side.
     Parameters named in ``optional`` start at 0 when ``init`` leaves them
     out; every other parameter needs a starting value.
     """
@@ -213,15 +231,20 @@ def fit_nonlinear(model: FitModel, x, y, init,
             f"max_iterations must be an integer >= 1, got {max_iterations!r}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if len(x) != len(y):
-        raise InvalidParameterError("x and y must have equal length")
+    if x.ndim != 1 or x.shape != y.shape:
+        raise InvalidParameterError("x and y must be 1-D arrays of equal length")
     if len(y) < n_params + 1:
-        raise InvalidParameterError("need at least n_params + 1 data points")
+        raise InvalidParameterError(
+            f"need at least {n_params + 1} data points for {n_params} "
+            f"parameters, got {len(y)}")
     finite = np.isfinite(x) & np.isfinite(y)
     if not finite.all():
         i = int(np.argmin(finite))
         raise InvalidParameterError(
             f"data point {i} is not finite: x = {x[i]}, y = {y[i]}")
+    # a copy no one can write to, so the built-in models may reuse what they
+    # computed from it (see _reuse_last)
+    x = np.frombuffer(x.tobytes(), dtype=float)
 
     def residuals(params):
         # trial steps may probe wild parameter values; non-finite costs are
@@ -288,14 +311,43 @@ def fit_nonlinear(model: FitModel, x, y, init,
 # Concrete models
 
 
-def _reflection_phase_func(params, x):
-    return reflection_phase_kernel(x, *params)
+def _reuse_last(core):
+    """``core(x, *args)``, returning the last value again when called with
+    the same ``x`` and ``args`` of the same bits, so a finite-difference step
+    in a parameter that ``core`` does not read costs no new evaluation.
+
+    The identity of ``x`` stands for its contents only when ``x`` views a
+    bytes object, a buffer no one can write to; ``fit_nonlinear`` evaluates
+    on such a copy. Any other ``x`` is evaluated afresh on every call.
+    """
+    last_x = last_key = last_value = None
+
+    def reused(x, *args):
+        nonlocal last_x, last_key, last_value
+        key = np.array(args, dtype=float).tobytes()
+        if x is last_x and key == last_key:
+            return last_value
+        value = core(x, *args)
+        if type(getattr(x, "base", None)) is bytes:
+            value.flags.writeable = False  # shared by later calls
+            last_x, last_key, last_value = x, key, value
+        return value
+
+    return reused
 
 
 def reflection_phase_model() -> FitModel:
+    """The reflection phase over (q, beta, k, phi0); ``func`` reuses the
+    resonant term while only k and phi0 change."""
+    resonance = _reuse_last(reflection_resonance)
+
+    def func(params, x):
+        q, beta, k, phi0 = params
+        return resonance(x, q, beta) + k * x + phi0
+
     return FitModel(
         names=("q", "beta", "k", "phi0"),
-        func=_reflection_phase_func,
+        func=func,
         bounds=((0.0, None), (0.0, None), (None, None), (None, None)),
         name="reflection_phase",
         optional=("k", "phi0"),
@@ -316,15 +368,22 @@ def fit_reflection_phase(x, y, init, x_scale=None,
     return fit_nonlinear(reflection_phase_model(), x, y, init, max_iterations)
 
 
-def _exponential_func(params, x):
-    amplitude, tau, offset = params
-    return amplitude * np.exp(-x / tau) + offset
+def _decay(t, tau):
+    return np.exp(-t / tau)
 
 
 def exponential_model() -> FitModel:
+    """amplitude * exp(-t/tau) + offset; ``func`` reuses the decay while
+    only the amplitude and the offset change."""
+    decay = _reuse_last(_decay)
+
+    def func(params, t):
+        amplitude, tau, offset = params
+        return amplitude * decay(t, tau) + offset
+
     return FitModel(
         names=("amplitude", "tau", "offset"),
-        func=_exponential_func,
+        func=func,
         bounds=((None, None), (1e-300, None), (None, None)),
         name="exponential",
         optional=("offset",),
@@ -342,16 +401,20 @@ def shift_vs_field_model(ens: SpinEnsembleParams, cav: CavityParams,
 
     The coupling g and all geometry enter through ``ens`` and stay fixed:
     the model depends only on the product N*g^2, so floating g alongside
-    n_spins would be exactly degenerate.
+    n_spins would be exactly degenerate. ``func`` computes the detuning grid
+    once per field array and reuses the Dawson profile while only n_spins
+    changes.
     """
 
     slope = cav.phase_slope / cav.omega_c
+    detuning = _reuse_last(lambda b: cav.omega_c - transition_frequency(b, ens))
+    profile = _reuse_last(lambda b, sigma: ensemble_profile(detuning(b), sigma))
 
     def func(params, b):
         n_spins, t2_star = params
         sigma = 1.0 / (2.0 * math.pi * t2_star)
-        detuning = cav.omega_c - transition_frequency(b, ens)
-        return slope * ensemble_shift(polarization, n_spins, ens.g, sigma, detuning)
+        return slope * (ensemble_weight(polarization, n_spins, ens.g, sigma)
+                        * profile(b, sigma))
 
     return FitModel(
         names=("n_spins", "t2_star"),

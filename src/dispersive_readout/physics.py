@@ -61,11 +61,23 @@ def dawson(x):
     return float(out) if out.ndim == 0 else out
 
 
+def ensemble_weight(p, n_spins, g, sigma):
+    """The amplitude p * N * g^2 * (sqrt(2)/sigma) of ``ensemble_shift``."""
+    return p * n_spins * g**2 * (SQRT2 / sigma)
+
+
+def ensemble_profile(detuning, sigma):
+    """The line shape D(detuning / (sqrt(2) * sigma)) of ``ensemble_shift``."""
+    return dawson(detuning / (SQRT2 * sigma))
+
+
 def ensemble_shift(p, n_spins, g, sigma, detuning):
     """Cavity pull (Hz) of a Gaussian-broadened ensemble on plain arrays:
     p * N * g^2 * (sqrt(2)/sigma) * D(detuning / (sqrt(2) * sigma)), with
-    the detuning omega_c - mean_omega0 and the linewidth sigma in Hz."""
-    return p * n_spins * g**2 * (SQRT2 / sigma) * dawson(detuning / (SQRT2 * sigma))
+    the detuning omega_c - mean_omega0 and the linewidth sigma in Hz. It is
+    the weight times the profile, so a caller holding the profile of a
+    linewidth can rescale it to any p and N with the same bits."""
+    return ensemble_weight(p, n_spins, g, sigma) * ensemble_profile(detuning, sigma)
 
 
 def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
@@ -90,11 +102,19 @@ def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
     return float(out) if np.ndim(out) == 0 else out
 
 
+def reflection_resonance(x, q, beta):
+    """The resonant term 4*beta*Q*x / ((2*Q*x)^2 + (1 - beta^2)) of the
+    reflection phase, the part of ``reflection_phase_kernel`` that reads Q
+    and beta."""
+    qd = q * x
+    return 4.0 * beta * qd / ((2.0 * qd) ** 2 + (1.0 - beta**2))
+
+
 def reflection_phase_kernel(x, q, beta, k, phi0):
     """Reflection phase arg(S11) (rad) at fractional detuning ``x`` on plain
-    arrays; see ``reflection_phase``."""
-    qd = q * x
-    return 4.0 * beta * qd / ((2.0 * qd) ** 2 + (1.0 - beta**2)) + k * x + phi0
+    arrays: the resonant term plus the linear background k*x + phi0; see
+    ``reflection_phase``."""
+    return reflection_resonance(x, q, beta) + k * x + phi0
 
 
 def reflection_phase(cav: CavityParams, delta):

@@ -11,10 +11,11 @@ taken from the fractional phase and each reference computed where it is
 used, as it was before the lock-in arrays were shared. The ensemble
 oracle is the principal-value quadrature of the Gaussian-broadened
 dispersive shift, which the closed-form Dawson expression must reproduce.
-The reflection-phase, shift-vs-field and phase-trace oracles are the
-formulas as the fitting models and the phase trace wrote them inline
-before they evaluated the shared physics kernels; the nonlinear trace maps
-each sample through the full reflection phase, as the trace once could.
+The reflection-phase, exponential, shift-vs-field and phase-trace oracles
+are the formulas as the fitting models and the phase trace wrote them
+inline before they evaluated the shared physics kernels and reused their
+costly parts; the nonlinear trace maps each sample through the full
+reflection phase, as the trace once could.
 """
 
 import math
@@ -141,6 +142,13 @@ def reflection_phase_inline(params, x):
     q, beta, k, phi0 = params
     qd = q * x
     return 4.0 * beta * qd / ((2.0 * qd) ** 2 + (1.0 - beta**2)) + k * x + phi0
+
+
+def exponential_inline(params, t):
+    """amplitude * exp(-t/tau) + offset for params (amplitude, tau, offset),
+    written out in one expression."""
+    amplitude, tau, offset = params
+    return amplitude * np.exp(-np.asarray(t, float) / tau) + offset
 
 
 def shift_vs_field_inline(ens, cav, polarization=1.0):

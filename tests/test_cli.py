@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -486,6 +489,41 @@ class TestExitCodes:
         assert (f"{csv}: the y column holds {cell} at data row 3"
                 in capsys.readouterr().err)
         assert not (tmp_path / "fit_exponential.json").exists()
+
+    @pytest.mark.parametrize("model, init_values, rows, needed", [
+        ("exponential", {"amplitude": 1.0, "tau": 1.0}, 1, 4),
+        ("reflection_phase", {"q": 5.0e3, "beta": 0.6}, 4, 5),
+        ("shift_vs_field", {"n_spins": 2.0e12, "t2_star": 2.0e-8}, 2, 3),
+    ], ids=["exponential", "reflection_phase", "shift_vs_field"])
+    def test_fit_too_few_rows_exits_2_naming_file_and_counts(
+            self, config_path, tmp_path, capsys, model, init_values, rows,
+            needed):
+        from dispersive_readout.io import write_csv
+        csv = tmp_path / "data.csv"
+        write_csv(csv, ["x", "y"], [np.arange(rows) + 30.0, np.ones(rows)])
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": init_values}))
+        assert main(["fit", str(csv), "--model", model, "--init", str(init),
+                     "--config", str(config_path), "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv}: {rows} data row(s), but model '{model}' needs at "
+            f"least {needed}\n")
+        assert not (tmp_path / f"fit_{model}.json").exists()
+
+    def test_fit_header_only_csv_prints_one_error_line(self, tmp_path):
+        csv = tmp_path / "data.csv"
+        csv.write_text("time_s,value\n")
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
+        src = str(Path(__file__).parent.parent / "src")
+        paths = [src, os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        run = subprocess.run(
+            [sys.executable, "-m", "dispersive_readout.cli", "fit", str(csv),
+             "--model", "exponential", "--init", str(init), "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert run.returncode == 2
+        assert run.stderr == f"error: {csv}: expected x and y columns of numbers\n"
 
     @pytest.mark.parametrize("max_iterations", ["0", "-5"])
     def test_fit_max_iterations_below_one_exits_2(self, tmp_path, capsys,

@@ -1,10 +1,13 @@
+import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
+    exponential_inline,
     jacobian_rank_defect,
     reflection_phase_inline,
     shift_vs_field_inline,
@@ -22,6 +25,7 @@ from dispersive_readout import (
     fit_shift_vs_field,
     reflection_phase,
 )
+from dispersive_readout import fitting, physics
 from dispersive_readout.fitting import (
     SINGULAR_RTOL,
     _check_rank,
@@ -398,6 +402,20 @@ class TestEngineInputs:
         with pytest.raises(InvalidParameterError, match="data point 7 is not finite"):
             fit_nonlinear(linear_model(), data["x"], data["y"], init={"a": 1.5})
 
+    def test_x_that_is_not_1d_is_rejected(self):
+        t = np.linspace(0, 1, 20)
+        with pytest.raises(InvalidParameterError,
+                           match="x and y must be 1-D arrays of equal length"):
+            fit_exponential(t[:, None], np.exp(-t),
+                            init={"amplitude": 1.0, "tau": 1.0})
+
+    def test_too_few_points_states_both_counts(self):
+        x = np.linspace(0, 10, 3)
+        with pytest.raises(InvalidParameterError,
+                           match="need at least 4 data points for 3 parameters, "
+                                 "got 3"):
+            fit_exponential(x, np.exp(-x), init={"amplitude": 1.0, "tau": 1.0})
+
     @pytest.mark.parametrize("max_iterations", [0, -5, 2.5])
     def test_max_iterations_not_a_positive_integer_is_rejected(self, max_iterations):
         x = np.linspace(0, 10, 30)
@@ -461,3 +479,161 @@ class TestModelsEvaluateTheKernels:
         expected = shift_vs_field_inline(ens, cav, polarization)
         assert (model.func(np.array([n_spins, t2_star]), b).tobytes()
                 == expected((n_spins, t2_star), b).tobytes())
+
+
+# x values a model may be handed next to ordinary ones: signed zeros,
+# subnormals and values near 0
+NEAR_ZERO = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-12]
+
+
+def pooled(data, values):
+    """A strategy over a pool of at most three values drawn from ``values``
+    and their negations, so that a parameter returns to earlier values as
+    in the +/- steps, and a signed zero meets its twin."""
+    pool = data.draw(st.lists(values, min_size=1, max_size=3))
+    return st.sampled_from(pool + [-v for v in pool])
+
+
+def check_call_sequence(data, func, oracle, params, x_value):
+    """Call ``func`` over a drawn sequence of parameter vectors, each one
+    the last with a single parameter redrawn from its strategy in
+    ``params``, as in a finite-difference Jacobian, while x is kept,
+    replaced by an immutable array (the kind fit_nonlinear evaluates on) or
+    a writeable one, or mutated in place. Every result must equal
+    ``oracle`` bit for bit."""
+    xs = st.lists(x_value, min_size=1, max_size=6)
+    x = np.frombuffer(np.array(data.draw(xs), dtype=float).tobytes())
+    p = np.array([data.draw(values) for values in params])
+    for _ in range(data.draw(st.integers(1, 12))):
+        action = data.draw(st.sampled_from(["keep", "immutable", "writeable",
+                                            "mutate"]))
+        if action == "immutable":
+            x = np.frombuffer(np.array(data.draw(xs), dtype=float).tobytes())
+        elif action == "writeable":
+            x = np.array(data.draw(xs), dtype=float)
+        elif action == "mutate":
+            if not x.flags.writeable:
+                x = x.copy()
+            x[data.draw(st.integers(0, len(x) - 1))] = data.draw(x_value)
+        i = data.draw(st.integers(0, len(params) - 1))
+        p = p.copy()
+        p[i] = data.draw(params[i])
+        with np.errstate(all="ignore"):
+            got, expected = func(p, x), oracle(p, x)
+        assert got.tobytes() == expected.tobytes(), (action, p, x)
+
+
+class TestModelsReuseTheirCore:
+    """A model reuses its costly core only for the same immutable x and core
+    parameters of the same bits, so over any sequence of calls each result
+    equals the inline formula bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_reflection_phase(self, data):
+        q = st.one_of(st.floats(1.0, 1e6), st.sampled_from([0.0, -0.0]))
+        beta = st.one_of(st.floats(0.0, 10.0), st.sampled_from([-0.0, 1.0]))
+        params = [pooled(data, q), pooled(data, beta), st.floats(-10.0, 10.0),
+                  st.floats(-4.0, 4.0)]
+        x_value = st.one_of(st.floats(-1e-3, 1e-3), st.sampled_from(NEAR_ZERO))
+        check_call_sequence(data, reflection_phase_model().func,
+                            reflection_phase_inline, params, x_value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_exponential(self, data):
+        tau = st.one_of(st.floats(1e-6, 10.0), st.sampled_from([0.0, -0.0, 5e-324]))
+        params = [st.floats(-10.0, 10.0), pooled(data, tau), st.floats(-1.0, 1.0)]
+        x_value = st.one_of(st.floats(-1.0, 10.0), st.sampled_from(NEAR_ZERO))
+        check_call_sequence(data, exponential_model().func, exponential_inline,
+                            params, x_value)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_shift_vs_field(self, data):
+        ens = SpinEnsembleParams(n_spins=2.0e12, g=2.4e-2, t2_star=18e-9,
+                                 t1_dark=740e-6, t1_light=427e-6)
+        cav = CavityParams(omega_c=2.8175e9, q=6.0e3, beta=0.74, k=0.5)
+        params = [st.floats(1.0, 1e16), pooled(data, st.floats(1e-10, 1e-5))]
+        x_value = st.one_of(st.floats(0.0, 100.0),
+                            st.sampled_from([v for v in NEAR_ZERO if v >= 0]))
+        check_call_sequence(data, shift_vs_field_model(ens, cav, 0.9).func,
+                            shift_vs_field_inline(ens, cav, 0.9), params, x_value)
+
+
+class TestCoreEvaluationCounts:
+    """A fit evaluates a model's core at the start point, once per trial
+    step and once per finite-difference step in a parameter the core reads,
+    plus once to return to the current core values when a parameter it does
+    not read follows those steps in the Jacobian's order."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        engine = fitting.fit_nonlinear
+
+        def fit_counting_evals(model, *args, **kwargs):
+            func = model.func
+
+            def counted(params, x):
+                counts["func"] += 1
+                return func(params, x)
+
+            return engine(dataclasses.replace(model, func=counted), *args, **kwargs)
+
+        monkeypatch.setattr(fitting, "fit_nonlinear", fit_counting_evals)
+        return counts
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name, counts):
+        original = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    @staticmethod
+    def core_calls(result, counts, per_jacobian):
+        """Core evaluations the rule allows for ``result``: one Jacobian per
+        iteration and a final one, and every other model call a trial step
+        or the start point."""
+        jacobians = result.n_iterations + 1
+        other = counts["func"] - 2 * len(result.names) * jacobians
+        return other + per_jacobian * jacobians
+
+    def test_shift_vs_field(self, monkeypatch, counts, measured_ensemble,
+                            measured_cavity):
+        b = np.linspace(28.0, 38.5, 300)
+        fixed = {"ensemble": measured_ensemble, "cavity": measured_cavity}
+        y = shift_vs_field_inline(measured_ensemble, measured_cavity)(
+            (2.0e12, 18e-9), b)
+        y = y + np.random.default_rng(5).normal(0.0, 0.01 * np.ptp(y), b.size)
+        self.count_calls(monkeypatch, physics, "dawson", counts)
+        self.count_calls(monkeypatch, fitting, "transition_frequency", counts)
+        res = fit_shift_vs_field(b, y, fixed,
+                                 init={"n_spins": 1.4e12, "t2_star": 25e-9})
+        assert res.converged
+        # two t2_star steps per Jacobian; the n_spins steps reuse the profile
+        assert counts["dawson"] == self.core_calls(res, counts, 2)
+        assert counts["transition_frequency"] == 1
+
+    def test_reflection_phase(self, monkeypatch, counts):
+        x, y = reflection_sweep(k=5.0, phi0=0.02)
+        y = y + np.random.default_rng(6).normal(0.0, 0.01, y.size)
+        self.count_calls(monkeypatch, fitting, "reflection_resonance", counts)
+        res = fit_reflection_phase(x, y, init={"q": 5.0e3, "beta": 0.6})
+        assert res.converged
+        # q and beta steps, then one back to (q, beta) for the k and phi0 steps
+        assert counts["reflection_resonance"] == self.core_calls(res, counts, 5)
+
+    def test_exponential(self, monkeypatch, counts):
+        t = np.linspace(0.0, 3e-3, 300)
+        y = exponential_inline((0.8, 7.4e-4, 0.1), t)
+        y = y + np.random.default_rng(7).normal(0.0, 0.01, t.size)
+        self.count_calls(monkeypatch, fitting, "_decay", counts)
+        res = fit_exponential(t, y, init={"amplitude": 0.6, "tau": 1e-3})
+        assert res.converged
+        # tau steps, then one back to tau for the offset steps
+        assert counts["_decay"] == self.core_calls(res, counts, 3)
