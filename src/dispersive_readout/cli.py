@@ -5,7 +5,7 @@ Subcommands reproduce the main simulated data products as plot-ready CSV
 sensitivity estimate, phase-noise traces) and fit recorded/emitted CSVs,
 writing JSON fit reports.
 
-Exit codes: 0 success, 2 configuration error, 3 fit non-convergence
+Exit codes: 0 success, 2 configuration or option error, 3 fit non-convergence
 (the report is still written). Every command is deterministic given
 (config, seed): reruns produce byte-identical outputs.
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -44,6 +45,28 @@ def _out_dir(args, cfg=None):
 def _linewidth(cav):
     # fractional half-width of the resonant phase feature
     return np.sqrt(max(1.0 - cav.beta**2, 1e-6)) / (2.0 * cav.q)
+
+
+def _flag(name):
+    return "--" + name.replace("_", "-")
+
+
+def _count_option(args, name):
+    """The integer option --name, or a ConfigError naming it below 1."""
+    value = getattr(args, name)
+    if value < 1:
+        raise ConfigError(f"{_flag(name)} must be an integer >= 1, got {value}")
+    return value
+
+
+def _float_option(args, name, positive=False):
+    """The float option --name (None when not given), or a ConfigError
+    naming it when it is not finite, or not above 0 where ``positive``."""
+    value = getattr(args, name)
+    if value is None or (math.isfinite(value) and (value > 0 or not positive)):
+        return value
+    requirement = "a finite number > 0" if positive else "a finite number"
+    raise ConfigError(f"{_flag(name)} must be {requirement}, got {value}")
 
 
 def _require_finite(labels, columns, path, message):
@@ -93,9 +116,11 @@ def _emits_csv(compute):
 def cmd_spectrum(args, cfg):
     cav = cfg.cavity
     lw_hz = _linewidth(cav) * cav.omega_c
-    det_min = args.det_min if args.det_min is not None else -5.0 * lw_hz
-    det_max = args.det_max if args.det_max is not None else 5.0 * lw_hz
-    det = np.linspace(det_min, det_max, args.n_points)
+    det_min = _float_option(args, "det_min")
+    det_max = _float_option(args, "det_max")
+    det = np.linspace(-5.0 * lw_hz if det_min is None else det_min,
+                      5.0 * lw_hz if det_max is None else det_max,
+                      _count_option(args, "n_points"))
     omega0 = physics.transition_frequency(cfg.b_fields[0], cfg.ensemble)
     shift = physics.ensemble_dispersive_shift(
         cfg.ensemble, cav.omega_c, omega0, cfg.p_sat
@@ -124,7 +149,8 @@ def cmd_relaxation(args, cfg):
 
 @_emits_csv
 def cmd_shift_vs_field(args, cfg):
-    b = np.linspace(args.b_min, args.b_max, args.n_points)
+    b = np.linspace(_float_option(args, "b_min"), _float_option(args, "b_max"),
+                    _count_option(args, "n_points"))
     model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
     phase = np.atleast_1d(
         model.func([cfg.ensemble.n_spins, cfg.ensemble.t2_star], b)
@@ -134,7 +160,9 @@ def cmd_shift_vs_field(args, cfg):
 
 @_emits_csv
 def cmd_sensitivity(args, cfg):
-    f = np.geomspace(args.f_min, args.f_max, args.n_points)
+    f = np.geomspace(_float_option(args, "f_min", positive=True),
+                     _float_option(args, "f_max", positive=True),
+                     _count_option(args, "n_points"))
     s_sqrt = np.sqrt(noiselockin.psd_value(cfg.psd, f))
     eta = noiselockin.sensitivity(cfg.optimized, s_sqrt)
     limits = noiselockin.shot_noise_limit(cfg.optimized.n_spins, cfg.optimized.t2)
@@ -149,11 +177,12 @@ def cmd_sensitivity(args, cfg):
 
 @_emits_csv
 def cmd_noise(args, cfg):
+    n_samples = _count_option(args, "n_samples")
     seed = args.seed if args.seed is not None else cfg.seed
     series = noiselockin.synthesize_phase_noise(
-        cfg.psd, cfg.lockin.fs, args.n_samples, seed
+        cfg.psd, cfg.lockin.fs, n_samples, seed
     )
-    times = np.arange(args.n_samples) / cfg.lockin.fs
+    times = np.arange(n_samples) / cfg.lockin.fs
     return "noise.csv", ["time_s", "value"], [times, series]
 
 

@@ -12,6 +12,12 @@ reads keep their bits: the resonant term in (q, beta) of the reflection
 phase, exp(-t/tau) of the exponential, and the field's detuning grid and
 the Dawson profile in t2_star of the shift vs field. The reused part is the
 same array the formula would compute again, so results keep every bit.
+
+A fit allocates its n x k Jacobian once: every iteration's Jacobian and
+the final one behind the covariance fill the same buffer, each column
+with the same floating-point operations as a freshly built one, and the
+models add their terms in place. The n x k scan for non-finite entries
+runs only when ``jac.T @ jac`` is not finite.
 """
 
 from __future__ import annotations
@@ -159,10 +165,9 @@ def start_values(model: FitModel, init) -> np.ndarray:
     return np.array([start[name] for name in model.names], dtype=float)
 
 
-def _jacobian(func, params, x):
-    """Central finite differences over the parameters, one row per data
-    point (a model value independent of x fills its column)."""
-    jac = np.empty((len(x), len(params)))
+def _jacobian(func, params, x, jac):
+    """Central finite differences over the parameters into ``jac``, one row
+    per data point (a model value independent of x fills its column)."""
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(len(params)):
             step = max(JAC_REL_STEP * abs(params[i]), JAC_ABS_FLOOR)
@@ -170,8 +175,14 @@ def _jacobian(func, params, x):
             p_lo = params.copy()
             p_hi[i] += step
             p_lo[i] -= step
-            jac[:, i] = (func(p_hi, x) - func(p_lo, x)) / (2.0 * step)
-    return jac
+            np.divide(func(p_hi, x) - func(p_lo, x), 2.0 * step, out=jac[:, i])
+
+
+def _all_finite(jac, jtj):
+    """Whether every entry of ``jac`` is finite, given ``jtj = jac.T @ jac``.
+    A non-finite entry of jac makes its column's diagonal entry of jtj non-
+    finite, so the n x k scan runs only when the k x k test fails."""
+    return bool(np.all(np.isfinite(jtj)) or np.all(np.isfinite(jac)))
 
 
 def _check_rank(jac, jtj):
@@ -184,7 +195,7 @@ def _check_rank(jac, jtj):
     normalized k x k form; every other one, including any whose squared
     column norms overflow or come near underflow, is decided by the SVD of
     the normalized Jacobian."""
-    if not np.all(np.isfinite(jac)):
+    if not _all_finite(jac, jtj):
         raise SingularJacobianError(
             "non-finite Jacobian: model not differentiable at current parameters"
         )
@@ -258,8 +269,9 @@ def fit_nonlinear(model: FitModel, x, y, init,
     converged = False
     n_iter = 0
 
+    jac = np.empty((len(x), n_params))  # every Jacobian of the fit fills it
     for n_iter in range(1, max_iterations + 1):
-        jac = _jacobian(model.func, p, x)
+        _jacobian(model.func, p, x, jac)
         with np.errstate(over="ignore", invalid="ignore"):
             jtj = jac.T @ jac  # non-finite or overflowed: _check_rank reports it
         _check_rank(jac, jtj)
@@ -291,13 +303,15 @@ def fit_nonlinear(model: FitModel, x, y, init,
             converged = True
             break
 
-    jac = _jacobian(model.func, p, x)
+    _jacobian(model.func, p, x, jac)
     dof = max(len(y) - n_params, 1)
     chi2_reduced = cost / dof
+    with np.errstate(over="ignore", invalid="ignore"):
+        jtj = jac.T @ jac
     try:
-        if not np.all(np.isfinite(jac)):
+        if not _all_finite(jac, jtj):
             raise np.linalg.LinAlgError("non-finite Jacobian")
-        cov = np.linalg.inv(jac.T @ jac)
+        cov = np.linalg.inv(jtj)
     except np.linalg.LinAlgError:
         cov = np.full((n_params, n_params), np.nan)
     cov = cov * chi2_reduced
@@ -343,7 +357,10 @@ def reflection_phase_model() -> FitModel:
 
     def func(params, x):
         q, beta, k, phi0 = params
-        return resonance(x, q, beta) + k * x + phi0
+        out = k * x
+        out += resonance(x, q, beta)  # addition commutes bit for bit
+        out += phi0
+        return out
 
     return FitModel(
         names=("q", "beta", "k", "phi0"),
@@ -369,7 +386,9 @@ def fit_reflection_phase(x, y, init, x_scale=None,
 
 
 def _decay(t, tau):
-    return np.exp(-t / tau)
+    # t / -tau has the bits of -t / tau: division rounds symmetrically in sign
+    out = np.divide(t, -tau, out=np.empty(np.shape(t)))
+    return np.exp(out, out=out)
 
 
 def exponential_model() -> FitModel:
@@ -379,7 +398,9 @@ def exponential_model() -> FitModel:
 
     def func(params, t):
         amplitude, tau, offset = params
-        return amplitude * decay(t, tau) + offset
+        out = amplitude * decay(t, tau)
+        out += offset
+        return out
 
     return FitModel(
         names=("amplitude", "tau", "offset"),

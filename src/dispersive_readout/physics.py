@@ -105,9 +105,18 @@ def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
 def reflection_resonance(x, q, beta):
     """The resonant term 4*beta*Q*x / ((2*Q*x)^2 + (1 - beta^2)) of the
     reflection phase, the part of ``reflection_phase_kernel`` that reads Q
-    and beta."""
+    and beta.
+
+    Built in place from two temporaries, with the formula's operations: the
+    augmented operators keep numpy's ``square`` for arrays and ``pow`` for
+    scalars, as ``**`` does."""
     qd = q * x
-    return 4.0 * beta * qd / ((2.0 * qd) ** 2 + (1.0 - beta**2))
+    den = 2.0 * qd
+    den **= 2
+    den += 1.0 - beta**2
+    qd *= 4.0 * beta
+    qd /= den
+    return qd
 
 
 def reflection_phase_kernel(x, q, beta, k, phi0):

@@ -15,7 +15,10 @@ The reflection-phase, exponential, shift-vs-field and phase-trace oracles
 are the formulas as the fitting models and the phase trace wrote them
 inline before they evaluated the shared physics kernels and reused their
 costly parts; the nonlinear trace maps each sample through the full
-reflection phase, as the trace once could.
+reflection phase, as the trace once could. The fit oracle is the
+Levenberg-Marquardt loop written plainly: a fresh Jacobian for every
+iteration, each column computed in one expression, no buffers and no
+reused model parts.
 """
 
 import math
@@ -24,7 +27,11 @@ import mpmath
 import numpy as np
 from scipy import special
 
-from dispersive_readout import InvalidParameterError, synthesize_phase_noise
+from dispersive_readout import (
+    InvalidParameterError,
+    SingularJacobianError,
+    synthesize_phase_noise,
+)
 
 
 def dawson_series(x, dps=150):
@@ -196,3 +203,81 @@ def phase_trace_nonlinear(p, ens, cav, b_field):
     phase = reflection_phase_inline((cav.q, cav.beta, cav.k, cav.phi0),
                                     _dawson_pull(p, ens, cav, b_field) / cav.omega_c)
     return phase - np.mean(phase)
+
+
+def fit_nonlinear_reference(func, bounds, x, y, start, max_iterations=200):
+    """(params, sigma, covariance, chi2_reduced, converged, n_iterations) of
+    the damped Gauss-Newton fit of ``func(params, x)`` to ``y`` from the
+    start vector ``start``, with per-parameter (lo, hi) ``bounds`` (None for
+    an open side). Central-difference steps of max(1e-6*|p|, 1e-12); a
+    rank-deficient Jacobian raises SingularJacobianError."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    p = np.array(start, dtype=float)
+    lo = np.array([-np.inf if a is None else a for a, _ in bounds])
+    hi = np.array([np.inf if b is None else b for _, b in bounds])
+
+    def residuals(params):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return y - func(params, x)
+
+    def jacobian(params):
+        jac = np.empty((len(x), len(params)))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for i in range(len(params)):
+                step = max(1e-6 * abs(params[i]), 1e-12)
+                p_hi = params.copy()
+                p_lo = params.copy()
+                p_hi[i] += step
+                p_lo[i] -= step
+                jac[:, i] = (func(p_hi, x) - func(p_lo, x)) / (2.0 * step)
+        return jac
+
+    r = residuals(p)
+    cost = float(r @ r)
+    lam = 1e-3
+    converged = False
+    n_iter = 0
+    for n_iter in range(1, max_iterations + 1):
+        jac = jacobian(p)
+        defect = jacobian_rank_defect(jac)
+        if defect is not None:
+            raise SingularJacobianError(defect)
+        jtj = jac.T @ jac
+        grad = jac.T @ r
+        diag = np.diag(np.diag(jtj))
+        accepted = False
+        for _ in range(60):
+            try:
+                step = np.linalg.solve(jtj + lam * diag, grad)
+            except np.linalg.LinAlgError:
+                lam *= 5.0
+                continue
+            p_new = np.clip(p + step, lo, hi)
+            r_new = residuals(p_new)
+            cost_new = float(r_new @ r_new)
+            if np.isfinite(cost_new) and cost_new <= cost:
+                accepted = True
+                break
+            lam *= 5.0
+        if not accepted:
+            break
+        rel_step = np.linalg.norm(p_new - p) / max(np.linalg.norm(p), 1e-300)
+        rel_dcost = (cost - cost_new) / max(cost, 1e-300)
+        p, r, cost = p_new, r_new, cost_new
+        lam = max(lam / 3.0, 1e-14)
+        if rel_dcost < 1e-10 or rel_step < 1e-10:
+            converged = True
+            break
+
+    jac = jacobian(p)
+    chi2_reduced = cost / max(len(y) - len(p), 1)
+    try:
+        if not np.all(np.isfinite(jac)):
+            raise np.linalg.LinAlgError("non-finite Jacobian")
+        cov = np.linalg.inv(jac.T @ jac)
+    except np.linalg.LinAlgError:
+        cov = np.full((len(p), len(p)), np.nan)
+    cov = cov * chi2_reduced
+    sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    return p, sigma, cov, chi2_reduced, converged, n_iter

@@ -558,6 +558,52 @@ class TestExitCodes:
         assert report["converged"] is False
 
 
+SIZE_OPTIONS = [("spectrum", "--n-points"), ("shift-vs-field", "--n-points"),
+                ("sensitivity", "--n-points"), ("noise", "--n-samples")]
+FLOAT_OPTIONS = [("spectrum", "--det-min"), ("spectrum", "--det-max"),
+                 ("shift-vs-field", "--b-min"), ("shift-vs-field", "--b-max"),
+                 ("sensitivity", "--f-min"), ("sensitivity", "--f-max")]
+
+
+class TestSweepOptions:
+    """A sweep option outside its range exits 2 naming the option, and no
+    file or output directory is written."""
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("command, flag", SIZE_OPTIONS)
+    def test_size_below_one_exits_2(self, config_path, tmp_path, capsys,
+                                    command, flag, value):
+        out = tmp_path / "out"
+        assert main([command, f"{flag}={value}", "--config", str(config_path),
+                     "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {flag} must be an integer >= 1, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+    @pytest.mark.parametrize("command, flag", FLOAT_OPTIONS)
+    def test_non_finite_float_exits_2_naming_the_option(
+            self, config_path, tmp_path, capsys, command, flag, value):
+        out = tmp_path / "out"
+        assert main([command, f"{flag}={value}", "--config", str(config_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be a finite number"), err
+        assert err.endswith(f", got {float(value)}\n"), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0", "-100"])
+    @pytest.mark.parametrize("flag", ["--f-min", "--f-max"])
+    def test_frequency_bound_not_above_zero_exits_2(self, config_path, tmp_path,
+                                                    capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["sensitivity", f"{flag}={value}", "--config",
+                     str(config_path), "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {flag} must be a finite number > 0, got {float(value)}\n")
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_reruns_are_byte_identical(self, config_path, tmp_path):
         for sub in ("a", "b"):

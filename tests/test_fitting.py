@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (
     exponential_inline,
+    fit_nonlinear_reference,
     jacobian_rank_defect,
     reflection_phase_inline,
     shift_vs_field_inline,
@@ -637,3 +638,75 @@ class TestCoreEvaluationCounts:
         assert res.converged
         # tau steps, then one back to tau for the offset steps
         assert counts["_decay"] == self.core_calls(res, counts, 3)
+
+
+def reference_case(model, n, variant, ensemble, cavity):
+    """A seeded noisy fit of ``n`` points: (public fit call, inline model,
+    bounds, x, y, start vector). Variant 1 adds the optional init keys and,
+    for the reflection phase, absolute detunings with ``x_scale``; for the
+    shift vs field it sets a polarization."""
+    rng = np.random.default_rng([("reflection_phase", "exponential",
+                                  "shift_vs_field").index(model), n, variant])
+    if model == "reflection_phase":
+        truth, f_c = (6.0e3, 0.74, 5.0, 0.02), 2.8175e9
+        half_width = math.sqrt(1 - 0.74**2) / (2 * 6.0e3)
+        x = np.linspace(-10 * half_width, 10 * half_width, n)
+        init = {"q": 5.0e3, "beta": 0.6}
+        if variant:
+            init.update(k=4.0, phi0=0.01)
+        start = [init.get(name, 0.0) for name in ("q", "beta", "k", "phi0")]
+        x_scale = f_c if variant else None
+        x_given = x * f_c if variant else x
+        x_ref = x_given / f_c if variant else x
+        func, bounds = reflection_phase_inline, ((0.0, None), (0.0, None),
+                                                 (None, None), (None, None))
+        fit = lambda y, m: fit_reflection_phase(x_given, y, init, x_scale, m)
+    elif model == "exponential":
+        truth = (0.8, 7.4e-4, 0.1)
+        x_ref = x = np.linspace(0.0, 3e-3, n)
+        init = {"amplitude": 0.6, "tau": 1e-3}
+        if variant:
+            init["offset"] = 0.05
+        start = [init.get(name, 0.0) for name in ("amplitude", "tau", "offset")]
+        func, bounds = exponential_inline, ((None, None), (1e-300, None),
+                                            (None, None))
+        fit = lambda y, m: fit_exponential(x, y, init, m)
+    else:
+        truth = (2.0e12, 18e-9)
+        x_ref = x = np.linspace(28.0, 38.5, n)
+        init = {"n_spins": 1.5e12, "t2_star": 1.5e-8}
+        start = [init["n_spins"], init["t2_star"]]
+        polarization = 0.9 if variant else 1.0
+        fixed = {"ensemble": ensemble, "cavity": cavity,
+                 "polarization": polarization}
+        func = shift_vs_field_inline(ensemble, cavity, polarization)
+        bounds = ((1.0, None), (1e-300, None))
+        fit = lambda y, m: fit_shift_vs_field(x, y, fixed, init, m)
+    y = func(truth, x_ref)
+    y = y + rng.normal(0.0, 0.01 * np.max(np.abs(y)), n)
+    return fit, func, bounds, x_ref, y, start
+
+
+class TestEngineMatchesTheReference:
+    """The public fits give the plain Levenberg-Marquardt loop's results bit
+    for bit: its Jacobian buffer, in-place model sums and reused model parts
+    change no bit of a result."""
+
+    @pytest.mark.parametrize("max_iterations", [2, 3, 200])
+    @pytest.mark.parametrize("variant", [0, 1])
+    @pytest.mark.parametrize("n", [10, 100, 1000, 10_000])
+    @pytest.mark.parametrize("model", ["reflection_phase", "exponential",
+                                       "shift_vs_field"])
+    def test_results_keep_every_bit(self, model, n, variant, max_iterations,
+                                    measured_ensemble, measured_cavity):
+        fit, func, bounds, x, y, start = reference_case(
+            model, n, variant, measured_ensemble, measured_cavity)
+        result = fit(y, max_iterations)
+        params, sigma, cov, chi2_reduced, converged, n_iter = (
+            fit_nonlinear_reference(func, bounds, x, y, start, max_iterations))
+        assert result.params.tobytes() == params.tobytes()
+        assert result.sigma.tobytes() == sigma.tobytes()
+        assert result.covariance.tobytes() == cov.tobytes()
+        assert result.chi2_reduced == chi2_reduced
+        assert result.converged == converged
+        assert result.n_iterations == n_iter
