@@ -22,7 +22,6 @@ from .params import (
 )
 from .physics import (
     dawson,
-    dispersive_shift_single,
     ensemble_dispersive_shift,
     optimized_phase_shift,
     photon_budget,

@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameterError,
     SingularJacobianError,
 )
-from .params import is_finite_number
+from .params import MAX_SAMPLES, is_finite_number
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,10 +52,14 @@ def _flag(name):
 
 
 def _count_option(args, name):
-    """The integer option --name, or a ConfigError naming it below 1."""
+    """The integer option --name, or a ConfigError naming it below 1 or at
+    more samples than one array can hold."""
     value = getattr(args, name)
     if value < 1:
         raise ConfigError(f"{_flag(name)} must be an integer >= 1, got {value}")
+    if not value < MAX_SAMPLES:
+        raise ConfigError(f"{_flag(name)} = {value}: more samples than one "
+                          f"array can hold ({MAX_SAMPLES:g})")
     return value
 
 
@@ -125,7 +129,17 @@ def cmd_spectrum(args, cfg):
     shift = physics.ensemble_dispersive_shift(
         cfg.ensemble, cav.omega_c, omega0, cfg.p_sat
     )
-    phase = np.atleast_1d(physics.reflection_phase(cav, (det - shift) / cav.omega_c))
+    x = (det - shift) / cav.omega_c
+    if cav.beta > 1:  # the tangent form has a pole; see physics
+        pole = math.sqrt(cav.beta**2 - 1.0) / (2.0 * cav.q)
+        lo, hi = x.min(), x.max()
+        if lo <= pole <= hi or lo <= -pole <= hi:
+            raise ConfigError(
+                f"cavity beta = {cav.beta} > 1 puts poles of the reflection "
+                f"phase at detunings {shift - pole * cav.omega_c:g} Hz and "
+                f"{shift + pole * cav.omega_c:g} Hz, inside the sweep; keep "
+                "--det-min/--det-max clear of them", path=args.config)
+    phase = np.atleast_1d(physics.reflection_phase(cav, x))
     return "spectrum.csv", ["detuning_hz", "phase_rad"], [det, phase]
 
 

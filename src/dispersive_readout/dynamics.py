@@ -63,24 +63,25 @@ def polarization_trace(cycle: ChopperCycle, ens: SpinEnsembleParams,
     in_period = times % cycle.period
     period_idx = np.minimum((times // cycle.period).astype(int), cycle.n_periods - 1)
 
+    def build_up(p_start, t):  # t after the laser turns on
+        return p_sat + (p_start - p_sat) * np.exp(-t / ens.t1_light)
+
+    def decay(p_start, t):  # t after the laser turns off
+        return p_start * np.exp(-t / ens.t1_dark)
+
     # polarization at the start of each period / each dark segment
     p_period = np.empty(cycle.n_periods)
     p_dark = np.empty(cycle.n_periods)
     p0 = 0.0
     for i in range(cycle.n_periods):
         p_period[i] = p0
-        p_end_on = p_sat + (p0 - p_sat) * np.exp(-t_on / ens.t1_light)
-        p_dark[i] = p_end_on
-        p0 = p_end_on * np.exp(-(cycle.period - t_on) / ens.t1_dark)
+        p_dark[i] = build_up(p0, t_on)
+        p0 = decay(p_dark[i], cycle.period - t_on)
 
     on = in_period < t_on
-    p[on] = p_sat + (p_period[period_idx[on]] - p_sat) * np.exp(
-        -in_period[on] / ens.t1_light
-    )
+    p[on] = build_up(p_period[period_idx[on]], in_period[on])
     off = ~on
-    p[off] = p_dark[period_idx[off]] * np.exp(
-        -(in_period[off] - t_on) / ens.t1_dark
-    )
+    p[off] = decay(p_dark[period_idx[off]], in_period[off] - t_on)
     return PolarizationTrace(times, np.clip(p, 0.0, 1.0))
 
 

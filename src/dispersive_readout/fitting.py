@@ -31,10 +31,11 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidParameterError, SingularJacobianError
-from .params import CavityParams, SpinEnsembleParams, is_finite_number
+from .params import CavityParams, SpinEnsembleParams, is_finite_number, linewidth
 from .physics import (
+    add_phase_background,
     ensemble_profile,
-    ensemble_weight,
+    ensemble_shift,
     reflection_resonance,
     transition_frequency,
 )
@@ -357,10 +358,7 @@ def reflection_phase_model() -> FitModel:
 
     def func(params, x):
         q, beta, k, phi0 = params
-        out = k * x
-        out += resonance(x, q, beta)  # addition commutes bit for bit
-        out += phi0
-        return out
+        return add_phase_background(resonance(x, q, beta), x, k, phi0)
 
     return FitModel(
         names=("q", "beta", "k", "phi0"),
@@ -433,9 +431,9 @@ def shift_vs_field_model(ens: SpinEnsembleParams, cav: CavityParams,
 
     def func(params, b):
         n_spins, t2_star = params
-        sigma = 1.0 / (2.0 * math.pi * t2_star)
-        return slope * (ensemble_weight(polarization, n_spins, ens.g, sigma)
-                        * profile(b, sigma))
+        sigma = linewidth(t2_star)
+        return slope * ensemble_shift(polarization, n_spins, ens.g, sigma,
+                                      profile(b, sigma))
 
     return FitModel(
         names=("n_spins", "t2_star"),

@@ -25,6 +25,11 @@ MAX_SAMPLES = 2**60
 BETA_EXCLUSION = 1e-3
 
 
+def linewidth(t2_star):
+    """Gaussian inhomogeneous linewidth 1/(2*pi*T2*) in Hz."""
+    return 1.0 / (2.0 * math.pi * t2_star)
+
+
 def is_finite_number(value):
     """True for a finite real number; False for a bool, a non-number and an
     integer beyond the float range."""
@@ -112,7 +117,7 @@ class SpinEnsembleParams:
     @property
     def sigma_f(self):
         """Gaussian inhomogeneous linewidth 1/(2*pi*T2*) in Hz."""
-        return 1.0 / (2.0 * math.pi * self.t2_star)
+        return linewidth(self.t2_star)
 
 
 @dataclass(frozen=True)

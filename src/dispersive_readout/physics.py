@@ -2,6 +2,11 @@
 ensemble shift via the Dawson function, the reflection-phase model, and the
 photon-budget numbers for an optimized device.
 
+The reflection-phase model is the tangent of the phase of S11, not the phase
+itself: its resonant term 4*beta*Q*x / ((2*Q*x)^2 + 1 - beta^2) equals
+tan(atan(2*Q*x/(1 - beta)) - atan(2*Q*x/(1 + beta))). The two agree to first
+order in x; for beta > 1 the tangent has a pole at |x| = sqrt(beta^2 - 1)/(2*Q).
+
 All frequencies are plain Hz; 2*pi factors cancel in every formula below that
 the literature writes in angular frequencies (they appear squared in the
 numerator and once in each of two denominator factors), so the expressions
@@ -34,19 +39,6 @@ def transition_frequency(b_field, ens: SpinEnsembleParams):
     return float(out) if np.isscalar(b_field) else out
 
 
-def dispersive_shift_single(g, delta):
-    """Single-spin dispersive cavity pull g^2/delta (Hz).
-
-    Valid to first order in g/delta; the resonant point delta = 0 is outside
-    the dispersive approximation and rejected.
-    """
-    d = np.asarray(delta, dtype=float)
-    if np.any(d == 0.0):
-        raise DomainError("delta = 0: dispersive approximation invalid on resonance")
-    out = np.asarray(g, dtype=float) ** 2 / d
-    return float(out) if out.ndim == 0 else out
-
-
 def dawson(x):
     """Dawson integral D(x) = exp(-x^2) * int_0^x exp(t^2) dt.
 
@@ -61,23 +53,16 @@ def dawson(x):
     return float(out) if out.ndim == 0 else out
 
 
-def ensemble_weight(p, n_spins, g, sigma):
-    """The amplitude p * N * g^2 * (sqrt(2)/sigma) of ``ensemble_shift``."""
-    return p * n_spins * g**2 * (SQRT2 / sigma)
-
-
 def ensemble_profile(detuning, sigma):
     """The line shape D(detuning / (sqrt(2) * sigma)) of ``ensemble_shift``."""
     return dawson(detuning / (SQRT2 * sigma))
 
 
-def ensemble_shift(p, n_spins, g, sigma, detuning):
+def ensemble_shift(p, n_spins, g, sigma, profile):
     """Cavity pull (Hz) of a Gaussian-broadened ensemble on plain arrays:
-    p * N * g^2 * (sqrt(2)/sigma) * D(detuning / (sqrt(2) * sigma)), with
-    the detuning omega_c - mean_omega0 and the linewidth sigma in Hz. It is
-    the weight times the profile, so a caller holding the profile of a
-    linewidth can rescale it to any p and N with the same bits."""
-    return ensemble_weight(p, n_spins, g, sigma) * ensemble_profile(detuning, sigma)
+    p * N * g^2 * (sqrt(2)/sigma) times ``profile``, the
+    ``ensemble_profile`` of the detuning at the linewidth sigma (Hz)."""
+    return p * n_spins * g**2 * (SQRT2 / sigma) * profile
 
 
 def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
@@ -98,14 +83,16 @@ def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
     if np.any((p < 0) | (p > 1)):
         raise InvalidParameterError("polarization must lie in [0, 1]")
     detuning = np.asarray(omega_c, dtype=float) - np.asarray(mean_omega0, dtype=float)
-    out = ensemble_shift(p, ens.n_spins, ens.g, ens.sigma_f, detuning)
+    sigma = ens.sigma_f
+    out = ensemble_shift(p, ens.n_spins, ens.g, sigma,
+                         ensemble_profile(detuning, sigma))
     return float(out) if np.ndim(out) == 0 else out
 
 
 def reflection_resonance(x, q, beta):
     """The resonant term 4*beta*Q*x / ((2*Q*x)^2 + (1 - beta^2)) of the
-    reflection phase, the part of ``reflection_phase_kernel`` that reads Q
-    and beta.
+    reflection phase, tan(arg S11) of the bare resonator at fractional
+    detuning ``x``.
 
     Built in place from two temporaries, with the formula's operations: the
     augmented operators keep numpy's ``square`` for arrays and ``pow`` for
@@ -119,27 +106,32 @@ def reflection_resonance(x, q, beta):
     return qd
 
 
-def reflection_phase_kernel(x, q, beta, k, phi0):
-    """Reflection phase arg(S11) (rad) at fractional detuning ``x`` on plain
-    arrays: the resonant term plus the linear background k*x + phi0; see
-    ``reflection_phase``."""
-    return reflection_resonance(x, q, beta) + k * x + phi0
+def add_phase_background(resonance, x, k, phi0):
+    """The reflection phase: the resonant term ``resonance`` at fractional
+    detuning ``x`` plus the linear background k*x + phi0, summed in place
+    (addition commutes bit for bit)."""
+    out = k * x
+    out += resonance
+    out += phi0
+    return out
 
 
 def reflection_phase(cav: CavityParams, delta):
-    """Reflection phase arg(S11) (rad) of a single-port resonator.
+    """Reflection phase (rad) of a single-port resonator, in the tangent
+    form tan(arg S11) of its resonant term (see the module docstring).
 
     ``delta`` is the probe-cavity *fractional* detuning (f - f_c)/f_c, the
     normalization in which Q*delta is dimensionless:
 
-        arg(S11) = 4*beta*Q*delta / ((2*Q*delta)^2 + (1 - beta^2))
-                   + k*delta + phi0.
+        phase = 4*beta*Q*delta / ((2*Q*delta)^2 + (1 - beta^2))
+                + k*delta + phi0.
 
     With k = phi0 = 0 the response is odd in delta, has slope
     4*beta*Q/(1-beta^2) at delta = 0 and decays to zero far off resonance.
     """
-    out = reflection_phase_kernel(np.asarray(delta, dtype=float), cav.q,
-                                  cav.beta, cav.k, cav.phi0)
+    x = np.asarray(delta, dtype=float)
+    out = add_phase_background(reflection_resonance(x, cav.q, cav.beta), x,
+                               cav.k, cav.phi0)
     return float(out) if out.ndim == 0 else out
 
 

@@ -11,6 +11,9 @@ taken from the fractional phase and each reference computed where it is
 used, as it was before the lock-in arrays were shared. The ensemble
 oracle is the principal-value quadrature of the Gaussian-broadened
 dispersive shift, which the closed-form Dawson expression must reproduce.
+The arctangent oracle is the exact phase of S11, whose tangent the
+reflection-phase model computes. The polarization oracle is the chopped
+trace with each relaxation law written out at both places it is used.
 The reflection-phase, exponential, shift-vs-field and phase-trace oracles
 are the formulas as the fitting models and the phase trace wrote them
 inline before they evaluated the shared physics kernels and reused their
@@ -151,6 +154,15 @@ def reflection_phase_inline(params, x):
     return 4.0 * beta * qd / ((2.0 * qd) ** 2 + (1.0 - beta**2)) + k * x + phi0
 
 
+def reflection_phase_arctan(q, beta, x):
+    """arg(S11) (rad) of the bare resonator at fractional detuning ``x``,
+    as the difference of the two arctangents of its pole and zero:
+    atan(2Qx/(1 - beta)) - atan(2Qx/(1 + beta)). Its tangent is the
+    resonant term of ``reflection_phase_inline``."""
+    u = 2.0 * q * np.asarray(x, dtype=float)
+    return np.arctan(u / (1.0 - beta)) - np.arctan(u / (1.0 + beta))
+
+
 def exponential_inline(params, t):
     """amplitude * exp(-t/tau) + offset for params (amplitude, tau, offset),
     written out in one expression."""
@@ -176,6 +188,32 @@ def shift_vs_field_inline(ens, cav, polarization=1.0):
         return slope * shift
 
     return func
+
+
+def polarization_trace_inline(cycle, ens, p_sat=1.0):
+    """(times, p) of ``polarization_trace`` with each relaxation law written
+    out where it is used: once per period for the segment ends, once per
+    sample for the trace."""
+    n = int(round(cycle.n_periods * cycle.period / cycle.dt))
+    times = np.arange(n) * cycle.dt
+    p = np.empty(n)
+    t_on = cycle.duty * cycle.period
+    in_period = times % cycle.period
+    period_idx = np.minimum((times // cycle.period).astype(int), cycle.n_periods - 1)
+    p_period = np.empty(cycle.n_periods)
+    p_dark = np.empty(cycle.n_periods)
+    p0 = 0.0
+    for i in range(cycle.n_periods):
+        p_period[i] = p0
+        p_end_on = p_sat + (p0 - p_sat) * np.exp(-t_on / ens.t1_light)
+        p_dark[i] = p_end_on
+        p0 = p_end_on * np.exp(-(cycle.period - t_on) / ens.t1_dark)
+    on = in_period < t_on
+    p[on] = p_sat + (p_period[period_idx[on]] - p_sat) * np.exp(
+        -in_period[on] / ens.t1_light)
+    off = ~on
+    p[off] = p_dark[period_idx[off]] * np.exp(-(in_period[off] - t_on) / ens.t1_dark)
+    return times, np.clip(p, 0.0, 1.0)
 
 
 def _dawson_pull(p, ens, cav, b_field):

@@ -55,6 +55,30 @@ class TestSpectrum:
         assert abs(phase[mid]) < 1e-9  # zero crossing at resonance
         assert phase[mid + 5] * phase[mid - 5] < 0
 
+    @pytest.mark.parametrize("det_min, det_max", [("-1e6", "1e6"),
+                                                  ("-1e6", "-1e5"),
+                                                  ("1e5", "1e6")])
+    def test_sweep_across_an_overcoupled_pole_exits_2(
+            self, config_path, tmp_path, capsys, det_min, det_max):
+        # beta = 1.1, q = 6e3: poles at (det - shift)/f_c = +/-sqrt(0.21)/12e3,
+        # near +/-107.6 kHz; the phase jumps from about -2400 to +2400 rad
+        edit_config(config_path, **{"cavity.beta": 1.1})
+        out = tmp_path / "out"
+        assert main(["spectrum", f"--det-min={det_min}", f"--det-max={det_max}",
+                     "--config", str(config_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: cavity beta = 1.1 > 1"), err
+        assert "--det-min/--det-max" in err
+        assert not out.exists()
+
+    def test_sweep_clear_of_an_overcoupled_pole_is_written(self, config_path,
+                                                           tmp_path):
+        edit_config(config_path, **{"cavity.beta": 1.1})
+        assert main(["spectrum", "--det-min=-1e5", "--det-max=1e5",
+                     "--config", str(config_path), "--out", str(tmp_path)]) == 0
+        _, (_, phase) = read_csv(tmp_path / "spectrum.csv")
+        assert np.all(np.isfinite(phase))
+
     def test_single_point_sweep(self, config_path, tmp_path):
         assert main(["spectrum", "--config", str(config_path),
                      "--out", str(tmp_path), "--n-points", "1"]) == 0
@@ -578,6 +602,20 @@ class TestSweepOptions:
                      "--out", str(out)]) == 2
         assert (capsys.readouterr().err
                 == f"error: {flag} must be an integer >= 1, got {value}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag, value", [
+        *((command, flag, str(10**19)) for command, flag in SIZE_OPTIONS),
+        ("noise", "--n-samples", str(2**61))])
+    def test_size_beyond_one_array_exits_2(self, config_path, tmp_path, capsys,
+                                           command, flag, value):
+        # rejected before anything is allocated
+        out = tmp_path / "out"
+        assert main([command, f"{flag}={value}", "--config", str(config_path),
+                     "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {flag} = {value}: more samples than one array can "
+                   "hold (1.15292e+18)\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])

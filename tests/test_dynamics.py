@@ -1,11 +1,18 @@
 import numpy as np
 import pytest
-from oracles import phase_trace_linearized, phase_trace_nonlinear
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (
+    phase_trace_linearized,
+    phase_trace_nonlinear,
+    polarization_trace_inline,
+)
 
 from dispersive_readout import (
     CavityParams,
     ChopperCycle,
     InvalidParameterError,
+    SpinEnsembleParams,
     fit_exponential,
     phase_trace,
     polarization_trace,
@@ -81,6 +88,26 @@ def test_segment_fits_recover_t1_values(measured_ensemble, cycle):
     )
     assert off.converged
     assert off["tau"] == pytest.approx(740e-6, rel=5e-3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(period=st.floats(1e-6, 1.0), duty=st.floats(0.0, 1.0),
+       n_periods=st.integers(1, 6), per_period=st.integers(21, 300),
+       t1_light=st.floats(1e-3, 1e3), t1_dark=st.floats(1e-3, 1e3),
+       p_sat=st.floats(0.0, 1.0, exclude_min=True))
+def test_equals_the_inline_trace_bit_for_bit(period, duty, n_periods,
+                                             per_period, t1_light, t1_dark,
+                                             p_sat):
+    # T1 values drawn relative to the period, from far shorter to far longer
+    cycle = ChopperCycle(period=period, duty=duty, n_periods=n_periods,
+                         dt=period / per_period)
+    ens = SpinEnsembleParams(n_spins=2.0e12, g=2.4e-2, t2_star=18e-9,
+                             t1_dark=t1_dark * period,
+                             t1_light=t1_light * period)
+    trace = polarization_trace(cycle, ens, p_sat=p_sat)
+    times, p = polarization_trace_inline(cycle, ens, p_sat)
+    assert trace.times.tobytes() == times.tobytes()
+    assert trace.p.tobytes() == p.tobytes()
 
 
 def test_p_sat_validation(measured_ensemble, cycle):

@@ -9,7 +9,6 @@ from dispersive_readout import (
     InvalidParameterError,
     OptimizedDeviceParams,
     dawson,
-    dispersive_shift_single,
     ensemble_dispersive_shift,
     optimized_phase_shift,
     photon_budget,
@@ -39,23 +38,6 @@ class TestTransitionFrequency:
     def test_negative_field_rejected(self, measured_ensemble):
         with pytest.raises(DomainError):
             transition_frequency(-1.0, measured_ensemble)
-
-
-class TestDispersiveShiftSingle:
-    def test_optimized_device_point(self):
-        assert dispersive_shift_single(0.3, 1e7) == pytest.approx(9e-9, rel=1e-12)
-
-    def test_measured_coupling_point(self):
-        assert dispersive_shift_single(2.4e-2, 1e6) == pytest.approx(
-            5.76e-10, rel=1e-12
-        )
-
-    def test_odd_in_delta(self):
-        assert dispersive_shift_single(0.5, -3e6) == -dispersive_shift_single(0.5, 3e6)
-
-    def test_resonance_rejected(self):
-        with pytest.raises(DomainError):
-            dispersive_shift_single(0.3, 0.0)
 
 
 class TestDawson:
@@ -191,9 +173,8 @@ class TestOptimizedDevice:
 
     def test_consistency_with_single_spin_shift(self):
         p = OptimizedDeviceParams()
-        expected = (
-            math.pi * p.q * dispersive_shift_single(p.g, p.delta) * p.n_spins / p.omega_0
-        )
+        single_spin_shift = p.g**2 / p.delta  # the dispersive pull g^2/Delta
+        expected = math.pi * p.q * single_spin_shift * p.n_spins / p.omega_0
         assert optimized_phase_shift(p) == pytest.approx(expected, rel=1e-15)
 
 

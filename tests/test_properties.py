@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dispersive_readout import (
@@ -19,6 +19,7 @@ from dispersive_readout import (
     synthesize_phase_noise,
 )
 from dispersive_readout.params import PhaseNoisePSD, PSDSegment
+from oracles import reflection_phase_arctan
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -85,6 +86,35 @@ def test_ensemble_shift_scaling_laws(polarization, scale, ):
 def test_reflection_phase_is_odd_without_background(beta, q, delta):
     cav = CavityParams(omega_c=2.8e9, q=q, beta=beta)
     assert reflection_phase(cav, delta) == -reflection_phase(cav, -delta)
+
+
+def test_reflection_phase_is_the_tangent_of_arg_s11_at_the_measured_cavity():
+    cav = CavityParams(omega_c=2.8175e9, q=6e3, beta=0.74)
+    arg_s11 = float(reflection_phase_arctan(cav.q, cav.beta, 5.6e-5))
+    assert arg_s11 == pytest.approx(0.83307, abs=1e-5)
+    assert reflection_phase(cav, 5.6e-5) == pytest.approx(1.10020, abs=1e-5)
+    assert reflection_phase(cav, 5.6e-5) == pytest.approx(math.tan(arg_s11),
+                                                          rel=1e-14)
+
+
+@settings(max_examples=300)
+@given(
+    beta=st.one_of(st.floats(min_value=0.05, max_value=0.998),
+                   st.floats(min_value=1.002, max_value=3.0)),
+    q=st.floats(min_value=1e2, max_value=1e6),
+    u=st.floats(min_value=-50.0, max_value=50.0),
+)
+def test_reflection_phase_is_the_tangent_of_arg_s11(beta, q, u):
+    """Without background, the reflection phase is tan(arg S11) to 1e-9
+    relative: the arctangent difference loses a few ulps to cancellation,
+    and both forms lose more next to the pole at 2*Q*|x| =
+    sqrt(beta^2 - 1) of beta > 1, which the draw keeps 1e-3 away from."""
+    assume(abs(u * u + 1.0 - beta * beta) > 1e-3)
+    cav = CavityParams(omega_c=2.8e9, q=q, beta=beta)
+    x = u / (2.0 * q)
+    expected = math.tan(float(reflection_phase_arctan(q, beta, x)))
+    assert reflection_phase(cav, x) == pytest.approx(expected, rel=1e-9,
+                                                     abs=1e-300)
 
 
 @given(
