@@ -5,9 +5,10 @@ Subcommands reproduce the main simulated data products as plot-ready CSV
 sensitivity estimate, phase-noise traces) and fit recorded/emitted CSVs,
 writing JSON fit reports.
 
-Exit codes: 0 success, 2 configuration or option error, 3 fit non-convergence
-(the report is still written). Every command is deterministic given
-(config, seed): reruns produce byte-identical outputs.
+Exit codes: 0 success, 2 configuration or option error (including a sweep
+or trace size that memory cannot hold), 3 fit non-convergence (the report is
+still written). Every command is deterministic given (config, seed): reruns
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ def _emits_csv(compute):
     warnings off. Values past the float range then end in exit 2 naming the
     config, never in a traceback or in non-finite cells: an arithmetic error
     (overflow, division by zero) and a column that is not finite everywhere
-    are reported as a ConfigError, and no file is written.
+    are reported as a ConfigError, and no file is written. So is a failed
+    allocation: the message names the command's size option (the config,
+    for relaxation) and keeps numpy's text.
     """
     @functools.wraps(compute)
     def command(args):
@@ -105,6 +108,14 @@ def _emits_csv(compute):
             raise ConfigError("values outside the floating-point range "
                               f"({type(exc).__name__}: {exc})",
                               path=args.config) from exc
+        except MemoryError as exc:
+            size = next((n for n in ("n_points", "n_samples") if hasattr(args, n)),
+                        None)
+            if size is None:  # relaxation: the config sets every size
+                raise ConfigError(f"out of memory ({exc}); nothing written",
+                                  path=args.config) from exc
+            raise ConfigError(f"{_flag(size)} = {getattr(args, size)}: out of "
+                              f"memory ({exc}); nothing written") from exc
         _require_finite(header, columns, args.config,
                         "column '{label}' would hold {value} at data row {row}: "
                         "values outside the floating-point range; nothing written")

@@ -4,6 +4,7 @@ estimates for the dispersive readout chain.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -16,7 +17,6 @@ from .physics import optimized_phase_shift
 HBAR = 1.054571817e-34      # J s
 MU_B = 9.2740100783e-24     # J/T
 G_LANDE = 2.0028            # NV electron Lande factor
-GAMMA_E = G_LANDE * MU_B / (2.0 * math.pi * HBAR)  # Hz/T
 
 
 def psd_value(psd: PhaseNoisePSD, f):
@@ -70,12 +70,6 @@ def _time_grid(cfg: LockinConfig):
     return t
 
 
-def _reference_phase(cfg: LockinConfig, t):
-    """Argument 2*pi*f_mod*t of the sine (in-phase) and cosine (quadrature)
-    references, written over ``t``."""
-    return np.multiply(t, 2.0 * math.pi * cfg.f_mod, out=t)
-
-
 def _unit_square(cfg: LockinConfig, t, amplitude=1.0):
     """+A where floor(2*f_mod*t) is even (first half of a modulation period),
     -A where it is odd. For t >= 0 this equals the test (t*f_mod) % 1.0 < 0.5
@@ -93,20 +87,36 @@ def _demodulate(x, ref, out=None):
     return 2.0 * float(np.mean(np.multiply(x, ref, out=out)))
 
 
+@functools.lru_cache(maxsize=1)
+def _references(cfg: LockinConfig):
+    """The sine (in-phase) and cosine (quadrature) references
+    sin/cos(2*pi*f_mod*t) on the lock-in grid, read-only. Built once per
+    config: the last config's pair stays in memory, two float64 arrays of
+    ``n_samples``."""
+    arg = _time_grid(cfg)
+    arg *= 2.0 * math.pi * cfg.f_mod
+    sin = np.sin(arg)
+    cos = np.cos(arg, out=arg)
+    sin.flags.writeable = False
+    cos.flags.writeable = False
+    return sin, cos
+
+
 def lockin_demodulate(signal, cfg: LockinConfig):
     """In-phase lock-in output 2*mean(signal * sin(2*pi*f_mod*t)).
 
     Returns A for an in-phase sinusoid of amplitude A and 4A/pi for an
     in-phase square wave of amplitude +/-A (fundamental Fourier coefficient);
-    linear in the signal.
+    linear in the signal. The sine reference is built once per ``cfg`` and
+    kept, read-only, until a call with another config (see ``_references``);
+    the product goes to a fresh array.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.shape != (cfg.n_samples,):
         raise ValueError(
             f"signal length {signal.shape} does not match fs*duration = {cfg.n_samples}"
         )
-    ref = _reference_phase(cfg, _time_grid(cfg))
-    return _demodulate(signal, np.sin(ref, out=ref), out=ref)
+    return _demodulate(signal, _references(cfg)[0])
 
 
 def square_wave(cfg: LockinConfig, amplitude=1.0):
@@ -157,24 +167,25 @@ def simulate_readout(p: OptimizedDeviceParams, psd: PhaseNoisePSD,
     (cosine) demodulation of the record after removing the coherent
     square-wave component, scaled by sqrt(duration). Its rms over seeds
     estimates sqrt(S_phi(f_mod)); it is exactly zero for zero noise.
+
+    The sine and cosine references are built once per ``cfg`` and kept,
+    read-only, for the last config only: two float64 arrays of
+    ``n_samples`` stay in memory after a call. The noise, the unit square
+    wave and its gain are computed on every call.
     """
     if abs(signal_phase) > 0.1:
         raise InvalidParameterError(
             "signal_phase above 0.1 rad is outside the intended linear range"
         )
     noise = synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed)
-    # the seed-independent lock-in arrays, each built once per call; one
-    # product buffer serves every demodulation
-    t = _time_grid(cfg)
-    unit_sq = _unit_square(cfg, t)
-    arg = _reference_phase(cfg, t)
-    ref = np.sin(arg)
+    sin, cos = _references(cfg)
+    unit_sq = square_wave(cfg)
+    # one product buffer serves every demodulation
     product = np.multiply(unit_sq, signal_phase)
     noise += product  # the recorded total: noise plus the modulated signal
-    est = _demodulate(noise, ref, out=product)
-    sq_gain = _demodulate(unit_sq, ref, out=product)  # ~4/pi on the discrete grid
-    del ref
+    est = _demodulate(noise, sin, out=product)
+    sq_gain = _demodulate(unit_sq, sin, out=product)  # ~4/pi on the discrete grid
     # remove the coherent component before estimating the quadrature density
     noise -= np.multiply(unit_sq, est / sq_gain, out=product)
-    quad = _demodulate(noise, np.cos(arg, out=arg), out=product)
+    quad = _demodulate(noise, cos, out=product)
     return ReadoutResult(est, quad * math.sqrt(cfg.duration))

@@ -120,6 +120,19 @@ class TestRelaxation:
         _, cols = read_csv(tmp_path / "relaxation.csv")
         assert np.all(cols[1] == 0.0)
 
+    def test_trace_no_memory_holds_exits_2_naming_the_config(
+            self, config_path, tmp_path, capsys):
+        # 5.5e15 samples, 39.1 PiB per array: the allocation fails at once
+        edit_config(config_path, **{"cycle.dt_s": 4e-6 / 2**40})
+        out = tmp_path / "out"
+        assert main(["relaxation", "--config", str(config_path),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: out of memory (Unable to "
+                              "allocate 39.1 PiB"), err
+        assert err.endswith("; nothing written\n"), err
+        assert not out.exists()
+
     def test_exponential_fit_round_trip(self, config_path, tmp_path):
         edit_config(config_path, **{"b_fields_gauss": [30.0],
                                     "cycle.n_periods": 6})
@@ -616,6 +629,20 @@ class TestSweepOptions:
         assert (capsys.readouterr().err
                 == f"error: {flag} = {value}: more samples than one array can "
                    "hold (1.15292e+18)\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", SIZE_OPTIONS)
+    def test_size_no_memory_holds_exits_2(self, config_path, tmp_path, capsys,
+                                          command, flag):
+        # 256 PiB per column, past any 64-bit address space: the allocation
+        # fails at once and nothing is allocated
+        out, value = tmp_path / "out", 2**55
+        assert main([command, f"{flag}={value}", "--config", str(config_path),
+                     "--out", str(out)]) == 2
+        assert (capsys.readouterr().err
+                == f"error: {flag} = {value}: out of memory (Unable to allocate "
+                   f"256. PiB for an array with shape ({value},) and data type "
+                   "float64); nothing written\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])

@@ -21,6 +21,7 @@ from dispersive_readout import (
     synthesize_phase_noise,
 )
 
+from dispersive_readout import noiselockin
 from dispersive_readout.noiselockin import _unit_square
 from oracles import simulate_readout_reference, square_wave_fmod, white_noise_variance
 
@@ -303,3 +304,61 @@ class TestSharedLockinArrays:
         t = np.concatenate([halves, np.nextafter(halves, 0.0),
                             np.nextafter(halves, np.inf)])
         assert np.array_equal(_unit_square(cfg, t), square_wave_fmod(t, 1.0))
+
+
+def uncached_demodulate(x, cfg):
+    t = np.arange(cfg.n_samples) / cfg.fs
+    return 2.0 * float(np.mean(x * np.sin(2.0 * math.pi * cfg.f_mod * t)))
+
+
+class TestReferenceCache:
+    """The sine and cosine references are built once per LockinConfig and
+    kept, read-only, for the last config only; switching configs back and
+    forth changes no bit."""
+
+    def check_interleaved(self, configs, psd_for, seed):
+        noiselockin._references.cache_clear()
+        rng = np.random.default_rng(seed)
+        for cfg in configs:
+            psd = psd_for(cfg)
+            out = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed)
+            assert ((out.estimated_amplitude, out.noise_floor)
+                    == simulate_readout_reference(psd, cfg, 0.01, seed))
+            x = rng.standard_normal(cfg.n_samples)
+            assert lockin_demodulate(x, cfg) == uncached_demodulate(x, cfg)
+            assert noiselockin._references.cache_info().currsize <= 1
+
+    def test_configs_a_b_a_match_the_uncached_forms(self, cfg):
+        other = LockinConfig(f_mod=3e3, fs=2e5, duration=2e-3)
+        self.check_interleaved([cfg, other, cfg], lambda c: white_psd(f_max=c.fs),
+                               seed=11)
+        # each switch rebuilt the pair: the cache held one config at a time
+        assert noiselockin._references.cache_info().misses == 3
+
+    def test_repeated_config_is_built_once(self, cfg):
+        noiselockin._references.cache_clear()
+        for seed in range(3):
+            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, seed)
+            lockin_demodulate(np.ones(cfg.n_samples), cfg)
+        info = noiselockin._references.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+
+    def test_cached_references_are_read_only(self, cfg):
+        for ref in noiselockin._references(cfg):
+            assert ref.shape == (cfg.n_samples,) and ref.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                ref[0] = 1.0
+        assert noiselockin._references.cache_info().currsize <= 1
+
+    @given(configs=st.lists(lockin_configs(), min_size=2, max_size=2),
+           order=st.lists(st.integers(min_value=0, max_value=1),
+                          min_size=3, max_size=6),
+           seed=st.integers(min_value=0, max_value=2**63 - 1),
+           one_over_f=st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_interleaved_configs_match_the_oracle_bitwise(self, configs, order,
+                                                         seed, one_over_f):
+        self.check_interleaved(
+            [configs[i] for i in order],
+            lambda c: one_over_f_psd(c.fs) if one_over_f else white_psd(f_max=c.fs),
+            seed)

@@ -4,7 +4,8 @@
 artifact of the ``cli-paper`` workload at ``configs/default.json``. Here the
 commands that do not read ``--seed`` and both fits run with the workload's
 own init specs, and each artifact is compared with its recorded digest. The
-refs are read, never written.
+refs are read, never written. A mismatch names the running Python, numpy and
+scipy beside the pins in ``constraints.txt`` that recorded the digests.
 """
 
 import contextlib
@@ -12,15 +13,29 @@ import hashlib
 import importlib.util
 import io
 import json
+import platform
+import re
 from pathlib import Path
 
+import numpy
 import pytest
+import scipy
 
 from dispersive_readout.cli import main
 
 ROOT = Path(__file__).parent.parent
 CONFIG = ROOT / "configs" / "default.json"
 REFS = json.loads((ROOT / "perfbench" / "refs" / "cli_paper.json").read_text())
+PINS = re.findall(r"^(\w+)==(\S+)$", (ROOT / "constraints.txt").read_text(),
+                  re.MULTILINE)
+
+
+def _versions():
+    """The running versions next to the pinned ones."""
+    pins = ", ".join(f"{name}=={version}" for name, version in PINS)
+    return (f"running Python {platform.python_version()}, numpy "
+            f"{numpy.__version__}, scipy {scipy.__version__}; the digests were "
+            f"recorded with {pins} (constraints.txt)")
 
 
 def _cli_paper():
@@ -64,4 +79,13 @@ def test_artifact_matches_recorded_sha256(cli_paper_run, op):
     assert codes[op] == REFS["exit_codes"][op]
     name = CLI_PAPER.ARTIFACTS[op]
     digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-    assert digest == REFS["artifacts"][name], name
+    assert digest == REFS["artifacts"][name], f"{name}: {_versions()}"
+
+
+def test_mismatch_message_names_versions_and_pins():
+    message = _versions()
+    assert {name for name, _ in PINS} == {"numpy", "scipy"}
+    for text in (platform.python_version(), f"numpy {numpy.__version__}",
+                 f"scipy {scipy.__version__}",
+                 *(f"{name}=={version}" for name, version in PINS)):
+        assert text in message
