@@ -5,17 +5,16 @@ Subcommands reproduce the main simulated data products as plot-ready CSV
 sensitivity estimate, phase-noise traces) and fit recorded/emitted CSVs,
 writing JSON fit reports.
 
-Exit codes: 0 success, 2 configuration or option error (including a sweep
-or trace size that memory cannot hold), 3 fit non-convergence (the report is
-still written). Every command is deterministic given (config, seed): reruns
-produce byte-identical outputs.
+Exit codes: 0 success, 2 input or option error (a path that cannot be read
+or written, a file that is not UTF-8, a size memory cannot hold), 3 fit
+non-convergence (the report is still written). Every command is
+deterministic given (config, seed): reruns produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -41,11 +40,6 @@ def _out_dir(args, cfg=None):
     out = args.out or (cfg.output_dir if cfg is not None else ".")
     os.makedirs(out, exist_ok=True)
     return out
-
-
-def _linewidth(cav):
-    # fractional half-width of the resonant phase feature
-    return np.sqrt(max(1.0 - cav.beta**2, 1e-6)) / (2.0 * cav.q)
 
 
 def _flag(name):
@@ -130,7 +124,7 @@ def _emits_csv(compute):
 @_emits_csv
 def cmd_spectrum(args, cfg):
     cav = cfg.cavity
-    lw_hz = _linewidth(cav) * cav.omega_c
+    lw_hz = np.sqrt(max(1.0 - cav.beta**2, 1e-6)) / (2.0 * cav.q) * cav.omega_c
     det_min = _float_option(args, "det_min")
     det_max = _float_option(args, "det_max")
     det = np.linspace(-5.0 * lw_hz if det_min is None else det_min,
@@ -150,7 +144,7 @@ def cmd_spectrum(args, cfg):
                 f"phase at detunings {shift - pole * cav.omega_c:g} Hz and "
                 f"{shift + pole * cav.omega_c:g} Hz, inside the sweep; keep "
                 "--det-min/--det-max clear of them", path=args.config)
-    phase = np.atleast_1d(physics.reflection_phase(cav, x))
+    phase = physics.reflection_phase(cav, x)
     return "spectrum.csv", ["detuning_hz", "phase_rad"], [det, phase]
 
 
@@ -177,9 +171,7 @@ def cmd_shift_vs_field(args, cfg):
     b = np.linspace(_float_option(args, "b_min"), _float_option(args, "b_max"),
                     _count_option(args, "n_points"))
     model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
-    phase = np.atleast_1d(
-        model.func([cfg.ensemble.n_spins, cfg.ensemble.t2_star], b)
-    )
+    phase = model.func([cfg.ensemble.n_spins, cfg.ensemble.t2_star], b)
     return "shift_vs_field.csv", ["b_gauss", "phase_rad"], [b, phase]
 
 
@@ -216,11 +208,7 @@ def _load_init(path, model):
     starting values under ``fitting.start_values``' rules. Returns the
     starting values and the entry point's other keyword arguments: only
     reflection_phase reads "x_scale", and no model reads any other key."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno, path) from exc
+    _, spec = io.read_json(path)
     if not isinstance(spec, dict) or not isinstance(spec.get("init"), dict):
         raise ConfigError('expected an object with an "init" object of '
                           "starting values", path=path)
@@ -241,45 +229,6 @@ def _load_init(path, model):
     return spec["init"], options
 
 
-def _bad_csv_row(path):
-    """(line, reason) for the first data row of ``path`` that is not a row of
-    numbers as wide as the first one, or None. Only runs after a failed read."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
-    width = None
-    for line, text in enumerate(lines[1:], start=2):
-        cells = text.split("#")[0].strip()
-        if not cells:
-            continue
-        cells = cells.split(",")
-        width = width or len(cells)
-        if len(cells) != width:
-            return line, f"expected {width} columns, found {len(cells)}"
-        for col, cell in enumerate(cells, start=1):
-            try:
-                float(cell)
-            except ValueError:
-                return line, f"column {col}: {cell.strip()!r} is not a number"
-    return None
-
-
-def _read_xy(path):
-    """The first two columns of a data CSV, or a ConfigError naming the file."""
-    try:
-        _, columns = io.read_csv(path)
-    except ValueError as exc:
-        bad = _bad_csv_row(path)
-        if bad is None:
-            raise ConfigError(str(exc), path=path) from exc
-        raise ConfigError(bad[1], bad[0], path) from exc
-    if len(columns) < 2:
-        raise ConfigError("expected x and y columns of numbers", path=path)
-    _require_finite(("x", "y"), columns[:2], path,
-                    "the {label} column holds {value} at data row {row}: "
-                    "a fit needs finite numbers")
-    return columns[0], columns[1]
-
-
 def cmd_fit(args):
     options = {}
     if args.model == "shift_vs_field":
@@ -293,7 +242,14 @@ def cmd_fit(args):
     else:
         model = getattr(fitting, f"{args.model}_model")()
     init, init_options = _load_init(args.init, model)
-    x, y = _read_xy(args.input_csv)
+    _, columns = io.read_csv(args.input_csv)
+    if len(columns) < 2:
+        raise ConfigError("expected x and y columns of numbers",
+                          path=args.input_csv)
+    _require_finite(("x", "y"), columns[:2], args.input_csv,
+                    "the {label} column holds {value} at data row {row}: "
+                    "a fit needs finite numbers")
+    x, y = columns[:2]
     needed = len(model.names) + 1
     if len(x) < needed:
         raise ConfigError(f"{len(x)} data row(s), but model '{model.name}' "
@@ -303,8 +259,7 @@ def cmd_fit(args):
     result = fit(x, y, init=init, max_iterations=args.max_iterations,
                  **options, **init_options)
 
-    out = _out_dir(args)
-    path = os.path.join(out, f"fit_{args.model}.json")
+    path = os.path.join(_out_dir(args), f"fit_{args.model}.json")
     io.write_json(path, result.report())
     print(path)
     print(result.summary())
@@ -381,7 +336,7 @@ def main(argv=None):
     try:
         return command(args)
     except (ConfigError, InvalidParameterError, DomainError,
-            SingularJacobianError, FileNotFoundError) as exc:
+            SingularJacobianError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -15,6 +15,7 @@ import re
 from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, InvalidParameterError
+from .io import read_json
 from .params import (
     CavityParams,
     ChopperCycle,
@@ -165,55 +166,48 @@ def _build(source, path, data, cls, keys):
                           _line_of(source, path[0])) from exc
 
 
-def _b_fields(value, source) -> tuple:
-    """Non-empty list of finite fields (gauss), else a located ConfigError."""
-    if not (isinstance(value, list) and value
-            and all(is_finite_number(b) for b in value)):
-        raise ConfigError(
-            "b_fields_gauss must be a non-empty list of finite numbers, "
-            f"got {value!r}", _line_of(source, "b_fields_gauss"))
-    return tuple(float(b) for b in value)
-
-
 def load_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
+    source, data = read_json(path)  # names the file in its own errors
     try:
-        data = json.loads(source)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno) from exc
-    if not isinstance(data, dict):
-        raise ConfigError("the configuration must be a JSON object")
+        if not isinstance(data, dict):
+            raise ConfigError("the configuration must be a JSON object")
 
-    unknown = set(data) - _TOP_KEYS
-    if unknown:
-        key = sorted(unknown)[0]
-        raise ConfigError(f"unknown top-level key '{key}'", _line_of(source, key))
-    for required in ("ensemble", "cavity", "cycle", "psd", "lockin"):
-        if required not in data:
-            raise ConfigError(f"missing required section '{required}'")
+        unknown = set(data) - _TOP_KEYS
+        if unknown:
+            key = sorted(unknown)[0]
+            raise ConfigError(f"unknown top-level key '{key}'", _line_of(source, key))
+        for required in ("ensemble", "cavity", "cycle", "psd", "lockin"):
+            if required not in data:
+                raise ConfigError(f"missing required section '{required}'")
 
-    ensemble = _build(source, ("ensemble",), data["ensemble"],
-                      SpinEnsembleParams, _ENSEMBLE_KEYS)
-    cavity = _build(source, ("cavity",), data["cavity"], CavityParams, _CAVITY_KEYS)
-    cycle = _build(source, ("cycle",), data["cycle"], ChopperCycle, _CYCLE_KEYS)
-    psd = _build(source, ("psd",), data["psd"], PhaseNoisePSD, _PSD_KEYS)
-    lockin = _build(source, ("lockin",), data["lockin"], LockinConfig, _LOCKIN_KEYS)
-    optimized = _build(source, ("optimized",), data.get("optimized", {}),
-                       OptimizedDeviceParams, _OPTIMIZED_KEYS)
+        ensemble = _build(source, ("ensemble",), data["ensemble"],
+                          SpinEnsembleParams, _ENSEMBLE_KEYS)
+        cavity = _build(source, ("cavity",), data["cavity"], CavityParams, _CAVITY_KEYS)
+        cycle = _build(source, ("cycle",), data["cycle"], ChopperCycle, _CYCLE_KEYS)
+        psd = _build(source, ("psd",), data["psd"], PhaseNoisePSD, _PSD_KEYS)
+        lockin = _build(source, ("lockin",), data["lockin"], LockinConfig, _LOCKIN_KEYS)
+        optimized = _build(source, ("optimized",), data.get("optimized", {}),
+                           OptimizedDeviceParams, _OPTIMIZED_KEYS)
 
-    b_fields = _b_fields(data.get("b_fields_gauss", [32.0]), source)
-    p_sat = data.get("p_sat", 1.0)
-    if not (is_finite_number(p_sat) and 0 < p_sat <= 1):
-        raise ConfigError(f"p_sat must be a number in (0, 1], got {p_sat!r}",
-                          _line_of(source, "p_sat"))
-    seed = data.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}",
-                          _line_of(source, "seed"))
-    output_dir = data.get("output_dir", ".")
-    if not isinstance(output_dir, str):
-        raise ConfigError(f"output_dir must be a string, got {output_dir!r}",
-                          _line_of(source, "output_dir"))
-    return RunConfig(ensemble, cavity, cycle, psd, lockin, optimized,
-                     b_fields, float(p_sat), seed, output_dir)
+        b_fields = data.get("b_fields_gauss", [32.0])
+        if not (isinstance(b_fields, list) and b_fields
+                and all(is_finite_number(b) for b in b_fields)):
+            raise ConfigError(
+                "b_fields_gauss must be a non-empty list of finite numbers, "
+                f"got {b_fields!r}", _line_of(source, "b_fields_gauss"))
+        p_sat = data.get("p_sat", 1.0)
+        if not (is_finite_number(p_sat) and 0 < p_sat <= 1):
+            raise ConfigError(f"p_sat must be a number in (0, 1], got {p_sat!r}",
+                              _line_of(source, "p_sat"))
+        seed = data.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}",
+                              _line_of(source, "seed"))
+        output_dir = data.get("output_dir", ".")
+        if not isinstance(output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {output_dir!r}",
+                              _line_of(source, "output_dir"))
+        return RunConfig(ensemble, cavity, cycle, psd, lockin, optimized,
+                         tuple(map(float, b_fields)), float(p_sat), seed, output_dir)
+    except ConfigError as exc:
+        raise ConfigError(exc.reason, exc.line, path) from exc

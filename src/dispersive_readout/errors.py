@@ -15,16 +15,16 @@ class SingularJacobianError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A run configuration file failed validation.
+    """An input file (config, init JSON, data CSV) or an option is invalid.
 
-    Carries an optional line number of the offending key in the source file,
-    and optionally the path of that file.
+    Carries the ``reason``, an optional line number of the offending key or
+    row in the source file, and optionally the path of that file.
     """
 
     def __init__(self, message, line=None, path=None):
+        self.reason, self.line = message, line
         if line is not None:
             message = f"line {line}: {message}"
         if path is not None:
             message = f"{path}: {message}"
         super().__init__(message)
-        self.line = line

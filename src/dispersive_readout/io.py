@@ -1,4 +1,6 @@
-"""CSV and JSON emission with reproducible, diff-able formatting.
+"""Input reading, and CSV and JSON emission with reproducible, diff-able
+formatting. Only this module opens files. An input that is not UTF-8, not
+JSON or not a CSV of numbers raises a ConfigError naming the file.
 
 CSV: header row, LF line endings, '.' decimal separator, shortest float
 representation that round-trips exactly. JSON: UTF-8, sorted keys.
@@ -13,10 +15,13 @@ row-by-row ``format_float`` loop while memory stays bounded by the block.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import warnings
 
 import numpy as np
+
+from .errors import ConfigError
 
 _BLOCK_ROWS = 4096
 
@@ -40,14 +45,60 @@ def write_csv(path, header, columns):
             fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """``path`` open as UTF-8 text; a decode or JSON error names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text ({exc.reason})", path=path) from exc
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno, path) from exc
+
+
+def read_json(path):
+    """(source text, value) of the JSON file ``path``."""
+    with _reading(path) as fh:
+        source = fh.read()
+        return source, json.loads(source)
+
+
+def _bad_row(lines):
+    """(line, reason) for the first data row of the CSV ``lines`` that is not
+    a row of numbers as wide as the first one, or None."""
+    width = None
+    for line, text in enumerate(lines[1:], start=2):
+        cells = text.split("#")[0].strip()
+        if not cells:
+            continue
+        cells = cells.split(",")
+        width = width or len(cells)
+        if len(cells) != width:
+            return line, f"expected {width} columns, found {len(cells)}"
+        for col, cell in enumerate(cells, start=1):
+            try:
+                float(cell)
+            except ValueError:
+                return line, f"column {col}: {cell.strip()!r} is not a number"
+    return None
+
+
 def read_csv(path):
     """Read a CSV written by :func:`write_csv`; returns (header, columns)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with _reading(path) as fh:
         header = fh.readline().strip().split(",")
-        with warnings.catch_warnings():
-            # no data rows: the caller reports the empty columns itself
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        try:
+            with warnings.catch_warnings():
+                # no data rows: the caller reports the empty columns itself
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            fh.seek(0)
+            line, reason = _bad_row(fh.read().splitlines()) or (None, str(exc))
+            raise ConfigError(reason, line, path) from exc
     return header, [data[:, i] for i in range(data.shape[1])]
 
 

@@ -595,6 +595,154 @@ class TestExitCodes:
         assert report["converged"] is False
 
 
+def fit_inputs(tmp_path):
+    """A well-formed exponential-decay CSV and its init JSON in ``tmp_path``."""
+    from dispersive_readout.io import write_csv
+    t = np.linspace(0.0, 2e-3, 40)
+    csv = tmp_path / "decay.csv"
+    write_csv(csv, ["time_s", "value"], [t, 0.8 * np.exp(-t / 7e-4) + 0.1])
+    init = tmp_path / "decay_init.json"
+    init.write_text(json.dumps(
+        {"init": {"amplitude": 0.7, "tau": 5e-4, "offset": 0.0}}))
+    return csv, init
+
+
+def reading(target, path, tmp_path):
+    """argv of a command that reads ``path`` as its config, init or CSV."""
+    out = str(tmp_path / "out")
+    if target == "config":
+        return ["spectrum", "--config", str(path), "--out", out]
+    csv, init = fit_inputs(tmp_path)
+    csv, init = (csv, path) if target == "init" else (path, init)
+    return ["fit", str(csv), "--model", "exponential", "--init", str(init),
+            "--out", out]
+
+
+def one_error_naming(capsys, path):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert str(path) in err
+    return err
+
+
+class TestInputFiles:
+    """Every input is read through io: a path that cannot be read or written,
+    or an input that is not UTF-8, exits 2 with one error line naming the
+    path and writes nothing."""
+
+    @pytest.mark.parametrize("target", ["config", "init", "csv"])
+    def test_directory_as_input_exits_2(self, tmp_path, capsys, target):
+        folder = tmp_path / "a_folder"
+        folder.mkdir()
+        assert main(reading(target, folder, tmp_path)) == 2
+        one_error_naming(capsys, folder)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("target", ["config", "init", "csv"])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, target):
+        bad = tmp_path / ("bad.csv" if target == "csv" else "bad.json")
+        bad.write_bytes(b"\xff\xfe")
+        assert main(reading(target, bad, tmp_path)) == 2
+        assert "not UTF-8 text" in one_error_naming(capsys, bad)
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_with_a_bad_row_then_non_utf8_bytes_exits_2(self, tmp_path,
+                                                            capsys):
+        # numpy stops at the bad row; the row search then meets the bytes
+        csv = tmp_path / "late.csv"
+        csv.write_bytes(b"x,y\n0.0,oops\n" + b"1.0,2.0\n" * 200_000
+                        + b"3.0,\xff\xfe\n")
+        assert main(reading("csv", csv, tmp_path)) == 2
+        assert "not UTF-8 text" in one_error_naming(capsys, csv)
+
+    @pytest.mark.parametrize("command", ["noise", "fit"])
+    def test_out_naming_a_file_exits_2(self, config_path, tmp_path, capsys,
+                                       command):
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        if command == "noise":
+            argv = ["noise", "--config", str(config_path), "--n-samples", "16"]
+        else:
+            csv, init = fit_inputs(tmp_path)
+            argv = ["fit", str(csv), "--model", "exponential", "--init", str(init)]
+        before = sorted(tmp_path.iterdir())
+        assert main(argv + ["--out", str(out)]) == 2
+        one_error_naming(capsys, out)
+        assert out.read_text() == "keep\n"
+        assert sorted(tmp_path.iterdir()) == before
+
+    def test_missing_config_message_is_the_os_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.json"
+        assert main(["spectrum", "--config", str(missing),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+    def test_malformed_csv_is_opened_once(self, tmp_path, capsys, monkeypatch):
+        import builtins
+        csv = tmp_path / "data.csv"
+        csv.write_text("x,y\n0.0,1.0\n1.0,oops\n2.0,0.2\n")
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(str(file))
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        assert main(reading("csv", csv, tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv}: line 3: column 2: 'oops' is not a number\n")
+        assert opened.count(str(csv)) == 1
+
+    def test_cell_numpy_rejects_but_float_accepts_keeps_numpy_message(
+            self, tmp_path, capsys):
+        csv = tmp_path / "data.csv"
+        csv.write_text("x,y\n1_000,1.0\n2.0,0.5\n3.0,0.2\n4.0,0.1\n")
+        assert main(reading("csv", csv, tmp_path)) == 2
+        assert "'1_000'" in one_error_naming(capsys, csv)
+        assert not (tmp_path / "out").exists()
+
+    def test_invalid_json_config_names_the_file_once(self, config_path,
+                                                     tmp_path, capsys):
+        config_path.write_text('{\n  oops\n}\n')
+        assert main(reading("config", config_path, tmp_path)) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: line 2: invalid JSON: Expecting property "
+            "name enclosed in double quotes\n")
+
+    def test_config_defect_in_fit_names_the_config_once(self, config_path,
+                                                        tmp_path, capsys):
+        edit_config(config_path, **{"cavity.beta": -0.5})
+        csv, init = fit_inputs(tmp_path)
+        init.write_text(json.dumps({"init": {"n_spins": 1e12, "t2_star": 2e-8}}))
+        assert main(["fit", str(csv), "--model", "shift_vs_field",
+                     "--init", str(init), "--config", str(config_path),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: line 1: invalid 'cavity' section: "
+            "beta must be >= 0, got -0.5\n")
+
+    def test_load_config_errors_start_with_the_path(self, config_path):
+        from dispersive_readout import ConfigError, load_config
+        edit_config(config_path, seed=-1)
+        with pytest.raises(ConfigError) as info:
+            load_config(config_path)
+        assert str(info.value) == (
+            f"{config_path}: line 1: seed must be a non-negative integer, got -1")
+        assert (info.value.line, info.value.reason) == (
+            1, "seed must be a non-negative integer, got -1")
+
+    def test_fit_shift_vs_field_without_config_exits_2(self, tmp_path, capsys):
+        csv, init = fit_inputs(tmp_path)
+        assert main(["fit", str(csv), "--model", "shift_vs_field",
+                     "--init", str(init), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: model 'shift_vs_field' requires --config for the fixed "
+            "ensemble/cavity parameters\n")
+        assert not (tmp_path / "out").exists()
+
+
 SIZE_OPTIONS = [("spectrum", "--n-points"), ("shift-vs-field", "--n-points"),
                 ("sensitivity", "--n-points"), ("noise", "--n-samples")]
 FLOAT_OPTIONS = [("spectrum", "--det-min"), ("spectrum", "--det-max"),

@@ -12,6 +12,7 @@ from dispersive_readout import (
     CavityParams,
     ChopperCycle,
     InvalidParameterError,
+    PolarizationTrace,
     SpinEnsembleParams,
     fit_exponential,
     phase_trace,
@@ -113,6 +114,16 @@ def test_equals_the_inline_trace_bit_for_bit(period, duty, n_periods,
 def test_p_sat_validation(measured_ensemble, cycle):
     with pytest.raises(InvalidParameterError):
         polarization_trace(cycle, measured_ensemble, p_sat=1.5)
+
+
+@pytest.mark.parametrize("times, p, message", [
+    ([0.0, 1.0, 2.0], [0.5, 0.5], "1-D arrays of equal length"),
+    ([0.0, 1.0, 3.0], [0.5, 0.5, 0.5], "strictly increasing and uniform"),
+    ([0.0, 1.0, 2.0], [0.5, 1.1, 0.5], r"within \[0, 1\]"),
+], ids=["unequal-lengths", "non-uniform", "out-of-range"])
+def test_polarization_trace_validation(times, p, message):
+    with pytest.raises(InvalidParameterError, match=message):
+        PolarizationTrace(np.array(times), np.array(p))
 
 
 class TestPhaseTrace:

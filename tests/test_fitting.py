@@ -57,6 +57,24 @@ class TestEngine:
         assert res["a"] == pytest.approx(3.5, abs=1e-10)
         assert res.chi2_reduced == pytest.approx(0.0, abs=1e-20)
 
+    def test_no_descent_ends_the_fit_unconverged(self):
+        # finite only at the start and its two finite-difference points, on
+        # data 1e30 times the model's scale: even the most damped trial step
+        # leaves those points, so no step is ever accepted
+        start = 1.0
+        step = fitting.JAC_REL_STEP * start
+        finite_at = {start, start + step, start - step}
+
+        def func(p, x):
+            return p[0] * x if p[0] in finite_at else np.full_like(x, np.nan)
+
+        x = np.linspace(1.0, 2.0, 20)
+        res = fit_nonlinear(FitModel(names=("a",), func=func), x, 1e30 * x,
+                            init={"a": start}, max_iterations=50)
+        assert res.converged is False
+        assert res.n_iterations == 1 < 50
+        assert res["a"] == start
+
     def test_multi_start_agreement(self):
         rng = np.random.default_rng(3)
         x = np.linspace(-2, 2, 60)
@@ -441,6 +459,15 @@ class TestReporting:
         (2.0e12, 1.0e11, "2.0(1)e+12"),
     ])
     def test_parenthetical_notation(self, value, sigma, expected):
+        assert format_with_uncertainty(value, sigma) == expected
+
+    @pytest.mark.parametrize("value,sigma,expected", [
+        (3.0, 0.96, "3(1)e+00"),      # 9.6 rounds to 10: one digit up
+        (12.34, 0.96, "1.2(1)e+01"),
+        (0.0, 0.02, "0(2)e-02"),      # a zero value takes sigma's exponent
+        (0.0, 0.96, "0(1)e+00"),
+    ])
+    def test_rounding_bump_and_zero_value(self, value, sigma, expected):
         assert format_with_uncertainty(value, sigma) == expected
 
 

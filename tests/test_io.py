@@ -1,5 +1,7 @@
-"""The block CSV writer emits the same bytes as the row-by-row reference."""
+"""The block CSV writer emits the same bytes as the row-by-row reference,
+the CSV reader reports the row it cannot parse, and only io opens files."""
 
+import ast
 import math
 from pathlib import Path
 
@@ -10,10 +12,12 @@ from hypothesis import strategies as st
 from oracles import write_csv_rowwise
 
 from dispersive_readout import synthesize_phase_noise
+from dispersive_readout import ConfigError
 from dispersive_readout.config import load_config
 from dispersive_readout.io import _BLOCK_ROWS, read_csv, write_csv
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+PACKAGE = Path(__file__).parent.parent / "src" / "dispersive_readout"
 
 SPECIAL = [
     math.nan, math.inf, -math.inf, 0.0, -0.0,
@@ -82,3 +86,29 @@ def test_unequal_lengths_raise_before_writing(tmp_path):
     with pytest.raises(ValueError, match="equal length"):
         write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(4)])
     assert not path.exists()
+
+
+@pytest.mark.parametrize("rows, line, reason", [
+    ("0.0,1.0\n1.0,oops\n", 3, "column 2: 'oops' is not a number"),
+    ("0.0,1.0 # comment\n\n1.0\n", 4, "expected 2 columns, found 1"),
+], ids=["non-numeric", "ragged"])
+def test_unparsable_row_is_located(tmp_path, rows, line, reason):
+    path = tmp_path / "data.csv"
+    path.write_text("x,y\n" + rows)
+    with pytest.raises(ConfigError) as info:
+        read_csv(path)
+    assert (info.value.line, info.value.reason) == (line, reason)
+    assert str(info.value) == f"{path}: line {line}: {reason}"
+
+
+def test_only_io_opens_files():
+    """Every input is read, and every output written, through io."""
+    calls = []
+    for module in sorted(PACKAGE.glob("*.py")):
+        if module.name == "io.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and "open" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                calls.append(f"{module.name}:{node.lineno}")
+    assert calls == []

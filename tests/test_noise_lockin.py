@@ -183,6 +183,11 @@ class TestShotNoise:
         assert lim.optical_estimate == pytest.approx(2.7e-15, rel=0.01)
         assert lim.optical_estimate == pytest.approx(150 * lim.eta_spin, rel=1e-12)
 
+    @pytest.mark.parametrize("n_spins, t2", [(0, 1.0), (1e14, 0.0)])
+    def test_non_positive_inputs_rejected(self, n_spins, t2):
+        with pytest.raises(InvalidParameterError, match="must be > 0"):
+            shot_noise_limit(n_spins, t2)
+
     def test_sqrt_scaling_in_n(self):
         assert shot_noise_limit(4e14, 1e-3).eta_spin == pytest.approx(
             shot_noise_limit(1e14, 1e-3).eta_spin / 2, rel=1e-12
