@@ -14,6 +14,7 @@ deterministic given (config, seed): reruns produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import math
 import os
@@ -37,8 +38,12 @@ EXIT_NO_CONVERGENCE = 3
 
 
 def _out_dir(args, cfg=None):
+    """The output directory, which is created only when an output is
+    written. Checked before any work: a path that exists and is not a
+    directory raises the FileExistsError ``os.makedirs`` would."""
     out = args.out or (cfg.output_dir if cfg is not None else ".")
-    os.makedirs(out, exist_ok=True)
+    if os.path.lexists(out) and not os.path.isdir(out):
+        raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
     return out
 
 
@@ -97,6 +102,7 @@ def _emits_csv(compute):
         try:
             with np.errstate(all="ignore"):
                 cfg = load_config(args.config)
+                out = _out_dir(args, cfg)
                 name, header, columns = compute(args, cfg)
         except ArithmeticError as exc:
             raise ConfigError("values outside the floating-point range "
@@ -113,7 +119,8 @@ def _emits_csv(compute):
         _require_finite(header, columns, args.config,
                         "column '{label}' would hold {value} at data row {row}: "
                         "values outside the floating-point range; nothing written")
-        path = os.path.join(_out_dir(args, cfg), name)
+        os.makedirs(out, exist_ok=True)
+        path = os.path.join(out, name)
         io.write_csv(path, header, columns)
         print(path)
         return EXIT_OK
@@ -254,12 +261,14 @@ def cmd_fit(args):
     if len(x) < needed:
         raise ConfigError(f"{len(x)} data row(s), but model '{model.name}' "
                           f"needs at least {needed}", path=args.input_csv)
+    out = _out_dir(args)
     # looked up on every call, so a replaced entry point is the one run
     fit = getattr(fitting, f"fit_{args.model}")
     result = fit(x, y, init=init, max_iterations=args.max_iterations,
                  **options, **init_options)
 
-    path = os.path.join(_out_dir(args), f"fit_{args.model}.json")
+    os.makedirs(out, exist_ok=True)
+    path = os.path.join(out, f"fit_{args.model}.json")
     io.write_json(path, result.report())
     print(path)
     print(result.summary())

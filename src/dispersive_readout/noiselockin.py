@@ -44,7 +44,9 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
     sqrt(S_phi(f) * fs / 2) bin by bin and inverted; the DC bin is zeroed.
     Frequencies outside [f_min, f_max] (only possible below f_min, since
     fs/2 <= f_max is required) are clamped to the nearest band edge.
-    Deterministic per seed.
+    Deterministic per seed. The gain is built once per (psd, fs, n_samples)
+    and kept, read-only, until a call with other arguments (see
+    ``_shaping_gain``); the noise is drawn on every call.
     """
     if fs / 2 > psd.f_max * (1 + 1e-12):
         raise InvalidParameterError(
@@ -52,16 +54,25 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
         )
     rng = np.random.default_rng(seed)
     spectrum = np.fft.rfft(rng.standard_normal(n_samples))
-    # the gain sqrt(S_phi(f) * fs / 2), built in place
+    spectrum *= _shaping_gain(psd, fs, n_samples)
+    spectrum[0] = 0.0
+    return np.fft.irfft(spectrum, n=n_samples)
+
+
+# typed: an fs of another numeric type (say float32) computes other bits
+@functools.lru_cache(maxsize=1, typed=True)
+def _shaping_gain(psd: PhaseNoisePSD, fs, n_samples):
+    """The shaping gain sqrt(S_phi(f) * fs / 2) on the ``n_samples//2 + 1``
+    bins of a real FFT at rate ``fs``, read-only. Built once per arguments:
+    the last call's float64 array stays in memory."""
     freqs = np.fft.rfftfreq(n_samples, d=1.0 / fs)
     gain = psd_value(psd, np.clip(freqs, psd.f_min, psd.f_max, out=freqs))
     del freqs
     gain *= fs
     gain /= 2.0
-    spectrum *= np.sqrt(gain, out=gain)
-    del gain
-    spectrum[0] = 0.0
-    return np.fft.irfft(spectrum, n=n_samples)
+    np.sqrt(gain, out=gain)
+    gain.flags.writeable = False
+    return gain
 
 
 def _time_grid(cfg: LockinConfig):
@@ -90,16 +101,21 @@ def _demodulate(x, ref, out=None):
 @functools.lru_cache(maxsize=1)
 def _references(cfg: LockinConfig):
     """The sine (in-phase) and cosine (quadrature) references
-    sin/cos(2*pi*f_mod*t) on the lock-in grid, read-only. Built once per
-    config: the last config's pair stays in memory, two float64 arrays of
-    ``n_samples``."""
+    sin/cos(2*pi*f_mod*t) on the lock-in grid, read-only, and the unit
+    square wave's in-phase lock-in gain 2*mean(unit_sq * sin) (~4/pi).
+    Built once per config: the last config's pair stays in memory, two
+    float64 arrays of ``n_samples``; the square wave built for the gain
+    does not."""
     arg = _time_grid(cfg)
+    unit_sq = _unit_square(cfg, arg)
     arg *= 2.0 * math.pi * cfg.f_mod
     sin = np.sin(arg)
+    sq_gain = _demodulate(unit_sq, sin, out=unit_sq)
+    del unit_sq
     cos = np.cos(arg, out=arg)
     sin.flags.writeable = False
     cos.flags.writeable = False
-    return sin, cos
+    return sin, cos, sq_gain
 
 
 def lockin_demodulate(signal, cfg: LockinConfig):
@@ -168,23 +184,24 @@ def simulate_readout(p: OptimizedDeviceParams, psd: PhaseNoisePSD,
     square-wave component, scaled by sqrt(duration). Its rms over seeds
     estimates sqrt(S_phi(f_mod)); it is exactly zero for zero noise.
 
-    The sine and cosine references are built once per ``cfg`` and kept,
-    read-only, for the last config only: two float64 arrays of
-    ``n_samples`` stay in memory after a call. The noise, the unit square
-    wave and its gain are computed on every call.
+    The sine and cosine references and the unit square wave's lock-in gain
+    are built once per ``cfg``, and the noise-shaping gain once per
+    (``psd``, ``cfg``), each kept, read-only, for the last arguments only:
+    after a call, two float64 arrays of ``n_samples`` and one of
+    ``n_samples//2 + 1`` stay in memory. The noise and the unit square wave
+    are computed on every call.
     """
     if abs(signal_phase) > 0.1:
         raise InvalidParameterError(
             "signal_phase above 0.1 rad is outside the intended linear range"
         )
     noise = synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed)
-    sin, cos = _references(cfg)
+    sin, cos, sq_gain = _references(cfg)
     unit_sq = square_wave(cfg)
     # one product buffer serves every demodulation
     product = np.multiply(unit_sq, signal_phase)
     noise += product  # the recorded total: noise plus the modulated signal
     est = _demodulate(noise, sin, out=product)
-    sq_gain = _demodulate(unit_sq, sin, out=product)  # ~4/pi on the discrete grid
     # remove the coherent component before estimating the quadrature density
     noise -= np.multiply(unit_sq, est / sq_gain, out=product)
     quad = _demodulate(noise, cos, out=product)

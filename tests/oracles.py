@@ -8,7 +8,9 @@ oracle is the fitter's SVD-only Jacobian rank check, which the Gram-matrix
 screen in front of it must never contradict. The readout oracle is the
 Monte-Carlo lock-in readout composed step by step, with the square wave
 taken from the fractional phase and each reference computed where it is
-used, as it was before the lock-in arrays were shared. The ensemble
+used, as it was before the lock-in arrays were shared; its phase noise is
+the synthesis oracle's, which evaluates the PSD and the shaping gain
+inline on every call, as the program did before it kept the gain. The ensemble
 oracle is the principal-value quadrature of the Gaussian-broadened
 dispersive shift, which the closed-form Dawson expression must reproduce.
 The arctangent oracle is the exact phase of S11, whose tangent the
@@ -30,11 +32,7 @@ import mpmath
 import numpy as np
 from scipy import special
 
-from dispersive_readout import (
-    InvalidParameterError,
-    SingularJacobianError,
-    synthesize_phase_noise,
-)
+from dispersive_readout import InvalidParameterError, SingularJacobianError
 
 
 def dawson_series(x, dps=150):
@@ -104,12 +102,30 @@ def square_wave_fmod(t, f_mod):
     return np.where((t * f_mod) % 1.0 < 0.5, 1.0, -1.0)
 
 
+def synthesize_phase_noise_reference(psd, fs, n_samples, seed):
+    """``synthesize_phase_noise`` composed step by step: the real FFT of
+    seeded unit white noise, scaled bin by bin by sqrt(S_phi(f) * fs / 2)
+    with S_phi's power law evaluated here at the clamped bin frequencies,
+    the DC bin zeroed, inverted."""
+    rng = np.random.default_rng(seed)
+    spectrum = np.fft.rfft(rng.standard_normal(n_samples))
+    f = np.clip(np.fft.rfftfreq(n_samples, d=1.0 / fs), psd.f_min, psd.f_max)
+    breaks = np.array([s.f_break for s in psd.segments])
+    levels = np.array([s.level for s in psd.segments])
+    exponents = np.array([s.exponent for s in psd.segments])
+    i = np.clip(np.searchsorted(breaks, f, side="right") - 1, 0, len(breaks) - 1)
+    s_phi = levels[i] * (f / breaks[i]) ** exponents[i]
+    spectrum = spectrum * np.sqrt(s_phi * fs / 2.0)
+    spectrum[0] = 0.0
+    return np.fft.irfft(spectrum, n=n_samples)
+
+
 def simulate_readout_reference(psd, cfg, signal_phase, seed):
     """(estimated_amplitude, noise_floor) of ``simulate_readout``: phase
     noise plus the square-wave signal, demodulated twice against the sine
     (the signal, then the unit square wave's gain) and once against the
     cosine after removing the coherent part."""
-    noise = synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed)
+    noise = synthesize_phase_noise_reference(psd, cfg.fs, cfg.n_samples, seed)
     t = np.arange(cfg.n_samples) / cfg.fs
     unit_sq = square_wave_fmod(t, cfg.f_mod)
     total = noise + signal_phase * unit_sq

@@ -671,6 +671,27 @@ class TestInputFiles:
         assert out.read_text() == "keep\n"
         assert sorted(tmp_path.iterdir()) == before
 
+    @pytest.mark.parametrize("command", ["noise", "fit"])
+    def test_out_naming_a_file_is_refused_before_the_work(
+            self, config_path, tmp_path, capsys, monkeypatch, command):
+        from dispersive_readout import fitting, noiselockin
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the work ran before --out was checked")
+
+        monkeypatch.setattr(noiselockin, "synthesize_phase_noise", must_not_run)
+        monkeypatch.setattr(fitting, "fit_nonlinear", must_not_run)
+        out = tmp_path / "taken"
+        out.write_text("keep\n")
+        if command == "noise":
+            argv = ["noise", "--config", str(config_path)]
+        else:
+            csv, init = fit_inputs(tmp_path)
+            argv = ["fit", str(csv), "--model", "exponential", "--init", str(init)]
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: [Errno 17] File exists: '{out}'\n"
+        assert out.read_text() == "keep\n"
+
     def test_missing_config_message_is_the_os_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert main(["spectrum", "--config", str(missing),

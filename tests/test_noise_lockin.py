@@ -23,7 +23,12 @@ from dispersive_readout import (
 
 from dispersive_readout import noiselockin
 from dispersive_readout.noiselockin import _unit_square
-from oracles import simulate_readout_reference, square_wave_fmod, white_noise_variance
+from oracles import (
+    simulate_readout_reference,
+    square_wave_fmod,
+    synthesize_phase_noise_reference,
+    white_noise_variance,
+)
 
 
 def white_psd(level=1e-6, f_max=5e5):
@@ -349,10 +354,14 @@ class TestReferenceCache:
         assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
 
     def test_cached_references_are_read_only(self, cfg):
-        for ref in noiselockin._references(cfg):
+        sin, cos, sq_gain = noiselockin._references(cfg)
+        for ref in (sin, cos):
             assert ref.shape == (cfg.n_samples,) and ref.dtype == np.float64
             with pytest.raises(ValueError, match="read-only"):
                 ref[0] = 1.0
+        # a float, immutable, equal to the demodulated unit square wave
+        assert type(sq_gain) is float
+        assert sq_gain == uncached_demodulate(square_wave(cfg), cfg)
         assert noiselockin._references.cache_info().currsize <= 1
 
     @given(configs=st.lists(lockin_configs(), min_size=2, max_size=2),
@@ -367,3 +376,64 @@ class TestReferenceCache:
             [configs[i] for i in order],
             lambda c: one_over_f_psd(c.fs) if one_over_f else white_psd(f_max=c.fs),
             seed)
+
+
+@st.composite
+def synthesis_args(draw):
+    """(psd, fs, n_samples): a white or 1/f PSD up to 20 MHz, so that two
+    draws often share it, at an arbitrary rate up to 10 MHz and a length of
+    either parity; a few rates and lengths recur, so that two draws also
+    share those."""
+    fs = draw(st.one_of(st.sampled_from([1e6, 2e6]),
+                        st.floats(min_value=1e3, max_value=1e7)))
+    n_samples = draw(st.one_of(st.sampled_from([64, 1001]),
+                               st.integers(min_value=1, max_value=5000)))
+    psd = one_over_f_psd(2e7) if draw(st.booleans()) else white_psd(f_max=2e7)
+    return psd, fs, n_samples
+
+
+class TestShapingGainCache:
+    """The noise-shaping gain is built once per (psd, fs, n_samples) and
+    kept, read-only, for the last arguments only; switching arguments back
+    and forth changes no bit against the inline synthesis oracle."""
+
+    @given(args=st.lists(synthesis_args(), min_size=2, max_size=2),
+           order=st.lists(st.integers(min_value=0, max_value=1),
+                          min_size=3, max_size=6),
+           seed=st.integers(min_value=0, max_value=2**63 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_interleaved_arguments_match_the_oracle_bitwise(self, args, order, seed):
+        noiselockin._shaping_gain.cache_clear()
+        for psd, fs, n_samples in (args[i] for i in order):
+            assert np.array_equal(
+                synthesize_phase_noise(psd, fs, n_samples, seed),
+                synthesize_phase_noise_reference(psd, fs, n_samples, seed))
+            assert noiselockin._shaping_gain.cache_info().currsize <= 1
+            gain = noiselockin._shaping_gain(psd, fs, n_samples)
+            assert gain.shape == (n_samples // 2 + 1,) and gain.dtype == np.float64
+            with pytest.raises(ValueError, match="read-only"):
+                gain[0] = 1.0
+
+    def test_repeated_arguments_are_built_once(self, cfg):
+        noiselockin._shaping_gain.cache_clear()
+        for seed in range(3):
+            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, seed)
+        info = noiselockin._shaping_gain.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
+
+    def test_equal_rate_of_another_type_gets_its_own_gain(self):
+        # np.float32(1e6) == 1e6 with the same hash, but its gain has other bits
+        psd = one_over_f_psd(2e7)
+        for fs in (np.float32(1e6), 1e6, np.float32(1e6)):
+            assert np.array_equal(synthesize_phase_noise(psd, fs, 1001, seed=5),
+                                  synthesize_phase_noise_reference(psd, fs, 1001, 5))
+
+    def test_rejected_nyquist_leaves_the_cache_alone(self):
+        psd = white_psd(f_max=5e5)
+        noiselockin._shaping_gain.cache_clear()
+        synthesize_phase_noise(psd, 1e6, 64, seed=0)
+        with pytest.raises(InvalidParameterError, match="Nyquist"):
+            synthesize_phase_noise(psd, 1e6 * (1 + 1e-9), 64, seed=0)
+        synthesize_phase_noise(psd, 1e6, 64, seed=1)
+        info = noiselockin._shaping_gain.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
