@@ -30,7 +30,7 @@ from .errors import (
     InvalidParameterError,
     SingularJacobianError,
 )
-from .params import MAX_SAMPLES, is_finite_number
+from .params import MAX_SAMPLES
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -219,20 +219,17 @@ def _load_init(path, model):
     if not isinstance(spec, dict) or not isinstance(spec.get("init"), dict):
         raise ConfigError('expected an object with an "init" object of '
                           "starting values", path=path)
-    try:
-        fitting.start_values(model, spec["init"])
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc), path=path) from exc
     options = {key: value for key, value in spec.items() if key != "init"}
     read = {"x_scale"} if model.name == "reflection_phase" else set()
     unread = sorted(set(options) - read)
-    if unread:
-        raise ConfigError(f"\"{unread[0]}\" is not read by model '{model.name}'",
-                          path=path)
-    x_scale = options.get("x_scale")
-    if x_scale is not None and not (is_finite_number(x_scale) and x_scale != 0):
-        raise ConfigError('"x_scale" must be a finite non-zero number, '
-                          f"got {x_scale!r}", path=path)
+    try:
+        fitting.start_values(model, spec["init"])
+        if unread:
+            raise ConfigError(f"\"{unread[0]}\" is not read by model "
+                              f"'{model.name}'", path=path)
+        fitting.check_x_scale(options.get("x_scale"))
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc), path=path) from exc
     return spec["init"], options
 
 
@@ -295,32 +292,27 @@ def build_parser():
     p.add_argument("--det-min", type=float, default=None, help="Hz")
     p.add_argument("--det-max", type=float, default=None, help="Hz")
     p.add_argument("--n-points", type=int, default=401)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("relaxation", help="chopped polarization phase traces")
     common(p)
     p.add_argument("--subtract-offset", action=argparse.BooleanOptionalAction,
                    default=True)
-    p.set_defaults(func=cmd_relaxation)
 
     p = sub.add_parser("shift-vs-field", help="dispersive phase vs magnetic field")
     common(p)
     p.add_argument("--b-min", type=float, default=28.0, help="gauss")
     p.add_argument("--b-max", type=float, default=38.5, help="gauss")
     p.add_argument("--n-points", type=int, default=106)
-    p.set_defaults(func=cmd_shift_vs_field)
 
     p = sub.add_parser("sensitivity", help="phase-noise-limited sensitivity sweep")
     common(p)
     p.add_argument("--f-min", type=float, default=1e2, help="Hz")
     p.add_argument("--f-max", type=float, default=1e5, help="Hz")
     p.add_argument("--n-points", type=int, default=101)
-    p.set_defaults(func=cmd_sensitivity)
 
     p = sub.add_parser("noise", help="synthesize a phase-noise trace")
     common(p)
     p.add_argument("--n-samples", type=int, default=2**16)
-    p.set_defaults(func=cmd_noise)
 
     p = sub.add_parser("fit", help="fit a CSV to one of the built-in models")
     p.add_argument("input_csv")
@@ -331,7 +323,6 @@ def build_parser():
     p.add_argument("--max-iterations", type=int,
                    default=fitting.MAX_ITERATIONS)
     common(p, config_required=False)
-    p.set_defaults(func=cmd_fit)
 
     return parser
 
@@ -339,9 +330,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    # looked up by name on every call: the cached parser holds the cmd_*
-    # functions of its first build, and one replaced since must still run
-    command = globals()[args.func.__name__]
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
         return command(args)
     except (ConfigError, InvalidParameterError, DomainError,

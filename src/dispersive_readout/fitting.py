@@ -369,14 +369,24 @@ def reflection_phase_model() -> FitModel:
     )
 
 
+def check_x_scale(x_scale):
+    """Raise InvalidParameterError naming ``x_scale`` unless it is None or a
+    finite, non-zero number."""
+    if x_scale is not None and not (is_finite_number(x_scale) and x_scale != 0):
+        raise InvalidParameterError('"x_scale" must be a finite non-zero '
+                                    f"number, got {x_scale!r}")
+
+
 def fit_reflection_phase(x, y, init, x_scale=None,
                          max_iterations=MAX_ITERATIONS) -> FitResult:
     """Fit the single-port reflection-phase response over (Q, beta, k, phi0).
 
     ``x`` is the probe-cavity fractional detuning; pass ``x_scale`` (the
-    cavity frequency in Hz) to fit data recorded against absolute detuning.
-    ``init`` maps parameter names to starting values (k, phi0 default to 0).
+    cavity frequency in Hz, finite and non-zero) to fit data recorded against
+    absolute detuning. ``init`` maps parameter names to starting values (k,
+    phi0 default to 0).
     """
+    check_x_scale(x_scale)
     x = np.asarray(x, dtype=float)
     if x_scale is not None:
         x = x / x_scale

@@ -29,10 +29,9 @@ def psd_value(psd: PhaseNoisePSD, f):
         raise DomainError(
             f"frequency outside PSD range [{psd.f_min}, {psd.f_max}] Hz"
         )
-    breaks = np.array([s.f_break for s in psd.segments])
+    breaks, levels, exponents = np.array(
+        [(s.f_break, s.level, s.exponent) for s in psd.segments]).T
     idx = np.clip(np.searchsorted(breaks, farr, side="right") - 1, 0, len(breaks) - 1)
-    levels = np.array([s.level for s in psd.segments])
-    exponents = np.array([s.exponent for s in psd.segments])
     out = levels[idx] * (farr / breaks[idx]) ** exponents[idx]
     return float(out) if out.ndim == 0 else out
 
@@ -44,10 +43,12 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
     sqrt(S_phi(f) * fs / 2) bin by bin and inverted; the DC bin is zeroed.
     Frequencies outside [f_min, f_max] (only possible below f_min, since
     fs/2 <= f_max is required) are clamped to the nearest band edge.
-    Deterministic per seed. The gain is built once per (psd, fs, n_samples)
-    and kept, read-only, until a call with other arguments (see
-    ``_shaping_gain``); the noise is drawn on every call.
+    Deterministic per seed. ``fs`` is taken as a Python float, so a rate of
+    any numeric type equal to it gives the same bits. The gain is built once
+    per (psd, fs, n_samples) and kept, read-only, until a call with other
+    arguments (see ``_shaping_gain``); the noise is drawn on every call.
     """
+    fs = float(fs)
     if fs / 2 > psd.f_max * (1 + 1e-12):
         raise InvalidParameterError(
             f"Nyquist fs/2 = {fs / 2} exceeds PSD f_max = {psd.f_max}"
@@ -59,8 +60,7 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
     return np.fft.irfft(spectrum, n=n_samples)
 
 
-# typed: an fs of another numeric type (say float32) computes other bits
-@functools.lru_cache(maxsize=1, typed=True)
+@functools.lru_cache(maxsize=1)
 def _shaping_gain(psd: PhaseNoisePSD, fs, n_samples):
     """The shaping gain sqrt(S_phi(f) * fs / 2) on the ``n_samples//2 + 1``
     bins of a real FFT at rate ``fs``, read-only. Built once per arguments:

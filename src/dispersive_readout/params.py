@@ -4,6 +4,10 @@ chopper cycle, the phase-noise model and the lock-in detector.
 Unit convention: all frequencies are stored as ordinary frequencies in Hz.
 Angular-frequency factors of 2*pi enter only inside the formulas that need
 them and are written out explicitly there.
+
+Storage rule: each container stores every number it checks as a Python
+float, whatever its numeric type, and its segments as a tuple. Equal
+containers then hold the same numbers, so they compute the same bits.
 """
 
 from __future__ import annotations
@@ -43,12 +47,22 @@ def is_finite_number(value):
 
 def check_finite(obj, names, positive=False):
     """Reject the first field of ``obj`` named in ``names`` that is not a
-    finite number or, with ``positive``, not > 0."""
+    finite number or, with ``positive``, not > 0 as a float. Each field that
+    passes is stored back as a Python float (the module's storage rule)."""
     for name in names:
         value = getattr(obj, name)
-        if not is_finite_number(value) or (positive and not value > 0):
+        if not is_finite_number(value) or (positive and not float(value) > 0):
             rule = "finite and > 0" if positive else "finite"
             raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
+        object.__setattr__(obj, name, float(value))
+
+
+def check_samples(n_samples, expression):
+    """Reject a record of ``n_samples`` samples, the value of
+    ``expression``, that is more than one array can hold."""
+    if not n_samples < MAX_SAMPLES:
+        raise InvalidParameterError(f"{expression} = {n_samples:g} samples: more "
+                                    f"than one array can hold ({MAX_SAMPLES:g})")
 
 
 @dataclass(frozen=True)
@@ -75,8 +89,7 @@ class CavityParams:
         if abs(self.beta - 1.0) < BETA_EXCLUSION:
             raise InvalidParameterError(
                 f"beta = {self.beta} lies within {BETA_EXCLUSION} of the "
-                "critical-coupling singularity at beta = 1"
-            )
+                "critical-coupling singularity at beta = 1")
 
     @property
     def resonant_slope(self):
@@ -162,14 +175,8 @@ class ChopperCycle:
                 f"n_periods must be an integer >= 1, got {self.n_periods!r}")
         if not self.dt < self.period / 20:
             raise InvalidParameterError(
-                f"dt = {self.dt} must resolve the period: dt < period/20"
-            )
-        n_samples = self.n_periods * self.period / self.dt
-        if not n_samples < MAX_SAMPLES:
-            raise InvalidParameterError(
-                f"n_periods*period/dt = {n_samples:g} samples: more than one "
-                f"array can hold ({MAX_SAMPLES:g})"
-            )
+                f"dt = {self.dt} must resolve the period: dt < period/20")
+        check_samples(self.n_periods * self.period / self.dt, "n_periods*period/dt")
 
 
 @dataclass(frozen=True)
@@ -193,12 +200,13 @@ class PhaseNoisePSD:
     Continuity across breakpoints is enforced at construction.
     """
 
-    segments: tuple
+    segments: tuple         # PSDSegments: any sequence, stored as a tuple
     f_min: float
     f_max: float
 
     def __post_init__(self):
-        segments = self.segments
+        segments = tuple(self.segments)
+        object.__setattr__(self, "segments", segments)
         if len(segments) == 0:
             raise InvalidParameterError("PSD needs at least one segment")
         check_finite(self, ("f_min", "f_max"), positive=True)
@@ -212,8 +220,7 @@ class PhaseNoisePSD:
             if not math.isclose(left, hi.level, rel_tol=1e-6):
                 raise InvalidParameterError(
                     f"PSD discontinuous at {hi.f_break} Hz: "
-                    f"{left} from below vs {hi.level} from above"
-                )
+                    f"{left} from below vs {hi.level} from above")
 
 
 @dataclass(frozen=True)
@@ -228,19 +235,12 @@ class LockinConfig:
         check_finite(self, ("f_mod", "fs", "duration"), positive=True)
         if not self.fs > 10 * self.f_mod:
             raise InvalidParameterError(
-                f"fs = {self.fs} must exceed 10*f_mod = {10 * self.f_mod}"
-            )
+                f"fs = {self.fs} must exceed 10*f_mod = {10 * self.f_mod}")
         n_cycles = self.duration * self.f_mod
         if abs(n_cycles - round(n_cycles)) > 1e-9 * max(1.0, n_cycles):
             raise InvalidParameterError(
-                "duration must be an integer number of modulation periods"
-            )
-        n_samples = self.fs * self.duration
-        if not n_samples < MAX_SAMPLES:
-            raise InvalidParameterError(
-                f"fs*duration = {n_samples:g} samples: more than one array "
-                f"can hold ({MAX_SAMPLES:g})"
-            )
+                "duration must be an integer number of modulation periods")
+        check_samples(self.fs * self.duration, "fs*duration")
 
     @property
     def n_samples(self):

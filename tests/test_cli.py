@@ -854,6 +854,7 @@ class TestDeterminism:
 
 class TestParserReuse:
     def test_second_call_matches_a_fresh_parser(self, config_path, tmp_path):
+        from dispersive_readout import cli
         from dispersive_readout.cli import build_parser
         assert build_parser() is build_parser()
         first, second, fresh = (tmp_path / d for d in ("first", "second", "fresh"))
@@ -863,7 +864,7 @@ class TestParserReuse:
                      "--out", str(second)]) == 0
         args = build_parser.__wrapped__().parse_args(
             ["spectrum", "--config", str(config_path), "--out", str(fresh)])
-        assert args.func(args) == 0
+        assert cli.cmd_spectrum(args) == 0
         assert sha256(second / "spectrum.csv") == sha256(fresh / "spectrum.csv")
         assert sha256(first / "spectrum.csv") != sha256(second / "spectrum.csv")
 

@@ -233,6 +233,15 @@ class TestReflectionPhaseFit:
                                    x_scale=f_c)
         assert res["q"] == pytest.approx(6.0e3, rel=1e-6)
 
+    @pytest.mark.parametrize("x_scale", [0, 0.0, math.inf, -math.inf, math.nan])
+    def test_x_scale_not_finite_and_non_zero_is_rejected_by_name(self, x_scale):
+        # 0 once divided by zero, inf ended in a singular Jacobian
+        x, y = reflection_sweep()
+        with pytest.raises(InvalidParameterError,
+                           match='"x_scale" must be a finite non-zero number'):
+            fit_reflection_phase(x, y, init={"q": 5.0e3, "beta": 0.6},
+                                 x_scale=x_scale)
+
     def test_noisy_recovery_within_quoted_uncertainties(self):
         rng = np.random.default_rng(17)
         x, y = reflection_sweep()

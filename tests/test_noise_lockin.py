@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -421,12 +422,15 @@ class TestShapingGainCache:
         info = noiselockin._shaping_gain.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
-    def test_equal_rate_of_another_type_gets_its_own_gain(self):
-        # np.float32(1e6) == 1e6 with the same hash, but its gain has other bits
+    def test_equal_rate_of_another_type_shares_the_float_gain(self):
+        # np.float32(1e6) == 1e6: taken as the float 1e6, it gives its bits
         psd = one_over_f_psd(2e7)
+        noiselockin._shaping_gain.cache_clear()
         for fs in (np.float32(1e6), 1e6, np.float32(1e6)):
             assert np.array_equal(synthesize_phase_noise(psd, fs, 1001, seed=5),
-                                  synthesize_phase_noise_reference(psd, fs, 1001, 5))
+                                  synthesize_phase_noise_reference(psd, 1e6, 1001, 5))
+        info = noiselockin._shaping_gain.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
 
     def test_rejected_nyquist_leaves_the_cache_alone(self):
         psd = white_psd(f_max=5e5)
@@ -437,3 +441,91 @@ class TestShapingGainCache:
         synthesize_phase_noise(psd, 1e6, 64, seed=1)
         info = noiselockin._shaping_gain.cache_info()
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+NUMBER_TYPES = (int, np.float32, np.float64, float)
+
+
+@st.composite
+def typed(draw, value):
+    """``value``, exact in float32, as an int (where it is integral), a
+    numpy float32 or float64, or a Python float."""
+    kinds = [t for t in NUMBER_TYPES if t is not int or float(value).is_integer()]
+    return draw(st.sampled_from(kinds))(value)
+
+
+@st.composite
+def typed_readout_args(draw):
+    """Two (psd, cfg, fs) triples equal in value, each number drawn of its
+    own type and the segments as a tuple or a list. Every value is exact in
+    float32: f_mod = c*2^e, fs = r*f_mod and duration = p*2^-e, so the record
+    holds c*p whole periods of c*r*p samples."""
+    c, e = draw(st.integers(1, 20)), draw(st.integers(4, 12))
+    p, r = draw(st.integers(1, 4)), draw(st.integers(11, 40))
+    level = 2.0 ** -draw(st.integers(10, 30))
+
+    def build():
+        segments = draw(st.sampled_from([tuple, list]))((
+            PSDSegment(draw(typed(1.0)), draw(typed(-1.0)), draw(typed(level))),
+            PSDSegment(draw(typed(1024.0)), draw(typed(0.0)),
+                       draw(typed(level / 1024))),
+        ))
+        psd = PhaseNoisePSD(segments, draw(typed(0.5)), draw(typed(2.0**25)))
+        cfg = LockinConfig(draw(typed(c * 2.0**e)), draw(typed(c * r * 2.0**e)),
+                           draw(typed(p * 2.0**-e)))
+        return psd, cfg, draw(typed(c * r * 2.0**e))
+
+    return build(), build()
+
+
+class TestEqualValuesComputeEqualBits:
+    """Containers store every checked number as a Python float and their
+    segments as a tuple, so equal containers hash alike and the readout
+    caches, keyed on values alone, serve each of them the same bits."""
+
+    @given(args=typed_readout_args(),
+           order=st.lists(st.integers(min_value=0, max_value=1),
+                          min_size=3, max_size=6),
+           seed=st.integers(min_value=0, max_value=2**63 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_any_numeric_type_gives_the_cache_cleared_bits(self, args, order, seed):
+        for psd, cfg, _ in args:
+            assert type(psd.segments) is tuple
+            for obj in (cfg, psd, *psd.segments):
+                assert all(type(getattr(obj, f.name)) is float
+                           for f in dataclasses.fields(obj) if f.name != "segments")
+        (psd_a, cfg_a, _), (psd_b, cfg_b, _) = args
+        assert (psd_a, cfg_a) == (psd_b, cfg_b)
+        assert hash((psd_a, cfg_a)) == hash((psd_b, cfg_b))
+        x = np.random.default_rng(seed).standard_normal(cfg_a.n_samples)
+
+        def results(psd, cfg, fs):
+            return (simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed),
+                    lockin_demodulate(x, cfg),
+                    synthesize_phase_noise(psd, fs, cfg.n_samples, seed).tobytes())
+
+        def cache_cleared(psd, cfg, fs):
+            noiselockin._references.cache_clear()
+            noiselockin._shaping_gain.cache_clear()
+            return results(psd, cfg, fs)
+
+        expected = cache_cleared(*args[0])
+        assert cache_cleared(*args[1]) == expected
+        for i in order:
+            assert results(*args[i]) == expected
+
+    def test_float32_config_leaves_no_float32_references(self, cfg):
+        # equal to cfg and hashed alike, LockinConfig(np.float32(1e4), ...)
+        # once cached sines of the float32-rounded 2*pi*f_mod for both
+        x = np.random.default_rng(3).standard_normal(cfg.n_samples)
+        noiselockin._references.cache_clear()
+        lockin_demodulate(x, LockinConfig(np.float32(1e4), cfg.fs, cfg.duration))
+        assert lockin_demodulate(x, cfg) == uncached_demodulate(x, cfg)
+
+    def test_psd_from_a_list_of_segments_reads_out_like_the_oracle(self, cfg):
+        psd = PhaseNoisePSD([PSDSegment(1.0, -1.0, 1e-3), PSDSegment(1e3, 0.0, 1e-6)],
+                            0.5, cfg.fs)
+        assert psd == one_over_f_psd(cfg.fs)
+        out = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed=7)
+        assert ((out.estimated_amplitude, out.noise_floor)
+                == simulate_readout_reference(psd, cfg, 0.01, 7))

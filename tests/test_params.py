@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from dispersive_readout import (
@@ -9,8 +10,10 @@ from dispersive_readout import (
     ChopperCycle,
     InvalidParameterError,
     LockinConfig,
+    OptimizedDeviceParams,
     PhaseNoisePSD,
     PSDSegment,
+    SpinEnsembleParams,
 )
 from dispersive_readout.params import is_finite_number
 
@@ -58,3 +61,33 @@ def test_lockin_record_of_partial_periods_rejected():
 def test_integer_beyond_float_range_is_not_finite():
     assert is_finite_number(10**400) is False
     assert is_finite_number(10**300) is True
+
+
+# every value is exact in float32, so each numeric type builds an equal container
+EXACT_VALUES = [
+    (CavityParams, dict(omega_c=2.0**31, q=6000, beta=0.75, k=0.5, phi0=-0.25)),
+    (SpinEnsembleParams, dict(n_spins=2.0**40, g=0.0625, t2_star=2.0**-26,
+                              t1_dark=2.0**-10, t1_light=2.0**-11, zfs=2.0**31,
+                              gamma=2.0**21, projection_factor=0.5)),
+    (OptimizedDeviceParams, dict(g=0.25, omega_0=2.0**33, q=2.0**13,
+                                 delta=2.0**23, t2=2.0**-10, n_spins=2.0**46)),
+    (ChopperCycle, dict(period=2.0**-8, duty=0.5, dt=2.0**-16)),
+    (PSDSegment, dict(f_break=1024, exponent=-1, level=2.0**-20)),
+    (PhaseNoisePSD, dict(f_min=0.5, f_max=2.0**20)),
+    (LockinConfig, dict(f_mod=2.0**10, fs=2.0**16, duration=2.0**-6)),
+]
+
+
+@pytest.mark.parametrize("kind", [int, np.float32, np.float64, float])
+@pytest.mark.parametrize("cls, values", EXACT_VALUES,
+                         ids=[cls.__name__ for cls, _ in EXACT_VALUES])
+def test_checked_numbers_are_stored_as_python_floats(cls, values, kind):
+    typed = {name: kind(v) if kind is not int or float(v).is_integer() else v
+             for name, v in values.items()}
+    extra = {"segments": [WHITE]} if cls is PhaseNoisePSD else {}
+    built = cls(**typed, **extra)
+    plain = cls(**{name: float(v) for name, v in values.items()}, **extra)
+    assert all(type(getattr(built, name)) is float for name in values)
+    assert built == plain and hash(built) == hash(plain)
+    if extra:
+        assert built.segments == (WHITE,)
