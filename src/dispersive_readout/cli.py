@@ -3,12 +3,9 @@
 Subcommands reproduce the main simulated data products as plot-ready CSV
 (resonator phase sweep, chopped relaxation traces, shift vs field,
 sensitivity estimate, phase-noise traces) and fit recorded/emitted CSVs,
-writing JSON fit reports.
-
-Exit codes: 0 success, 2 input or option error (a path that cannot be read
-or written, a file that is not UTF-8, a size memory cannot hold), 3 fit
-non-convergence (the report is still written). Every command is
-deterministic given (config, seed): reruns produce byte-identical outputs.
+writing JSON fit reports. ``main`` alone decides how a failure ends (see
+its docstring for the exit codes). Every command is deterministic given
+(config, seed): reruns produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -63,13 +60,17 @@ def _count_option(args, name):
     return value
 
 
-def _float_option(args, name, positive=False):
+def _float_option(args, name, low=-math.inf, strict=False):
     """The float option --name (None when not given), or a ConfigError
-    naming it when it is not finite, or not above 0 where ``positive``."""
+    naming it when it is not finite, or below ``low`` (not above it where
+    ``strict``)."""
     value = getattr(args, name)
-    if value is None or (math.isfinite(value) and (value > 0 or not positive)):
+    if value is None or (math.isfinite(value)
+                         and (value > low or value == low and not strict)):
         return value
-    requirement = "a finite number > 0" if positive else "a finite number"
+    requirement = "a finite number"
+    if low > -math.inf:
+        requirement += f" {'>' if strict else '>='} {low:g}"
     raise ConfigError(f"{_flag(name)} must be {requirement}, got {value}")
 
 
@@ -87,35 +88,14 @@ def _require_finite(labels, columns, path, message):
 
 def _emits_csv(compute):
     """A CSV subcommand from ``compute(args, cfg)``, which returns the file
-    name, the header and the columns.
-
-    The config is loaded and the columns computed with numpy's floating-point
-    warnings off. Values past the float range then end in exit 2 naming the
-    config, never in a traceback or in non-finite cells: an arithmetic error
-    (overflow, division by zero) and a column that is not finite everywhere
-    are reported as a ConfigError, and no file is written. So is a failed
-    allocation: the message names the command's size option (the config,
-    for relaxation) and keeps numpy's text.
-    """
+    name, the header and the columns: the config is loaded, the output
+    directory checked, the columns computed and checked to be finite, and
+    the file written."""
     @functools.wraps(compute)
     def command(args):
-        try:
-            with np.errstate(all="ignore"):
-                cfg = load_config(args.config)
-                out = _out_dir(args, cfg)
-                name, header, columns = compute(args, cfg)
-        except ArithmeticError as exc:
-            raise ConfigError("values outside the floating-point range "
-                              f"({type(exc).__name__}: {exc})",
-                              path=args.config) from exc
-        except MemoryError as exc:
-            size = next((n for n in ("n_points", "n_samples") if hasattr(args, n)),
-                        None)
-            if size is None:  # relaxation: the config sets every size
-                raise ConfigError(f"out of memory ({exc}); nothing written",
-                                  path=args.config) from exc
-            raise ConfigError(f"{_flag(size)} = {getattr(args, size)}: out of "
-                              f"memory ({exc}); nothing written") from exc
+        cfg = load_config(args.config)
+        out = _out_dir(args, cfg)
+        name, header, columns = compute(args, cfg)
         _require_finite(header, columns, args.config,
                         "column '{label}' would hold {value} at data row {row}: "
                         "values outside the floating-point range; nothing written")
@@ -175,7 +155,8 @@ def cmd_relaxation(args, cfg):
 
 @_emits_csv
 def cmd_shift_vs_field(args, cfg):
-    b = np.linspace(_float_option(args, "b_min"), _float_option(args, "b_max"),
+    b = np.linspace(_float_option(args, "b_min", low=0),
+                    _float_option(args, "b_max", low=0),
                     _count_option(args, "n_points"))
     model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
     phase = model.func([cfg.ensemble.n_spins, cfg.ensemble.t2_star], b)
@@ -184,9 +165,14 @@ def cmd_shift_vs_field(args, cfg):
 
 @_emits_csv
 def cmd_sensitivity(args, cfg):
-    f = np.geomspace(_float_option(args, "f_min", positive=True),
-                     _float_option(args, "f_max", positive=True),
-                     _count_option(args, "n_points"))
+    bounds = {name: _float_option(args, name, low=0, strict=True)
+              for name in ("f_min", "f_max")}
+    for name, value in bounds.items():
+        try:  # the sweep's ends are its extremes
+            noiselockin.psd_value(cfg.psd, value)
+        except DomainError as exc:
+            raise ConfigError(f"{_flag(name)} = {value}: {exc}") from exc
+    f = np.geomspace(*bounds.values(), _count_option(args, "n_points"))
     s_sqrt = np.sqrt(noiselockin.psd_value(cfg.psd, f))
     eta = noiselockin.sensitivity(cfg.optimized, s_sqrt)
     limits = noiselockin.shot_noise_limit(cfg.optimized.n_spins, cfg.optimized.t2)
@@ -234,6 +220,9 @@ def _load_init(path, model):
 
 
 def cmd_fit(args):
+    if args.max_iterations < 1:
+        raise ConfigError("--max-iterations: max_iterations must be an integer "
+                          f">= 1, got {args.max_iterations}")
     options = {}
     if args.model == "shift_vs_field":
         if args.config is None:
@@ -328,15 +317,33 @@ def build_parser():
 
 
 def main(argv=None):
+    """Run one subcommand; the exit code is 0 on success, 3 when a fit does
+    not converge (its report is still written) and 2, with one ``error:``
+    line, for a bad input or option. A path that cannot be read or written
+    and a file that is not UTF-8 are named. Numpy's floating-point warnings
+    are off: a result past the float range (an arithmetic error, or a CSV
+    column that is not finite) names the config, and a failed allocation
+    names the command's size option (else the config) with numpy's text.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return command(args)
+        with np.errstate(all="ignore"):
+            return command(args)
+    except ArithmeticError as exc:
+        error = ConfigError("values outside the floating-point range "
+                            f"({type(exc).__name__}: {exc})", path=args.config)
+    except MemoryError as exc:
+        reason = f"out of memory ({exc}); nothing written"
+        size = next((n for n in ("n_points", "n_samples") if hasattr(args, n)), None)
+        error = (ConfigError(reason, path=args.config) if size is None
+                 else ConfigError(f"{_flag(size)} = {getattr(args, size)}: {reason}"))
     except (ConfigError, InvalidParameterError, DomainError,
             SingularJacobianError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        error = exc
+    print(f"error: {error}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -191,10 +191,10 @@ def load_config(path) -> RunConfig:
 
         b_fields = data.get("b_fields_gauss", [32.0])
         if not (isinstance(b_fields, list) and b_fields
-                and all(is_finite_number(b) for b in b_fields)):
+                and all(is_finite_number(b) and b >= 0 for b in b_fields)):
             raise ConfigError(
-                "b_fields_gauss must be a non-empty list of finite numbers, "
-                f"got {b_fields!r}", _line_of(source, "b_fields_gauss"))
+                "b_fields_gauss must be a non-empty list of finite numbers "
+                f">= 0, got {b_fields!r}", _line_of(source, "b_fields_gauss"))
         p_sat = data.get("p_sat", 1.0)
         if not (is_finite_number(p_sat) and 0 < p_sat <= 1):
             raise ConfigError(f"p_sat must be a number in (0, 1], got {p_sat!r}",

@@ -123,12 +123,19 @@ class FitResult:
         return "\n".join(lines)
 
 
+def _over_power_of_ten(x, exp):
+    """x / 10**exp. Where 10.0**exp underflows to 0 (exp = -324, reached by
+    a subnormal sigma), x is scaled up by 1e300 first."""
+    power = 10.0**exp
+    return x / power if power else x * 1e300 / 10.0**(exp + 300)
+
+
 def format_with_uncertainty(value, sigma):
     """Parenthetical 1-sigma-on-last-digit notation, e.g. 6.0(1)e+03."""
     if not (np.isfinite(sigma) and sigma > 0):
         return f"{value:.6g}"
     exp_sigma = int(math.floor(math.log10(abs(sigma))))
-    sig_digit = int(round(sigma / 10.0**exp_sigma))
+    sig_digit = int(round(_over_power_of_ten(sigma, exp_sigma)))
     if sig_digit == 10:  # rounding bumped a digit, e.g. 0.96 -> 1
         sig_digit, exp_sigma = 1, exp_sigma + 1
     if value == 0:
@@ -137,7 +144,7 @@ def format_with_uncertainty(value, sigma):
         exp_val = int(math.floor(math.log10(abs(value))))
         exp_val = max(exp_val, exp_sigma)
     digits = exp_val - exp_sigma
-    mantissa = value / 10.0**exp_val
+    mantissa = _over_power_of_ten(value, exp_val)
     return f"{mantissa:.{digits}f}({sig_digit})e{exp_val:+03d}"
 
 

@@ -77,11 +77,20 @@ def _bad_row(lines):
         if len(cells) != width:
             return line, f"expected {width} columns, found {len(cells)}"
         for col, cell in enumerate(cells, start=1):
-            try:
-                float(cell)
-            except ValueError:
+            if not _is_number(cell):
                 return line, f"column {col}: {cell.strip()!r} is not a number"
     return None
+
+
+def _is_number(cell):
+    """Whether ``np.loadtxt`` reads ``cell`` as a float: ``float``'s grammar
+    without underscores or non-ASCII characters inside the cell (such as
+    the digit '\uff11'), which the reader rejects."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return "_" not in cell and cell.strip().isascii()
 
 
 def read_csv(path):

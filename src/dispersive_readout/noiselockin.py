@@ -11,7 +11,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, InvalidParameterError
-from .params import LockinConfig, OptimizedDeviceParams, PhaseNoisePSD
+from .params import (
+    LockinConfig,
+    OptimizedDeviceParams,
+    PhaseNoisePSD,
+    is_finite_number,
+)
 from .physics import optimized_phase_shift
 
 HBAR = 1.054571817e-34      # J s
@@ -47,7 +52,10 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
     any numeric type equal to it gives the same bits. The gain is built once
     per (psd, fs, n_samples) and kept, read-only, until a call with other
     arguments (see ``_shaping_gain``); the noise is drawn on every call.
+    A rate that is not finite and > 0 raises InvalidParameterError.
     """
+    if not (is_finite_number(fs) and fs > 0):
+        raise InvalidParameterError(f"fs must be finite and > 0, got {fs!r}")
     fs = float(fs)
     if fs / 2 > psd.f_max * (1 + 1e-12):
         raise InvalidParameterError(
@@ -160,8 +168,9 @@ class ShotNoiseLimit:
 
 def shot_noise_limit(n_spins, t2) -> ShotNoiseLimit:
     """Spin projection-noise sensitivity limit hbar/(g_e*mu_B*sqrt(N*T2))."""
-    if not (n_spins > 0 and t2 > 0):
-        raise InvalidParameterError("n_spins and t2 must be > 0")
+    for name, value in (("n_spins", n_spins), ("t2", t2)):
+        if not (is_finite_number(value) and value > 0):
+            raise InvalidParameterError(f"{name} must be > 0 and finite, got {value!r}")
     eta = HBAR / (G_LANDE * MU_B * math.sqrt(n_spins * t2))
     return ShotNoiseLimit(eta, 150.0 * eta)
 
@@ -191,10 +200,10 @@ def simulate_readout(p: OptimizedDeviceParams, psd: PhaseNoisePSD,
     ``n_samples//2 + 1`` stay in memory. The noise and the unit square wave
     are computed on every call.
     """
-    if abs(signal_phase) > 0.1:
+    if not (is_finite_number(signal_phase) and abs(signal_phase) <= 0.1):
         raise InvalidParameterError(
-            "signal_phase above 0.1 rad is outside the intended linear range"
-        )
+            "signal_phase must be finite and at most 0.1 rad in magnitude, the "
+            f"intended linear range, got {signal_phase!r}")
     noise = synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed)
     sin, cos, sq_gain = _references(cfg)
     unit_sq = square_wave(cfg)

@@ -147,7 +147,7 @@ def ensemble_shift_oracle(ens, omega_c, mean_omega0, polarization,
     """
     if n_grid < 1000:
         raise InvalidParameterError("n_grid must be >= 1000")
-    sigma = ens.sigma_f
+    sigma = 1.0 / (2.0 * math.pi * ens.t2_star)  # Gaussian linewidth (Hz)
     delta = float(omega_c) - float(mean_omega0)
     half_width = abs(delta) + 8.0 * sigma
     n_half = n_grid // 2
@@ -236,7 +236,7 @@ def _dawson_pull(p, ens, cav, b_field):
     """Cavity pull (Hz) of the ensemble at polarizations ``p``, field
     ``b_field``."""
     omega0 = ens.zfs - ens.gamma * ens.projection_factor * b_field
-    sigma = ens.sigma_f
+    sigma = 1.0 / (2.0 * math.pi * ens.t2_star)  # Gaussian linewidth (Hz)
     return (
         np.asarray(p, float) * ens.n_spins * ens.g**2 * (math.sqrt(2.0) / sigma)
         * special.dawsn((cav.omega_c - omega0) / (math.sqrt(2.0) * sigma))

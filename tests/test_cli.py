@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dispersive_readout.cli import main
@@ -922,6 +922,7 @@ CONFIG_DEFECTS = [
     (("cycle", "n_periods"), 2.5, "n_periods must be an integer >= 1"),
     (("cycle", "n_periods"), True, "n_periods must be an integer >= 1"),
     (("cycle", "dt_s"), 1e-308, "samples: more than one array can hold"),
+    (("cycle", "dt_s"), 1e-3, "dt = 0.001 must resolve the period"),
     (("psd", "segments", 1, "exponent"), math.nan, "exponent must be finite"),
     (("psd", "segments", 1, "exponent"), math.inf, "exponent must be finite"),
     (("psd", "segments", 1, "exponent"), "steep", "exponent must be finite"),
@@ -1094,3 +1095,171 @@ class TestConfigKeys:
         section = ".".join(map(str, path))
         assert (f"line {line}: unknown key 'typo_key' in section '{section}'"
                 in capsys.readouterr().err)
+
+
+def _run(argv):
+    """(exit code, stderr) of ``main(argv)``, its stdout discarded."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _shift_vs_field_fit(config, tmp_path, out):
+    """argv of a shift_vs_field fit at ``config`` of the default config's
+    sweep, whose inputs are written to ``tmp_path``."""
+    assert main(["shift-vs-field", "--config", str(CONFIGS / "default.json"),
+                 "--out", str(tmp_path), "--n-points", "12"]) == 0
+    init = tmp_path / "init.json"
+    init.write_text(json.dumps({"init": {"n_spins": 1.6e12, "t2_star": 22e-9}}))
+    return ["fit", str(tmp_path / "shift_vs_field.csv"), "--model",
+            "shift_vs_field", "--init", str(init), "--config", str(config),
+            "--out", str(out)]
+
+
+# finite config values whose formulas overflow in Python floats: the CSV
+# commands named the config, and a fit ended in an OverflowError traceback
+FIT_OVERFLOWS = [(("cavity", "beta"), 1e200), (("ensemble", "g_hz"), 1e200)]
+
+
+class TestOneFailurePath:
+    """main alone turns a failure of any subcommand into exit 2: a fit
+    reports float-range and memory failures as the CSV commands do."""
+
+    @pytest.mark.parametrize("path, value", FIT_OVERFLOWS,
+                             ids=[".".join(p) for p, _ in FIT_OVERFLOWS])
+    def test_fit_past_the_float_range_names_the_config(self, config_path,
+                                                       tmp_path, capsys,
+                                                       path, value):
+        config_path.write_text(json.dumps(_mutated(path, value), indent=2))
+        out = tmp_path / "out"
+        argv = _shift_vs_field_fit(config_path, tmp_path, out)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: values outside the floating-point range "
+            "(OverflowError: (34, 'Numerical result out of range'))\n")
+        assert not out.exists()
+
+    def test_fit_out_of_memory_names_the_config(self, config_path, tmp_path,
+                                                capsys, monkeypatch):
+        from dispersive_readout import fitting
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 8.00 EiB")
+
+        monkeypatch.setattr(fitting, "fit_shift_vs_field", no_memory)
+        out = tmp_path / "out"
+        argv = _shift_vs_field_fit(config_path, tmp_path, out)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: out of memory (Unable to allocate 8.00 EiB); "
+            "nothing written\n")
+        assert not out.exists()
+
+
+class TestLocatedOptionErrors:
+    """An option or config value the library would reject during the work is
+    rejected with the other options, before any work, naming the flag or the
+    config and line."""
+
+    @pytest.mark.parametrize("flag", ["--b-min", "--b-max"])
+    def test_negative_field_bound_names_the_flag(self, config_path, tmp_path,
+                                                 capsys, monkeypatch, flag):
+        from dispersive_readout import fitting
+        monkeypatch.setattr(fitting, "shift_vs_field_model", None)  # never run
+        out = tmp_path / "out"
+        assert main(["shift-vs-field", flag, "-5", "--config", str(config_path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} must be a finite number >= 0, got -5.0\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(CSV_NAMES))
+    def test_negative_config_field_is_named_at_its_line(self, config_path,
+                                                        tmp_path, capsys, command):
+        data = json.loads(config_path.read_text())
+        data["b_fields_gauss"] = [32.0, -1.0]
+        text = json.dumps(data, indent=2)
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if '"b_fields_gauss"' in row)
+        assert main([command, "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: line {line}: b_fields_gauss must be a "
+            "non-empty list of finite numbers >= 0, got [32.0, -1.0]\n")
+
+    @pytest.mark.parametrize("flag, value", [("--f-max", "1e9"), ("--f-min", "0.5"),
+                                             ("--f-min", "1e6")])
+    def test_frequency_outside_the_psd_names_the_flag(self, config_path, tmp_path,
+                                                      capsys, flag, value):
+        out = tmp_path / "out"
+        assert main(["sensitivity", flag, value, "--config", str(config_path),
+                     "--out", str(out), "--n-points", str(2**55)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {flag} = {float(value)}: frequency outside PSD range "
+            "[1.0, 500000.0] Hz\n")
+        assert not out.exists()
+
+    def test_max_iterations_below_one_names_the_flag(self, tmp_path, capsys,
+                                                     monkeypatch):
+        from dispersive_readout import io as readers
+        csv, init = fit_inputs(tmp_path)
+        monkeypatch.setattr(readers, "read_csv", None)  # never run
+        assert main(["fit", str(csv), "--model", "exponential", "--init",
+                     str(init), "--out", str(tmp_path / "out"),
+                     "--max-iterations", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --max-iterations: max_iterations must be an integer >= 1, "
+            "got 0\n")
+
+
+LEAF_PATHS = [p for p in CONFIG_PATHS if not isinstance(_at(p), (dict, list))]
+CONTRACT_VALUES = [0, -1, 1e308, -1e308, 1e200, math.inf, -math.inf, math.nan,
+                   "x", None, True]
+
+
+def _finite_numbers(node):
+    """Whether every number in the JSON value ``node`` is finite."""
+    if isinstance(node, dict):
+        return all(_finite_numbers(v) for v in node.values())
+    if isinstance(node, list):
+        return all(_finite_numbers(v) for v in node)
+    return not isinstance(node, float) or math.isfinite(node)
+
+
+class TestInputContract:
+    """Any one config value replaced, under every subcommand: the exit code
+    is 0 or 2, nothing escapes main as a traceback, and no output of an
+    exit 0 holds a non-finite number."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(mutation=st.tuples(st.sampled_from(LEAF_PATHS),
+                              st.sampled_from(CONTRACT_VALUES)))
+    @example(mutation=FIT_OVERFLOWS[0])
+    @example(mutation=FIT_OVERFLOWS[1])
+    def test_one_bad_value_exits_0_or_2_with_finite_output(self, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            config = tmp / "config.json"
+            config.write_text(json.dumps(_mutated(*mutation), indent=2))
+            out = tmp / "out"
+            runs = {name: [cmd, "--config", str(config), "--out", str(out / cmd)]
+                    for cmd, name in CSV_NAMES.items()}
+            runs["noise"] = ["noise", "--n-samples", "256", "--config", str(config),
+                             "--out", str(out / "noise")]
+            runs["fit_shift_vs_field"] = _shift_vs_field_fit(config, tmp, out / "fit")
+            for name, argv in runs.items():
+                code, err = _run(argv)
+                assert code in (0, 2), (name, err)
+                assert "Traceback" not in err, err
+                if code == 0 and argv[0] == "fit":
+                    report = json.loads((out / "fit" / f"{name}.json").read_text())
+                    assert _finite_numbers(report), report
+                elif code == 0:
+                    _, columns = read_csv(out / argv[0] / f"{name}.csv")
+                    assert all(np.all(np.isfinite(c)) for c in columns), name

@@ -479,6 +479,37 @@ class TestReporting:
     def test_rounding_bump_and_zero_value(self, value, sigma, expected):
         assert format_with_uncertainty(value, sigma) == expected
 
+    @pytest.mark.parametrize("value,sigma,expected", [
+        (0.0, 5e-324, "0(5)e-324"),   # 10.0**-324 underflows to 0
+        (1.0, 5e-324, f"1.{'0' * 324}(5)e+00"),
+        (3e-323, 1e-323, "3(1)e-323"),  # 1e-323 is 9.88e-324: bumped to 1
+    ], ids=["zero", "one", "bumped"])
+    def test_subnormal_sigma(self, value, sigma, expected):
+        assert format_with_uncertainty(value, sigma) == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(value=st.floats(allow_nan=False, allow_infinity=False),
+           sigma=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_any_finite_sigma_formats_as_before_or_newly(self, value, sigma):
+        # the formula as it stood before subnormal sigmas were handled; every
+        # text it gave is kept
+        exp_sigma = int(math.floor(math.log10(sigma)))
+        text = format_with_uncertainty(value, sigma)
+        try:
+            digit = int(round(sigma / 10.0**exp_sigma))
+        except ZeroDivisionError:
+            return
+        if digit == 10:
+            digit, exp_sigma = 1, exp_sigma + 1
+        exp_val = (exp_sigma if value == 0
+                   else max(int(math.floor(math.log10(abs(value)))), exp_sigma))
+        try:
+            mantissa = value / 10.0**exp_val
+        except ZeroDivisionError:
+            return
+        assert text == (f"{mantissa:.{exp_val - exp_sigma}f}({digit})"
+                        f"e{exp_val:+03d}")
+
 
 FRACTIONAL_DETUNINGS = st.lists(st.floats(-1e-2, 1e-2), min_size=1, max_size=16)
 

@@ -3,11 +3,12 @@ the CSV reader reports the row it cannot parse, and only io opens files."""
 
 import ast
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import write_csv_rowwise
 
@@ -91,7 +92,8 @@ def test_unequal_lengths_raise_before_writing(tmp_path):
 @pytest.mark.parametrize("rows, line, reason", [
     ("0.0,1.0\n1.0,oops\n", 3, "column 2: 'oops' is not a number"),
     ("0.0,1.0 # comment\n\n1.0\n", 4, "expected 2 columns, found 1"),
-], ids=["non-numeric", "ragged"])
+    ("0.0,1.0\n1_0,0.5\n", 3, "column 1: '1_0' is not a number"),  # float() takes it
+], ids=["non-numeric", "ragged", "underscore"])
 def test_unparsable_row_is_located(tmp_path, rows, line, reason):
     path = tmp_path / "data.csv"
     path.write_text("x,y\n" + rows)
@@ -99,6 +101,28 @@ def test_unparsable_row_is_located(tmp_path, rows, line, reason):
         read_csv(path)
     assert (info.value.line, info.value.reason) == (line, reason)
     assert str(info.value) == f"{path}: line {line}: {reason}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell=st.text(alphabet="0123456789.eE+-_ \tinfatyINFATY\u00a0\u2003\uff11\u0660",
+                    max_size=8))
+@example(cell="\uff11")  # a fullwidth digit: float() takes it, numpy's reader not
+@example(cell="\u00a01.0")  # a no-break space: both take it
+def test_first_cell_the_reader_rejects_is_located(cell):
+    # line 3 holds the drawn cell, line 4 a cell no reader takes
+    try:
+        np.loadtxt([f"{cell},0"], delimiter=",", ndmin=2)
+    except ValueError:
+        line = 3
+    else:
+        line = 4
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text(f"x,y\n0.0,1.0\n{cell},0\noops,0\n", encoding="utf-8")
+        with pytest.raises(ConfigError) as info:
+            read_csv(path)
+    assert info.value.line == line, info.value
+    assert info.value.reason.startswith("column 1: "), info.value
 
 
 def test_only_io_opens_files():

@@ -443,6 +443,33 @@ class TestShapingGainCache:
         assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
+class TestScalarArguments:
+    """A scalar argument of the readout library that is not finite, or not
+    in its range, raises InvalidParameterError naming it; a rejected rate
+    leaves the shaping-gain cache empty."""
+
+    @pytest.mark.parametrize("fs", [math.nan, -1e6, 0.0, -0.0, math.inf, "1e6"])
+    def test_bad_rate_is_named_and_never_cached(self, fs):
+        noiselockin._shaping_gain.cache_clear()
+        with pytest.raises(InvalidParameterError,
+                           match=f"fs must be finite and > 0, got {fs!r}"):
+            synthesize_phase_noise(white_psd(), fs, 16, seed=0)
+        assert noiselockin._shaping_gain.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf, None])
+    def test_non_finite_signal_phase_is_named(self, cfg, phase):
+        with pytest.raises(InvalidParameterError,
+                           match=f"^signal_phase must be finite.*got {phase!r}$"):
+            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, phase, seed=0)
+
+    @pytest.mark.parametrize("n_spins, t2, name", [
+        (math.inf, 1e-3, "n_spins"), (math.nan, 1e-3, "n_spins"),
+        (1e14, math.inf, "t2"), (1e14, math.nan, "t2"), (1e14, -1e-3, "t2")])
+    def test_shot_noise_limit_names_its_argument(self, n_spins, t2, name):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be > 0"):
+            shot_noise_limit(n_spins, t2)
+
+
 NUMBER_TYPES = (int, np.float32, np.float64, float)
 
 
