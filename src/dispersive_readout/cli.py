@@ -250,8 +250,15 @@ def cmd_fit(args):
     out = _out_dir(args)
     # looked up on every call, so a replaced entry point is the one run
     fit = getattr(fitting, f"fit_{args.model}")
-    result = fit(x, y, init=init, max_iterations=args.max_iterations,
-                 **options, **init_options)
+    try:
+        result = fit(x, y, init=init, max_iterations=args.max_iterations,
+                     **options, **init_options)
+    except SingularJacobianError as exc:
+        raise ConfigError(f"model '{model.name}': {exc}",
+                          path=args.input_csv) from exc
+    if not math.isfinite(result.chi2_reduced):  # the cost overflowed, no step taken
+        raise FloatingPointError(f"model '{model.name}' ends the fit with "
+                                 f"chi2_reduced = {result.chi2_reduced}")
 
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"fit_{args.model}.json")
@@ -321,26 +328,28 @@ def main(argv=None):
     not converge (its report is still written) and 2, with one ``error:``
     line, for a bad input or option. A path that cannot be read or written
     and a file that is not UTF-8 are named. Numpy's floating-point warnings
-    are off: a result past the float range (an arithmetic error, or a CSV
-    column that is not finite) names the config, and a failed allocation
-    names the command's size option (else the config) with numpy's text.
+    are off: a result past the float range (an arithmetic error, a CSV
+    column or a fit's chi-square that is not finite) names the config, and
+    a failed allocation names the command's size option (else the config)
+    with numpy's text; a fit without a config names its data CSV instead.
+    A rank-deficient fit names the data CSV and the model.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
+    source = args.config if args.config is not None else getattr(args, "input_csv", None)
     try:
         with np.errstate(all="ignore"):
             return command(args)
     except ArithmeticError as exc:
         error = ConfigError("values outside the floating-point range "
-                            f"({type(exc).__name__}: {exc})", path=args.config)
+                            f"({type(exc).__name__}: {exc})", path=source)
     except MemoryError as exc:
         reason = f"out of memory ({exc}); nothing written"
         size = next((n for n in ("n_points", "n_samples") if hasattr(args, n)), None)
-        error = (ConfigError(reason, path=args.config) if size is None
+        error = (ConfigError(reason, path=source) if size is None
                  else ConfigError(f"{_flag(size)} = {getattr(args, size)}: {reason}"))
-    except (ConfigError, InvalidParameterError, DomainError,
-            SingularJacobianError, OSError) as exc:
+    except (ConfigError, InvalidParameterError, DomainError, OSError) as exc:
         error = exc
     print(f"error: {error}", file=sys.stderr)
     return EXIT_CONFIG

@@ -18,6 +18,14 @@ the final one behind the covariance fill the same buffer, each column
 with the same floating-point operations as a freshly built one, and the
 models add their terms in place. The n x k scan for non-finite entries
 runs only when ``jac.T @ jac`` is not finite.
+
+A fit decides once what a floating-point error does: ``fit_nonlinear``
+runs with overflow, invalid operations and division by zero ignored,
+because its trial steps probe wild parameter values, so no fit warns.
+Non-finite values are handled where the fit acts on them: the data check
+rejects them, the step-acceptance test refuses a step whose cost is not
+finite, the rank check raises on a non-finite Jacobian, and a covariance
+that cannot be computed is NaN.
 """
 
 from __future__ import annotations
@@ -176,14 +184,13 @@ def start_values(model: FitModel, init) -> np.ndarray:
 def _jacobian(func, params, x, jac):
     """Central finite differences over the parameters into ``jac``, one row
     per data point (a model value independent of x fills its column)."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for i in range(len(params)):
-            step = max(JAC_REL_STEP * abs(params[i]), JAC_ABS_FLOOR)
-            p_hi = params.copy()
-            p_lo = params.copy()
-            p_hi[i] += step
-            p_lo[i] -= step
-            np.divide(func(p_hi, x) - func(p_lo, x), 2.0 * step, out=jac[:, i])
+    for i in range(len(params)):
+        step = max(JAC_REL_STEP * abs(params[i]), JAC_ABS_FLOOR)
+        p_hi = params.copy()
+        p_lo = params.copy()
+        p_hi[i] += step
+        p_lo[i] -= step
+        np.divide(func(p_hi, x) - func(p_lo, x), 2.0 * step, out=jac[:, i])
 
 
 def _all_finite(jac, jtj):
@@ -213,18 +220,26 @@ def _check_rank(jac, jtj):
         eig = np.linalg.eigvalsh(jtj / np.outer(norms, norms))
         if eig[0] > _GRAM_SCREEN_RTOL * eig[-1]:
             return
-    norms = np.linalg.norm(jac, axis=0)
+    # columns whose largest |entry| is 1 or more are scaled down, exactly, by
+    # a power of two into [0.5, 1), so no norm overflows; none is scaled up,
+    # so a squared norm that underflows to 0 still reads as no influence
+    exponents = np.frexp(np.abs(jac).max(axis=0))[1]
+    scaled = np.ldexp(jac, -np.maximum(exponents, 0))
+    norms = np.linalg.norm(scaled, axis=0)
     if np.any(norms == 0.0):
         raise SingularJacobianError(
             "rank-deficient Jacobian: a parameter has no influence on the model"
         )
-    svals = np.linalg.svd(jac / norms, compute_uv=False)
+    svals = np.linalg.svd(scaled / norms, compute_uv=False)
     if svals[-1] <= SINGULAR_RTOL * svals[0]:
         raise SingularJacobianError(
             "rank-deficient Jacobian: parameters are exactly degenerate"
         )
 
 
+# the fit's one floating-point policy; the module docstring says where
+# non-finite values are handled
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_nonlinear(model: FitModel, x, y, init,
                   max_iterations=MAX_ITERATIONS) -> FitResult:
     """Levenberg-Marquardt minimization of the unweighted sum((y - f(x))^2),
@@ -265,13 +280,7 @@ def fit_nonlinear(model: FitModel, x, y, init,
     # computed from it (see _reuse_last)
     x = np.frombuffer(x.tobytes(), dtype=float)
 
-    def residuals(params):
-        # trial steps may probe wild parameter values; non-finite costs are
-        # rejected by the step-acceptance test, so silence the transients
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return y - model.func(params, x)
-
-    r = residuals(p)
+    r = y - model.func(p, x)
     cost = float(r @ r)
     lam = 1e-3
     converged = False
@@ -280,8 +289,7 @@ def fit_nonlinear(model: FitModel, x, y, init,
     jac = np.empty((len(x), n_params))  # every Jacobian of the fit fills it
     for n_iter in range(1, max_iterations + 1):
         _jacobian(model.func, p, x, jac)
-        with np.errstate(over="ignore", invalid="ignore"):
-            jtj = jac.T @ jac  # non-finite or overflowed: _check_rank reports it
+        jtj = jac.T @ jac  # non-finite or overflowed: _check_rank reports it
         _check_rank(jac, jtj)
         grad = jac.T @ r
         diag = np.diag(np.diag(jtj))
@@ -294,7 +302,7 @@ def fit_nonlinear(model: FitModel, x, y, init,
                 lam *= 5.0
                 continue
             p_new = np.clip(p + step, lo, hi)
-            r_new = residuals(p_new)
+            r_new = y - model.func(p_new, x)
             cost_new = float(r_new @ r_new)
             if np.isfinite(cost_new) and cost_new <= cost:
                 accepted = True
@@ -314,8 +322,7 @@ def fit_nonlinear(model: FitModel, x, y, init,
     _jacobian(model.func, p, x, jac)
     dof = max(len(y) - n_params, 1)
     chi2_reduced = cost / dof
-    with np.errstate(over="ignore", invalid="ignore"):
-        jtj = jac.T @ jac
+    jtj = jac.T @ jac
     try:
         if not _all_finite(jac, jtj):
             raise np.linalg.LinAlgError("non-finite Jacobian")

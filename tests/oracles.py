@@ -10,7 +10,11 @@ Monte-Carlo lock-in readout composed step by step, with the square wave
 taken from the fractional phase and each reference computed where it is
 used, as it was before the lock-in arrays were shared; its phase noise is
 the synthesis oracle's, which evaluates the PSD and the shaping gain
-inline on every call, as the program did before it kept the gain. The ensemble
+inline on every call, as the program did before it kept the gain. The
+one-bin readout oracle takes no FFT-shaped noise at all: a record of whole
+periods puts f_mod in one DFT bin, so the readout is the shaping gain at
+f_mod times that bin of the unit white noise, plus the square wave's bin
+times the signal. The ensemble
 oracle is the principal-value quadrature of the Gaussian-broadened
 dispersive shift, which the closed-form Dawson expression must reproduce.
 The arctangent oracle is the exact phase of S11, whose tangent the
@@ -84,13 +88,15 @@ def jacobian_rank_defect(jac, rtol=1e-10):
     """The SVD-only rank check on a Jacobian: None when it is full rank,
     else the kind of defect ("non-finite", "no influence" for a zero
     column, "degenerate" when the column-normalized Jacobian's singular
-    values have a ratio of at most ``rtol``)."""
+    values have a ratio of at most ``rtol``). Each column is divided by its
+    largest |entry| first, so its norm cannot overflow."""
     if not np.all(np.isfinite(jac)):
         return "non-finite"
-    norms = np.linalg.norm(jac, axis=0)
-    if np.any(norms == 0.0):
+    peaks = np.abs(jac).max(axis=0)
+    if np.any(peaks == 0.0):
         return "no influence"
-    svals = np.linalg.svd(jac / norms, compute_uv=False)
+    unit = jac / peaks
+    svals = np.linalg.svd(unit / np.linalg.norm(unit, axis=0), compute_uv=False)
     if svals[-1] <= rtol * svals[0]:
         return "degenerate"
     return None
@@ -134,6 +140,48 @@ def simulate_readout_reference(psd, cfg, signal_phase, seed):
     residual = total - (est / sq_gain) * unit_sq
     quad = 2.0 * float(np.mean(residual * np.cos(2.0 * math.pi * cfg.f_mod * t)))
     return est, quad * math.sqrt(cfg.duration)
+
+
+def psd_at(psd, f):
+    """S_phi at the scalar frequency ``f``, clamped to the PSD's band: the
+    power law of the segment whose break is the last one at or below it."""
+    f = min(max(f, psd.f_min), psd.f_max)
+    segment = ([s for s in psd.segments if s.f_break <= f] or psd.segments[:1])[-1]
+    return segment.level * (f / segment.f_break) ** segment.exponent
+
+
+def lockin_bin(x, cfg):
+    """(in-phase, quadrature) lock-in outputs 2*mean(x*sin), 2*mean(x*cos)
+    of a record that holds whole modulation periods, read from its one DFT
+    bin k0 = f_mod*n/fs: -2*Im X[k0]/n and 2*Re X[k0]/n."""
+    n = len(x)
+    k0 = round(cfg.f_mod * n / cfg.fs)
+    assert abs(k0 - cfg.f_mod * n / cfg.fs) < 1e-6 * k0, "not one DFT bin"
+    bin_k0 = np.fft.rfft(x)[k0]
+    return -2.0 * bin_k0.imag / n, 2.0 * bin_k0.real / n
+
+
+def square_wave_bin(cfg):
+    """(sq_gain, c_sq): the lock-in bin of the unit square wave."""
+    t = np.arange(cfg.n_samples) / cfg.fs
+    return lockin_bin(square_wave_fmod(t, cfg.f_mod), cfg)
+
+
+def simulate_readout_one_bin(psd, cfg, signal_phase, seed):
+    """(estimated_amplitude, noise_floor) of ``simulate_readout`` from the
+    one DFT bin the lock-in reads, for a record of whole periods. The noise
+    is unit white noise x shaped bin by bin, so its lock-in outputs are the
+    gain G = sqrt(S_phi(f_mod)*fs/2) times x's, (d_sin, d_cos). With the
+    square wave's (sq_gain, c_sq), est = G*d_sin + signal_phase*sq_gain,
+    and removing est/sq_gain square waves leaves the quadrature
+    G*(d_cos - d_sin*c_sq/sq_gain), times sqrt(duration) for the floor."""
+    x = np.random.default_rng(seed).standard_normal(cfg.n_samples)
+    d_sin, d_cos = lockin_bin(x, cfg)
+    gain = math.sqrt(psd_at(psd, cfg.f_mod) * cfg.fs / 2.0)
+    sq_gain, c_sq = square_wave_bin(cfg)
+    est = gain * d_sin + signal_phase * sq_gain
+    floor = math.sqrt(cfg.duration) * gain * (d_cos - d_sin * c_sq / sq_gain)
+    return est, floor
 
 
 def ensemble_shift_oracle(ens, omega_c, mean_omega0, polarization,

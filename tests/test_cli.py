@@ -1161,6 +1161,68 @@ class TestOneFailurePath:
         assert not out.exists()
 
 
+class TestFitFailuresAreLocated:
+    """A fit's own failure names the data CSV and the model, and a fit
+    without a config lays a float-range or memory failure to its CSV."""
+
+    @pytest.mark.parametrize("model, init", [
+        ("exponential", {"amplitude": 0.7, "tau": 5e-4}),
+        ("reflection_phase", {"q": 5.0e3, "beta": 0.6})])
+    @pytest.mark.parametrize("scale", [1e-300, 1e300])
+    def test_rank_deficient_fit_names_the_csv_and_the_model(self, tmp_path, capsys,
+                                                            model, init, scale):
+        from dispersive_readout.io import write_csv
+        t = np.linspace(0.0, 2e-3, 40)
+        csv = tmp_path / "scaled.csv"
+        write_csv(csv, ["x", "y"], [t * scale, 0.8 * np.exp(-t / 7e-4) + 0.1])
+        init_path = tmp_path / "init.json"
+        init_path.write_text(json.dumps({"init": init}))
+        out = tmp_path / "out"
+        assert main(["fit", str(csv), "--model", model, "--init", str(init_path),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv}: model '{model}': rank-deficient Jacobian: a parameter "
+            "has no influence on the model\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("failure, reason", [
+        (OverflowError("(34, 'Numerical result out of range')"),
+         "values outside the floating-point range (OverflowError: "
+         "(34, 'Numerical result out of range'))"),
+        (MemoryError("Unable to allocate 8.00 EiB"),
+         "out of memory (Unable to allocate 8.00 EiB); nothing written")],
+        ids=["overflow", "memory"])
+    def test_fit_without_config_names_the_csv(self, tmp_path, capsys, monkeypatch,
+                                              failure, reason):
+        from dispersive_readout import fitting
+
+        def failing(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(fitting, "fit_exponential", failing)
+        csv, init = fit_inputs(tmp_path)
+        out = tmp_path / "out"
+        assert main(["fit", str(csv), "--model", "exponential", "--init", str(init),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {csv}: {reason}\n"
+        assert not out.exists()
+
+    def test_fit_whose_cost_overflows_names_the_config(self, config_path, tmp_path,
+                                                       capsys):
+        # exit 2 with "parameters are exactly degenerate" while the rank check
+        # overflowed, and exit 3 with an Infinity and NaN report once it did not
+        config_path.write_text(json.dumps(_mutated(("cavity", "q"), 1e200), indent=2))
+        out = tmp_path / "out"
+        argv = _shift_vs_field_fit(config_path, tmp_path, out)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: values outside the floating-point range "
+            "(FloatingPointError: model 'shift_vs_field' ends the fit with "
+            "chi2_reduced = inf)\n")
+        assert not out.exists()
+
+
 class TestLocatedOptionErrors:
     """An option or config value the library would reject during the work is
     rejected with the other options, before any work, naming the flag or the

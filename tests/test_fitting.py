@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import (
     exponential_inline,
@@ -17,6 +19,7 @@ from oracles import (
 from dispersive_readout import (
     CavityParams,
     FitModel,
+    FitResult,
     SpinEnsembleParams,
     InvalidParameterError,
     SingularJacobianError,
@@ -216,6 +219,85 @@ class TestRankCheck:
         res = fit_reflection_phase(x, y, init={"q": 5.0e3, "beta": 0.6})
         assert res.converged
         assert svd_calls == []
+
+    def test_column_norm_past_the_float_range_is_full_rank(self):
+        # the squared norm overflows; the SVD fallback once divided the
+        # column by its infinite norm and called it exactly degenerate
+        jac = np.array([[1.25730221e159], [-1.32104863e159]])
+        with np.errstate(over="ignore"):
+            _check_rank(jac, jac.T @ jac)
+
+    def test_degeneracy_past_the_float_range_is_still_found(self):
+        column = np.linspace(1.0, 2.0, 20) * 1e160
+        jac = np.column_stack([column, -2.0 * column])
+        with np.errstate(over="ignore"), pytest.raises(
+                SingularJacobianError, match="exactly degenerate"):
+            _check_rank(jac, jac.T @ jac)
+
+
+# the measured device of conftest, for strategies, which take no fixtures
+ENSEMBLE = SpinEnsembleParams(n_spins=2.0e12, g=2.4e-2, t2_star=18e-9,
+                              t1_dark=740e-6, t1_light=427e-6)
+CAVITY = CavityParams(omega_c=2.8175e9, q=6.0e3, beta=0.74)
+
+
+@st.composite
+def scaled_fits(draw):
+    """(fit, x, y, init) of one public fit on 50 points of 1 %-noisy data
+    whose y values are multiplied by 10^ky and, where the model has a free x
+    scale, whose x values by 10^kx (ky, kx in -150..150), with the start
+    values scaled to match."""
+    sy, sx = (10.0 ** draw(st.integers(-150, 150)) for _ in range(2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = 1.0 + 0.01 * rng.normal(size=50)
+    model = draw(st.sampled_from(["exponential", "reflection_phase",
+                                  "shift_vs_field"]))
+    if model == "exponential":
+        t = np.linspace(0.0, 2e-3, 50)
+        y = (1.0 - np.exp(-t / 4e-4)) * noise * sy
+        return fit_exponential, t * sx, y, {"amplitude": -0.8 * sy,
+                                            "tau": 3.5e-4 * sx, "offset": 0.9 * sy}
+    if model == "reflection_phase":
+        x, y = reflection_sweep(n=50)
+        return (functools.partial(fit_reflection_phase, x_scale=sx), x * sx,
+                y * noise * sy, {"q": 5.0e3, "beta": 0.6})
+    b = np.linspace(28.0, 38.5, 50)
+    y = shift_vs_field_model(ENSEMBLE, CAVITY).func([2.0e12, 18e-9], b)
+    return (functools.partial(fit_shift_vs_field,
+                              fixed={"ensemble": ENSEMBLE, "cavity": CAVITY}),
+            b, y * noise * sy, {"n_spins": 1.7e12 * sy, "t2_star": 20e-9})
+
+
+class TestFloatPolicy:
+    """fit_nonlinear decides once what a float error does: nothing, until a
+    non-finite value reaches the data check, the step-acceptance test, the
+    rank check or the covariance."""
+
+    @given(case=scaled_fits())
+    @example(case=(fit_exponential, np.linspace(0.0, 1.0, 50), np.full(50, 1e160),
+                   {"amplitude": 1e160, "tau": 1.0}))
+    @settings(max_examples=150, deadline=None)
+    def test_data_at_any_scale_ends_in_a_result_or_a_named_error(self, case):
+        fit, x, y, init = case
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # an overflow warning fails
+            try:
+                assert isinstance(fit(x, y, init=init), FitResult)
+            except (InvalidParameterError, SingularJacobianError):
+                pass
+
+    def test_shift_vs_field_past_squared_norm_overflow_is_not_degenerate(
+            self, measured_ensemble, measured_cavity):
+        # noiseless |y| ~ 7e149; at n_spins = 1e158 the fit converges, at
+        # this scale the rank check's norms overflowed and it raised
+        # "parameters are exactly degenerate"
+        b = np.linspace(28.0, 38.5, 106)
+        params = [1e165, measured_ensemble.t2_star]
+        y = shift_vs_field_model(measured_ensemble, measured_cavity).func(params, b)
+        res = fit_shift_vs_field(
+            b, y, fixed={"ensemble": measured_ensemble, "cavity": measured_cavity},
+            init=dict(zip(("n_spins", "t2_star"), params)))
+        assert isinstance(res, FitResult)
 
 
 class TestReflectionPhaseFit:
