@@ -1,5 +1,12 @@
 """Colored phase-noise synthesis, lock-in demodulation and sensitivity
 estimates for the dispersive readout chain.
+
+Between calls the module keeps, read-only, what does not depend on the
+seed, each for the last arguments only: one lock-in record per
+``LockinConfig`` (the sine and cosine references and the unit square wave,
+three float64 arrays of ``n_samples``, and the square wave's lock-in gain, a
+float; see ``_references``), and one noise-shaping gain per (PSD, fs,
+n_samples), a float64 array of ``n_samples//2 + 1`` (see ``_shaping_gain``).
 """
 
 from __future__ import annotations
@@ -7,6 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,10 +57,9 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
     Frequencies outside [f_min, f_max] (only possible below f_min, since
     fs/2 <= f_max is required) are clamped to the nearest band edge.
     Deterministic per seed. ``fs`` is taken as a Python float, so a rate of
-    any numeric type equal to it gives the same bits. The gain is built once
-    per (psd, fs, n_samples) and kept, read-only, until a call with other
-    arguments (see ``_shaping_gain``); the noise is drawn on every call.
-    A rate that is not finite and > 0 raises InvalidParameterError.
+    any numeric type equal to it gives the same bits. The noise is drawn on
+    every call; the shaping gain is kept (see the module docstring). A rate
+    that is not finite and > 0 raises InvalidParameterError.
     """
     if not (is_finite_number(fs) and fs > 0):
         raise InvalidParameterError(f"fs must be finite and > 0, got {fs!r}")
@@ -71,8 +78,7 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
 @functools.lru_cache(maxsize=1)
 def _shaping_gain(psd: PhaseNoisePSD, fs, n_samples):
     """The shaping gain sqrt(S_phi(f) * fs / 2) on the ``n_samples//2 + 1``
-    bins of a real FFT at rate ``fs``, read-only. Built once per arguments:
-    the last call's float64 array stays in memory."""
+    bins of a real FFT at rate ``fs``, read-only."""
     freqs = np.fft.rfftfreq(n_samples, d=1.0 / fs)
     gain = psd_value(psd, np.clip(freqs, psd.f_min, psd.f_max, out=freqs))
     del freqs
@@ -83,22 +89,12 @@ def _shaping_gain(psd: PhaseNoisePSD, fs, n_samples):
     return gain
 
 
-def _time_grid(cfg: LockinConfig):
-    t = np.arange(cfg.n_samples, dtype=float)
-    t /= cfg.fs
-    return t
-
-
-def _unit_square(cfg: LockinConfig, t, amplitude=1.0):
-    """+A where floor(2*f_mod*t) is even (first half of a modulation period),
-    -A where it is odd. For t >= 0 this equals the test (t*f_mod) % 1.0 < 0.5
+def _unit_square(cfg: LockinConfig, t):
+    """+1 where floor(2*f_mod*t) is even (first half of a modulation period),
+    -1 where it is odd. For t >= 0 this equals the test (t*f_mod) % 1.0 < 0.5
     bit for bit: doubling, floor and the remainder are all exact."""
-    half_periods = t * cfg.f_mod
-    half_periods *= 2.0
-    odd_half = np.floor(half_periods, out=half_periods).astype(np.int64)
-    del half_periods
-    odd_half &= 1
-    return np.where(odd_half, -amplitude, amplitude)
+    odd_half = np.floor(t * cfg.f_mod * 2.0).astype(np.int64) & 1
+    return np.where(odd_half, -1.0, 1.0)
 
 
 def _demodulate(x, ref, out=None):
@@ -106,24 +102,24 @@ def _demodulate(x, ref, out=None):
     return 2.0 * float(np.mean(np.multiply(x, ref, out=out)))
 
 
+class _References(NamedTuple):
+    sin: np.ndarray      # in-phase reference sin(2*pi*f_mod*t)
+    cos: np.ndarray      # quadrature reference cos(2*pi*f_mod*t)
+    unit_sq: np.ndarray  # unit square wave, +1 on each period's first half
+    sq_gain: float       # its in-phase lock-in gain 2*mean(unit_sq * sin), ~4/pi
+
+
 @functools.lru_cache(maxsize=1)
 def _references(cfg: LockinConfig):
-    """The sine (in-phase) and cosine (quadrature) references
-    sin/cos(2*pi*f_mod*t) on the lock-in grid, read-only, and the unit
-    square wave's in-phase lock-in gain 2*mean(unit_sq * sin) (~4/pi).
-    Built once per config: the last config's pair stays in memory, two
-    float64 arrays of ``n_samples``; the square wave built for the gain
-    does not."""
-    arg = _time_grid(cfg)
-    unit_sq = _unit_square(cfg, arg)
-    arg *= 2.0 * math.pi * cfg.f_mod
-    sin = np.sin(arg)
-    sq_gain = _demodulate(unit_sq, sin, out=unit_sq)
-    del unit_sq
-    cos = np.cos(arg, out=arg)
-    sin.flags.writeable = False
-    cos.flags.writeable = False
-    return sin, cos, sq_gain
+    """The lock-in record of ``cfg`` on the grid t = arange(n_samples)/fs,
+    its arrays read-only."""
+    t = np.arange(cfg.n_samples) / cfg.fs
+    unit_sq = _unit_square(cfg, t)
+    arg = t * (2.0 * math.pi * cfg.f_mod)
+    sin, cos = np.sin(arg), np.cos(arg)
+    for ref in (sin, cos, unit_sq):
+        ref.flags.writeable = False
+    return _References(sin, cos, unit_sq, _demodulate(unit_sq, sin))
 
 
 def lockin_demodulate(signal, cfg: LockinConfig):
@@ -131,22 +127,21 @@ def lockin_demodulate(signal, cfg: LockinConfig):
 
     Returns A for an in-phase sinusoid of amplitude A and 4A/pi for an
     in-phase square wave of amplitude +/-A (fundamental Fourier coefficient);
-    linear in the signal. The sine reference is built once per ``cfg`` and
-    kept, read-only, until a call with another config (see ``_references``);
-    the product goes to a fresh array.
+    linear in the signal. A signal whose length is not ``cfg.n_samples``
+    raises InvalidParameterError.
     """
     signal = np.asarray(signal, dtype=float)
     if signal.shape != (cfg.n_samples,):
-        raise ValueError(
+        raise InvalidParameterError(
             f"signal length {signal.shape} does not match fs*duration = {cfg.n_samples}"
         )
-    return _demodulate(signal, _references(cfg)[0])
+    return _demodulate(signal, _references(cfg).sin)
 
 
 def square_wave(cfg: LockinConfig, amplitude=1.0):
     """Unit-phase square wave at f_mod sampled on the lock-in grid: +A on the
     first half of each modulation period, -A on the second."""
-    return _unit_square(cfg, _time_grid(cfg), amplitude)
+    return _references(cfg).unit_sq * amplitude
 
 
 def sensitivity(p: OptimizedDeviceParams, s_phi_sqrt):
@@ -192,21 +187,13 @@ def simulate_readout(p: OptimizedDeviceParams, psd: PhaseNoisePSD,
     (cosine) demodulation of the record after removing the coherent
     square-wave component, scaled by sqrt(duration). Its rms over seeds
     estimates sqrt(S_phi(f_mod)); it is exactly zero for zero noise.
-
-    The sine and cosine references and the unit square wave's lock-in gain
-    are built once per ``cfg``, and the noise-shaping gain once per
-    (``psd``, ``cfg``), each kept, read-only, for the last arguments only:
-    after a call, two float64 arrays of ``n_samples`` and one of
-    ``n_samples//2 + 1`` stay in memory. The noise and the unit square wave
-    are computed on every call.
     """
     if not (is_finite_number(signal_phase) and abs(signal_phase) <= 0.1):
         raise InvalidParameterError(
             "signal_phase must be finite and at most 0.1 rad in magnitude, the "
             f"intended linear range, got {signal_phase!r}")
     noise = synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed)
-    sin, cos, sq_gain = _references(cfg)
-    unit_sq = square_wave(cfg)
+    sin, cos, unit_sq, sq_gain = _references(cfg)
     # one product buffer serves every demodulation
     product = np.multiply(unit_sq, signal_phase)
     noise += product  # the recorded total: noise plus the modulated signal

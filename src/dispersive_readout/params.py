@@ -57,6 +57,11 @@ def check_finite(obj, names, positive=False):
         object.__setattr__(obj, name, float(value))
 
 
+def _is_whole(x):
+    """True when ``x`` is within 1e-9*max(1, x) of an integer."""
+    return abs(x - round(x)) <= 1e-9 * max(1.0, x)
+
+
 def check_samples(n_samples, expression):
     """Reject a record of ``n_samples`` samples, the value of
     ``expression``, that is more than one array can hold."""
@@ -225,22 +230,27 @@ class PhaseNoisePSD:
 
 @dataclass(frozen=True)
 class LockinConfig:
-    """Digital lock-in: sine reference at f_mod, zero phase."""
+    """Digital lock-in: sine reference at f_mod, zero phase. The record holds
+    a whole number of modulation periods and of samples."""
 
     f_mod: float            # modulation frequency (Hz)
     fs: float               # sample rate (Hz)
-    duration: float         # total record length (s), integer modulation periods
+    duration: float         # record length (s): whole periods, whole samples
 
     def __post_init__(self):
         check_finite(self, ("f_mod", "fs", "duration"), positive=True)
         if not self.fs > 10 * self.f_mod:
             raise InvalidParameterError(
                 f"fs = {self.fs} must exceed 10*f_mod = {10 * self.f_mod}")
-        n_cycles = self.duration * self.f_mod
-        if abs(n_cycles - round(n_cycles)) > 1e-9 * max(1.0, n_cycles):
+        n_samples = self.fs * self.duration
+        check_samples(n_samples, "fs*duration")
+        # both finite now: f_mod*duration < fs*duration < MAX_SAMPLES
+        if not _is_whole(self.duration * self.f_mod):
             raise InvalidParameterError(
                 "duration must be an integer number of modulation periods")
-        check_samples(self.fs * self.duration, "fs*duration")
+        if not _is_whole(n_samples):
+            raise InvalidParameterError(
+                f"fs*duration = {n_samples!r} must be a whole number of samples")
 
     @property
     def n_samples(self):

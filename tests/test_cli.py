@@ -915,6 +915,7 @@ class TestParserReuse:
 CONFIG_DEFECTS = [
     (("lockin", "duration_s"), math.inf, "duration must be finite and > 0"),
     (("lockin", "duration_s"), 1e308, "invalid 'lockin' section"),
+    (("lockin", "fs_hz"), 1000050.0, "fs*duration = 10000.5 must be a whole number"),
     (("ensemble", "t2_star_s"), math.inf, "t2_star must be finite and > 0"),
     (("ensemble", "g_hz"), math.inf, "g must be finite and > 0"),
     (("ensemble", "n_spins"), math.inf, "n_spins must be finite and > 0"),

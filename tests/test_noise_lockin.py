@@ -163,6 +163,12 @@ class TestDemodulation:
         with pytest.raises(ValueError):
             lockin_demodulate(np.zeros(cfg.n_samples - 1), cfg)
 
+    def test_length_mismatch_is_an_invalid_parameter(self, cfg):
+        with pytest.raises(InvalidParameterError,
+                           match=r"signal length \(9999,\) does not match "
+                                 r"fs\*duration = 10000"):
+            lockin_demodulate(np.zeros(cfg.n_samples - 1), cfg)
+
 
 class TestSensitivity:
     def test_optimized_device_point(self):
@@ -271,12 +277,14 @@ def one_over_f_psd(f_max):
 
 @st.composite
 def lockin_configs(draw):
-    """Lock-in configs with an integer number of modulation periods and at
-    most a few thousand samples, at arbitrary (not only round) rates."""
+    """Lock-in configs with an integer number of modulation periods and of
+    samples, over 10 and up to 300 samples per period, at most 3600 in all, at
+    arbitrary (not only round) rates: fs = f_mod*n/periods."""
     f_mod = draw(st.floats(min_value=1.0, max_value=1e5))
-    fs = f_mod * draw(st.floats(min_value=10.5, max_value=300.0))
     periods = draw(st.integers(min_value=1, max_value=12))
-    return LockinConfig(f_mod=f_mod, fs=fs, duration=periods / f_mod)
+    n = draw(st.integers(min_value=10 * periods + 1, max_value=300 * periods))
+    return LockinConfig(f_mod=f_mod, fs=f_mod * n / periods,
+                        duration=periods / f_mod)
 
 
 class TestSharedLockinArrays:
@@ -455,8 +463,8 @@ class TestReferenceCache:
         assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
 
     def test_cached_references_are_read_only(self, cfg):
-        sin, cos, sq_gain = noiselockin._references(cfg)
-        for ref in (sin, cos):
+        sin, cos, unit_sq, sq_gain = noiselockin._references(cfg)
+        for ref in (sin, cos, unit_sq):
             assert ref.shape == (cfg.n_samples,) and ref.dtype == np.float64
             with pytest.raises(ValueError, match="read-only"):
                 ref[0] = 1.0
@@ -464,6 +472,18 @@ class TestReferenceCache:
         assert type(sq_gain) is float
         assert sq_gain == uncached_demodulate(square_wave(cfg), cfg)
         assert noiselockin._references.cache_info().currsize <= 1
+
+    def test_warm_cache_builds_no_square_wave(self, cfg, monkeypatch):
+        noiselockin._references.cache_clear()
+        simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, 0)
+        calls = []
+        unit_square = noiselockin._unit_square
+        monkeypatch.setattr(noiselockin, "_unit_square",
+                            lambda *args: calls.append(args) or unit_square(*args))
+        for seed in range(1, 4):
+            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, seed)
+        assert square_wave(cfg, 0.5)[0] == 0.5
+        assert calls == []
 
     @given(configs=st.lists(lockin_configs(), min_size=2, max_size=2),
            order=st.lists(st.integers(min_value=0, max_value=1),

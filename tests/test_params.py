@@ -58,6 +58,13 @@ def test_lockin_record_of_partial_periods_rejected():
         LockinConfig(f_mod=1e4, fs=1e6, duration=1.5e-4)
 
 
+def test_lockin_record_of_a_partial_sample_rejected():
+    # 11 samples spanning 1.028 periods: a unit sine would demodulate to 0.9736
+    with pytest.raises(InvalidParameterError,
+                       match=r"fs\*duration = 10.7 must be a whole number of samples"):
+        LockinConfig(f_mod=1.0, fs=10.7, duration=1.0)
+
+
 def test_integer_beyond_float_range_is_not_finite():
     assert is_finite_number(10**400) is False
     assert is_finite_number(10**300) is True

@@ -5,80 +5,35 @@ artifact of the ``cli-paper`` workload at ``configs/default.json``. Here the
 commands that do not read ``--seed`` and both fits run with the workload's
 own init specs, and each artifact is compared with its recorded digest;
 ``noise`` runs at two recorded seeds. The refs are read, never written. A
-mismatch names the running Python, numpy and scipy beside the pins in
-``constraints.txt`` that recorded the digests, whether numpy's AVX-512 loops
-are in use, and the OpenBLAS core.
+mismatch names the running platform beside the one that recorded the
+digests (see ``recorded.py``).
 """
 
 import contextlib
-import ctypes
 import hashlib
-import importlib.util
 import io
 import json
 import platform
-import re
-from pathlib import Path
 
 import numpy
 import pytest
 import scipy
 
-try:
-    from numpy._core import _multiarray_umath
-except ImportError:  # numpy 1.x
-    from numpy.core import _multiarray_umath
-
 from dispersive_readout import noiselockin
 from dispersive_readout.cli import main
+from recorded import (
+    PINS,
+    ROOT,
+    WORKLOADS,
+    _avx512_targets,
+    _openblas_core,
+    _versions,
+)
 
-ROOT = Path(__file__).parent.parent
 CONFIG = ROOT / "configs" / "default.json"
 REFS = json.loads((ROOT / "perfbench" / "refs" / "cli_paper.json").read_text())
-PINS = re.findall(r"^(\w+)==(\S+)$", (ROOT / "constraints.txt").read_text(),
-                  re.MULTILINE)
+CLI_PAPER = WORKLOADS.CliPaper
 
-
-def _avx512_targets():
-    """numpy's AVX-512 dispatch targets that this process runs."""
-    features = _multiarray_umath.__cpu_features__
-    return [target for target in _multiarray_umath.__cpu_dispatch__
-            if ("AVX512" in target or target == "X86_V4") and features.get(target)]
-
-
-def _openblas_core():
-    """The core numpy's bundled OpenBLAS runs, or "unknown"."""
-    for lib in sorted((Path(numpy.__file__).parent.parent / "numpy.libs")
-                      .glob("libscipy_openblas*")):
-        try:
-            corename = ctypes.CDLL(str(lib)).scipy_openblas_get_corename64_
-        except (OSError, AttributeError):
-            continue
-        corename.restype = ctypes.c_char_p
-        return corename().decode()
-    return "unknown"
-
-
-def _versions():
-    """The running versions next to the pinned ones, and the kernels run."""
-    pins = ", ".join(f"{name}=={version}" for name, version in PINS)
-    avx512 = _avx512_targets()
-    loops = f"in use ({' '.join(avx512)})" if avx512 else "off"
-    return (f"running Python {platform.python_version()}, numpy "
-            f"{numpy.__version__}, scipy {scipy.__version__}; numpy's AVX-512 "
-            f"loops {loops}, OpenBLAS core {_openblas_core()}; the digests were "
-            f"recorded with {pins} (constraints.txt)")
-
-
-def _cli_paper():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.CliPaper
-
-
-CLI_PAPER = _cli_paper()
 # in this order: each fit reads the CSV of a command before it
 OPS = ["spectrum", "relaxation", "shift-vs-field", "sensitivity",
        "fit-reflection_phase", "fit-shift_vs_field"]
