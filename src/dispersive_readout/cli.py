@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameterError,
     SingularJacobianError,
 )
-from .params import MAX_SAMPLES
+from .params import check_count, check_samples
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -49,29 +49,26 @@ def _flag(name):
 
 
 def _count_option(args, name):
-    """The integer option --name, or a ConfigError naming it below 1 or at
-    more samples than one array can hold."""
+    """The integer option --name under the library's count and array-size
+    rules, which name it."""
     value = getattr(args, name)
-    if value < 1:
-        raise ConfigError(f"{_flag(name)} must be an integer >= 1, got {value}")
-    if not value < MAX_SAMPLES:
-        raise ConfigError(f"{_flag(name)} = {value}: more samples than one "
-                          f"array can hold ({MAX_SAMPLES:g})")
+    check_count(value, _flag(name))
+    check_samples(value, _flag(name))
     return value
 
 
-def _float_option(args, name, low=-math.inf, strict=False):
-    """The float option --name (None when not given), or a ConfigError
-    naming it when it is not finite, or below ``low`` (not above it where
-    ``strict``)."""
+def _float_option(args, name, check=None):
+    """The float option --name (None when not given), or a ConfigError naming
+    it when it is not finite or ``check``, the library rule it feeds, fails."""
     value = getattr(args, name)
-    if value is None or (math.isfinite(value)
-                         and (value > low or value == low and not strict)):
-        return value
-    requirement = "a finite number"
-    if low > -math.inf:
-        requirement += f" {'>' if strict else '>='} {low:g}"
-    raise ConfigError(f"{_flag(name)} must be {requirement}, got {value}")
+    if value is not None and not math.isfinite(value):
+        raise ConfigError(f"{_flag(name)} must be a finite number, got {value}")
+    if check is not None:
+        try:
+            check(value)
+        except (DomainError, InvalidParameterError) as exc:
+            raise ConfigError(f"{_flag(name)} = {value}: {exc}") from exc
+    return value
 
 
 def _require_finite(labels, columns, path, message):
@@ -155,8 +152,9 @@ def cmd_relaxation(args, cfg):
 
 @_emits_csv
 def cmd_shift_vs_field(args, cfg):
-    b = np.linspace(_float_option(args, "b_min", low=0),
-                    _float_option(args, "b_max", low=0),
+    field = functools.partial(physics.transition_frequency, ens=cfg.ensemble)
+    b = np.linspace(_float_option(args, "b_min", field),
+                    _float_option(args, "b_max", field),
                     _count_option(args, "n_points"))
     model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
     phase = model.func([cfg.ensemble.n_spins, cfg.ensemble.t2_star], b)
@@ -165,14 +163,10 @@ def cmd_shift_vs_field(args, cfg):
 
 @_emits_csv
 def cmd_sensitivity(args, cfg):
-    bounds = {name: _float_option(args, name, low=0, strict=True)
-              for name in ("f_min", "f_max")}
-    for name, value in bounds.items():
-        try:  # the sweep's ends are its extremes
-            noiselockin.psd_value(cfg.psd, value)
-        except DomainError as exc:
-            raise ConfigError(f"{_flag(name)} = {value}: {exc}") from exc
-    f = np.geomspace(*bounds.values(), _count_option(args, "n_points"))
+    in_psd = functools.partial(noiselockin.psd_value, cfg.psd)  # ends bound the sweep
+    f = np.geomspace(_float_option(args, "f_min", in_psd),
+                     _float_option(args, "f_max", in_psd),
+                     _count_option(args, "n_points"))
     s_sqrt = np.sqrt(noiselockin.psd_value(cfg.psd, f))
     eta = noiselockin.sensitivity(cfg.optimized, s_sqrt)
     limits = noiselockin.shot_noise_limit(cfg.optimized.n_spins, cfg.optimized.t2)
@@ -220,9 +214,7 @@ def _load_init(path, model):
 
 
 def cmd_fit(args):
-    if args.max_iterations < 1:
-        raise ConfigError("--max-iterations: max_iterations must be an integer "
-                          f">= 1, got {args.max_iterations}")
+    check_count(args.max_iterations, "--max-iterations")
     options = {}
     if args.model == "shift_vs_field":
         if args.config is None:
@@ -243,17 +235,13 @@ def cmd_fit(args):
                     "the {label} column holds {value} at data row {row}: "
                     "a fit needs finite numbers")
     x, y = columns[:2]
-    needed = len(model.names) + 1
-    if len(x) < needed:
-        raise ConfigError(f"{len(x)} data row(s), but model '{model.name}' "
-                          f"needs at least {needed}", path=args.input_csv)
     out = _out_dir(args)
     # looked up on every call, so a replaced entry point is the one run
     fit = getattr(fitting, f"fit_{args.model}")
     try:
         result = fit(x, y, init=init, max_iterations=args.max_iterations,
                      **options, **init_options)
-    except SingularJacobianError as exc:
+    except (InvalidParameterError, SingularJacobianError) as exc:
         raise ConfigError(f"model '{model.name}': {exc}",
                           path=args.input_csv) from exc
     if not math.isfinite(result.chi2_reduced):  # the cost overflowed, no step taken
@@ -332,7 +320,8 @@ def main(argv=None):
     column or a fit's chi-square that is not finite) names the config, and
     a failed allocation names the command's size option (else the config)
     with numpy's text; a fit without a config names its data CSV instead.
-    A rank-deficient fit names the data CSV and the model.
+    A rank-deficient fit, and an InvalidParameterError the fit raises after
+    the CLI's checks (too few rows), name the data CSV and the model.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

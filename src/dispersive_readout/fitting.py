@@ -31,7 +31,6 @@ that cannot be computed is NaN.
 from __future__ import annotations
 
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -39,7 +38,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidParameterError, SingularJacobianError
-from .params import CavityParams, SpinEnsembleParams, is_finite_number, linewidth
+from .params import (
+    CavityParams,
+    SpinEnsembleParams,
+    check_count,
+    is_finite_number,
+    linewidth,
+)
 from .physics import (
     add_phase_background,
     ensemble_profile,
@@ -140,7 +145,7 @@ def _over_power_of_ten(x, exp):
 
 def format_with_uncertainty(value, sigma):
     """Parenthetical 1-sigma-on-last-digit notation, e.g. 6.0(1)e+03."""
-    if not (np.isfinite(sigma) and sigma > 0):
+    if not (np.isfinite(value) and np.isfinite(sigma) and sigma > 0):
         return f"{value:.6g}"
     exp_sigma = int(math.floor(math.log10(abs(sigma))))
     sig_digit = int(round(_over_power_of_ten(sigma, exp_sigma)))
@@ -250,7 +255,8 @@ def fit_nonlinear(model: FitModel, x, y, init,
     is reported through ``converged = False``, not an exception. A rank-
     deficient Jacobian (a parameter without influence, or an exact parameter
     degeneracy) raises SingularJacobianError; non-finite data, too few
-    points or ``max_iterations`` below 1 raise InvalidParameterError.
+    points or a ``max_iterations`` below 1 or not an integer raise
+    InvalidParameterError.
 
     The covariance is scaled by the reduced chi-square, so the quoted
     uncertainties reflect the observed scatter.
@@ -260,9 +266,7 @@ def fit_nonlinear(model: FitModel, x, y, init,
     bounds = model.bounds or ((None, None),) * n_params
     lo = np.array([-np.inf if a is None else a for a, _ in bounds], dtype=float)
     hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
-    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
-        raise InvalidParameterError(
-            f"max_iterations must be an integer >= 1, got {max_iterations!r}")
+    check_count(max_iterations, "max_iterations")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.ndim != 1 or x.shape != y.shape:
@@ -284,7 +288,6 @@ def fit_nonlinear(model: FitModel, x, y, init,
     cost = float(r @ r)
     lam = 1e-3
     converged = False
-    n_iter = 0
 
     jac = np.empty((len(x), n_params))  # every Jacobian of the fit fills it
     for n_iter in range(1, max_iterations + 1):
@@ -320,8 +323,7 @@ def fit_nonlinear(model: FitModel, x, y, init,
             break
 
     _jacobian(model.func, p, x, jac)
-    dof = max(len(y) - n_params, 1)
-    chi2_reduced = cost / dof
+    chi2_reduced = cost / (len(y) - n_params)
     jtj = jac.T @ jac
     try:
         if not _all_finite(jac, jtj):

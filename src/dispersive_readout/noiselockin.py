@@ -23,6 +23,8 @@ from .params import (
     LockinConfig,
     OptimizedDeviceParams,
     PhaseNoisePSD,
+    check_count,
+    check_samples,
     is_finite_number,
 )
 from .physics import optimized_phase_shift
@@ -35,13 +37,12 @@ G_LANDE = 2.0028            # NV electron Lande factor
 def psd_value(psd: PhaseNoisePSD, f):
     """One-sided phase-noise PSD S_phi(f) in rad^2/Hz.
 
-    Piecewise power-law evaluation; errors outside [f_min, f_max].
+    Piecewise power-law evaluation; DomainError outside [f_min, f_max], NaN too.
     """
     farr = np.asarray(f, dtype=float)
-    if np.any((farr < psd.f_min * (1 - 1e-12)) | (farr > psd.f_max * (1 + 1e-12))):
-        raise DomainError(
-            f"frequency outside PSD range [{psd.f_min}, {psd.f_max}] Hz"
-        )
+    ok = (farr >= psd.f_min * (1 - 1e-12)) & (farr <= psd.f_max * (1 + 1e-12))
+    if not np.all(ok):
+        raise DomainError(f"frequency outside PSD range [{psd.f_min}, {psd.f_max}] Hz")
     breaks, levels, exponents = np.array(
         [(s.f_break, s.level, s.exponent) for s in psd.segments]).T
     idx = np.clip(np.searchsorted(breaks, farr, side="right") - 1, 0, len(breaks) - 1)
@@ -59,10 +60,13 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
     Deterministic per seed. ``fs`` is taken as a Python float, so a rate of
     any numeric type equal to it gives the same bits. The noise is drawn on
     every call; the shaping gain is kept (see the module docstring). A rate
-    that is not finite and > 0 raises InvalidParameterError.
+    that is not finite and > 0, or an ``n_samples`` that is not a count one
+    array can hold, raises InvalidParameterError before any allocation.
     """
     if not (is_finite_number(fs) and fs > 0):
         raise InvalidParameterError(f"fs must be finite and > 0, got {fs!r}")
+    check_count(n_samples, "n_samples")
+    check_samples(n_samples, "n_samples")
     fs = float(fs)
     if fs / 2 > psd.f_max * (1 + 1e-12):
         raise InvalidParameterError(

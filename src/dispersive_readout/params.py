@@ -62,11 +62,17 @@ def _is_whole(x):
     return abs(x - round(x)) <= 1e-9 * max(1.0, x)
 
 
+def check_count(value, name):
+    """Reject ``value``, the count ``name``, unless an integer >= 1 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def check_samples(n_samples, expression):
     """Reject a record of ``n_samples`` samples, the value of
     ``expression``, that is more than one array can hold."""
     if not n_samples < MAX_SAMPLES:
-        raise InvalidParameterError(f"{expression} = {n_samples:g} samples: more "
+        raise InvalidParameterError(f"{expression} = {n_samples!r} samples: more "
                                     f"than one array can hold ({MAX_SAMPLES:g})")
 
 
@@ -173,11 +179,7 @@ class ChopperCycle:
         check_finite(self, ("duty",))
         if not 0 <= self.duty <= 1:
             raise InvalidParameterError(f"duty must be in [0, 1], got {self.duty}")
-        if (isinstance(self.n_periods, bool)
-                or not isinstance(self.n_periods, numbers.Integral)
-                or self.n_periods < 1):
-            raise InvalidParameterError(
-                f"n_periods must be an integer >= 1, got {self.n_periods!r}")
+        check_count(self.n_periods, "n_periods")
         if not self.dt < self.period / 20:
             raise InvalidParameterError(
                 f"dt = {self.dt} must resolve the period: dt < period/20")

@@ -31,10 +31,11 @@ def transition_frequency(b_field, ens: SpinEnsembleParams):
 
     Linear Zeeman model for the lower (m_s = -1) branch with the field along
     [001]: f0 = D - gamma * projection_factor * B. Monotone decreasing in B.
+    A field that is not finite and >= 0 raises DomainError.
     """
     b = np.asarray(b_field, dtype=float)
-    if np.any(b < 0):
-        raise DomainError("b_field must be >= 0")
+    if not np.all((b >= 0) & (b < np.inf)):
+        raise DomainError("b_field must be finite and >= 0")
     out = ens.zfs - ens.gamma * ens.projection_factor * b
     return float(out) if np.isscalar(b_field) else out
 
@@ -80,7 +81,7 @@ def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
     reduces to p*N*g^2/Delta in the narrow-line limit sigma_f -> 0.
     """
     p = np.asarray(polarization, dtype=float)
-    if np.any((p < 0) | (p > 1)):
+    if not np.all((p >= 0) & (p <= 1)):
         raise InvalidParameterError("polarization must lie in [0, 1]")
     detuning = np.asarray(omega_c, dtype=float) - np.asarray(mean_omega0, dtype=float)
     sigma = ens.sigma_f

@@ -543,8 +543,8 @@ class TestExitCodes:
         assert main(["fit", str(csv), "--model", model, "--init", str(init),
                      "--config", str(config_path), "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {csv}: {rows} data row(s), but model '{model}' needs at "
-            f"least {needed}\n")
+            f"error: {csv}: model '{model}': need at least {needed} data points "
+            f"for {needed - 1} parameters, got {rows}\n")
         assert not (tmp_path / f"fit_{model}.json").exists()
 
     def test_fit_header_only_csv_prints_one_error_line(self, tmp_path):
@@ -573,8 +573,8 @@ class TestExitCodes:
         assert main(["fit", str(csv), "--model", "exponential",
                      "--init", str(init), "--out", str(tmp_path),
                      "--max-iterations", max_iterations]) == 2
-        assert (f"max_iterations must be an integer >= 1, got {max_iterations}"
-                in capsys.readouterr().err)
+        assert capsys.readouterr().err == (
+            f"error: --max-iterations must be an integer >= 1, got {max_iterations}\n")
         assert not (tmp_path / "fit_exponential.json").exists()
 
     def test_non_convergence_exits_3_but_writes_report(self, tmp_path):
@@ -796,7 +796,7 @@ class TestSweepOptions:
         assert main([command, f"{flag}={value}", "--config", str(config_path),
                      "--out", str(out)]) == 2
         assert (capsys.readouterr().err
-                == f"error: {flag} = {value}: more samples than one array can "
+                == f"error: {flag} = {value} samples: more than one array can "
                    "hold (1.15292e+18)\n")
         assert not out.exists()
 
@@ -833,8 +833,9 @@ class TestSweepOptions:
         out = tmp_path / "out"
         assert main(["sensitivity", f"{flag}={value}", "--config",
                      str(config_path), "--out", str(out)]) == 2
-        assert (capsys.readouterr().err
-                == f"error: {flag} must be a finite number > 0, got {float(value)}\n")
+        assert capsys.readouterr().err == (
+            f"error: {flag} = {float(value)}: frequency outside PSD range "
+            "[1.0, 500000.0] Hz\n")
         assert not out.exists()
 
 
@@ -1238,7 +1239,7 @@ class TestLocatedOptionErrors:
         assert main(["shift-vs-field", flag, "-5", "--config", str(config_path),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {flag} must be a finite number >= 0, got -5.0\n")
+            f"error: {flag} = -5.0: b_field must be finite and >= 0\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", list(CSV_NAMES))
@@ -1277,8 +1278,7 @@ class TestLocatedOptionErrors:
                      str(init), "--out", str(tmp_path / "out"),
                      "--max-iterations", "0"]) == 2
         assert capsys.readouterr().err == (
-            "error: --max-iterations: max_iterations must be an integer >= 1, "
-            "got 0\n")
+            "error: --max-iterations must be an integer >= 1, got 0\n")
 
 
 LEAF_PATHS = [p for p in CONFIG_PATHS if not isinstance(_at(p), (dict, list))]
@@ -1326,3 +1326,65 @@ class TestInputContract:
                 elif code == 0:
                     _, columns = read_csv(out / argv[0] / f"{name}.csv")
                     assert all(np.all(np.isfinite(c)) for c in columns), name
+
+
+FLOAT_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "-0.0", "0", "1e308",
+                "-1e308", "5e-324", "3e9"]
+# no size between 2**20 and 2**54, so no drawn run allocates more than a few MB
+COUNT_VALUES = [0, -1, -2**63, 2**60, 2**61, 10**19, 1, 2]
+OPTION_CASES = ([(command, flag, value) for command, flag in FLOAT_OPTIONS
+                 for value in FLOAT_VALUES]
+                + [(command, flag, str(value))
+                   for command, flag in SIZE_OPTIONS + [("fit", "--max-iterations")]
+                   for value in COUNT_VALUES])
+
+
+def exact_decay_inputs(tmp_path):
+    """A noiseless exponential-decay CSV and an init JSON at its exact
+    parameters, so that the fit converges on its first iteration."""
+    from dispersive_readout.fitting import exponential_model
+    from dispersive_readout.io import write_csv
+    t = np.linspace(0.0, 2e-3, 40)
+    params = {"amplitude": 0.8, "tau": 7e-4, "offset": 0.1}
+    csv = tmp_path / "decay.csv"
+    write_csv(csv, ["time_s", "value"],
+              [t, exponential_model().func(np.array(list(params.values())), t)])
+    init = tmp_path / "decay_init.json"
+    init.write_text(json.dumps({"init": params}))
+    return csv, init
+
+
+class TestOptionContract:
+    """Any one numeric option at an edge value: the exit code is 0 or 2 and
+    nothing escapes main as a traceback. An exit 2 prints one ``error:`` line
+    naming the option, the config or the CSV, and creates no output
+    directory; an exit 0 writes only finite numbers."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=st.sampled_from(OPTION_CASES))
+    def test_one_option_exits_0_or_2_naming_its_source(self, case):
+        command, flag, value = case
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            if command == "fit":
+                csv, init = exact_decay_inputs(tmp)
+                argv, source = ["fit", str(csv), "--model", "exponential",
+                                "--init", str(init)], str(csv)
+            else:
+                source = str(CONFIGS / "default.json")
+                argv = [command, "--config", source]
+            out = tmp / "out"
+            code, err = _run(argv + [f"{flag}={value}", "--out", str(out)])
+            assert code in (0, 2), err
+            assert "Traceback" not in err, err
+            if code == 2:
+                assert err.startswith("error: ") and err.count("\n") == 1, err
+                assert err.endswith("\n") and (flag in err or source in err), err
+                assert not out.exists()
+                return
+            for path in out.iterdir():
+                if path.suffix == ".json":
+                    assert _finite_numbers(json.loads(path.read_text())), path
+                else:
+                    _, columns = read_csv(path)
+                    assert all(np.all(np.isfinite(c)) for c in columns), path

@@ -526,7 +526,7 @@ class TestEngineInputs:
                                  "got 3"):
             fit_exponential(x, np.exp(-x), init={"amplitude": 1.0, "tau": 1.0})
 
-    @pytest.mark.parametrize("max_iterations", [0, -5, 2.5])
+    @pytest.mark.parametrize("max_iterations", [0, -5, 2.5, True])
     def test_max_iterations_not_a_positive_integer_is_rejected(self, max_iterations):
         x = np.linspace(0, 10, 30)
         with pytest.raises(InvalidParameterError, match="max_iterations must be"):
@@ -548,6 +548,8 @@ class TestReporting:
         (0.74, 0.06, "7.4(6)e-01"),
         (740e-6, 10e-6, "7.4(1)e-04"),
         (2.0e12, 1.0e11, "2.0(1)e+12"),
+        (math.inf, 1.0, "inf"),       # a value that is not finite stands alone
+        (math.nan, 1.0, "nan"),
     ])
     def test_parenthetical_notation(self, value, sigma, expected):
         assert format_with_uncertainty(value, sigma) == expected

@@ -78,6 +78,11 @@ class TestPsdValue:
         with pytest.raises(DomainError):
             psd_value(psd, 1e7)
 
+    @pytest.mark.parametrize("f", [math.nan, [10.0, math.nan]])
+    def test_nan_frequency_rejected(self, f):
+        with pytest.raises(DomainError, match="frequency outside PSD range"):
+            psd_value(white_psd(), f)
+
 
 class TestSynthesis:
     def test_determinism(self):
@@ -574,6 +579,17 @@ class TestScalarArguments:
         with pytest.raises(InvalidParameterError,
                            match=f"fs must be finite and > 0, got {fs!r}"):
             synthesize_phase_noise(white_psd(), fs, 16, seed=0)
+        assert noiselockin._shaping_gain.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, 2**61])
+    def test_bad_sample_count_is_named_before_any_allocation(self, monkeypatch,
+                                                             n_samples):
+        # no noise is drawn and no shaping gain is built
+        monkeypatch.setattr(noiselockin.np.random, "default_rng", None)
+        noiselockin._shaping_gain.cache_clear()
+        with pytest.raises(InvalidParameterError,
+                           match=f"^n_samples (must|= {n_samples!r})"):
+            synthesize_phase_noise(white_psd(), 1e6, n_samples, seed=0)
         assert noiselockin._shaping_gain.cache_info().currsize == 0
 
     @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf, None])

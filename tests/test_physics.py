@@ -39,6 +39,11 @@ class TestTransitionFrequency:
         with pytest.raises(DomainError):
             transition_frequency(-1.0, measured_ensemble)
 
+    @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan, [32.0, math.nan]])
+    def test_non_finite_field_rejected(self, measured_ensemble, b):
+        with pytest.raises(DomainError, match="^b_field must be finite and >= 0$"):
+            transition_frequency(b, measured_ensemble)
+
 
 class TestDawson:
     def test_zero(self):
@@ -87,6 +92,11 @@ class TestEnsembleShift:
     def test_polarization_out_of_range(self, measured_ensemble):
         with pytest.raises(InvalidParameterError):
             ensemble_dispersive_shift(measured_ensemble, 2.8e9, 2.9e9, 1.5)
+
+    @pytest.mark.parametrize("p", [math.nan, [0.5, math.nan]])
+    def test_nan_polarization_rejected(self, measured_ensemble, p):
+        with pytest.raises(InvalidParameterError, match="polarization must lie"):
+            ensemble_dispersive_shift(measured_ensemble, 2.8e9, 2.9e9, p)
 
     def test_finite_everywhere(self, measured_ensemble):
         detunings = np.linspace(-1e9, 1e9, 101)
