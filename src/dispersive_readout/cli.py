@@ -247,6 +247,9 @@ def cmd_fit(args):
     if not math.isfinite(result.chi2_reduced):  # the cost overflowed, no step taken
         raise FloatingPointError(f"model '{model.name}' ends the fit with "
                                  f"chi2_reduced = {result.chi2_reduced}")
+    if result.converged and not np.isfinite(result.sigma).all():  # no covariance
+        raise FloatingPointError(f"model '{model.name}' converges with "
+                                 f"sigma = {result.sigma}")
 
     os.makedirs(out, exist_ok=True)
     path = os.path.join(out, f"fit_{args.model}.json")

@@ -24,6 +24,7 @@ from .params import (
     PhaseNoisePSD,
     PSDSegment,
     SpinEnsembleParams,
+    check_fraction,
     is_finite_number,
 )
 
@@ -195,10 +196,10 @@ def load_config(path) -> RunConfig:
             raise ConfigError(
                 "b_fields_gauss must be a non-empty list of finite numbers "
                 f">= 0, got {b_fields!r}", _line_of(source, "b_fields_gauss"))
-        p_sat = data.get("p_sat", 1.0)
-        if not (is_finite_number(p_sat) and 0 < p_sat <= 1):
-            raise ConfigError(f"p_sat must be a number in (0, 1], got {p_sat!r}",
-                              _line_of(source, "p_sat"))
+        try:
+            p_sat = check_fraction(data.get("p_sat", 1.0), "p_sat")
+        except InvalidParameterError as exc:
+            raise ConfigError(str(exc), _line_of(source, "p_sat")) from exc
         seed = data.get("seed", 0)
         if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
             raise ConfigError(f"seed must be a non-negative integer, got {seed!r}",
@@ -208,6 +209,6 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"output_dir must be a string, got {output_dir!r}",
                               _line_of(source, "output_dir"))
         return RunConfig(ensemble, cavity, cycle, psd, lockin, optimized,
-                         tuple(map(float, b_fields)), float(p_sat), seed, output_dir)
+                         tuple(map(float, b_fields)), p_sat, seed, output_dir)
     except ConfigError as exc:
         raise ConfigError(exc.reason, exc.line, path) from exc

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameterError
-from .params import CavityParams, ChopperCycle, SpinEnsembleParams
+from .params import CavityParams, ChopperCycle, SpinEnsembleParams, check_fraction
 from .physics import ensemble_dispersive_shift, transition_frequency
 
 
@@ -52,9 +52,7 @@ def polarization_trace(cycle: ChopperCycle, ens: SpinEnsembleParams,
 
     Segments are joined continuously; samples are exact closed-form values.
     """
-    if not 0 < p_sat <= 1:
-        raise InvalidParameterError(f"p_sat must be in (0, 1], got {p_sat}")
-
+    p_sat = check_fraction(p_sat, "p_sat")
     n = int(round(cycle.n_periods * cycle.period / cycle.dt))
     times = np.arange(n) * cycle.dt
     p = np.empty(n)

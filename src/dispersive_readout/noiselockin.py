@@ -24,6 +24,7 @@ from .params import (
     OptimizedDeviceParams,
     PhaseNoisePSD,
     check_count,
+    check_positive,
     check_samples,
     is_finite_number,
 )
@@ -63,11 +64,9 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
     that is not finite and > 0, or an ``n_samples`` that is not a count one
     array can hold, raises InvalidParameterError before any allocation.
     """
-    if not (is_finite_number(fs) and fs > 0):
-        raise InvalidParameterError(f"fs must be finite and > 0, got {fs!r}")
+    fs = check_positive(fs, "fs")
     check_count(n_samples, "n_samples")
     check_samples(n_samples, "n_samples")
-    fs = float(fs)
     if fs / 2 > psd.f_max * (1 + 1e-12):
         raise InvalidParameterError(
             f"Nyquist fs/2 = {fs / 2} exceeds PSD f_max = {psd.f_max}"
@@ -167,9 +166,7 @@ class ShotNoiseLimit:
 
 def shot_noise_limit(n_spins, t2) -> ShotNoiseLimit:
     """Spin projection-noise sensitivity limit hbar/(g_e*mu_B*sqrt(N*T2))."""
-    for name, value in (("n_spins", n_spins), ("t2", t2)):
-        if not (is_finite_number(value) and value > 0):
-            raise InvalidParameterError(f"{name} must be > 0 and finite, got {value!r}")
+    n_spins, t2 = check_positive(n_spins, "n_spins"), check_positive(t2, "t2")
     eta = HBAR / (G_LANDE * MU_B * math.sqrt(n_spins * t2))
     return ShotNoiseLimit(eta, 150.0 * eta)
 

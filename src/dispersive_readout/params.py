@@ -45,15 +45,28 @@ def is_finite_number(value):
         return False
 
 
+def check_positive(value, name):
+    """``value``, the argument ``name``, as a float if finite and > 0."""
+    if not (is_finite_number(value) and float(value) > 0):
+        raise InvalidParameterError(f"{name} must be finite and > 0, got {value!r}")
+    return float(value)
+
+
+def check_fraction(value, name):
+    """``value``, the argument ``name``, as a float if a number in (0, 1]."""
+    if not (is_finite_number(value) and 0 < float(value) <= 1):
+        raise InvalidParameterError(f"{name} must be a number in (0, 1], got {value!r}")
+    return float(value)
+
+
 def check_finite(obj, names, positive=False):
-    """Reject the first field of ``obj`` named in ``names`` that is not a
-    finite number or, with ``positive``, not > 0 as a float. Each field that
-    passes is stored back as a Python float (the module's storage rule)."""
+    """Store fields ``names`` of ``obj`` as floats, each finite (> 0 if ``positive``)."""
     for name in names:
         value = getattr(obj, name)
-        if not is_finite_number(value) or (positive and not float(value) > 0):
-            rule = "finite and > 0" if positive else "finite"
-            raise InvalidParameterError(f"{name} must be {rule}, got {value!r}")
+        if positive:
+            value = check_positive(value, name)
+        elif not is_finite_number(value):
+            raise InvalidParameterError(f"{name} must be finite, got {value!r}")
         object.__setattr__(obj, name, float(value))
 
 
@@ -130,13 +143,11 @@ class SpinEnsembleParams:
 
     def __post_init__(self):
         check_finite(self, ("n_spins", "g", "t2_star", "t1_dark", "t1_light",
-                            "zfs", "gamma", "projection_factor"), positive=True)
+                            "zfs", "gamma"), positive=True)
         if not self.n_spins >= 1:
             raise InvalidParameterError(f"n_spins must be >= 1, got {self.n_spins}")
-        if not self.projection_factor <= 1:
-            raise InvalidParameterError(
-                f"projection_factor must be in (0, 1], got {self.projection_factor}"
-            )
+        object.__setattr__(self, "projection_factor", check_fraction(
+            self.projection_factor, "projection_factor"))
 
     @property
     def sigma_f(self):

@@ -31,12 +31,12 @@ def transition_frequency(b_field, ens: SpinEnsembleParams):
 
     Linear Zeeman model for the lower (m_s = -1) branch with the field along
     [001]: f0 = D - gamma * projection_factor * B. Monotone decreasing in B.
-    A field that is not finite and >= 0 raises DomainError.
+    A field that is not a real number, finite and >= 0, raises DomainError.
     """
-    b = np.asarray(b_field, dtype=float)
-    if not np.all((b >= 0) & (b < np.inf)):
+    b = np.asarray(b_field)
+    if b.dtype.kind not in "iuf" or not np.all((b >= 0) & (b < np.inf)):
         raise DomainError("b_field must be finite and >= 0")
-    out = ens.zfs - ens.gamma * ens.projection_factor * b
+    out = ens.zfs - ens.gamma * ens.projection_factor * b.astype(float, copy=False)
     return float(out) if np.isscalar(b_field) else out
 
 
@@ -80,12 +80,12 @@ def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
     Finite for all detunings (including zero), odd in the detuning, and
     reduces to p*N*g^2/Delta in the narrow-line limit sigma_f -> 0.
     """
-    p = np.asarray(polarization, dtype=float)
-    if not np.all((p >= 0) & (p <= 1)):
+    p = np.asarray(polarization)
+    if p.dtype.kind not in "iuf" or not np.all((p >= 0) & (p <= 1)):
         raise InvalidParameterError("polarization must lie in [0, 1]")
     detuning = np.asarray(omega_c, dtype=float) - np.asarray(mean_omega0, dtype=float)
     sigma = ens.sigma_f
-    out = ensemble_shift(p, ens.n_spins, ens.g, sigma,
+    out = ensemble_shift(p.astype(float, copy=False), ens.n_spins, ens.g, sigma,
                          ensemble_profile(detuning, sigma))
     return float(out) if np.ndim(out) == 0 else out
 

@@ -1224,6 +1224,22 @@ class TestFitFailuresAreLocated:
             "chi2_reduced = inf)\n")
         assert not out.exists()
 
+    def test_converged_fit_without_uncertainties_names_the_config(
+            self, config_path, tmp_path, capsys):
+        # exit 0 with a report of NaN sigmas before: the fit converges at the
+        # bounds, where the model has underflowed and no covariance exists
+        config_path.write_text(json.dumps(_scaled(
+            [(("p_sat",), 1e-200), (("cavity", "omega_c_hz"), 1e-200)]), indent=2))
+        out = tmp_path / "out"
+        argv = _shift_vs_field_fit(config_path, tmp_path, out)
+        capsys.readouterr()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: values outside the floating-point range "
+            "(FloatingPointError: model 'shift_vs_field' converges with "
+            "sigma = [nan nan])\n")
+        assert not out.exists()
+
 
 class TestLocatedOptionErrors:
     """An option or config value the library would reject during the work is
@@ -1295,10 +1311,58 @@ def _finite_numbers(node):
     return not isinstance(node, float) or math.isfinite(node)
 
 
+# the numbers of configs/default.json other than 0, each of which a
+# 10^+-200 scaling changes
+NUMBER_PATHS = [p for p in LEAF_PATHS if type(_at(p)) in (int, float) and _at(p) != 0]
+# three distinct numbers, each multiplied by 1e200 or 1e-200
+SCALINGS = st.lists(st.tuples(st.sampled_from(NUMBER_PATHS),
+                              st.sampled_from([1e200, 1e-200])),
+                    min_size=3, max_size=3, unique_by=lambda s: s[0])
+
+
+def _scaled(scalings):
+    """The default config with the number at each (path, factor) multiplied by factor."""
+    data = json.loads(json.dumps(DEFAULT_CONFIG))
+    for path, factor in scalings:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] *= factor
+    return data
+
+
+def _assert_contract(data, fit_codes=(0, 2)):
+    """Run all six subcommands on the config ``data``: each exits 0 or 2,
+    the fit one of ``fit_codes``, without a traceback, and an exit 0 or 3
+    writes only finite numbers."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        config = tmp / "config.json"
+        config.write_text(json.dumps(data, indent=2))
+        out = tmp / "out"
+        runs = {name: [cmd, "--config", str(config), "--out", str(out / cmd)]
+                for cmd, name in CSV_NAMES.items()}
+        runs["noise"] = ["noise", "--n-samples", "256", "--config", str(config),
+                         "--out", str(out / "noise")]
+        runs["fit_shift_vs_field"] = _shift_vs_field_fit(config, tmp, out / "fit")
+        for name, argv in runs.items():
+            code, err = _run(argv)
+            assert code in (fit_codes if argv[0] == "fit" else (0, 2)), (name, err)
+            assert "Traceback" not in err, err
+            if code in (0, 3) and argv[0] == "fit":
+                report = json.loads((out / "fit" / f"{name}.json").read_text())
+                assert _finite_numbers(report), report
+            elif code == 0:
+                _, columns = read_csv(out / argv[0] / f"{name}.csv")
+                assert all(np.all(np.isfinite(c)) for c in columns), name
+
+
 class TestInputContract:
-    """Any one config value replaced, under every subcommand: the exit code
-    is 0 or 2, nothing escapes main as a traceback, and no output of an
-    exit 0 holds a non-finite number."""
+    """Any one config value replaced, or any three numbers scaled by
+    10^+-200, under every subcommand: the exit code is 0 or 2, nothing
+    escapes main as a traceback, and no output of an exit 0 holds a
+    non-finite number. A fit of data the scaled config cannot describe may
+    also end without converging: exit 3, its report written and finite."""
 
     @settings(max_examples=40, deadline=None)
     @given(mutation=st.tuples(st.sampled_from(LEAF_PATHS),
@@ -1306,26 +1370,16 @@ class TestInputContract:
     @example(mutation=FIT_OVERFLOWS[0])
     @example(mutation=FIT_OVERFLOWS[1])
     def test_one_bad_value_exits_0_or_2_with_finite_output(self, mutation):
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            config = tmp / "config.json"
-            config.write_text(json.dumps(_mutated(*mutation), indent=2))
-            out = tmp / "out"
-            runs = {name: [cmd, "--config", str(config), "--out", str(out / cmd)]
-                    for cmd, name in CSV_NAMES.items()}
-            runs["noise"] = ["noise", "--n-samples", "256", "--config", str(config),
-                             "--out", str(out / "noise")]
-            runs["fit_shift_vs_field"] = _shift_vs_field_fit(config, tmp, out / "fit")
-            for name, argv in runs.items():
-                code, err = _run(argv)
-                assert code in (0, 2), (name, err)
-                assert "Traceback" not in err, err
-                if code == 0 and argv[0] == "fit":
-                    report = json.loads((out / "fit" / f"{name}.json").read_text())
-                    assert _finite_numbers(report), report
-                elif code == 0:
-                    _, columns = read_csv(out / argv[0] / f"{name}.csv")
-                    assert all(np.all(np.isfinite(c)) for c in columns), name
+        _assert_contract(_mutated(*mutation))
+
+    @settings(max_examples=40, deadline=None)
+    @given(scalings=SCALINGS)
+    @example(scalings=[(("p_sat",), 1e-200), (("cavity", "omega_c_hz"), 1e-200),
+                       (("optimized", "n_spins"), 1e-200)])
+    @example(scalings=[(("ensemble", "zfs_hz"), 1e-200), (("optimized", "q"), 1e200),
+                       (("psd", "f_max_hz"), 1e200)])
+    def test_three_scaled_values_exit_0_2_or_3_with_finite_output(self, scalings):
+        _assert_contract(_scaled(scalings), fit_codes=(0, 2, 3))
 
 
 FLOAT_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "-0.0", "0", "1e308",

@@ -116,6 +116,22 @@ def test_p_sat_validation(measured_ensemble, cycle):
         polarization_trace(cycle, measured_ensemble, p_sat=1.5)
 
 
+@pytest.mark.parametrize("p_sat", ["x", None, [0.5], True, 0, 1.5, float("nan")])
+def test_p_sat_outside_the_config_rule_is_named(measured_ensemble, cycle, p_sat):
+    # the config's rule: a number in (0, 1], so no TypeError and no bool
+    with pytest.raises(InvalidParameterError,
+                       match=rf"^p_sat must be a number in \(0, 1\], got "):
+        polarization_trace(cycle, measured_ensemble, p_sat=p_sat)
+
+
+@pytest.mark.parametrize("p_sat", [1, np.float32(0.75), np.float64(0.75)])
+def test_p_sat_of_any_numeric_type_gives_the_float_trace(measured_ensemble, cycle,
+                                                         p_sat):
+    expected = polarization_trace(cycle, measured_ensemble, p_sat=float(p_sat))
+    trace = polarization_trace(cycle, measured_ensemble, p_sat=p_sat)
+    assert trace.p.tobytes() == expected.p.tobytes()
+
+
 @pytest.mark.parametrize("times, p, message", [
     ([0.0, 1.0, 2.0], [0.5, 0.5], "1-D arrays of equal length"),
     ([0.0, 1.0, 3.0], [0.5, 0.5, 0.5], "strictly increasing and uniform"),

@@ -206,7 +206,7 @@ class TestShotNoise:
 
     @pytest.mark.parametrize("n_spins, t2", [(0, 1.0), (1e14, 0.0)])
     def test_non_positive_inputs_rejected(self, n_spins, t2):
-        with pytest.raises(InvalidParameterError, match="must be > 0"):
+        with pytest.raises(InvalidParameterError, match="must be finite and > 0"):
             shot_noise_limit(n_spins, t2)
 
     def test_sqrt_scaling_in_n(self):
@@ -602,7 +602,7 @@ class TestScalarArguments:
         (math.inf, 1e-3, "n_spins"), (math.nan, 1e-3, "n_spins"),
         (1e14, math.inf, "t2"), (1e14, math.nan, "t2"), (1e14, -1e-3, "t2")])
     def test_shot_noise_limit_names_its_argument(self, n_spins, t2, name):
-        with pytest.raises(InvalidParameterError, match=f"^{name} must be > 0"):
+        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite and > 0"):
             shot_noise_limit(n_spins, t2)
 
 

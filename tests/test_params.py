@@ -1,6 +1,7 @@
 """Each parameter class rejects a value outside its model's domain."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dispersive_readout import (
     PSDSegment,
     SpinEnsembleParams,
 )
-from dispersive_readout.params import is_finite_number
+from dispersive_readout.params import check_fraction, check_positive, is_finite_number
 
 
 def test_negative_beta_rejected():
@@ -25,11 +26,30 @@ def test_negative_beta_rejected():
 
 @pytest.mark.parametrize("field, value, message", [
     ("n_spins", 0.5, "n_spins must be >= 1, got 0.5"),
-    ("projection_factor", 1.5, r"projection_factor must be in \(0, 1\], got 1.5"),
+    ("projection_factor", 1.5, r"projection_factor must be a number in \(0, 1\], got 1.5"),
 ])
 def test_ensemble_out_of_range_rejected(measured_ensemble, field, value, message):
     with pytest.raises(InvalidParameterError, match=message):
         dataclasses.replace(measured_ensemble, **{field: value})
+
+
+@pytest.mark.parametrize("check, value", [
+    (check_positive, 2), (check_positive, np.float32(0.5)), (check_positive, 1e308),
+    (check_fraction, 1), (check_fraction, np.float32(0.5)), (check_fraction, 5e-324)])
+def test_scalar_rule_returns_a_python_float(check, value):
+    out = check(value, "v")
+    assert type(out) is float and out == float(value)
+
+
+@pytest.mark.parametrize("check, rule, value", [
+    (check, rule, value)
+    for check, rule in ((check_positive, "finite and > 0"),
+                        (check_fraction, r"a number in \(0, 1\]"))
+    for value in (0, -0.0, -1, math.inf, math.nan, 10**400, True, "1", None, [0.5])
+] + [(check_fraction, r"a number in \(0, 1\]", 1.0 + 2**-52)])
+def test_scalar_rule_names_the_argument(check, rule, value):
+    with pytest.raises(InvalidParameterError, match=rf"^v must be {rule}, got "):
+        check(value, "v")
 
 
 @pytest.mark.parametrize("duty", [-0.1, 1.5])

@@ -44,6 +44,21 @@ class TestTransitionFrequency:
         with pytest.raises(DomainError, match="^b_field must be finite and >= 0$"):
             transition_frequency(b, measured_ensemble)
 
+    @pytest.mark.parametrize("b", ["3", True, ["3"], [True, False], None, 2**64])
+    def test_field_that_is_not_a_real_number_rejected(self, measured_ensemble, b):
+        with pytest.raises(DomainError, match="^b_field must be finite and >= 0$"):
+            transition_frequency(b, measured_ensemble)
+
+    @pytest.mark.parametrize("b", [32, np.int64(32), np.uint8(32), np.float32(32.5),
+                                   np.array([30, 32], dtype=np.int32),
+                                   np.array([30.5, 32.5], dtype=np.float32)])
+    def test_field_of_any_real_type_gives_the_float_frequency(self, measured_ensemble,
+                                                               b):
+        expected = transition_frequency(np.asarray(b, dtype=float), measured_ensemble)
+        got = transition_frequency(b, measured_ensemble)
+        assert np.asarray(got).dtype == np.float64
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
 
 class TestDawson:
     def test_zero(self):
@@ -97,6 +112,21 @@ class TestEnsembleShift:
     def test_nan_polarization_rejected(self, measured_ensemble, p):
         with pytest.raises(InvalidParameterError, match="polarization must lie"):
             ensemble_dispersive_shift(measured_ensemble, 2.8e9, 2.9e9, p)
+
+    @pytest.mark.parametrize("p", [True, [True, False], "1", ["0.5"], None])
+    def test_polarization_that_is_not_a_real_number_rejected(self, measured_ensemble,
+                                                             p):
+        with pytest.raises(InvalidParameterError, match="polarization must lie"):
+            ensemble_dispersive_shift(measured_ensemble, 2.8e9, 2.9e9, p)
+
+    @pytest.mark.parametrize("p", [1, np.float32(0.75), np.array([0, 1]),
+                                   np.array([0.25, 0.75], dtype=np.float32)])
+    def test_polarization_of_any_real_type_gives_the_float_shift(self,
+                                                                 measured_ensemble, p):
+        expected = ensemble_dispersive_shift(measured_ensemble, 2.8e9, 2.9e9,
+                                             np.asarray(p, dtype=float))
+        got = ensemble_dispersive_shift(measured_ensemble, 2.8e9, 2.9e9, p)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
 
     def test_finite_everywhere(self, measured_ensemble):
         detunings = np.linspace(-1e9, 1e9, 101)

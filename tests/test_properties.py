@@ -78,6 +78,32 @@ def test_ensemble_shift_scaling_laws(polarization, scale, ):
     )
 
 
+@settings(max_examples=200)
+@given(
+    t2_star=st.floats(min_value=1e-12, max_value=1e-3),
+    ratio=st.floats(min_value=1e3, max_value=1e6),
+    sign=st.sampled_from([1.0, -1.0]),
+    polarization=st.floats(min_value=1e-3, max_value=1.0),
+    n_spins=st.floats(min_value=1.0, max_value=1e15),
+    g=st.floats(min_value=1e-3, max_value=10.0),
+)
+def test_ensemble_shift_approaches_the_narrow_line_limit(t2_star, ratio, sign,
+                                                         polarization, n_spins, g):
+    """At |Delta| >= 10^3 sigma the shift is p*N*g^2/Delta times
+    1 + (sigma/Delta)^2 + O((sigma/Delta)^4), from the Dawson tail
+    D(x) = 1/(2x) + 1/(4x^3) + ...; its excess over the limit lies within
+    [0.5, 2] (sigma/Delta)^2. The draw stops at |Delta| = 10^6 sigma, where
+    (sigma/Delta)^2 = 1e-12 still dwarfs the few ulps the formula rounds,
+    and keeps p >= 1e-3, away from subnormal shifts."""
+    ens = ensemble(n_spins, g, t2_star)
+    omega_c = 2.8175e9
+    omega0 = omega_c - sign * ratio * ens.sigma_f
+    delta = omega_c - omega0  # the detuning the shift sees
+    limit = polarization * n_spins * g**2 / delta
+    excess = ensemble_dispersive_shift(ens, omega_c, omega0, polarization) / limit - 1
+    assert 0.5 * (ens.sigma_f / delta) ** 2 <= excess <= 2 * (ens.sigma_f / delta) ** 2
+
+
 @given(
     beta=st.floats(min_value=0.05, max_value=0.95),
     q=st.floats(min_value=1e2, max_value=1e6),
