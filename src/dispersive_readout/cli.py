@@ -27,7 +27,7 @@ from .errors import (
     InvalidParameterError,
     SingularJacobianError,
 )
-from .params import check_count, check_samples
+from .params import check_count, check_samples, check_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -152,9 +152,8 @@ def cmd_relaxation(args, cfg):
 
 @_emits_csv
 def cmd_shift_vs_field(args, cfg):
-    field = functools.partial(physics.transition_frequency, ens=cfg.ensemble)
-    b = np.linspace(_float_option(args, "b_min", field),
-                    _float_option(args, "b_max", field),
+    b = np.linspace(_float_option(args, "b_min", physics.check_field),
+                    _float_option(args, "b_max", physics.check_field),
                     _count_option(args, "n_points"))
     model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
     phase = model.func([cfg.ensemble.n_spins, cfg.ensemble.t2_star], b)
@@ -182,7 +181,7 @@ def cmd_sensitivity(args, cfg):
 @_emits_csv
 def cmd_noise(args, cfg):
     n_samples = _count_option(args, "n_samples")
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = cfg.seed if args.seed is None else check_seed(args.seed, "--seed")
     series = noiselockin.synthesize_phase_noise(
         cfg.psd, cfg.lockin.fs, n_samples, seed
     )
@@ -271,7 +270,7 @@ def build_parser():
         p.add_argument("--config", required=config_required,
                        help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None,
-                       help="override the config seed")
+                       help="override the config seed (read by noise only)")
         p.add_argument("--out", default=None, help="output directory")
 
     p = sub.add_parser("spectrum", help="resonator reflection-phase sweep")

@@ -9,12 +9,13 @@ and a bad value are reported at the line of their top-level section.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import re
 from dataclasses import MISSING, dataclass, fields
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, DomainError, InvalidParameterError
 from .io import read_json
 from .params import (
     CavityParams,
@@ -25,8 +26,9 @@ from .params import (
     PSDSegment,
     SpinEnsembleParams,
     check_fraction,
-    is_finite_number,
+    check_seed,
 )
+from .physics import check_field
 
 _ENSEMBLE_KEYS = {
     "n_spins": "n_spins",
@@ -167,6 +169,35 @@ def _build(source, path, data, cls, keys):
                           _line_of(source, path[0])) from exc
 
 
+def _fields(b_fields):
+    """``b_fields_gauss`` as floats: a non-empty list of JSON numbers, each
+    under ``physics.check_field``."""
+    if not (isinstance(b_fields, list) and b_fields
+            and all(type(b) in (int, float) for b in b_fields)):
+        raise InvalidParameterError("b_fields_gauss must be a non-empty list "
+                                    f"of numbers, got {b_fields!r}")
+    return tuple(check_field(b_fields).tolist())
+
+
+def _output_dir(output_dir):
+    if not isinstance(output_dir, str):
+        raise InvalidParameterError(f"output_dir must be a string, got {output_dir!r}")
+    return output_dir
+
+
+def _top_level(source, data, key, default, check):
+    """``check`` of the top-level ``key`` of ``data`` (``default`` when it is
+    absent). A rule it breaks is reported at the key's line; a physics rule,
+    which does not know the key, as ``key = value: reason``."""
+    value = data.get(key, default)
+    try:
+        return check(value)
+    except DomainError as exc:
+        raise ConfigError(f"{key} = {value!r}: {exc}", _line_of(source, key)) from exc
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc), _line_of(source, key)) from exc
+
+
 def load_config(path) -> RunConfig:
     source, data = read_json(path)  # names the file in its own errors
     try:
@@ -190,25 +221,11 @@ def load_config(path) -> RunConfig:
         optimized = _build(source, ("optimized",), data.get("optimized", {}),
                            OptimizedDeviceParams, _OPTIMIZED_KEYS)
 
-        b_fields = data.get("b_fields_gauss", [32.0])
-        if not (isinstance(b_fields, list) and b_fields
-                and all(is_finite_number(b) and b >= 0 for b in b_fields)):
-            raise ConfigError(
-                "b_fields_gauss must be a non-empty list of finite numbers "
-                f">= 0, got {b_fields!r}", _line_of(source, "b_fields_gauss"))
-        try:
-            p_sat = check_fraction(data.get("p_sat", 1.0), "p_sat")
-        except InvalidParameterError as exc:
-            raise ConfigError(str(exc), _line_of(source, "p_sat")) from exc
-        seed = data.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {seed!r}",
-                              _line_of(source, "seed"))
-        output_dir = data.get("output_dir", ".")
-        if not isinstance(output_dir, str):
-            raise ConfigError(f"output_dir must be a string, got {output_dir!r}",
-                              _line_of(source, "output_dir"))
+        top = functools.partial(_top_level, source, data)
         return RunConfig(ensemble, cavity, cycle, psd, lockin, optimized,
-                         tuple(map(float, b_fields)), p_sat, seed, output_dir)
+                         top("b_fields_gauss", [32.0], _fields),
+                         top("p_sat", 1.0, lambda p: check_fraction(p, "p_sat")),
+                         top("seed", 0, lambda seed: check_seed(seed, "seed")),
+                         top("output_dir", ".", _output_dir))
     except ConfigError as exc:
         raise ConfigError(exc.reason, exc.line, path) from exc

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .params import CavityParams, ChopperCycle, SpinEnsembleParams, check_fraction
-from .physics import ensemble_dispersive_shift, transition_frequency
+from .physics import check_polarization, ensemble_dispersive_shift, transition_frequency
 
 
 @dataclass(frozen=True)
@@ -26,15 +26,13 @@ class PolarizationTrace:
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        p = np.asarray(self.p, dtype=float)
+        p = check_polarization(self.p)
         if t.shape != p.shape or t.ndim != 1:
             raise InvalidParameterError("times and p must be 1-D arrays of equal length")
         if len(t) >= 2:
             dts = np.diff(t)
             if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-9, atol=0):
                 raise InvalidParameterError("times must be strictly increasing and uniform")
-        if np.any((p < -1e-12) | (p > 1 + 1e-12)):
-            raise InvalidParameterError("polarization must stay within [0, 1]")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "p", p)
 

@@ -25,7 +25,7 @@ because its trial steps probe wild parameter values, so no fit warns.
 Non-finite values are handled where the fit acts on them: the data check
 rejects them, the step-acceptance test refuses a step whose cost is not
 finite, the rank check raises on a non-finite Jacobian, and a covariance
-that cannot be computed is NaN.
+that cannot be computed is NaN (its sigma is null in the report).
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from .params import (
 )
 from .physics import (
     add_phase_background,
+    check_polarization,
     ensemble_profile,
     ensemble_shift,
     reflection_resonance,
@@ -113,11 +114,11 @@ class FitResult:
         return float(self.sigma[self.names.index(name)])
 
     def report(self) -> dict:
-        """JSON-ready fit report."""
+        """JSON-ready fit report; a sigma that cannot be computed is None."""
         return {
             "model": self.model_name,
             "params": {
-                n: {"value": float(v), "sigma": float(s)}
+                n: {"value": float(v), "sigma": float(s) if np.isfinite(s) else None}
                 for n, v, s in zip(self.names, self.params, self.sigma)
             },
             "chi2_reduced": float(self.chi2_reduced),
@@ -448,9 +449,11 @@ def shift_vs_field_model(ens: SpinEnsembleParams, cav: CavityParams,
     the model depends only on the product N*g^2, so floating g alongside
     n_spins would be exactly degenerate. ``func`` computes the detuning grid
     once per field array and reuses the Dawson profile while only n_spins
-    changes.
+    changes. A ``polarization`` that ``check_polarization`` rejects raises
+    InvalidParameterError when the model is built.
     """
 
+    polarization = check_polarization(polarization)
     slope = cav.phase_slope / cav.omega_c
     detuning = _reuse_last(lambda b: cav.omega_c - transition_frequency(b, ens))
     profile = _reuse_last(lambda b, sigma: ensemble_profile(detuning(b), sigma))

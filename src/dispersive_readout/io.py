@@ -3,7 +3,8 @@ formatting. Only this module opens files. An input that is not UTF-8, not
 JSON or not a CSV of numbers raises a ConfigError naming the file.
 
 CSV: header row, LF line endings, '.' decimal separator, shortest float
-representation that round-trips exactly. JSON: UTF-8, sorted keys.
+representation that round-trips exactly. JSON: UTF-8, sorted keys, strict
+(a NaN or an infinity raises ValueError before the file is opened).
 
 The CSV writer formats whole columns, not cells: each block of rows is
 converted to Python floats with one ``ndarray.tolist()`` per column and
@@ -112,6 +113,6 @@ def read_csv(path):
 
 
 def write_json(path, obj):
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

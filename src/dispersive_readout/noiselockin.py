@@ -26,6 +26,7 @@ from .params import (
     check_count,
     check_positive,
     check_samples,
+    check_seed,
     is_finite_number,
 )
 from .physics import optimized_phase_shift
@@ -61,12 +62,14 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
     Deterministic per seed. ``fs`` is taken as a Python float, so a rate of
     any numeric type equal to it gives the same bits. The noise is drawn on
     every call; the shaping gain is kept (see the module docstring). A rate
-    that is not finite and > 0, or an ``n_samples`` that is not a count one
-    array can hold, raises InvalidParameterError before any allocation.
+    that is not finite and > 0, an ``n_samples`` that is not a count one
+    array can hold, or a ``seed`` that ``check_seed`` rejects, raises
+    InvalidParameterError before any allocation.
     """
     fs = check_positive(fs, "fs")
     check_count(n_samples, "n_samples")
     check_samples(n_samples, "n_samples")
+    check_seed(seed, "seed")
     if fs / 2 > psd.f_max * (1 + 1e-12):
         raise InvalidParameterError(
             f"Nyquist fs/2 = {fs / 2} exceeds PSD f_max = {psd.f_max}"

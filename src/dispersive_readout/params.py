@@ -81,6 +81,14 @@ def check_count(value, name):
         raise InvalidParameterError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def check_seed(value, name):
+    """``value``, the random seed ``name``, if an integer >= 0 and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise InvalidParameterError(
+            f"{name} must be a non-negative integer, got {value!r}")
+    return value
+
+
 def check_samples(n_samples, expression):
     """Reject a record of ``n_samples`` samples, the value of
     ``expression``, that is more than one array can hold."""

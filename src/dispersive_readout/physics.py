@@ -26,18 +26,34 @@ from .params import CavityParams, OptimizedDeviceParams, SpinEnsembleParams
 SQRT2 = math.sqrt(2.0)
 
 
+def check_field(b_field):
+    """``b_field`` (gauss), a real number or array of them, finite and >= 0,
+    as a float64 array; DomainError otherwise."""
+    b = np.asarray(b_field)
+    if b.dtype.kind not in "iuf" or not np.all((b >= 0) & (b < np.inf)):
+        raise DomainError("b_field must be finite and >= 0")
+    return b.astype(float, copy=False)
+
+
 def transition_frequency(b_field, ens: SpinEnsembleParams):
     """Mean spin transition frequency (Hz) at field ``b_field`` (gauss).
 
     Linear Zeeman model for the lower (m_s = -1) branch with the field along
     [001]: f0 = D - gamma * projection_factor * B. Monotone decreasing in B.
-    A field that is not a real number, finite and >= 0, raises DomainError.
+    A field that ``check_field`` rejects raises DomainError.
     """
-    b = np.asarray(b_field)
-    if b.dtype.kind not in "iuf" or not np.all((b >= 0) & (b < np.inf)):
-        raise DomainError("b_field must be finite and >= 0")
-    out = ens.zfs - ens.gamma * ens.projection_factor * b.astype(float, copy=False)
+    out = ens.zfs - ens.gamma * ens.projection_factor * check_field(b_field)
     return float(out) if np.isscalar(b_field) else out
+
+
+def check_polarization(polarization):
+    """``polarization``, a real number or array of them within [0, 1], as a
+    float64 scalar or array; InvalidParameterError otherwise (NaN, a bool or
+    a string is not such a number)."""
+    p = np.asarray(polarization)
+    if p.dtype.kind not in "iuf" or not np.all((p >= 0) & (p <= 1)):
+        raise InvalidParameterError("polarization must lie within [0, 1]")
+    return p.astype(float, copy=False)[()]
 
 
 def dawson(x):
@@ -80,13 +96,10 @@ def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
     Finite for all detunings (including zero), odd in the detuning, and
     reduces to p*N*g^2/Delta in the narrow-line limit sigma_f -> 0.
     """
-    p = np.asarray(polarization)
-    if p.dtype.kind not in "iuf" or not np.all((p >= 0) & (p <= 1)):
-        raise InvalidParameterError("polarization must lie in [0, 1]")
+    p = check_polarization(polarization)
     detuning = np.asarray(omega_c, dtype=float) - np.asarray(mean_omega0, dtype=float)
     sigma = ens.sigma_f
-    out = ensemble_shift(p.astype(float, copy=False), ens.n_spins, ens.g, sigma,
-                         ensemble_profile(detuning, sigma))
+    out = ensemble_shift(p, ens.n_spins, ens.g, sigma, ensemble_profile(detuning, sigma))
     return float(out) if np.ndim(out) == 0 else out
 
 

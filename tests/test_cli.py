@@ -243,6 +243,16 @@ class TestNoise:
             tmp_path / "b" / "noise.csv"
         )
 
+    def test_negative_seed_exits_2_naming_the_option(self, config_path, tmp_path,
+                                                     capsys):
+        # a numpy traceback before --seed went through params.check_seed
+        out = tmp_path / "out"
+        assert main(["noise", "--config", str(config_path), "--seed", "-1",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: --seed must be a non-negative integer, got -1\n")
+        assert not out.exists()
+
     def test_near_zero_psd_gives_zero_series(self, config_path, tmp_path):
         edit_config(config_path, **{
             "psd.segments": [{"f_break_hz": 1.0, "exponent": 0.0,
@@ -591,8 +601,11 @@ class TestExitCodes:
                      "--init", str(init), "--out", str(tmp_path),
                      "--max-iterations", "1"])
         assert code == 3
-        report = json.loads((tmp_path / "fit_exponential.json").read_text())
+        # strict JSON: the sigma that cannot be computed is null, not NaN
+        report = json.loads((tmp_path / "fit_exponential.json").read_text(),
+                            parse_constant=lambda name: pytest.fail(name))
         assert report["converged"] is False
+        assert [p["sigma"] for p in report["params"].values()] == [None] * 3
 
 
 def fit_inputs(tmp_path):
@@ -1270,8 +1283,8 @@ class TestLocatedOptionErrors:
         assert main([command, "--config", str(config_path),
                      "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {config_path}: line {line}: b_fields_gauss must be a "
-            "non-empty list of finite numbers >= 0, got [32.0, -1.0]\n")
+            f"error: {config_path}: line {line}: b_fields_gauss = [32.0, -1.0]: "
+            "b_field must be finite and >= 0\n")
 
     @pytest.mark.parametrize("flag, value", [("--f-max", "1e9"), ("--f-min", "0.5"),
                                              ("--f-min", "1e6")])
@@ -1389,7 +1402,8 @@ COUNT_VALUES = [0, -1, -2**63, 2**60, 2**61, 10**19, 1, 2]
 OPTION_CASES = ([(command, flag, value) for command, flag in FLOAT_OPTIONS
                  for value in FLOAT_VALUES]
                 + [(command, flag, str(value))
-                   for command, flag in SIZE_OPTIONS + [("fit", "--max-iterations")]
+                   for command, flag in SIZE_OPTIONS + [("fit", "--max-iterations"),
+                                                        ("noise", "--seed")]
                    for value in COUNT_VALUES])
 
 
@@ -1416,6 +1430,7 @@ class TestOptionContract:
 
     @settings(max_examples=120, deadline=None)
     @given(case=st.sampled_from(OPTION_CASES))
+    @example(case=("noise", "--seed", "-1"))
     def test_one_option_exits_0_or_2_naming_its_source(self, case):
         command, flag, value = case
         with tempfile.TemporaryDirectory() as tmp:

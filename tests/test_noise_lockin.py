@@ -229,6 +229,25 @@ class TestSimulateReadout:
         b = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed=5)
         assert a == b
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.5, "3"])
+    def test_seed_outside_the_rule_is_named(self, cfg, seed):
+        # numpy's own ValueError or TypeError before params.check_seed
+        message = rf"^seed must be a non-negative integer, got {seed!r}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            synthesize_phase_noise(white_psd(), cfg.fs, cfg.n_samples, seed)
+        with pytest.raises(InvalidParameterError, match=message):
+            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, seed)
+
+    @pytest.mark.parametrize("seed", [0, 2**64])
+    def test_seed_at_the_rule_s_edges_keeps_its_bits(self, cfg, seed):
+        psd = white_psd()
+        assert np.array_equal(
+            synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed),
+            synthesize_phase_noise_reference(psd, cfg.fs, cfg.n_samples, seed))
+        out = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed)
+        assert (out.estimated_amplitude, out.noise_floor) == (
+            simulate_readout_reference(psd, cfg, 0.01, seed))
+
     def test_amplitude_std_scales_with_duration(self):
         psd = white_psd(level=1e-6)
         p = OptimizedDeviceParams()

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from dispersive_readout import (
     CavityParams,
+    InvalidParameterError,
     LockinConfig,
+    PolarizationTrace,
     SpinEnsembleParams,
     dawson,
     ensemble_dispersive_shift,
@@ -18,6 +20,7 @@ from dispersive_readout import (
     reflection_phase,
     synthesize_phase_noise,
 )
+from dispersive_readout.fitting import shift_vs_field_model
 from dispersive_readout.params import PhaseNoisePSD, PSDSegment
 from oracles import reflection_phase_arctan
 
@@ -52,6 +55,43 @@ def test_ensemble_shift_is_odd_in_detuning(detuning, t2_star, n_spins, g):
     plus = ensemble_dispersive_shift(ens, detuning, 0.0, 1.0)
     minus = ensemble_dispersive_shift(ens, -detuning, 0.0, 1.0)
     assert plus == -minus
+
+
+NOT_POLARIZATIONS = [math.nan, math.inf, -math.inf, -1e-300, 1 + 1e-13, 5.0, True,
+                     "x", None]
+POLARIZATION = st.one_of(
+    st.sampled_from(NOT_POLARIZATIONS + [0, 1, 0.5]),
+    st.floats(),
+    st.lists(st.one_of(st.floats(), st.sampled_from(NOT_POLARIZATIONS)),
+             min_size=1, max_size=4))
+
+
+@given(polarization=POLARIZATION)
+def test_every_entry_applies_the_one_polarization_rule(polarization):
+    """The shift, a trace of samples and the shift-vs-field model accept the
+    same polarizations: real numbers within [0, 1], alone or in an array.
+    Each rejects the rest with an InvalidParameterError naming polarization."""
+    ens = ensemble(2e12, 2.4e-2, 18e-9)
+    cav = CavityParams(omega_c=2.8175e9, q=6e3, beta=0.74)
+    samples = polarization if isinstance(polarization, list) else [polarization] * 2
+    entries = [
+        lambda: ensemble_dispersive_shift(ens, cav.omega_c, 2.8e9, polarization),
+        lambda: PolarizationTrace(np.arange(len(samples)) * 1e-6, samples),
+        lambda: shift_vs_field_model(ens, cav, polarization),
+    ]
+    accepted = []
+    for entry in entries:
+        try:
+            entry()
+        except InvalidParameterError as exc:
+            assert "polarization" in str(exc)
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    assert accepted in ([True] * 3, [False] * 3), (polarization, accepted)
+    if not isinstance(polarization, list):
+        assert accepted[0] == (type(polarization) in (int, float)
+                               and 0 <= polarization <= 1)
 
 
 @given(
