@@ -103,9 +103,9 @@ def _unit_square(cfg: LockinConfig, t):
     return np.where(odd_half, -1.0, 1.0)
 
 
-def _demodulate(x, ref, out=None):
-    """Lock-in output 2*mean(x * ref); the product goes to ``out`` if given."""
-    return 2.0 * float(np.mean(np.multiply(x, ref, out=out)))
+def _demodulate(x, ref):
+    """Lock-in output 2*mean(x * ref)."""
+    return 2.0 * float(np.mean(x * ref))
 
 
 class _References(NamedTuple):
@@ -197,12 +197,10 @@ def simulate_readout(p: OptimizedDeviceParams, psd: PhaseNoisePSD,
             "signal_phase must be finite and at most 0.1 rad in magnitude, the "
             f"intended linear range, got {signal_phase!r}")
     noise = synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed)
-    sin, cos, unit_sq, sq_gain = _references(cfg)
-    # one product buffer serves every demodulation
-    product = np.multiply(unit_sq, signal_phase)
-    noise += product  # the recorded total: noise plus the modulated signal
-    est = _demodulate(noise, sin, out=product)
+    noise += square_wave(cfg, signal_phase)  # the recorded total
+    est = lockin_demodulate(noise, cfg)
+    refs = _references(cfg)
     # remove the coherent component before estimating the quadrature density
-    noise -= np.multiply(unit_sq, est / sq_gain, out=product)
-    quad = _demodulate(noise, cos, out=product)
+    noise -= square_wave(cfg, est / refs.sq_gain)
+    quad = _demodulate(noise, refs.cos)
     return ReadoutResult(est, quad * math.sqrt(cfg.duration))

@@ -29,7 +29,10 @@ SQRT2 = math.sqrt(2.0)
 def check_field(b_field):
     """``b_field`` (gauss), a real number or array of them, finite and >= 0,
     as a float64 array; DomainError otherwise."""
-    b = np.asarray(b_field)
+    try:
+        b = np.asarray(b_field)
+    except ValueError:  # a ragged list, refused below as not numeric
+        b = np.asarray(None)
     if b.dtype.kind not in "iuf" or not np.all((b >= 0) & (b < np.inf)):
         raise DomainError("b_field must be finite and >= 0")
     return b.astype(float, copy=False)
@@ -43,14 +46,17 @@ def transition_frequency(b_field, ens: SpinEnsembleParams):
     A field that ``check_field`` rejects raises DomainError.
     """
     out = ens.zfs - ens.gamma * ens.projection_factor * check_field(b_field)
-    return float(out) if np.isscalar(b_field) else out
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def check_polarization(polarization):
     """``polarization``, a real number or array of them within [0, 1], as a
     float64 scalar or array; InvalidParameterError otherwise (NaN, a bool or
     a string is not such a number)."""
-    p = np.asarray(polarization)
+    try:
+        p = np.asarray(polarization)
+    except ValueError:  # a ragged list, refused below as not numeric
+        p = np.asarray(None)
     if p.dtype.kind not in "iuf" or not np.all((p >= 0) & (p <= 1)):
         raise InvalidParameterError("polarization must lie within [0, 1]")
     return p.astype(float, copy=False)[()]

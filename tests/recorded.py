@@ -1,9 +1,9 @@
 """Shared by the tests that compare outputs with the benchmark's recorded
 values in ``perfbench/refs/``: the benchmark's workload module, loaded from
-its file (``perfbench`` is not a package), and the platform those values
-hold on. A mismatch message names the running Python, numpy and scipy
-beside the pins in ``constraints.txt``, whether numpy's AVX-512 loops are in
-use, and the OpenBLAS core.
+its file by ``load_perfbench`` (``perfbench`` is not a package), and the
+platform those values hold on. A mismatch message names the running Python,
+numpy and scipy beside the pins in ``constraints.txt``, whether numpy's
+AVX-512 loops are in use, and the OpenBLAS core.
 """
 
 import ctypes
@@ -56,12 +56,13 @@ def _versions():
             f"recorded with {pins} (constraints.txt)")
 
 
-def _workloads():
+def load_perfbench(name):
+    """The module ``perfbench/<name>.py``, loaded from its file."""
     spec = importlib.util.spec_from_file_location(
-        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-WORKLOADS = _workloads()
+WORKLOADS = load_perfbench("workloads")

@@ -483,8 +483,10 @@ class TestReferenceCache:
         for seed in range(3):
             simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, seed)
             lockin_demodulate(np.ones(cfg.n_samples), cfg)
+        # four lookups per readout (two square waves, the in-phase and the
+        # quadrature demodulation) and one per lockin_demodulate, one a miss
         info = noiselockin._references.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 5, 1)
+        assert (info.misses, info.hits, info.currsize) == (1, 14, 1)
 
     def test_cached_references_are_read_only(self, cfg):
         sin, cos, unit_sq, sq_gain = noiselockin._references(cfg)

@@ -44,7 +44,8 @@ class TestTransitionFrequency:
         with pytest.raises(DomainError, match="^b_field must be finite and >= 0$"):
             transition_frequency(b, measured_ensemble)
 
-    @pytest.mark.parametrize("b", ["3", True, ["3"], [True, False], None, 2**64])
+    @pytest.mark.parametrize("b", ["3", True, ["3"], [True, False], None, 2**64,
+                                   [1.0, [2.0]]])
     def test_field_that_is_not_a_real_number_rejected(self, measured_ensemble, b):
         with pytest.raises(DomainError, match="^b_field must be finite and >= 0$"):
             transition_frequency(b, measured_ensemble)
@@ -58,6 +59,10 @@ class TestTransitionFrequency:
         got = transition_frequency(b, measured_ensemble)
         assert np.asarray(got).dtype == np.float64
         assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+
+    @pytest.mark.parametrize("b", [30.0, 30, np.float32(30.0), np.array(30.0)])
+    def test_scalar_field_gives_a_python_float(self, measured_ensemble, b):
+        assert type(transition_frequency(b, measured_ensemble)) is float
 
 
 class TestDawson:
@@ -113,7 +118,8 @@ class TestEnsembleShift:
         with pytest.raises(InvalidParameterError, match="polarization must lie"):
             ensemble_dispersive_shift(measured_ensemble, 2.8e9, 2.9e9, p)
 
-    @pytest.mark.parametrize("p", [True, [True, False], "1", ["0.5"], None])
+    @pytest.mark.parametrize("p", [True, [True, False], "1", ["0.5"], None,
+                                   [0.5, [0.5]]])
     def test_polarization_that_is_not_a_real_number_rejected(self, measured_ensemble,
                                                              p):
         with pytest.raises(InvalidParameterError, match="polarization must lie"):

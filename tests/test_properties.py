@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dispersive_readout import (
@@ -67,6 +67,7 @@ POLARIZATION = st.one_of(
 
 
 @given(polarization=POLARIZATION)
+@example(polarization=[0.5, [0.5]])  # ragged: numpy cannot make one array of it
 def test_every_entry_applies_the_one_polarization_rule(polarization):
     """The shift, a trace of samples and the shift-vs-field model accept the
     same polarizations: real numbers within [0, 1], alone or in an array.
