@@ -85,12 +85,8 @@ def synthesize_phase_noise(psd: PhaseNoisePSD, fs, n_samples, seed):
 def _shaping_gain(psd: PhaseNoisePSD, fs, n_samples):
     """The shaping gain sqrt(S_phi(f) * fs / 2) on the ``n_samples//2 + 1``
     bins of a real FFT at rate ``fs``, read-only."""
-    freqs = np.fft.rfftfreq(n_samples, d=1.0 / fs)
-    gain = psd_value(psd, np.clip(freqs, psd.f_min, psd.f_max, out=freqs))
-    del freqs
-    gain *= fs
-    gain /= 2.0
-    np.sqrt(gain, out=gain)
+    freqs = np.clip(np.fft.rfftfreq(n_samples, d=1.0 / fs), psd.f_min, psd.f_max)
+    gain = np.sqrt(psd_value(psd, freqs) * fs / 2.0)
     gain.flags.writeable = False
     return gain
 

@@ -668,6 +668,15 @@ class TestInputFiles:
         assert main(reading("csv", csv, tmp_path)) == 2
         assert "not UTF-8 text" in one_error_naming(capsys, csv)
 
+    def test_csv_with_non_utf8_bytes_past_the_first_buffer_exits_2(self, tmp_path,
+                                                                    capsys):
+        # the header decodes, so numpy's reader is the one to meet the byte
+        csv = tmp_path / "late.csv"
+        csv.write_bytes(b"x,y\n" + b"1.0,2.0\n" * 2000 + b"3.0,\xff\n")
+        assert main(reading("csv", csv, tmp_path)) == 2
+        assert "not UTF-8 text" in one_error_naming(capsys, csv)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["noise", "fit"])
     def test_out_naming_a_file_exits_2(self, config_path, tmp_path, capsys,
                                        command):
@@ -1457,3 +1466,41 @@ class TestOptionContract:
                 else:
                     _, columns = read_csv(path)
                     assert all(np.all(np.isfinite(c)) for c in columns), path
+
+
+class TestChopperRecordsPastTheAddressSpace:
+    """A chopper record of 2^47 to 2^62 samples: ``relaxation`` exits 2 with
+    one error line naming the config and writes nothing. Below
+    ``MAX_SAMPLES`` = 2^60 the time grid cannot be allocated: at 2^47
+    samples and up it needs 1 PiB or more, past a 47-bit user address space,
+    so it fails at once. From 2^60 up ``ChopperCycle`` refuses the count at
+    the ``cycle`` line. Nothing below 2^47 is drawn: under overcommit such a
+    record could be allocated and fill the machine's memory."""
+
+    @settings(max_examples=20, deadline=None)
+    @given(log2_samples=st.floats(min_value=47.0, max_value=62.0))
+    @example(log2_samples=47.0)
+    @example(log2_samples=60.0)
+    @example(log2_samples=62.0)
+    def test_relaxation_exits_2_naming_the_config(self, log2_samples):
+        data = json.loads(json.dumps(DEFAULT_CONFIG))
+        cycle = data["cycle"]
+        cycle["dt_s"] = cycle["n_periods"] * cycle["period_s"] / 2.0**log2_samples
+        samples = cycle["n_periods"] * cycle["period_s"] / cycle["dt_s"]
+        text = json.dumps(data, indent=2)
+        with tempfile.TemporaryDirectory() as tmp:
+            config, out = Path(tmp) / "config.json", Path(tmp) / "out"
+            config.write_text(text)
+            code, err = _run(["relaxation", "--config", str(config),
+                              "--out", str(out)])
+            assert code == 2, err
+            assert not out.exists()
+        assert err.startswith(f"error: {config}: ") and err.count("\n") == 1, err
+        if samples < 2**60:
+            assert "out of memory (Unable to allocate " in err, err
+            assert err.endswith("; nothing written\n"), err
+        else:
+            line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                        if '"cycle"' in row)
+            assert (f"line {line}: invalid 'cycle' section: "
+                    "n_periods*period/dt = ") in err, err

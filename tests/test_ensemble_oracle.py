@@ -3,6 +3,8 @@ quadrature oracle."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from oracles import ensemble_shift_oracle
 
 from dispersive_readout import (
@@ -68,3 +70,21 @@ def test_convergence_with_grid_refinement(measured_ensemble):
 def test_small_grid_rejected(measured_ensemble):
     with pytest.raises(InvalidParameterError):
         ensemble_shift_oracle(measured_ensemble, 2.8e9, 2.9e9, 1.0, n_grid=100)
+
+
+@settings(max_examples=40, deadline=None)
+@given(log_t2_star=st.floats(min_value=-12.0, max_value=-3.0),
+       log_ratio=st.floats(min_value=-3.0, max_value=5.0),
+       sign=st.sampled_from([1.0, -1.0]))
+@example(log_t2_star=-12.0, log_ratio=5.0, sign=-1.0)
+@example(log_t2_star=-3.0, log_ratio=-3.0, sign=1.0)
+def test_closed_form_matches_quadrature_over_t2_star_and_detuning(log_t2_star,
+                                                                  log_ratio, sign):
+    """T2* log-uniform over 1 ps .. 1 ms and |Delta|/sigma log-uniform over
+    1e-3 .. 1e5, either sign, on the oracle's default grid. The draw stops
+    at 1e5 sigma: further out the 10^6-point grid, which spans
+    |Delta| + 8 sigma, no longer resolves the Gaussian."""
+    ens = _ensemble(10.0**log_t2_star)
+    omega_c = 2.8175e9
+    omega0 = omega_c - sign * 10.0**log_ratio * ens.sigma_f
+    assert _rel_err(ens, omega_c, omega0) < 1e-9

@@ -103,6 +103,16 @@ def test_unparsable_row_is_located(tmp_path, rows, line, reason):
     assert str(info.value) == f"{path}: line {line}: {reason}"
 
 
+def test_non_utf8_byte_past_the_first_buffer_names_the_file(tmp_path):
+    # 16000 bytes of good rows: the header is decoded from the first 8 KiB
+    # buffer, so the bad byte reaches numpy's reader, not the header readline
+    path = tmp_path / "late.csv"
+    path.write_bytes(b"x,y\n" + b"1.0,2.0\n" * 2000 + b"3.0,\xff\n")
+    with pytest.raises(ConfigError) as info:
+        read_csv(path)
+    assert str(info.value) == f"{path}: not UTF-8 text (invalid start byte)"
+
+
 @settings(max_examples=300, deadline=None)
 @given(cell=st.text(alphabet="0123456789.eE+-_ \tinfatyINFATY\u00a0\u2003\uff11\u0660",
                     max_size=8))
