@@ -321,14 +321,17 @@ def main(argv=None):
     are off: a result past the float range (an arithmetic error, a CSV
     column or a fit's chi-square that is not finite) names the config, and
     a failed allocation names the command's size option (else the config)
-    with numpy's text; a fit without a config names its data CSV instead.
+    with numpy's text. The config is named only by a command that reads it:
+    the CSV commands and ``fit --model shift_vs_field``; any other fit names
+    its data CSV instead, whether or not ``--config`` is given.
     A rank-deficient fit, and an InvalidParameterError the fit raises after
     the CLI's checks (too few rows), name the data CSV and the model.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
-    source = args.config if args.config is not None else getattr(args, "input_csv", None)
+    reads_config = args.command != "fit" or args.model == "shift_vs_field"
+    source = args.config if reads_config else args.input_csv
     try:
         with np.errstate(all="ignore"):
             return command(args)

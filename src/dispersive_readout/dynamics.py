@@ -16,7 +16,12 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .params import CavityParams, ChopperCycle, SpinEnsembleParams, check_fraction
-from .physics import check_polarization, ensemble_dispersive_shift, transition_frequency
+from .physics import (
+    check_polarization,
+    check_real,
+    ensemble_dispersive_shift,
+    transition_frequency,
+)
 
 
 @dataclass(frozen=True)
@@ -25,14 +30,15 @@ class PolarizationTrace:
     p: np.ndarray       # polarization in [0, 1]
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
+        t = check_real(self.times, "times")
         p = check_polarization(self.p)
         if t.shape != p.shape or t.ndim != 1:
             raise InvalidParameterError("times and p must be 1-D arrays of equal length")
-        if len(t) >= 2:
-            dts = np.diff(t)
-            if np.any(dts <= 0) or not np.allclose(dts, dts[0], rtol=1e-9, atol=0):
-                raise InvalidParameterError("times must be strictly increasing and uniform")
+        dts = np.diff(t)
+        if not (np.isfinite(t).all() and np.all(dts > 0)
+                and np.allclose(dts, dts[:1], rtol=1e-9, atol=0)):
+            raise InvalidParameterError(
+                "times must be finite, strictly increasing and uniform")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "p", p)
 

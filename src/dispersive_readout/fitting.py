@@ -48,6 +48,7 @@ from .params import (
 from .physics import (
     add_phase_background,
     check_polarization,
+    check_real,
     ensemble_profile,
     ensemble_shift,
     reflection_resonance,
@@ -255,9 +256,9 @@ def fit_nonlinear(model: FitModel, x, y, init,
     cost change or the relative step norm drops below 1e-10; non-convergence
     is reported through ``converged = False``, not an exception. A rank-
     deficient Jacobian (a parameter without influence, or an exact parameter
-    degeneracy) raises SingularJacobianError; non-finite data, too few
-    points or a ``max_iterations`` below 1 or not an integer raise
-    InvalidParameterError.
+    degeneracy) raises SingularJacobianError; data that is not real
+    (``check_real``) or not finite, too few points or a ``max_iterations``
+    below 1 or not an integer raise InvalidParameterError.
 
     The covariance is scaled by the reduced chi-square, so the quoted
     uncertainties reflect the observed scatter.
@@ -268,8 +269,7 @@ def fit_nonlinear(model: FitModel, x, y, init,
     lo = np.array([-np.inf if a is None else a for a, _ in bounds], dtype=float)
     hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
     check_count(max_iterations, "max_iterations")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y = check_real(x, "x"), check_real(y, "y")
     if x.ndim != 1 or x.shape != y.shape:
         raise InvalidParameterError("x and y must be 1-D arrays of equal length")
     if len(y) < n_params + 1:
@@ -404,7 +404,7 @@ def fit_reflection_phase(x, y, init, x_scale=None,
     phi0 default to 0).
     """
     check_x_scale(x_scale)
-    x = np.asarray(x, dtype=float)
+    x = check_real(x, "x")
     if x_scale is not None:
         x = x / x_scale
     return fit_nonlinear(reflection_phase_model(), x, y, init, max_iterations)

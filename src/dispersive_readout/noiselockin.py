@@ -29,7 +29,7 @@ from .params import (
     check_seed,
     is_finite_number,
 )
-from .physics import optimized_phase_shift
+from .physics import check_real, optimized_phase_shift
 
 HBAR = 1.054571817e-34      # J s
 MU_B = 9.2740100783e-24     # J/T
@@ -41,7 +41,7 @@ def psd_value(psd: PhaseNoisePSD, f):
 
     Piecewise power-law evaluation; DomainError outside [f_min, f_max], NaN too.
     """
-    farr = np.asarray(f, dtype=float)
+    farr = check_real(f, "f")
     ok = (farr >= psd.f_min * (1 - 1e-12)) & (farr <= psd.f_max * (1 + 1e-12))
     if not np.all(ok):
         raise DomainError(f"frequency outside PSD range [{psd.f_min}, {psd.f_max}] Hz")
@@ -132,7 +132,7 @@ def lockin_demodulate(signal, cfg: LockinConfig):
     linear in the signal. A signal whose length is not ``cfg.n_samples``
     raises InvalidParameterError.
     """
-    signal = np.asarray(signal, dtype=float)
+    signal = check_real(signal, "signal")
     if signal.shape != (cfg.n_samples,):
         raise InvalidParameterError(
             f"signal length {signal.shape} does not match fs*duration = {cfg.n_samples}"

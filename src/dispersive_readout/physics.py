@@ -16,6 +16,7 @@ are evaluated directly with Hz values.
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,16 +27,28 @@ from .params import CavityParams, OptimizedDeviceParams, SpinEnsembleParams
 SQRT2 = math.sqrt(2.0)
 
 
-def check_field(b_field):
-    """``b_field`` (gauss), a real number or array of them, finite and >= 0,
-    as a float64 array; DomainError otherwise."""
+def check_real(value, name):
+    """``value``, the argument ``name``, as a float64 array (0-d for a
+    number) if it is a real number or an array of them; InvalidParameterError
+    naming it otherwise (a bool, a string, a complex number, None, a
+    ``Fraction`` or a ragged list is not such a number)."""
     try:
-        b = np.asarray(b_field)
+        a = np.asarray(value)
     except ValueError:  # a ragged list, refused below as not numeric
-        b = np.asarray(None)
-    if b.dtype.kind not in "iuf" or not np.all((b >= 0) & (b < np.inf)):
+        a = np.asarray(None)
+    if a.dtype.kind not in "iuf":
+        raise InvalidParameterError(f"{name} must be a real number or an array "
+                                    f"of them, got {reprlib.repr(value)}")
+    return a.astype(float, copy=False)
+
+
+def check_field(b_field):
+    """``b_field`` (gauss), a real number or array of them (``check_real``),
+    finite and >= 0, as a float64 array; DomainError otherwise."""
+    b = check_real(b_field, "b_field")
+    if not np.all((b >= 0) & (b < np.inf)):
         raise DomainError("b_field must be finite and >= 0")
-    return b.astype(float, copy=False)
+    return b
 
 
 def transition_frequency(b_field, ens: SpinEnsembleParams):
@@ -50,16 +63,13 @@ def transition_frequency(b_field, ens: SpinEnsembleParams):
 
 
 def check_polarization(polarization):
-    """``polarization``, a real number or array of them within [0, 1], as a
-    float64 scalar or array; InvalidParameterError otherwise (NaN, a bool or
-    a string is not such a number)."""
-    try:
-        p = np.asarray(polarization)
-    except ValueError:  # a ragged list, refused below as not numeric
-        p = np.asarray(None)
-    if p.dtype.kind not in "iuf" or not np.all((p >= 0) & (p <= 1)):
+    """``polarization``, a real number or array of them (``check_real``)
+    within [0, 1], as a float64 scalar or array; InvalidParameterError
+    otherwise."""
+    p = check_real(polarization, "polarization")
+    if not np.all((p >= 0) & (p <= 1)):
         raise InvalidParameterError("polarization must lie within [0, 1]")
-    return p.astype(float, copy=False)[()]
+    return p[()]
 
 
 def dawson(x):
@@ -72,7 +82,7 @@ def dawson(x):
     """
     from scipy.special import dawsn
 
-    out = dawsn(np.asarray(x, dtype=float))
+    out = dawsn(check_real(x, "x"))
     return float(out) if out.ndim == 0 else out
 
 
@@ -103,7 +113,7 @@ def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
     reduces to p*N*g^2/Delta in the narrow-line limit sigma_f -> 0.
     """
     p = check_polarization(polarization)
-    detuning = np.asarray(omega_c, dtype=float) - np.asarray(mean_omega0, dtype=float)
+    detuning = check_real(omega_c, "omega_c") - check_real(mean_omega0, "mean_omega0")
     sigma = ens.sigma_f
     out = ensemble_shift(p, ens.n_spins, ens.g, sigma, ensemble_profile(detuning, sigma))
     return float(out) if np.ndim(out) == 0 else out
@@ -149,7 +159,7 @@ def reflection_phase(cav: CavityParams, delta):
     With k = phi0 = 0 the response is odd in delta, has slope
     4*beta*Q/(1-beta^2) at delta = 0 and decays to zero far off resonance.
     """
-    x = np.asarray(delta, dtype=float)
+    x = check_real(delta, "delta")
     out = add_phase_background(reflection_resonance(x, cav.q, cav.beta), x,
                                cav.k, cav.phi0)
     return float(out) if out.ndim == 0 else out

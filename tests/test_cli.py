@@ -1186,8 +1186,9 @@ class TestOneFailurePath:
 
 
 class TestFitFailuresAreLocated:
-    """A fit's own failure names the data CSV and the model, and a fit
-    without a config lays a float-range or memory failure to its CSV."""
+    """A fit's own failure names the data CSV and the model, and a fit whose
+    model reads no config lays a float-range or memory failure to its CSV,
+    with or without --config."""
 
     @pytest.mark.parametrize("model, init", [
         ("exponential", {"amplitude": 0.7, "tau": 5e-4}),
@@ -1217,7 +1218,8 @@ class TestFitFailuresAreLocated:
          "out of memory (Unable to allocate 8.00 EiB); nothing written")],
         ids=["overflow", "memory"])
     def test_fit_without_config_names_the_csv(self, tmp_path, capsys, monkeypatch,
-                                              failure, reason):
+                                              config_path, failure, reason):
+        # a --config that the exponential model never reads is not named either
         from dispersive_readout import fitting
 
         def failing(*args, **kwargs):
@@ -1226,9 +1228,27 @@ class TestFitFailuresAreLocated:
         monkeypatch.setattr(fitting, "fit_exponential", failing)
         csv, init = fit_inputs(tmp_path)
         out = tmp_path / "out"
+        for config in ([], ["--config", str(config_path)]):
+            assert main(["fit", str(csv), "--model", "exponential", "--init", str(init),
+                         "--out", str(out), *config]) == 2
+            assert capsys.readouterr().err == f"error: {csv}: {reason}\n"
+            assert not out.exists()
+
+    def test_fit_whose_cost_overflows_names_the_csv_not_an_unread_config(
+            self, config_path, tmp_path, capsys):
+        from dispersive_readout.io import write_csv
+        t = np.linspace(0.0, 2e-3, 40)
+        csv = tmp_path / "big.csv"
+        write_csv(csv, ["x", "y"], [t, 1e200 * (0.8 * np.exp(-t / 7e-4) + 0.1)])
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps({"init": {"amplitude": 0.7, "tau": 5e-4}}))
+        out = tmp_path / "out"
         assert main(["fit", str(csv), "--model", "exponential", "--init", str(init),
-                     "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {csv}: {reason}\n"
+                     "--config", str(config_path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {csv}: values outside the floating-point range "
+            "(FloatingPointError: model 'exponential' ends the fit with "
+            "chi2_reduced = inf)\n")
         assert not out.exists()
 
     def test_fit_whose_cost_overflows_names_the_config(self, config_path, tmp_path,

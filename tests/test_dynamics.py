@@ -142,6 +142,14 @@ def test_polarization_trace_validation(times, p, message):
         PolarizationTrace(np.array(times), np.array(p))
 
 
+@pytest.mark.parametrize("times", [[np.nan], [0.0, np.inf], [-np.inf, 0.0],
+                                   [0.0, 1.0, np.nan]])
+def test_polarization_trace_refuses_times_that_are_not_finite(times):
+    # one or two samples pass the spacing test: an infinite step is uniform
+    with pytest.raises(InvalidParameterError, match="^times must be finite"):
+        PolarizationTrace(times, [0.5] * len(times))
+
+
 class TestPhaseTrace:
     def test_zero_polarization_gives_zero_trace(self, measured_ensemble,
                                                 measured_cavity, cycle):

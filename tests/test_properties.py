@@ -2,6 +2,7 @@
 demodulator algebra."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,10 +18,16 @@ from dispersive_readout import (
     dawson,
     ensemble_dispersive_shift,
     lockin_demodulate,
+    psd_value,
     reflection_phase,
     synthesize_phase_noise,
 )
-from dispersive_readout.fitting import shift_vs_field_model
+from dispersive_readout.fitting import (
+    FitModel,
+    fit_nonlinear,
+    fit_reflection_phase,
+    shift_vs_field_model,
+)
 from dispersive_readout.params import PhaseNoisePSD, PSDSegment
 from oracles import reflection_phase_arctan
 
@@ -93,6 +100,91 @@ def test_every_entry_applies_the_one_polarization_rule(polarization):
     if not isinstance(polarization, list):
         assert accepted[0] == (type(polarization) in (int, float)
                                and 0 <= polarization <= 1)
+
+
+# The ten array arguments that physics.check_real parses, each as (its name,
+# a call that passes a value in its place and valid values elsewhere, a
+# valid value of whole numbers in [0, 255], so every integer type holds it).
+_ENS = ensemble(2e12, 2.4e-2, 18e-9)
+_CAV = CavityParams(omega_c=2.8175e9, q=5e3, beta=0.6)
+_PSD = PhaseNoisePSD((PSDSegment(1.0, -1.0, 1e-6),), 1.0, 1e5)
+_LOCKIN = LockinConfig(f_mod=10.0, fs=200.0, duration=0.5)  # 100 samples
+_LINE = FitModel(("a", "b"), lambda p, x: p[0] * x + p[1])
+_RAMP = np.arange(10.0)
+_LINE_Y = np.array([1.0, 3, 6, 7, 9, 11, 14, 15, 17, 19])
+_DETUNING = np.arange(0.0, 200.0, 10.0)  # Hz, at an x_scale of 1e6 Hz
+_PHASE_Y = reflection_phase(_CAV, _DETUNING / 1e6) + 1e-3 * np.sin(_DETUNING)
+ARRAY_ARGUMENTS = {
+    "dawson-x": ("x", dawson, _RAMP),
+    "ensemble_dispersive_shift-omega_c": (
+        "omega_c", lambda v: ensemble_dispersive_shift(_ENS, v, 2.8e9, 1.0), _RAMP),
+    "ensemble_dispersive_shift-mean_omega0": (
+        "mean_omega0", lambda v: ensemble_dispersive_shift(_ENS, 2.8e9, v, 1.0),
+        _RAMP),
+    "reflection_phase-delta": ("delta", lambda v: reflection_phase(_CAV, v), _RAMP),
+    "psd_value-f": ("f", lambda v: psd_value(_PSD, v), _RAMP + 1.0),
+    "lockin_demodulate-signal": (
+        "signal", lambda v: lockin_demodulate(v, _LOCKIN), np.arange(100.0) % 7),
+    "PolarizationTrace-times": (
+        "times", lambda v: PolarizationTrace(v, [0.0, 0.5, 1.0, 0.5]).times,
+        _RAMP[:4]),
+    "fit_nonlinear-x": (
+        "x", lambda v: fit_nonlinear(_LINE, v, _LINE_Y, {"a": 1, "b": 0}).params,
+        _RAMP),
+    "fit_nonlinear-y": (
+        "y", lambda v: fit_nonlinear(_LINE, _RAMP, v, {"a": 1, "b": 0}).params,
+        _LINE_Y),
+    "fit_reflection_phase-x": (
+        "x", lambda v: fit_reflection_phase(v, _PHASE_Y, {"q": 4.8e3, "beta": 0.55},
+                                            x_scale=1e6).params, _DETUNING),
+}
+NOT_REAL = ["1e-4", "x", True, np.bool_(True), None, 1 + 0j, [1.0, [2.0]],
+            Fraction(1, 2)]
+REAL_FORMS = {
+    "int": lambda a: [int(v) for v in a],
+    "int32": lambda a: a.astype(np.int32),
+    "uint8": lambda a: a.astype(np.uint8),
+    "float32": lambda a: a.astype(np.float32),
+    "list": lambda a: a.tolist(),
+    "tuple": lambda a: tuple(a.tolist()),
+}
+
+
+@pytest.mark.parametrize("argument", ARRAY_ARGUMENTS)
+@settings(max_examples=25, deadline=None)
+@given(value=st.one_of(st.sampled_from(NOT_REAL), st.text(), st.complex_numbers(),
+                       st.lists(st.sampled_from(NOT_REAL[:6]), min_size=1,
+                                max_size=3)))
+def test_every_array_argument_refuses_what_is_not_a_real_number(argument, value):
+    """Each of the ten array arguments refuses a value that is not a real
+    number or an array of them with an InvalidParameterError naming it."""
+    name, call, _ = ARRAY_ARGUMENTS[argument]
+    with pytest.raises(InvalidParameterError,
+                       match=f"^{name} must be a real number or an array of them, got "):
+        call(value)
+
+
+for _value in NOT_REAL:  # each named value is tried for every argument
+    test_every_array_argument_refuses_what_is_not_a_real_number = example(
+        value=_value)(test_every_array_argument_refuses_what_is_not_a_real_number)
+
+
+@pytest.mark.parametrize("argument", ARRAY_ARGUMENTS)
+@pytest.mark.parametrize("form", REAL_FORMS)
+def test_every_array_argument_takes_any_real_type_as_the_float_array(argument,
+                                                                     form):
+    _, call, base = ARRAY_ARGUMENTS[argument]
+    value = REAL_FORMS[form](base)
+    expected = call(np.asarray(value, dtype=float))
+    assert np.asarray(call(value)).tobytes() == np.asarray(expected).tobytes()
+
+
+@pytest.mark.parametrize("argument", ARRAY_ARGUMENTS)
+def test_a_long_refused_array_gives_a_short_message(argument):
+    name, call, _ = ARRAY_ARGUMENTS[argument]
+    with pytest.raises(InvalidParameterError) as info:
+        call(["x"] * 10**4)
+    assert str(info.value).startswith(f"{name} must be") and len(str(info.value)) < 200
 
 
 @given(
