@@ -71,18 +71,6 @@ def _float_option(args, name, check=None):
     return value
 
 
-def _require_finite(labels, columns, path, message):
-    """Raise a ConfigError naming ``path`` for the first cell of ``columns``
-    that is not finite; ``message`` is formatted with the column's ``label``,
-    the cell's ``value`` and its 1-based data ``row``."""
-    for label, column in zip(labels, columns):
-        finite = np.isfinite(column)
-        if not finite.all():
-            row = int(np.argmin(finite))
-            raise ConfigError(message.format(label=label, value=column[row],
-                                             row=row + 1), path=path)
-
-
 def _emits_csv(compute):
     """A CSV subcommand from ``compute(args, cfg)``, which returns the file
     name, the header and the columns: the config is loaded, the output
@@ -93,9 +81,14 @@ def _emits_csv(compute):
         cfg = load_config(args.config)
         out = _out_dir(args, cfg)
         name, header, columns = compute(args, cfg)
-        _require_finite(header, columns, args.config,
-                        "column '{label}' would hold {value} at data row {row}: "
-                        "values outside the floating-point range; nothing written")
+        for label, column in zip(header, columns):
+            finite = np.isfinite(column)
+            if not finite.all():
+                row = int(np.argmin(finite))
+                raise ConfigError(
+                    f"column '{label}' would hold {column[row]} at data row "
+                    f"{row + 1}: values outside the floating-point range; "
+                    "nothing written", path=args.config)
         os.makedirs(out, exist_ok=True)
         path = os.path.join(out, name)
         io.write_csv(path, header, columns)
@@ -214,12 +207,12 @@ def _load_init(path, model):
 
 def cmd_fit(args):
     check_count(args.max_iterations, "--max-iterations")
+    cfg = None if args.config is None else load_config(args.config)
     options = {}
     if args.model == "shift_vs_field":
-        if args.config is None:
+        if cfg is None:
             raise ConfigError("model 'shift_vs_field' requires --config for the "
                               "fixed ensemble/cavity parameters")
-        cfg = load_config(args.config)
         model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
         options["fixed"] = {"ensemble": cfg.ensemble, "cavity": cfg.cavity,
                             "polarization": cfg.p_sat}
@@ -230,9 +223,6 @@ def cmd_fit(args):
     if len(columns) < 2:
         raise ConfigError("expected x and y columns of numbers",
                           path=args.input_csv)
-    _require_finite(("x", "y"), columns[:2], args.input_csv,
-                    "the {label} column holds {value} at data row {row}: "
-                    "a fit needs finite numbers")
     x, y = columns[:2]
     out = _out_dir(args)
     # looked up on every call, so a replaced entry point is the one run
@@ -321,17 +311,18 @@ def main(argv=None):
     are off: a result past the float range (an arithmetic error, a CSV
     column or a fit's chi-square that is not finite) names the config, and
     a failed allocation names the command's size option (else the config)
-    with numpy's text. The config is named only by a command that reads it:
-    the CSV commands and ``fit --model shift_vs_field``; any other fit names
-    its data CSV instead, whether or not ``--config`` is given.
+    with numpy's text. The config is named only by a command whose results
+    use it: the CSV commands and ``fit --model shift_vs_field``; any other
+    fit names its data CSV instead, whether or not ``--config`` is given
+    (a given config is still loaded and checked, and its own errors name it).
     A rank-deficient fit, and an InvalidParameterError the fit raises after
     the CLI's checks (too few rows), name the data CSV and the model.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
     command = globals()["cmd_" + args.command.replace("-", "_")]
-    reads_config = args.command != "fit" or args.model == "shift_vs_field"
-    source = args.config if reads_config else args.input_csv
+    uses_config = args.command != "fit" or args.model == "shift_vs_field"
+    source = args.config if uses_config else args.input_csv
     try:
         with np.errstate(all="ignore"):
             return command(args)

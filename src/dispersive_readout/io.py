@@ -1,6 +1,6 @@
 """Input reading, and CSV and JSON emission with reproducible, diff-able
 formatting. Only this module opens files. An input that is not UTF-8, not
-JSON or not a CSV of numbers raises a ConfigError naming the file.
+JSON or not a CSV of finite numbers raises a ConfigError naming the file.
 
 CSV: header row, LF line endings, '.' decimal separator, shortest float
 representation that round-trips exactly. JSON: UTF-8, sorted keys, strict
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import warnings
 
 import numpy as np
@@ -67,7 +68,7 @@ def read_json(path):
 
 def _bad_row(lines):
     """(line, reason) for the first data row of the CSV ``lines`` that is not
-    a row of numbers as wide as the first one, or None."""
+    a row of finite numbers as wide as the first one, or None."""
     width = None
     for line, text in enumerate(lines[1:], start=2):
         cells = text.split("#")[0].strip()
@@ -80,6 +81,8 @@ def _bad_row(lines):
         for col, cell in enumerate(cells, start=1):
             if not _is_number(cell):
                 return line, f"column {col}: {cell.strip()!r} is not a number"
+            if not math.isfinite(float(cell)):
+                return line, f"column {col}: {cell.strip()!r} is not a finite number"
     return None
 
 
@@ -103,6 +106,8 @@ def read_csv(path):
                 # no data rows: the caller reports the empty columns itself
                 warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                 data = np.loadtxt(fh, delimiter=",", ndmin=2)
+            if not np.isfinite(data).all():
+                raise ValueError("a cell is not a finite number")
         except UnicodeDecodeError:
             raise
         except ValueError as exc:

@@ -533,9 +533,41 @@ class TestExitCodes:
         init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
         assert main(["fit", str(csv), "--model", "exponential",
                      "--init", str(init), "--out", str(tmp_path)]) == 2
-        assert (f"{csv}: the y column holds {cell} at data row 3"
+        assert (f"{csv}: line 4: column 2: '{cell}' is not a finite number"
                 in capsys.readouterr().err)
         assert not (tmp_path / "fit_exponential.json").exists()
+
+    @pytest.mark.parametrize("bad", ["missing", "malformed"])
+    @pytest.mark.parametrize("model, spec", [
+        ("exponential", {"init": {"amplitude": 0.7, "tau": 5e-4}}),
+        ("reflection_phase",
+         {"init": {"q": 5.0e3, "beta": 0.6}, "x_scale": 2.8175e9}),
+    ], ids=["exponential", "reflection_phase"])
+    def test_fit_checks_a_given_config_for_every_model(
+            self, config_path, tmp_path, capsys, model, spec, bad):
+        if model == "exponential":
+            from dispersive_readout.io import write_csv
+            csv = tmp_path / "data.csv"
+            t = np.linspace(0.0, 2e-3, 40)
+            write_csv(csv, ["t", "y"], [t, 0.8 * np.exp(-t / 7e-4) + 0.1])
+        else:
+            assert main(["spectrum", "--config", str(config_path),
+                         "--out", str(tmp_path)]) == 0
+            csv = tmp_path / "spectrum.csv"
+        init = tmp_path / "init.json"
+        init.write_text(json.dumps(spec))
+        config = tmp_path / "missing.json"
+        if bad == "malformed":
+            config = config_path
+            config.write_text('{"ensemble": ')
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["fit", str(csv), "--model", model, "--init", str(init),
+                     "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert str(config) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("model, init_values, rows, needed", [
         ("exponential", {"amplitude": 1.0, "tau": 1.0}, 1, 4),

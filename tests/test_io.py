@@ -103,6 +103,20 @@ def test_unparsable_row_is_located(tmp_path, rows, line, reason):
     assert str(info.value) == f"{path}: line {line}: {reason}"
 
 
+@pytest.mark.parametrize("col", [1, 2, 3], ids=["x", "y", "third"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+def test_non_finite_cell_is_located(tmp_path, cell, col):
+    row = ["0.5", "1.5", "2.5"]
+    row[col - 1] = cell
+    path = tmp_path / "data.csv"
+    path.write_text("x,y,z\n0.0,1.0,2.0\n" + ",".join(row) + "\n3.0,4.0,5.0\n")
+    with pytest.raises(ConfigError) as info:
+        read_csv(path)
+    reason = f"column {col}: '{cell}' is not a finite number"
+    assert (info.value.line, info.value.reason) == (3, reason)
+    assert str(info.value) == f"{path}: line 3: {reason}"
+
+
 def test_non_utf8_byte_past_the_first_buffer_names_the_file(tmp_path):
     # 16000 bytes of good rows: the header is decoded from the first 8 KiB
     # buffer, so the bad byte reaches numpy's reader, not the header readline
@@ -118,14 +132,16 @@ def test_non_utf8_byte_past_the_first_buffer_names_the_file(tmp_path):
                     max_size=8))
 @example(cell="\uff11")  # a fullwidth digit: float() takes it, numpy's reader not
 @example(cell="\u00a01.0")  # a no-break space: both take it
+@example(cell="INF")  # numpy reads it as infinity, which is not finite
 def test_first_cell_the_reader_rejects_is_located(cell):
-    # line 3 holds the drawn cell, line 4 a cell no reader takes
+    # line 3 holds the drawn cell, line 4 a cell no reader takes; the drawn
+    # cell is rejected when numpy refuses it or reads it as non-finite
     try:
-        np.loadtxt([f"{cell},0"], delimiter=",", ndmin=2)
+        read = np.loadtxt([f"{cell},0"], delimiter=",", ndmin=2)
     except ValueError:
         line = 3
     else:
-        line = 4
+        line = 4 if np.isfinite(read).all() else 3
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "data.csv"
         path.write_text(f"x,y\n0.0,1.0\n{cell},0\noops,0\n", encoding="utf-8")
