@@ -35,9 +35,15 @@ def linewidth(t2_star):
 
 
 def is_finite_number(value):
-    """True for a finite real number; False for a bool, a non-number and an
-    integer beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    """True for a finite real number; False for a bool, a non-number, a
+    fraction (a ``Rational`` that is not ``Integral``, which ``check_real``
+    refuses too) and an integer beyond the float range."""
+    if isinstance(value, bool):
+        return False
+    if not isinstance(value, (float, int)) and (
+            not isinstance(value, numbers.Real)
+            or (isinstance(value, numbers.Rational)
+                and not isinstance(value, numbers.Integral))):
         return False
     try:
         return math.isfinite(value)

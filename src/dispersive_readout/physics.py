@@ -27,16 +27,21 @@ from .params import CavityParams, OptimizedDeviceParams, SpinEnsembleParams
 SQRT2 = math.sqrt(2.0)
 
 
+_BOOLS = frozenset({bool, np.bool_})
+
+
 def check_real(value, name):
     """``value``, the argument ``name``, as a float64 array (0-d for a
     number) if it is a real number or an array of them; InvalidParameterError
     naming it otherwise (a bool, a string, a complex number, None, a
-    ``Fraction`` or a ragged list is not such a number)."""
+    ``Fraction`` or a ragged list is not such a number, nor is a list or
+    tuple that holds a bool, which numpy would read as 0 or 1)."""
     try:
         a = np.asarray(value)
     except ValueError:  # a ragged list, refused below as not numeric
         a = np.asarray(None)
-    if a.dtype.kind not in "iuf":
+    if a.dtype.kind not in "iuf" or (isinstance(value, (list, tuple)) and not
+            _BOOLS.isdisjoint(map(type, np.asarray(value, dtype=object).flat))):
         raise InvalidParameterError(f"{name} must be a real number or an array "
                                     f"of them, got {reprlib.repr(value)}")
     return a.astype(float, copy=False)

@@ -1,3 +1,4 @@
+import os
 import sys
 from pathlib import Path
 
@@ -23,3 +24,11 @@ def measured_ensemble():
 @pytest.fixture
 def measured_cavity():
     return CavityParams(omega_c=2.8175e9, q=6.0e3, beta=0.74)
+
+
+@pytest.fixture
+def src_env():
+    """The environment of a subprocess that imports the package from this
+    checkout: os.environ with ``src`` first on PYTHONPATH."""
+    paths = [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))

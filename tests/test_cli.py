@@ -3,13 +3,13 @@ import hashlib
 import io
 import json
 import math
-import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest.mock import sentinel
 
 import numpy as np
 import pytest
@@ -94,9 +94,10 @@ class TestSpectrum:
         ))
         code = main(["fit", str(tmp_path / "spectrum.csv"),
                      "--model", "reflection_phase", "--init", str(init),
-                     "--out", str(tmp_path)])
+                     "--config", str(config_path), "--out", str(tmp_path)])
         assert code == 0
-        report = json.loads((tmp_path / "fit_reflection_phase.json").read_text())
+        report = json.loads((tmp_path / "fit_reflection_phase.json").read_text(),
+                            parse_constant=lambda name: pytest.fail(name))
         assert report["converged"]
         assert report["params"]["q"]["value"] == pytest.approx(6.0e3, rel=1e-4)
         assert report["params"]["beta"]["value"] == pytest.approx(0.74, rel=1e-4)
@@ -264,104 +265,103 @@ class TestNoise:
         assert np.max(np.abs(value)) < 1e-20
 
 
+CSV_ROWS = "x,y\n0.0,1.0\n1.0,0.5\n2.0,0.2\n"
+EXP_INIT = {"init": {"amplitude": 1.0, "tau": 1.0}}
+RP_INIT = {"init": {"q": 5.0e3, "beta": 0.6}}
+SVF_INIT = {"init": {"n_spins": 1.5e12, "t2_star": 1.5e-8}}
+
+# name: (model, init JSON as an object or as text, CSV text, the file named,
+# the rest of the one error line after that file's path)
+FIT_DEFECTS = {
+    "no-init": ("exponential", '{"amplitude": 1.0, "tau": 1.0}', CSV_ROWS, "init",
+                'expected an object with an "init" object of starting values'),
+    "invalid-json": ("exponential", '{"init":\n', CSV_ROWS, "init",
+                     "line 2: invalid JSON: Expecting value"),
+    "non-numeric-cell": ("exponential", EXP_INIT, "x,y\n0.0,1.0\n1.0,oops\n2.0,0.2\n",
+                         "csv", "line 3: column 2: 'oops' is not a number"),
+    "ragged": ("exponential", EXP_INIT, "x,y\n0.0,1.0\n\n1.0\n", "csv",
+               "line 4: expected 2 columns, found 1"),
+    "one-column": ("exponential", EXP_INIT, "x,y\n0.0\n1.0\n", "csv",
+                   "expected x and y columns of numbers"),
+    "nan-cell": ("exponential", EXP_INIT, "x,y\n0.0,1.0\n1.0,0.5\n2.0,nan\n3.0,0.1\n",
+                 "csv", "line 4: column 2: 'nan' is not a finite number"),
+    "inf-cell": ("exponential", EXP_INIT, "x,y\n0.0,1.0\n1.0,0.5\n2.0,inf\n3.0,0.1\n",
+                 "csv", "line 4: column 2: 'inf' is not a finite number"),
+    "reflection_phase-missing": (
+        "reflection_phase", {"init": {"q": 5.0e3}}, CSV_ROWS, "init",
+        "\"init\" has no starting value for 'beta', which model 'reflection_phase' "
+        "needs"),
+    "shift_vs_field-missing": (
+        "shift_vs_field", {"init": {"t2_star": 2.0e-8}}, CSV_ROWS, "init",
+        "\"init\" has no starting value for 'n_spins', which model 'shift_vs_field' "
+        "needs"),
+    "exponential-missing": (
+        "exponential", {"init": {"tau": 1.0, "offset": 0.0}}, CSV_ROWS, "init",
+        "\"init\" has no starting value for 'amplitude', which model 'exponential' "
+        "needs"),
+    "reflection_phase-non-numeric": (
+        "reflection_phase", {"init": {"q": "big", "beta": 0.6}}, CSV_ROWS, "init",
+        "\"init\" value for 'q' must be a finite number, got 'big'"),
+    "shift_vs_field-nan": (
+        "shift_vs_field", {"init": {"n_spins": 1.5e12, "t2_star": math.nan}},
+        CSV_ROWS, "init",
+        "\"init\" value for 't2_star' must be a finite number, got nan"),
+    "exponential-inf": (
+        "exponential", {"init": {"amplitude": math.inf, "tau": 1.0}}, CSV_ROWS, "init",
+        "\"init\" value for 'amplitude' must be a finite number, got inf"),
+    "reflection_phase-key": (
+        "reflection_phase", {"init": {"q": 5.0e3, "beta": 0.6, "phi_0": 0.1}},
+        CSV_ROWS, "init", "\"init\" key 'phi_0' is not a parameter of model "
+        "'reflection_phase' (q, beta, k, phi0)"),
+    "exponential-key": (
+        "exponential", {"init": {"amplitude": 1.0, "tau": 1.0, "rate": 1.0}},
+        CSV_ROWS, "init", "\"init\" key 'rate' is not a parameter of model "
+        "'exponential' (amplitude, tau, offset)"),
+    "shift_vs_field-key": (
+        "shift_vs_field", {"init": {**SVF_INIT["init"], "g": 0.024}}, CSV_ROWS, "init",
+        "\"init\" key 'g' is not a parameter of model 'shift_vs_field' "
+        "(n_spins, t2_star)"),
+    "exponential-x_scale": ("exponential", {**EXP_INIT, "x_scale": 2.0}, CSV_ROWS,
+                            "init", "\"x_scale\" is not read by model 'exponential'"),
+    "shift_vs_field-x_scale": (
+        "shift_vs_field", {**SVF_INIT, "x_scale": 2.0}, CSV_ROWS, "init",
+        "\"x_scale\" is not read by model 'shift_vs_field'"),
+    "reflection_phase-top-level-key": (
+        "reflection_phase", {**RP_INIT, "xscale": 2.0}, CSV_ROWS, "init",
+        "\"xscale\" is not read by model 'reflection_phase'"),
+    "non-numeric-x_scale": (
+        "reflection_phase", {**RP_INIT, "x_scale": "GHz"}, CSV_ROWS, "init",
+        "\"x_scale\" must be a finite non-zero number, got 'GHz'"),
+    "exponential-too-few-rows": (
+        "exponential", EXP_INIT, "x,y\n30.0,1.0\n", "csv",
+        "model 'exponential': need at least 4 data points for 3 parameters, got 1"),
+    "reflection_phase-too-few-rows": (
+        "reflection_phase", RP_INIT, "x,y\n30.0,1.0\n31.0,1.0\n32.0,1.0\n33.0,1.0\n",
+        "csv", "model 'reflection_phase': need at least 5 data points for 4 "
+        "parameters, got 4"),
+    "shift_vs_field-too-few-rows": (
+        "shift_vs_field", {"init": {"n_spins": 2.0e12, "t2_star": 2.0e-8}},
+        "x,y\n30.0,1.0\n31.0,1.0\n", "csv", "model 'shift_vs_field': need at least "
+        "3 data points for 2 parameters, got 2"),
+}
+
+
 class TestExitCodes:
-    def test_unknown_key_exits_2_with_line_number(self, config_path, tmp_path,
-                                                  capsys):
-        data = json.loads(config_path.read_text())
-        data["typo_section"] = 1
-        config_path.write_text(json.dumps(data, indent=2))
-        code = main(["spectrum", "--config", str(config_path),
-                     "--out", str(tmp_path)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert "typo_section" in err
-        assert "line" in err
-
-    def test_invalid_value_exits_2(self, config_path, tmp_path):
-        edit_config(config_path, **{"cavity.beta": 1.0})
-        assert main(["spectrum", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
-
-    def test_missing_config_file_exits_2(self, tmp_path):
-        assert main(["spectrum", "--config", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path)]) == 2
-
-    @pytest.mark.parametrize("fields",
-                             [[], [float("nan")], [32.0, float("inf")], 32.0],
-                             ids=["empty", "nan", "inf", "not-a-list"])
-    def test_bad_b_fields_exit_2_at_their_line(self, config_path, tmp_path,
-                                               capsys, fields):
-        data = json.loads(config_path.read_text())
-        data["b_fields_gauss"] = fields
-        text = json.dumps(data, indent=2)
-        config_path.write_text(text)
-        line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                    if '"b_fields_gauss"' in row)
-        assert main(["spectrum", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"line {line}: b_fields_gauss" in err
-        assert not (tmp_path / "spectrum.csv").exists()
-
-    @pytest.mark.parametrize("text, message", [
-        ('{"amplitude": 1.0, "tau": 1.0}', 'expected an object with an "init"'),
-        ('{"init":\n', "line 2: invalid JSON"),
-    ], ids=["no-init", "invalid-json"])
-    def test_fit_bad_init_exits_2_naming_file(self, tmp_path, capsys,
-                                              text, message):
-        from dispersive_readout.io import write_csv
-        csv = tmp_path / "data.csv"
-        write_csv(csv, ["time_s", "value"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
-        init = tmp_path / "init.json"
-        init.write_text(text)
-        assert main(["fit", str(csv), "--model", "exponential",
-                     "--init", str(init), "--out", str(tmp_path)]) == 2
-        assert f"{init}: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("rows, message", [
-        ("0.0,1.0\n1.0,oops\n2.0,0.2\n", "line 3: column 2: 'oops' is not a number"),
-        ("0.0,1.0\n\n1.0\n", "line 4: expected 2 columns, found 1"),
-        ("0.0\n1.0\n", "expected x and y columns"),
-    ], ids=["non-numeric", "ragged", "one-column"])
-    def test_fit_malformed_csv_exits_2_naming_file(self, tmp_path, capsys,
-                                                   rows, message):
-        csv = tmp_path / "data.csv"
-        csv.write_text("time_s,value\n" + rows)
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
-        assert main(["fit", str(csv), "--model", "exponential",
-                     "--init", str(init), "--out", str(tmp_path)]) == 2
-        assert f"{csv}: {message}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("model, init_values, missing", [
-        ("reflection_phase", {"q": 5.0e3}, "beta"),
-        ("shift_vs_field", {"t2_star": 2.0e-8}, "n_spins"),
-        ("exponential", {"tau": 1.0, "offset": 0.0}, "amplitude"),
-    ], ids=["reflection_phase", "shift_vs_field", "exponential"])
-    def test_fit_init_missing_starting_value_exits_2(self, config_path, tmp_path,
-                                                     capsys, model, init_values,
-                                                     missing):
-        from dispersive_readout.io import write_csv
-        csv = tmp_path / "data.csv"
-        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps({"init": init_values}))
-        assert main(["fit", str(csv), "--model", model, "--init", str(init),
-                     "--config", str(config_path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f'{init}: "init" has no starting value for \'{missing}\'' in err
-        assert not (tmp_path / f"fit_{model}.json").exists()
-
-    def test_non_finite_beta_exits_2_at_cavity_line(self, config_path, tmp_path,
-                                                   capsys):
-        text = config_path.read_text().replace('"beta": 0.74', '"beta": NaN')
-        config_path.write_text(text)
-        line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                    if '"cavity"' in row)
-        assert main(["spectrum", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"line {line}: invalid 'cavity' section: beta must be finite" in err
+    @pytest.mark.parametrize("model, init_json, rows, named, message",
+                             FIT_DEFECTS.values(), ids=list(FIT_DEFECTS))
+    def test_fit_defect_exits_2_naming_its_file(self, tmp_path, capsys, model,
+                                                init_json, rows, named, message):
+        files = {"csv": tmp_path / "data.csv", "init": tmp_path / "init.json"}
+        files["csv"].write_text(rows)
+        files["init"].write_text(init_json if isinstance(init_json, str)
+                                 else json.dumps(init_json))
+        out = tmp_path / "out"
+        assert main(["fit", str(files["csv"]), "--model", model,
+                     "--init", str(files["init"]),
+                     "--config", str(CONFIGS / "default.json"),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {files[named]}: {message}\n"
+        assert not out.exists()
 
     def test_unknown_key_is_located_in_its_own_section(self, config_path,
                                                        tmp_path, capsys):
@@ -377,69 +377,6 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"line {line}: unknown key 'g_hz' in section 'lockin'" in err
-
-    @pytest.mark.parametrize("key", ["q", "omega_c_hz"])
-    def test_infinite_q_or_frequency_exits_2_at_cavity_line(self, config_path,
-                                                            tmp_path, capsys, key):
-        data = json.loads(config_path.read_text())
-        data["cavity"][key] = float("inf")
-        text = json.dumps(data, indent=2)  # writes Infinity
-        config_path.write_text(text)
-        line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                    if '"cavity"' in row)
-        assert main(["spectrum", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"line {line}: invalid 'cavity' section:" in err
-        assert "must be finite and > 0, got inf" in err
-        assert not (tmp_path / "spectrum.csv").exists()
-
-    @pytest.mark.parametrize("edit, message", [
-        (lambda psd: 1.0, "section 'psd' must be an object"),
-        (lambda psd: {k: v for k, v in psd.items() if k != "segments"},
-         "invalid 'psd' section: missing key 'segments'"),
-        (lambda psd: {k: v for k, v in psd.items() if k != "f_min_hz"},
-         "invalid 'psd' section: missing key 'f_min_hz'"),
-        (lambda psd: {k: v for k, v in psd.items() if k != "f_max_hz"},
-         "invalid 'psd' section: missing key 'f_max_hz'"),
-        (lambda psd: dict(psd, segments=[{"f_break_hz": 1.0, "exponent": 0.0}]),
-         "invalid 'psd.segments.0' section: missing key 'level_rad2_per_hz'"),
-        (lambda psd: dict(psd, segments=[1.0]),
-         "section 'psd.segments.0' must be an object"),
-        (lambda psd: dict(psd, segments=1.0),
-         "invalid 'psd' section: 'segments' must be a list of objects"),
-        (lambda psd: dict(psd, segments=[{"f_break_hz": 1.0, "exponent": 0.0,
-                                          "level_rad2_per_hz": "low"}]),
-         "invalid 'psd.segments.0' section: level must be finite and > 0, "
-         "got 'low'"),
-    ], ids=["not-an-object", "no-segments", "no-f_min", "no-f_max",
-            "segment-without-level", "segment-not-an-object",
-            "segments-not-a-list", "non-numeric-level"])
-    def test_malformed_psd_exits_2_at_psd_line(self, config_path, tmp_path,
-                                               capsys, edit, message):
-        data = json.loads(config_path.read_text())
-        data["psd"] = edit(data["psd"])
-        text = json.dumps(data, indent=2)
-        config_path.write_text(text)
-        line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                    if '"psd"' in row)
-        assert main(["sensitivity", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"line {line}: {message}" in err
-
-    def test_section_that_is_not_an_object_exits_2_at_its_line(
-            self, config_path, tmp_path, capsys):
-        data = json.loads(config_path.read_text())
-        data["lockin"] = [1e4, 1e6, 0.01]
-        text = json.dumps(data, indent=2)
-        config_path.write_text(text)
-        line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                    if '"lockin"' in row)
-        assert main(["spectrum", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
-        assert (f"line {line}: section 'lockin' must be an object"
-                in capsys.readouterr().err)
 
     def test_config_that_is_not_an_object_exits_2(self, config_path, tmp_path,
                                                   capsys):
@@ -460,82 +397,6 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == 2
         assert (f"line {line}: unknown top-level key 'q'"
                 in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("model, init_values, key, shown", [
-        ("reflection_phase", {"q": "big", "beta": 0.6}, "q", "'big'"),
-        ("shift_vs_field", {"n_spins": 1.5e12, "t2_star": float("nan")},
-         "t2_star", "nan"),
-        ("exponential", {"amplitude": float("inf"), "tau": 1.0}, "amplitude",
-         "inf"),
-    ], ids=["reflection_phase", "shift_vs_field", "exponential"])
-    def test_fit_bad_init_value_exits_2_naming_file_and_key(
-            self, config_path, tmp_path, capsys, model, init_values, key, shown):
-        from dispersive_readout.io import write_csv
-        csv = tmp_path / "data.csv"
-        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps({"init": init_values}))
-        assert main(["fit", str(csv), "--model", model, "--init", str(init),
-                     "--config", str(config_path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert (f'{init}: "init" value for {key!r} must be a finite number, '
-                f"got {shown}") in err
-        assert not (tmp_path / f"fit_{model}.json").exists()
-
-    @pytest.mark.parametrize("model, spec, message", [
-        ("reflection_phase", {"init": {"q": 5.0e3, "beta": 0.6, "phi_0": 0.1}},
-         "\"init\" key 'phi_0' is not a parameter of model 'reflection_phase'"),
-        ("exponential", {"init": {"amplitude": 1.0, "tau": 1.0, "rate": 1.0}},
-         "\"init\" key 'rate' is not a parameter of model 'exponential'"),
-        ("shift_vs_field", {"init": {"n_spins": 1.5e12, "t2_star": 1.5e-8,
-                                     "g": 0.024}},
-         "\"init\" key 'g' is not a parameter of model 'shift_vs_field'"),
-        ("exponential", {"init": {"amplitude": 1.0, "tau": 1.0}, "x_scale": 2.0},
-         "\"x_scale\" is not read by model 'exponential'"),
-        ("shift_vs_field", {"init": {"n_spins": 1.5e12, "t2_star": 1.5e-8},
-                            "x_scale": 2.0},
-         "\"x_scale\" is not read by model 'shift_vs_field'"),
-        ("reflection_phase", {"init": {"q": 5.0e3, "beta": 0.6}, "xscale": 2.0},
-         "\"xscale\" is not read by model 'reflection_phase'"),
-    ], ids=["reflection_phase-key", "exponential-key", "shift_vs_field-key",
-            "exponential-x_scale", "shift_vs_field-x_scale",
-            "reflection_phase-top-level-key"])
-    def test_fit_init_key_the_model_does_not_read_exits_2(
-            self, config_path, tmp_path, capsys, model, spec, message):
-        from dispersive_readout.io import write_csv
-        csv = tmp_path / "data.csv"
-        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps(spec))
-        assert main(["fit", str(csv), "--model", model, "--init", str(init),
-                     "--config", str(config_path), "--out", str(tmp_path)]) == 2
-        assert f"{init}: {message}" in capsys.readouterr().err
-        assert not (tmp_path / f"fit_{model}.json").exists()
-
-    def test_fit_non_numeric_x_scale_exits_2_naming_file(self, tmp_path, capsys):
-        from dispersive_readout.io import write_csv
-        csv = tmp_path / "data.csv"
-        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0], [1.0, 0.5, 0.2]])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps({"init": {"q": 5e3, "beta": 0.6},
-                                    "x_scale": "GHz"}))
-        assert main(["fit", str(csv), "--model", "reflection_phase",
-                     "--init", str(init), "--out", str(tmp_path)]) == 2
-        assert (f'{init}: "x_scale" must be a finite non-zero number'
-                in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("cell", ["nan", "inf"])
-    def test_fit_non_finite_data_cell_exits_2_naming_file_and_row(
-            self, tmp_path, capsys, cell):
-        csv = tmp_path / "data.csv"
-        csv.write_text(f"time_s,value\n0.0,1.0\n1.0,0.5\n2.0,{cell}\n3.0,0.1\n")
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
-        assert main(["fit", str(csv), "--model", "exponential",
-                     "--init", str(init), "--out", str(tmp_path)]) == 2
-        assert (f"{csv}: line 4: column 2: '{cell}' is not a finite number"
-                in capsys.readouterr().err)
-        assert not (tmp_path / "fit_exponential.json").exists()
 
     @pytest.mark.parametrize("bad", ["missing", "malformed"])
     @pytest.mark.parametrize("model, spec", [
@@ -569,56 +430,6 @@ class TestExitCodes:
         assert str(config) in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("model, init_values, rows, needed", [
-        ("exponential", {"amplitude": 1.0, "tau": 1.0}, 1, 4),
-        ("reflection_phase", {"q": 5.0e3, "beta": 0.6}, 4, 5),
-        ("shift_vs_field", {"n_spins": 2.0e12, "t2_star": 2.0e-8}, 2, 3),
-    ], ids=["exponential", "reflection_phase", "shift_vs_field"])
-    def test_fit_too_few_rows_exits_2_naming_file_and_counts(
-            self, config_path, tmp_path, capsys, model, init_values, rows,
-            needed):
-        from dispersive_readout.io import write_csv
-        csv = tmp_path / "data.csv"
-        write_csv(csv, ["x", "y"], [np.arange(rows) + 30.0, np.ones(rows)])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps({"init": init_values}))
-        assert main(["fit", str(csv), "--model", model, "--init", str(init),
-                     "--config", str(config_path), "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {csv}: model '{model}': need at least {needed} data points "
-            f"for {needed - 1} parameters, got {rows}\n")
-        assert not (tmp_path / f"fit_{model}.json").exists()
-
-    def test_fit_header_only_csv_prints_one_error_line(self, tmp_path):
-        csv = tmp_path / "data.csv"
-        csv.write_text("time_s,value\n")
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
-        src = str(Path(__file__).parent.parent / "src")
-        paths = [src, os.environ.get("PYTHONPATH")]
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-        run = subprocess.run(
-            [sys.executable, "-m", "dispersive_readout.cli", "fit", str(csv),
-             "--model", "exponential", "--init", str(init), "--out", str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=120)
-        assert run.returncode == 2
-        assert run.stderr == f"error: {csv}: expected x and y columns of numbers\n"
-
-    @pytest.mark.parametrize("max_iterations", ["0", "-5"])
-    def test_fit_max_iterations_below_one_exits_2(self, tmp_path, capsys,
-                                                  max_iterations):
-        from dispersive_readout.io import write_csv
-        csv = tmp_path / "data.csv"
-        write_csv(csv, ["x", "y"], [[0.0, 1.0, 2.0, 3.0], [1.0, 0.5, 0.2, 0.1]])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
-        assert main(["fit", str(csv), "--model", "exponential",
-                     "--init", str(init), "--out", str(tmp_path),
-                     "--max-iterations", max_iterations]) == 2
-        assert capsys.readouterr().err == (
-            f"error: --max-iterations must be an integer >= 1, got {max_iterations}\n")
-        assert not (tmp_path / "fit_exponential.json").exists()
-
     def test_non_convergence_exits_3_but_writes_report(self, tmp_path):
         from dispersive_readout.io import write_csv
         t = np.linspace(0, 2e-3, 60)
@@ -638,6 +449,39 @@ class TestExitCodes:
                             parse_constant=lambda name: pytest.fail(name))
         assert report["converged"] is False
         assert [p["sigma"] for p in report["params"].values()] == [None] * 3
+
+
+class TestConsoleScript:
+    """The ``dispersive-readout`` entry point in a fresh process: the
+    installed script when PATH has it, ``python -m dispersive_readout.cli``
+    otherwise. A sweep writes the bytes of an in-process run, and a bad input
+    exits 2 with one error line and writes nothing."""
+
+    @pytest.mark.parametrize("case", ["spectrum", "header-only-csv"])
+    def test_runs_in_a_fresh_process(self, tmp_path, src_env, case):
+        script = shutil.which("dispersive-readout")
+        runner = [script] if script else [sys.executable, "-m",
+                                          "dispersive_readout.cli"]
+        out = tmp_path / "out"
+        if case == "spectrum":
+            argv = ["spectrum", "--config", str(CONFIGS / "default.json")]
+            code, stderr = 0, ""
+        else:
+            csv = tmp_path / "data.csv"
+            csv.write_text("time_s,value\n")
+            init = tmp_path / "init.json"
+            init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
+            argv = ["fit", str(csv), "--model", "exponential", "--init", str(init)]
+            code, stderr = 2, f"error: {csv}: expected x and y columns of numbers\n"
+        run = subprocess.run(runner + argv + ["--out", str(out)], capture_output=True,
+                             text=True, env=src_env, timeout=120)
+        assert (run.returncode, run.stderr) == (code, stderr), runner
+        if code == 0:
+            assert main(argv + ["--out", str(tmp_path / "in_process")]) == 0
+            assert sha256(out / "spectrum.csv") == sha256(
+                tmp_path / "in_process" / "spectrum.csv"), runner
+        else:
+            assert not out.exists(), runner
 
 
 def fit_inputs(tmp_path):
@@ -880,13 +724,16 @@ class TestSweepOptions:
         assert err.endswith(f", got {float(value)}\n"), err
         assert not out.exists()
 
-    @pytest.mark.parametrize("value", ["0", "-0", "-100"])
-    @pytest.mark.parametrize("flag", ["--f-min", "--f-max"])
-    def test_frequency_bound_not_above_zero_exits_2(self, config_path, tmp_path,
-                                                    capsys, flag, value):
+    @pytest.mark.parametrize("flag, value", [
+        *((flag, value) for flag in ("--f-min", "--f-max")
+          for value in ("0", "-0", "-100")),
+        ("--f-max", "1e9"), ("--f-min", "0.5"), ("--f-min", "1e6")])
+    def test_frequency_outside_the_psd_exits_2(self, config_path, tmp_path, capsys,
+                                               flag, value):
+        # refused before the 256 PiB that --n-points asks for is allocated
         out = tmp_path / "out"
-        assert main(["sensitivity", f"{flag}={value}", "--config",
-                     str(config_path), "--out", str(out)]) == 2
+        assert main(["sensitivity", f"{flag}={value}", "--n-points", str(2**55),
+                     "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: {flag} = {float(value)}: frequency outside PSD range "
             "[1.0, 500000.0] Hz\n")
@@ -965,6 +812,7 @@ class TestParserReuse:
         assert calls == [model]
 
 
+DROP = sentinel.DROP  # removes the key instead of replacing its value
 # (path into the config, value, message); a key inside a section is located
 # at the section's line, a top-level key at its own
 CONFIG_DEFECTS = [
@@ -998,6 +846,30 @@ CONFIG_DEFECTS = [
     (("seed",), -math.inf, "seed must be a non-negative integer"),
     (("seed",), -1, "seed must be a non-negative integer"),
     (("seed",), False, "seed must be a non-negative integer"),
+    (("cavity", "beta"), 1.0, "beta = 1.0 lies within 0.001 of the critical-coupling"),
+    (("cavity", "beta"), math.nan, "invalid 'cavity' section: beta must be finite"),
+    (("cavity", "q"), math.inf, "invalid 'cavity' section: q must be finite and > 0"),
+    (("cavity", "omega_c_hz"), math.inf,
+     "invalid 'cavity' section: omega_c must be finite and > 0, got inf"),
+    (("b_fields_gauss",), [], "b_fields_gauss must be a non-empty list of numbers"),
+    (("b_fields_gauss",), [math.nan], "b_fields_gauss = [nan]: b_field must be finite"),
+    (("b_fields_gauss",), [32.0, math.inf], "b_fields_gauss = [32.0, inf]: b_field"),
+    (("b_fields_gauss",), 32.0, "b_fields_gauss must be a non-empty list of numbers"),
+    (("b_fields_gauss",), [32.0, -1.0],
+     "b_fields_gauss = [32.0, -1.0]: b_field must be finite and >= 0"),
+    (("psd",), 1.0, "section 'psd' must be an object"),
+    (("psd", "segments"), DROP, "invalid 'psd' section: missing key 'segments'"),
+    (("psd", "f_min_hz"), DROP, "invalid 'psd' section: missing key 'f_min_hz'"),
+    (("psd", "f_max_hz"), DROP, "invalid 'psd' section: missing key 'f_max_hz'"),
+    (("psd", "segments", 0, "level_rad2_per_hz"), DROP,
+     "invalid 'psd.segments.0' section: missing key 'level_rad2_per_hz'"),
+    (("psd", "segments", 0), 1.0, "section 'psd.segments.0' must be an object"),
+    (("psd", "segments"), 1.0,
+     "invalid 'psd' section: 'segments' must be a list of objects"),
+    (("psd", "segments", 0, "level_rad2_per_hz"), "low",
+     "invalid 'psd.segments.0' section: level must be finite and > 0, got 'low'"),
+    (("lockin",), [1e4, 1e6, 0.01], "section 'lockin' must be an object"),
+    (("p_sat",), 0, "p_sat must be a number in (0, 1]"),
 ]
 
 CSV_NAMES = {"spectrum": "spectrum", "relaxation": "relaxation",
@@ -1015,7 +887,6 @@ def _paths(node, prefix=()):
 
 DEFAULT_CONFIG = json.loads((CONFIGS / "default.json").read_text())
 CONFIG_PATHS = list(_paths(DEFAULT_CONFIG))
-DROP = object()
 MUTATIONS = [DROP, math.nan, math.inf, -math.inf, 1e308, -1e308, 1e-308,
              "x", None, [], {}, True, False]
 INTEGER_KEYS = {"n_periods", "seed"}
@@ -1084,12 +955,13 @@ class TestConfigMutations:
         config_path.write_text(text)
         line = next(i for i, row in enumerate(text.splitlines(), start=1)
                     if row.startswith(f'  "{path[0]}"'))
+        out = tmp_path / "out"
         for cmd in CSV_NAMES:
-            assert main([cmd, "--config", str(config_path),
-                         "--out", str(tmp_path)]) == 2
+            assert main([cmd, "--config", str(config_path), "--out", str(out)]) == 2
             err = capsys.readouterr().err
-            assert f"line {line}: " in err and message in err, err
-        assert not any(tmp_path.glob("*.csv"))
+            assert err.startswith(f"error: {config_path}: line {line}: "), err
+            assert err.count("\n") == 1 and message in err, err
+        assert not out.exists()
 
     @settings(max_examples=150, deadline=None)
     @given(mutation=MUTATION)
@@ -1332,43 +1204,18 @@ class TestLocatedOptionErrors:
             f"error: {flag} = -5.0: b_field must be finite and >= 0\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", list(CSV_NAMES))
-    def test_negative_config_field_is_named_at_its_line(self, config_path,
-                                                        tmp_path, capsys, command):
-        data = json.loads(config_path.read_text())
-        data["b_fields_gauss"] = [32.0, -1.0]
-        text = json.dumps(data, indent=2)
-        config_path.write_text(text)
-        line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                    if '"b_fields_gauss"' in row)
-        assert main([command, "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {config_path}: line {line}: b_fields_gauss = [32.0, -1.0]: "
-            "b_field must be finite and >= 0\n")
-
-    @pytest.mark.parametrize("flag, value", [("--f-max", "1e9"), ("--f-min", "0.5"),
-                                             ("--f-min", "1e6")])
-    def test_frequency_outside_the_psd_names_the_flag(self, config_path, tmp_path,
-                                                      capsys, flag, value):
-        out = tmp_path / "out"
-        assert main(["sensitivity", flag, value, "--config", str(config_path),
-                     "--out", str(out), "--n-points", str(2**55)]) == 2
-        assert capsys.readouterr().err == (
-            f"error: {flag} = {float(value)}: frequency outside PSD range "
-            "[1.0, 500000.0] Hz\n")
-        assert not out.exists()
-
+    @pytest.mark.parametrize("value", ["0", "-5"])
     def test_max_iterations_below_one_names_the_flag(self, tmp_path, capsys,
-                                                     monkeypatch):
+                                                     monkeypatch, value):
         from dispersive_readout import io as readers
         csv, init = fit_inputs(tmp_path)
         monkeypatch.setattr(readers, "read_csv", None)  # never run
+        out = tmp_path / "out"
         assert main(["fit", str(csv), "--model", "exponential", "--init",
-                     str(init), "--out", str(tmp_path / "out"),
-                     "--max-iterations", "0"]) == 2
+                     str(init), "--out", str(out), "--max-iterations", value]) == 2
         assert capsys.readouterr().err == (
-            "error: --max-iterations must be an integer >= 1, got 0\n")
+            f"error: --max-iterations must be an integer >= 1, got {value}\n")
+        assert not out.exists()
 
 
 LEAF_PATHS = [p for p in CONFIG_PATHS if not isinstance(_at(p), (dict, list))]
@@ -1532,6 +1379,7 @@ class TestChopperRecordsPastTheAddressSpace:
     @settings(max_examples=20, deadline=None)
     @given(log2_samples=st.floats(min_value=47.0, max_value=62.0))
     @example(log2_samples=47.0)
+    @example(log2_samples=50.0)
     @example(log2_samples=60.0)
     @example(log2_samples=62.0)
     def test_relaxation_exits_2_naming_the_config(self, log2_samples):

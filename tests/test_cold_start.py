@@ -7,7 +7,6 @@ cold path is checked in a fresh interpreter.
 """
 
 import json
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -75,7 +74,7 @@ print(json.dumps(steps))
 """
 
 
-def test_scipy_loads_only_with_the_dawson_function(tmp_path):
+def test_scipy_loads_only_with_the_dawson_function(tmp_path, src_env):
     x = np.linspace(-2e-4, 2e-4, 201)
     csv = tmp_path / "phase.csv"
     write_csv(csv, ["detuning", "phase_rad"],
@@ -88,12 +87,10 @@ def test_scipy_loads_only_with_the_dawson_function(tmp_path):
     decay_init = tmp_path / "decay_init.json"
     decay_init.write_text(json.dumps(
         {"init": {"amplitude": 0.7, "tau": 5e-4, "offset": 0.0}}))
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out = subprocess.run(
         [sys.executable, "-c", COLD_PATH, str(CONFIG), str(tmp_path / "out"),
          str(csv), str(init), str(decay_csv), str(decay_init)],
-        capture_output=True, text=True, env=env, timeout=120, check=True)
+        capture_output=True, text=True, env=src_env, timeout=120, check=True)
     steps = json.loads(out.stdout.splitlines()[-1])
     assert steps["import"] == []
     for command in ("sensitivity", "noise", "fit reflection_phase",

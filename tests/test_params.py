@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dispersive_readout import (
     PSDSegment,
     SpinEnsembleParams,
 )
+from dispersive_readout.fitting import exponential_model, start_values
 from dispersive_readout.params import check_fraction, check_positive, is_finite_number
 
 
@@ -88,6 +90,16 @@ def test_lockin_record_of_a_partial_sample_rejected():
 def test_integer_beyond_float_range_is_not_finite():
     assert is_finite_number(10**400) is False
     assert is_finite_number(10**300) is True
+
+
+def test_fraction_is_not_a_finite_number():
+    # the array parse, physics.check_real, refuses a Fraction too
+    assert is_finite_number(Fraction(1, 2)) is False
+    with pytest.raises(InvalidParameterError, match=r"^fs must be finite and > 0"):
+        check_positive(Fraction(1, 2), "fs")
+    with pytest.raises(InvalidParameterError,
+                       match="\"init\" value for 'tau' must be a finite number"):
+        start_values(exponential_model(), {"amplitude": 1.0, "tau": Fraction(1, 2)})
 
 
 # every value is exact in float32, so each numeric type builds an equal container

@@ -139,7 +139,7 @@ ARRAY_ARGUMENTS = {
                                             x_scale=1e6).params, _DETUNING),
 }
 NOT_REAL = ["1e-4", "x", True, np.bool_(True), None, 1 + 0j, [1.0, [2.0]],
-            Fraction(1, 2)]
+            Fraction(1, 2), [True, 0.5], [0.5, np.bool_(True)]]
 REAL_FORMS = {
     "int": lambda a: [int(v) for v in a],
     "int32": lambda a: a.astype(np.int32),

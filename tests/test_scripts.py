@@ -1,7 +1,6 @@
 """The runnable experiments in ``scripts/`` use the public API; each one runs
 to the end in a fresh interpreter."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -16,10 +15,8 @@ ROOT = Path(__file__).parent.parent
     ["relaxation_fits.py"],
     ["sensitivity_estimate.py", "--seeds", "3"],
 ], ids=lambda argv: argv[0])
-def test_script_exits_0(argv):
-    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+def test_script_exits_0(argv, src_env):
     run = subprocess.run([sys.executable, str(ROOT / "scripts" / argv[0])] + argv[1:],
-                         capture_output=True, text=True, env=env, timeout=120)
+                         capture_output=True, text=True, env=src_env, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout
