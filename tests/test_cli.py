@@ -399,24 +399,16 @@ class TestExitCodes:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("bad", ["missing", "malformed"])
-    @pytest.mark.parametrize("model, spec", [
-        ("exponential", {"init": {"amplitude": 0.7, "tau": 5e-4}}),
-        ("reflection_phase",
-         {"init": {"q": 5.0e3, "beta": 0.6}, "x_scale": 2.8175e9}),
-    ], ids=["exponential", "reflection_phase"])
+    @pytest.mark.parametrize("model", ["exponential", "reflection_phase"])
     def test_fit_checks_a_given_config_for_every_model(
-            self, config_path, tmp_path, capsys, model, spec, bad):
-        if model == "exponential":
-            from dispersive_readout.io import write_csv
-            csv = tmp_path / "data.csv"
-            t = np.linspace(0.0, 2e-3, 40)
-            write_csv(csv, ["t", "y"], [t, 0.8 * np.exp(-t / 7e-4) + 0.1])
-        else:
+            self, config_path, tmp_path, capsys, model, bad):
+        csv, init = fit_inputs(tmp_path)
+        if model == "reflection_phase":
             assert main(["spectrum", "--config", str(config_path),
                          "--out", str(tmp_path)]) == 0
             csv = tmp_path / "spectrum.csv"
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps(spec))
+            init.write_text(json.dumps(
+                {"init": {"q": 5.0e3, "beta": 0.6}, "x_scale": 2.8175e9}))
         config = tmp_path / "missing.json"
         if bad == "malformed":
             config = config_path
@@ -467,10 +459,8 @@ class TestConsoleScript:
             argv = ["spectrum", "--config", str(CONFIGS / "default.json")]
             code, stderr = 0, ""
         else:
-            csv = tmp_path / "data.csv"
+            csv, init = fit_inputs(tmp_path)
             csv.write_text("time_s,value\n")
-            init = tmp_path / "init.json"
-            init.write_text(json.dumps({"init": {"amplitude": 1.0, "tau": 1.0}}))
             argv = ["fit", str(csv), "--model", "exponential", "--init", str(init)]
             code, stderr = 2, f"error: {csv}: expected x and y columns of numbers\n"
         run = subprocess.run(runner + argv + ["--out", str(out)], capture_output=True,
@@ -484,16 +474,23 @@ class TestConsoleScript:
             assert not out.exists(), runner
 
 
-def fit_inputs(tmp_path):
-    """A well-formed exponential-decay CSV and its init JSON in ``tmp_path``."""
+DECAY = {"amplitude": 0.8, "tau": 7e-4, "offset": 0.1}
+
+
+def fit_inputs(tmp_path, init=None):
+    """A noiseless exponential-decay CSV of ``DECAY`` and its init JSON in
+    ``tmp_path``: ``init`` if given (``DECAY`` itself converges on the first
+    iteration), else starting values off the true ones."""
+    from dispersive_readout.fitting import exponential_model
     from dispersive_readout.io import write_csv
     t = np.linspace(0.0, 2e-3, 40)
     csv = tmp_path / "decay.csv"
-    write_csv(csv, ["time_s", "value"], [t, 0.8 * np.exp(-t / 7e-4) + 0.1])
-    init = tmp_path / "decay_init.json"
-    init.write_text(json.dumps(
-        {"init": {"amplitude": 0.7, "tau": 5e-4, "offset": 0.0}}))
-    return csv, init
+    write_csv(csv, ["time_s", "value"],
+              [t, exponential_model().func(np.array(list(DECAY.values())), t)])
+    init_path = tmp_path / "decay_init.json"
+    init_path.write_text(json.dumps(
+        {"init": init or {"amplitude": 0.7, "tau": 5e-4, "offset": 0.0}}))
+    return csv, init_path
 
 
 def reading(target, path, tmp_path):
@@ -780,7 +777,6 @@ class TestParserReuse:
                             lambda args: calls.append(args.command) or 0)
         assert main(argv) == 0
         assert calls == ["sensitivity"]
-
 
     @pytest.mark.parametrize("model, x, init_values", [
         ("reflection_phase", np.linspace(-1e-3, 1e-3, 8), {"q": 5.0e3, "beta": 0.6}),
@@ -1204,6 +1200,21 @@ class TestLocatedOptionErrors:
             f"error: {flag} = -5.0: b_field must be finite and >= 0\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", list(CSV_NAMES))
+    def test_negative_config_field_is_named_at_its_line(self, config_path,
+                                                        tmp_path, capsys, command):
+        data = json.loads(config_path.read_text())
+        data["b_fields_gauss"] = [32.0, -1.0]
+        text = json.dumps(data, indent=2)
+        config_path.write_text(text)
+        line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                    if '"b_fields_gauss"' in row)
+        assert main([command, "--config", str(config_path),
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {config_path}: line {line}: b_fields_gauss = [32.0, -1.0]: "
+            "b_field must be finite and >= 0\n")
+
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_max_iterations_below_one_names_the_flag(self, tmp_path, capsys,
                                                      monkeypatch, value):
@@ -1315,21 +1326,6 @@ OPTION_CASES = ([(command, flag, value) for command, flag in FLOAT_OPTIONS
                    for value in COUNT_VALUES])
 
 
-def exact_decay_inputs(tmp_path):
-    """A noiseless exponential-decay CSV and an init JSON at its exact
-    parameters, so that the fit converges on its first iteration."""
-    from dispersive_readout.fitting import exponential_model
-    from dispersive_readout.io import write_csv
-    t = np.linspace(0.0, 2e-3, 40)
-    params = {"amplitude": 0.8, "tau": 7e-4, "offset": 0.1}
-    csv = tmp_path / "decay.csv"
-    write_csv(csv, ["time_s", "value"],
-              [t, exponential_model().func(np.array(list(params.values())), t)])
-    init = tmp_path / "decay_init.json"
-    init.write_text(json.dumps({"init": params}))
-    return csv, init
-
-
 class TestOptionContract:
     """Any one numeric option at an edge value: the exit code is 0 or 2 and
     nothing escapes main as a traceback. An exit 2 prints one ``error:`` line
@@ -1344,7 +1340,7 @@ class TestOptionContract:
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
             if command == "fit":
-                csv, init = exact_decay_inputs(tmp)
+                csv, init = fit_inputs(tmp, DECAY)
                 argv, source = ["fit", str(csv), "--model", "exponential",
                                 "--init", str(init)], str(csv)
             else:
