@@ -12,6 +12,7 @@ containers then hold the same numbers, so they compute the same bits.
 
 from __future__ import annotations
 
+import fractions
 import math
 import numbers
 from dataclasses import dataclass
@@ -36,14 +37,10 @@ def linewidth(t2_star):
 
 def is_finite_number(value):
     """True for a finite real number; False for a bool, a non-number, a
-    fraction (a ``Rational`` that is not ``Integral``, which ``check_real``
-    refuses too) and an integer beyond the float range."""
-    if isinstance(value, bool):
-        return False
-    if not isinstance(value, (float, int)) and (
-            not isinstance(value, numbers.Real)
-            or (isinstance(value, numbers.Rational)
-                and not isinstance(value, numbers.Integral))):
+    ``Fraction`` (which ``check_real`` refuses too) and an integer beyond
+    the float range."""
+    if (isinstance(value, (bool, fractions.Fraction))
+            or not isinstance(value, numbers.Real)):
         return False
     try:
         return math.isfinite(value)

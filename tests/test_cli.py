@@ -449,29 +449,32 @@ class TestConsoleScript:
     otherwise. A sweep writes the bytes of an in-process run, and a bad input
     exits 2 with one error line and writes nothing."""
 
-    @pytest.mark.parametrize("case", ["spectrum", "header-only-csv"])
-    def test_runs_in_a_fresh_process(self, tmp_path, src_env, case):
+    @staticmethod
+    def run(argv, env):
+        """The entry point run on ``argv``, and the runner it was run by."""
         script = shutil.which("dispersive-readout")
         runner = [script] if script else [sys.executable, "-m",
                                           "dispersive_readout.cli"]
+        return subprocess.run(runner + argv, capture_output=True, text=True,
+                              env=env, timeout=120), runner
+
+    def test_spectrum_writes_the_bytes_of_an_in_process_run(self, tmp_path, src_env):
+        argv = ["spectrum", "--config", str(CONFIGS / "default.json")]
+        run, runner = self.run(argv + ["--out", str(tmp_path / "out")], src_env)
+        assert (run.returncode, run.stderr) == (0, ""), runner
+        assert main(argv + ["--out", str(tmp_path / "in_process")]) == 0
+        assert sha256(tmp_path / "out" / "spectrum.csv") == sha256(
+            tmp_path / "in_process" / "spectrum.csv"), runner
+
+    def test_header_only_csv_prints_one_error_line(self, tmp_path, src_env):
+        csv, init = fit_inputs(tmp_path)
+        csv.write_text("time_s,value\n")
         out = tmp_path / "out"
-        if case == "spectrum":
-            argv = ["spectrum", "--config", str(CONFIGS / "default.json")]
-            code, stderr = 0, ""
-        else:
-            csv, init = fit_inputs(tmp_path)
-            csv.write_text("time_s,value\n")
-            argv = ["fit", str(csv), "--model", "exponential", "--init", str(init)]
-            code, stderr = 2, f"error: {csv}: expected x and y columns of numbers\n"
-        run = subprocess.run(runner + argv + ["--out", str(out)], capture_output=True,
-                             text=True, env=src_env, timeout=120)
-        assert (run.returncode, run.stderr) == (code, stderr), runner
-        if code == 0:
-            assert main(argv + ["--out", str(tmp_path / "in_process")]) == 0
-            assert sha256(out / "spectrum.csv") == sha256(
-                tmp_path / "in_process" / "spectrum.csv"), runner
-        else:
-            assert not out.exists(), runner
+        run, runner = self.run(["fit", str(csv), "--model", "exponential",
+                                "--init", str(init), "--out", str(out)], src_env)
+        assert (run.returncode, run.stderr) == (
+            2, f"error: {csv}: expected x and y columns of numbers\n"), runner
+        assert not out.exists(), runner
 
 
 DECAY = {"amplitude": 0.8, "tau": 7e-4, "offset": 0.1}
@@ -844,15 +847,14 @@ CONFIG_DEFECTS = [
     (("seed",), False, "seed must be a non-negative integer"),
     (("cavity", "beta"), 1.0, "beta = 1.0 lies within 0.001 of the critical-coupling"),
     (("cavity", "beta"), math.nan, "invalid 'cavity' section: beta must be finite"),
-    (("cavity", "q"), math.inf, "invalid 'cavity' section: q must be finite and > 0"),
+    (("cavity", "q"), math.inf,
+     "invalid 'cavity' section: q must be finite and > 0, got inf"),
     (("cavity", "omega_c_hz"), math.inf,
      "invalid 'cavity' section: omega_c must be finite and > 0, got inf"),
     (("b_fields_gauss",), [], "b_fields_gauss must be a non-empty list of numbers"),
     (("b_fields_gauss",), [math.nan], "b_fields_gauss = [nan]: b_field must be finite"),
     (("b_fields_gauss",), [32.0, math.inf], "b_fields_gauss = [32.0, inf]: b_field"),
     (("b_fields_gauss",), 32.0, "b_fields_gauss must be a non-empty list of numbers"),
-    (("b_fields_gauss",), [32.0, -1.0],
-     "b_fields_gauss = [32.0, -1.0]: b_field must be finite and >= 0"),
     (("psd",), 1.0, "section 'psd' must be an object"),
     (("psd", "segments"), DROP, "invalid 'psd' section: missing key 'segments'"),
     (("psd", "f_min_hz"), DROP, "invalid 'psd' section: missing key 'f_min_hz'"),
@@ -1209,11 +1211,12 @@ class TestLocatedOptionErrors:
         config_path.write_text(text)
         line = next(i for i, row in enumerate(text.splitlines(), start=1)
                     if '"b_fields_gauss"' in row)
-        assert main([command, "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 2
+        out = tmp_path / "out"
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
             f"error: {config_path}: line {line}: b_fields_gauss = [32.0, -1.0]: "
             "b_field must be finite and >= 0\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_max_iterations_below_one_names_the_flag(self, tmp_path, capsys,
