@@ -175,9 +175,12 @@ def cmd_sensitivity(args, cfg):
 def cmd_noise(args, cfg):
     n_samples = _count_option(args, "n_samples")
     seed = cfg.seed if args.seed is None else check_seed(args.seed, "--seed")
-    series = noiselockin.synthesize_phase_noise(
-        cfg.psd, cfg.lockin.fs, n_samples, seed
-    )
+    try:  # the config's lock-in rate against its PSD band (Nyquist)
+        series = noiselockin.synthesize_phase_noise(
+            cfg.psd, cfg.lockin.fs, n_samples, seed
+        )
+    except InvalidParameterError as exc:
+        raise ConfigError(str(exc), path=args.config) from exc
     times = np.arange(n_samples) / cfg.lockin.fs
     return "noise.csv", ["time_s", "value"], [times, series]
 

@@ -10,13 +10,10 @@ and a bad value are reported at the line of their top-level section.
 from __future__ import annotations
 
 import functools
-import itertools
-import json
-import re
 from dataclasses import MISSING, dataclass, fields
 
 from .errors import ConfigError, DomainError, InvalidParameterError
-from .io import read_json
+from .io import JSON_SPACE, json_members, read_json
 from .params import (
     CavityParams,
     ChopperCycle,
@@ -96,34 +93,12 @@ class RunConfig:
     output_dir: str
 
 
-_ITEM = re.compile(r'\s*(?:("(?:[^"\\]|\\.)*")\s*:\s*)?')
-_SPACE = re.compile(r"\s*")
-
-
-def _members(source: str, pos: int):
-    """(key, key position, value position) of each member of the JSON object
-    or array that opens at ``source[pos]``, in file order. An array element's
-    key is its index, and its key position is its value position."""
-    decoder = json.JSONDecoder()
-    for index in itertools.count():
-        item = _ITEM.match(source, pos + 1)
-        start = item.end()
-        if source[start] in "]}":
-            return
-        key = item.group(1)
-        yield ((index, start, start) if key is None
-               else (json.loads(key), item.start(1), start))
-        pos = _SPACE.match(source, decoder.raw_decode(source, start)[1]).end()
-        if source[pos] != ",":
-            return
-
-
 def _line_of(source: str, *path) -> int | None:
     """Line of the member at ``path``, the keys and list indices that lead to
     it from the top of the JSON object in ``source``; None if it is absent."""
-    key_pos = pos = _SPACE.match(source).end()
+    key_pos = pos = JSON_SPACE.match(source).end()
     for step in path:
-        key_pos, pos = next(((at, start) for key, at, start in _members(source, pos)
+        key_pos, pos = next(((at, start) for key, at, start in json_members(source, pos)
                              if key == step), (None, None))
         if key_pos is None:
             return None

@@ -1,6 +1,7 @@
 """Input reading, and CSV and JSON emission with reproducible, diff-able
 formatting. Only this module opens files. An input that is not UTF-8, not
-JSON or not a CSV of finite numbers raises a ConfigError naming the file.
+JSON, a JSON object with a repeated key, or not a CSV of finite numbers
+raises a ConfigError naming the file.
 
 CSV: header row, LF line endings, '.' decimal separator, shortest float
 representation that round-trips exactly. JSON: UTF-8, sorted keys, strict
@@ -17,8 +18,10 @@ row-by-row ``format_float`` loop while memory stays bounded by the block.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -59,11 +62,64 @@ def _reading(path):
             raise ConfigError(f"invalid JSON: {exc.msg}", exc.lineno, path) from exc
 
 
+_ITEM = re.compile(r'\s*(?:("(?:[^"\\]|\\.)*")\s*:\s*)?')
+JSON_SPACE = re.compile(r"\s*")
+
+
+def json_members(source: str, pos: int):
+    """(key, key position, value position) of each member of the JSON object
+    or array that opens at ``source[pos]``, in file order. An array element's
+    key is its index, and its key position is its value position."""
+    decoder = json.JSONDecoder()
+    for index in itertools.count():
+        item = _ITEM.match(source, pos + 1)
+        start = item.end()
+        if source[start] in "]}":
+            return
+        key = item.group(1)
+        yield ((index, start, start) if key is None
+               else (json.loads(key), item.start(1), start))
+        pos = JSON_SPACE.match(source, decoder.raw_decode(source, start)[1]).end()
+        if source[pos] != ",":
+            return
+
+
+class _RepeatedKey(Exception):
+    """A JSON object holds a key twice."""
+
+
+def _unique_keys(pairs):
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        raise _RepeatedKey
+    return obj
+
+
+def _first_repeat(source, pos):
+    """(key, key position) of the first key, in file order, that repeats an
+    earlier key of its object in the JSON value at ``source[pos]``, or None."""
+    seen = set()
+    for key, at, start in json_members(source, pos) if source[pos] in "[{" else ():
+        if key in seen:
+            return key, at
+        seen.add(key)
+        inner = _first_repeat(source, start)
+        if inner:
+            return inner
+    return None
+
+
 def read_json(path):
-    """(source text, value) of the JSON file ``path``."""
+    """(source text, value) of the JSON file ``path``. An object that holds
+    a key twice is refused at the line of its second occurrence."""
     with _reading(path) as fh:
         source = fh.read()
-        return source, json.loads(source)
+        try:
+            return source, json.loads(source, object_pairs_hook=_unique_keys)
+        except _RepeatedKey:
+            key, at = _first_repeat(source, JSON_SPACE.match(source).end())
+            raise ConfigError(f"repeated key {key!r}", source.count("\n", 0, at) + 1,
+                              path) from None
 
 
 def _bad_row(lines):

@@ -111,11 +111,6 @@ def test_equals_the_inline_trace_bit_for_bit(period, duty, n_periods,
     assert trace.p.tobytes() == p.tobytes()
 
 
-def test_p_sat_validation(measured_ensemble, cycle):
-    with pytest.raises(InvalidParameterError):
-        polarization_trace(cycle, measured_ensemble, p_sat=1.5)
-
-
 @pytest.mark.parametrize("p_sat", ["x", None, [0.5], True, 0, 1.5, float("nan")])
 def test_p_sat_outside_the_config_rule_is_named(measured_ensemble, cycle, p_sat):
     # the config's rule: a number in (0, 1], so no TypeError and no bool

@@ -95,40 +95,25 @@ class TestEngine:
         for p in fits:
             assert np.allclose(p, true, rtol=1e-6, atol=1e-8)
 
-    def test_coverage_of_one_sigma_intervals(self):
-        # 500 noisy mono-exponential trials: ~68% of per-parameter intervals
-        # should cover the truth
+    def test_coverage_of_one_and_three_sigma_intervals(self):
+        # 500 noisy mono-exponential trials: ~68% of per-parameter 1-sigma
+        # intervals cover the truth, and at least 99% of trials have all
+        # three parameters within 3 sigma
         rng = np.random.default_rng(11)
         t = np.linspace(0, 3e-3, 120)
-        true = {"amplitude": 0.8, "tau": 700e-6, "offset": 0.1}
-        hits = np.zeros(3)
+        true = np.array([0.8, 700e-6, 0.1])
+        one_sigma, three_sigma = np.zeros(3), 0
         n_trials = 500
         for _ in range(n_trials):
-            y = true["amplitude"] * np.exp(-t / true["tau"]) + true["offset"]
-            y = y + rng.normal(0, 0.01, size=len(t))
+            noise = rng.normal(0, 0.01, size=len(t))
+            y = true[0] * np.exp(-t / true[1]) + true[2] + noise
             res = fit_exponential(t, y, init={"amplitude": 0.7, "tau": 500e-6,
                                               "offset": 0.0})
-            for i, name in enumerate(("amplitude", "tau", "offset")):
-                if abs(res[name] - true[name]) < res.sigma_of(name):
-                    hits[i] += 1
-        for frac in hits / n_trials:
-            assert 0.60 <= frac <= 0.76
-
-    def test_three_sigma_coverage(self):
-        rng = np.random.default_rng(21)
-        t = np.linspace(0, 3e-3, 120)
-        true = {"amplitude": 0.8, "tau": 700e-6, "offset": 0.1}
-        good = 0
-        n_trials = 500
-        for _ in range(n_trials):
-            y = true["amplitude"] * np.exp(-t / true["tau"]) + true["offset"]
-            y = y + rng.normal(0, 0.01, size=len(t))
-            res = fit_exponential(t, y, init={"amplitude": 0.7, "tau": 500e-6,
-                                              "offset": 0.0})
-            if all(abs(res[n] - true[n]) < 3 * res.sigma_of(n)
-                   for n in ("amplitude", "tau", "offset")):
-                good += 1
-        assert good / n_trials >= 0.99
+            error = np.abs(res.params - true)
+            one_sigma += error < res.sigma
+            three_sigma += bool(np.all(error < 3 * res.sigma))
+        assert all(0.60 <= frac <= 0.76 for frac in one_sigma / n_trials)
+        assert three_sigma / n_trials >= 0.99
 
     def test_scale_invariance(self):
         x = np.linspace(0, 5e-3, 80)
@@ -324,20 +309,6 @@ class TestReflectionPhaseFit:
             fit_reflection_phase(x, y, init={"q": 5.0e3, "beta": 0.6},
                                  x_scale=x_scale)
 
-    def test_noisy_recovery_within_quoted_uncertainties(self):
-        rng = np.random.default_rng(17)
-        x, y = reflection_sweep()
-        peak = np.max(np.abs(y))
-        q_err, beta_err = [], []
-        for _ in range(100)[:30]:
-            noisy = y + rng.normal(0, 0.01 * peak, size=len(y))
-            res = fit_reflection_phase(noisy_x := x, noisy,
-                                       init={"q": 5.5e3, "beta": 0.7})
-            q_err.append(res["q"] / 6.0e3 - 1)
-            beta_err.append(res["beta"] / 0.74 - 1)
-        assert np.sqrt(np.mean(np.square(q_err))) < 0.02
-        assert np.sqrt(np.mean(np.square(beta_err))) < 0.08
-
     def test_undercoupled_init_stays_undercoupled(self):
         x, y = reflection_sweep()
         res = fit_reflection_phase(x, y, init={"q": 6.5e3, "beta": 0.5})
@@ -392,25 +363,6 @@ class TestShiftVsFieldFit:
         degenerate = FitModel(names=("n_spins", "g"), func=func)
         with pytest.raises(SingularJacobianError):
             fit_nonlinear(degenerate, b, y, init={"n_spins": 2.0e12, "g": 2.4e-2})
-
-    def test_noisy_recovery(self, measured_ensemble, measured_cavity):
-        rng = np.random.default_rng(29)
-        b = np.linspace(28, 38.5, 106)
-        model = shift_vs_field_model(measured_ensemble, measured_cavity)
-        y = model.func([2.0e12, 18e-9], b)
-        peak = np.max(np.abs(y))
-        n_err, t_err = [], []
-        for _ in range(30):
-            noisy = y + rng.normal(0, 0.01 * peak, size=len(y))
-            res = fit_shift_vs_field(
-                b, noisy,
-                fixed={"ensemble": measured_ensemble, "cavity": measured_cavity},
-                init={"n_spins": 1.8e12, "t2_star": 20e-9},
-            )
-            n_err.append(res["n_spins"] / 2.0e12 - 1)
-            t_err.append(res["t2_star"] / 18e-9 - 1)
-        assert np.sqrt(np.mean(np.square(n_err))) < 0.05
-        assert np.sqrt(np.mean(np.square(t_err))) < 0.06
 
 
 class TestRoundTripFromPerturbedInits:
@@ -615,23 +567,6 @@ class TestModelsEvaluateTheKernels:
         assert model.tobytes() == expected
         assert reflection_phase(cav, x).tobytes() == expected
 
-    @settings(max_examples=100, deadline=None)
-    @given(n_spins=st.floats(1.0, 1e16), t2_star=st.floats(1e-10, 1e-5),
-           polarization=st.floats(0.0, 1.0),
-           b=st.lists(st.floats(0.0, 100.0), min_size=1, max_size=16),
-           omega_c=st.floats(2.0e9, 4.0e9), q=st.floats(1e2, 1e5),
-           beta=st.floats(0.0, 0.99), k=st.floats(-10.0, 10.0))
-    def test_shift_vs_field(self, n_spins, t2_star, polarization, b, omega_c,
-                            q, beta, k):
-        ens = SpinEnsembleParams(n_spins=2.0e12, g=2.4e-2, t2_star=18e-9,
-                                 t1_dark=740e-6, t1_light=427e-6)
-        cav = CavityParams(omega_c=omega_c, q=q, beta=beta, k=k)
-        b = np.array(b)
-        model = shift_vs_field_model(ens, cav, polarization)
-        expected = shift_vs_field_inline(ens, cav, polarization)
-        assert (model.func(np.array([n_spins, t2_star]), b).tobytes()
-                == expected((n_spins, t2_star), b).tobytes())
-
 
 # x values a model may be handed next to ordinary ones: signed zeros,
 # subnormals and values near 0
@@ -703,14 +638,18 @@ class TestModelsReuseTheirCore:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_shift_vs_field(self, data):
-        ens = SpinEnsembleParams(n_spins=2.0e12, g=2.4e-2, t2_star=18e-9,
-                                 t1_dark=740e-6, t1_light=427e-6)
-        cav = CavityParams(omega_c=2.8175e9, q=6.0e3, beta=0.74, k=0.5)
+        cav = CavityParams(omega_c=data.draw(st.floats(2.0e9, 4.0e9)),
+                           q=data.draw(st.floats(1e2, 1e5)),
+                           beta=data.draw(st.floats(0.0, 0.99)),
+                           k=data.draw(st.floats(-10.0, 10.0)))
+        polarization = data.draw(st.floats(0.0, 1.0))
         params = [st.floats(1.0, 1e16), pooled(data, st.floats(1e-10, 1e-5))]
         x_value = st.one_of(st.floats(0.0, 100.0),
                             st.sampled_from([v for v in NEAR_ZERO if v >= 0]))
-        check_call_sequence(data, shift_vs_field_model(ens, cav, 0.9).func,
-                            shift_vs_field_inline(ens, cav, 0.9), params, x_value)
+        model = shift_vs_field_model(ENSEMBLE, cav, polarization)
+        check_call_sequence(data, model.func,
+                            shift_vs_field_inline(ENSEMBLE, cav, polarization),
+                            params, x_value)
 
 
 class TestCoreEvaluationCounts:

@@ -85,12 +85,6 @@ class TestPsdValue:
 
 
 class TestSynthesis:
-    def test_determinism(self):
-        psd = white_psd()
-        a = synthesize_phase_noise(psd, 1e6, 4096, seed=42)
-        b = synthesize_phase_noise(psd, 1e6, 4096, seed=42)
-        assert np.array_equal(a, b)
-
     def test_different_seeds_differ(self):
         psd = white_psd()
         a = synthesize_phase_noise(psd, 1e6, 4096, seed=1)
@@ -118,28 +112,6 @@ class TestSynthesis:
         with pytest.raises(InvalidParameterError):
             synthesize_phase_noise(psd, 1e6, 1024, seed=0)
 
-    @pytest.mark.parametrize("exponent", [0.0, -1.0, -3.0])
-    def test_periodogram_matches_target_per_octave(self, exponent):
-        fs, n = 1e6, 2**14
-        f0 = fs / n  # anchor at the first bin so low octaves stay finite
-        psd = PhaseNoisePSD((PSDSegment(f0, exponent, 1e-6),), f0 / 2, fs / 2)
-        seeds = range(100)
-        acc = np.zeros(n // 2 + 1)
-        for s in seeds:
-            x = synthesize_phase_noise(psd, fs, n, seed=s)
-            spec = np.fft.rfft(x)
-            acc += 2.0 * np.abs(spec) ** 2 / (fs * n)
-        periodogram = acc / len(list(seeds))
-        freqs = np.fft.rfftfreq(n, d=1.0 / fs)
-        target = psd_value(psd, np.clip(freqs, psd.f_min, psd.f_max))
-        # octave-averaged comparison, skipping DC and the sparse lowest octaves
-        f_lo = 8 * f0
-        while f_lo < fs / 4:
-            band = (freqs >= f_lo) & (freqs < 2 * f_lo)
-            ratio = np.mean(periodogram[band]) / np.mean(target[band])
-            assert abs(ratio - 1) < 0.10, f"octave at {f_lo} Hz off by {ratio}"
-            f_lo *= 2
-
 
 class TestDemodulation:
     def test_in_phase_sine_returns_amplitude(self, cfg):
@@ -164,10 +136,6 @@ class TestDemodulation:
         rhs = 2.0 * lockin_demodulate(a, cfg) + 3.0 * lockin_demodulate(b, cfg)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
-    def test_length_mismatch_rejected(self, cfg):
-        with pytest.raises(ValueError):
-            lockin_demodulate(np.zeros(cfg.n_samples - 1), cfg)
-
     def test_length_mismatch_is_an_invalid_parameter(self, cfg):
         with pytest.raises(InvalidParameterError,
                            match=r"signal length \(9999,\) does not match "
@@ -176,10 +144,6 @@ class TestDemodulation:
 
 
 class TestSensitivity:
-    def test_optimized_device_point(self):
-        eta = sensitivity(OptimizedDeviceParams(), 1e-6)
-        assert eta == pytest.approx(2.0e-15, rel=0.01)
-
     def test_linear_in_noise_density(self):
         p = OptimizedDeviceParams()
         assert sensitivity(p, 2e-6) == pytest.approx(2 * sensitivity(p, 1e-6),
@@ -198,17 +162,6 @@ class TestSensitivity:
 
 
 class TestShotNoise:
-    def test_optimized_device_point(self):
-        lim = shot_noise_limit(1e14, 1e-3)
-        assert lim.eta_spin == pytest.approx(1.8e-17, rel=0.01)
-        assert lim.optical_estimate == pytest.approx(2.7e-15, rel=0.01)
-        assert lim.optical_estimate == pytest.approx(150 * lim.eta_spin, rel=1e-12)
-
-    @pytest.mark.parametrize("n_spins, t2", [(0, 1.0), (1e14, 0.0)])
-    def test_non_positive_inputs_rejected(self, n_spins, t2):
-        with pytest.raises(InvalidParameterError, match="must be finite and > 0"):
-            shot_noise_limit(n_spins, t2)
-
     def test_sqrt_scaling_in_n(self):
         assert shot_noise_limit(4e14, 1e-3).eta_spin == pytest.approx(
             shot_noise_limit(1e14, 1e-3).eta_spin / 2, rel=1e-12
@@ -222,12 +175,6 @@ class TestSimulateReadout:
         gain = lockin_demodulate(square_wave(cfg), cfg)
         assert out.estimated_amplitude == pytest.approx(0.01 * gain, rel=1e-8)
         assert abs(out.noise_floor) < 1e-12
-
-    def test_determinism(self, cfg):
-        psd = white_psd()
-        a = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed=5)
-        b = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed=5)
-        assert a == b
 
     @pytest.mark.parametrize("seed", [-1, True, 2.5, "3"])
     def test_seed_outside_the_rule_is_named(self, cfg, seed):
@@ -312,19 +259,6 @@ def lockin_configs(draw):
 
 
 class TestSharedLockinArrays:
-    @given(cfg=lockin_configs(),
-           seed=st.integers(min_value=0, max_value=2**63 - 1),
-           signal_phase=st.floats(min_value=-0.1, max_value=0.1),
-           one_over_f=st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_readout_matches_step_by_step_oracle_bitwise(self, cfg, seed,
-                                                        signal_phase, one_over_f):
-        psd = one_over_f_psd(cfg.fs) if one_over_f else white_psd(f_max=cfg.fs)
-        out = simulate_readout(OptimizedDeviceParams(), psd, cfg, signal_phase, seed)
-        est, floor = simulate_readout_reference(psd, cfg, signal_phase, seed)
-        assert out.estimated_amplitude == est
-        assert out.noise_floor == floor
-
     @given(cfg=lockin_configs())
     @settings(max_examples=100, deadline=None)
     def test_square_wave_matches_fmod_form_on_the_grid(self, cfg):
@@ -459,14 +393,14 @@ class TestReferenceCache:
     kept, read-only, for the last config only; switching configs back and
     forth changes no bit."""
 
-    def check_interleaved(self, configs, psd_for, seed):
+    def check_interleaved(self, configs, psd_for, seed, signal_phase=0.01):
         noiselockin._references.cache_clear()
         rng = np.random.default_rng(seed)
         for cfg in configs:
             psd = psd_for(cfg)
-            out = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed)
+            out = simulate_readout(OptimizedDeviceParams(), psd, cfg, signal_phase, seed)
             assert ((out.estimated_amplitude, out.noise_floor)
-                    == simulate_readout_reference(psd, cfg, 0.01, seed))
+                    == simulate_readout_reference(psd, cfg, signal_phase, seed))
             x = rng.standard_normal(cfg.n_samples)
             assert lockin_demodulate(x, cfg) == uncached_demodulate(x, cfg)
             assert noiselockin._references.cache_info().currsize <= 1
@@ -515,14 +449,16 @@ class TestReferenceCache:
            order=st.lists(st.integers(min_value=0, max_value=1),
                           min_size=3, max_size=6),
            seed=st.integers(min_value=0, max_value=2**63 - 1),
+           signal_phase=st.floats(min_value=-0.1, max_value=0.1),
            one_over_f=st.booleans())
     @settings(max_examples=40, deadline=None)
     def test_interleaved_configs_match_the_oracle_bitwise(self, configs, order,
-                                                         seed, one_over_f):
+                                                         seed, signal_phase,
+                                                         one_over_f):
         self.check_interleaved(
             [configs[i] for i in order],
             lambda c: one_over_f_psd(c.fs) if one_over_f else white_psd(f_max=c.fs),
-            seed)
+            seed, signal_phase)
 
 
 @st.composite
@@ -620,8 +556,9 @@ class TestScalarArguments:
             simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, phase, seed=0)
 
     @pytest.mark.parametrize("n_spins, t2, name", [
-        (math.inf, 1e-3, "n_spins"), (math.nan, 1e-3, "n_spins"),
-        (1e14, math.inf, "t2"), (1e14, math.nan, "t2"), (1e14, -1e-3, "t2")])
+        (math.inf, 1e-3, "n_spins"), (math.nan, 1e-3, "n_spins"), (0, 1.0, "n_spins"),
+        (1e14, math.inf, "t2"), (1e14, math.nan, "t2"), (1e14, -1e-3, "t2"),
+        (1e14, 0.0, "t2")])
     def test_shot_noise_limit_names_its_argument(self, n_spins, t2, name):
         with pytest.raises(InvalidParameterError, match=f"^{name} must be finite and > 0"):
             shot_noise_limit(n_spins, t2)

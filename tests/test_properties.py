@@ -21,6 +21,7 @@ from dispersive_readout import (
     psd_value,
     reflection_phase,
     synthesize_phase_noise,
+    transition_frequency,
 )
 from dispersive_readout.fitting import (
     FitModel,
@@ -74,6 +75,7 @@ POLARIZATION = st.one_of(
 
 
 @given(polarization=POLARIZATION)
+@example(polarization=1.5)
 @example(polarization=[0.5, [0.5]])  # ragged: numpy cannot make one array of it
 def test_every_entry_applies_the_one_polarization_rule(polarization):
     """The shift, a trace of samples and the shift-vs-field model accept the
@@ -102,7 +104,7 @@ def test_every_entry_applies_the_one_polarization_rule(polarization):
                                and 0 <= polarization <= 1)
 
 
-# The ten array arguments that physics.check_real parses, each as (its name,
+# The twelve array arguments that physics.check_real parses, each as (its name,
 # a call that passes a value in its place and valid values elsewhere, a
 # valid value of whole numbers in [0, 255], so every integer type holds it).
 _ENS = ensemble(2e12, 2.4e-2, 18e-9)
@@ -121,6 +123,11 @@ ARRAY_ARGUMENTS = {
     "ensemble_dispersive_shift-mean_omega0": (
         "mean_omega0", lambda v: ensemble_dispersive_shift(_ENS, 2.8e9, v, 1.0),
         _RAMP),
+    "ensemble_dispersive_shift-polarization": (
+        "polarization", lambda v: ensemble_dispersive_shift(_ENS, 2.8e9, 2.9e9, v),
+        np.array([0.0, 1.0, 1.0, 0.0])),
+    "transition_frequency-b_field": (
+        "b_field", lambda v: transition_frequency(v, _ENS), _RAMP),
     "reflection_phase-delta": ("delta", lambda v: reflection_phase(_CAV, v), _RAMP),
     "psd_value-f": ("f", lambda v: psd_value(_PSD, v), _RAMP + 1.0),
     "lockin_demodulate-signal": (
@@ -139,7 +146,8 @@ ARRAY_ARGUMENTS = {
                                             x_scale=1e6).params, _DETUNING),
 }
 NOT_REAL = ["1e-4", "x", True, np.bool_(True), None, 1 + 0j, [1.0, [2.0]],
-            Fraction(1, 2), [True, 0.5], [0.5, np.bool_(True)]]
+            Fraction(1, 2), [True, 0.5], [0.5, np.bool_(True)], 2**64, [True, False],
+            ["3"]]
 REAL_FORMS = {
     "int": lambda a: [int(v) for v in a],
     "int32": lambda a: a.astype(np.int32),
@@ -156,7 +164,7 @@ REAL_FORMS = {
                        st.lists(st.sampled_from(NOT_REAL[:6]), min_size=1,
                                 max_size=3)))
 def test_every_array_argument_refuses_what_is_not_a_real_number(argument, value):
-    """Each of the ten array arguments refuses a value that is not a real
+    """Each of the twelve array arguments refuses a value that is not a real
     number or an array of them with an InvalidParameterError naming it."""
     name, call, _ = ARRAY_ARGUMENTS[argument]
     with pytest.raises(InvalidParameterError,
