@@ -227,11 +227,11 @@ def _check_rank(jac, jtj):
         eig = np.linalg.eigvalsh(jtj / np.outer(norms, norms))
         if eig[0] > _GRAM_SCREEN_RTOL * eig[-1]:
             return
-    # columns whose largest |entry| is 1 or more are scaled down, exactly, by
-    # a power of two into [0.5, 1), so no norm overflows; none is scaled up,
-    # so a squared norm that underflows to 0 still reads as no influence
+    # each column is scaled, exactly, by a power of two that puts its largest
+    # |entry| into [0.5, 1), so no norm overflows or underflows and only a
+    # column of zeros reads as no influence
     exponents = np.frexp(np.abs(jac).max(axis=0))[1]
-    scaled = np.ldexp(jac, -np.maximum(exponents, 0))
+    scaled = np.ldexp(jac, -exponents)
     norms = np.linalg.norm(scaled, axis=0)
     if np.any(norms == 0.0):
         raise SingularJacobianError(

@@ -212,6 +212,22 @@ class TestRankCheck:
         with np.errstate(over="ignore"):
             _check_rank(jac, jac.T @ jac)
 
+    def test_column_norm_below_the_float_range_is_full_rank(self):
+        # every square of the first column underflows to 0; the SVD fallback
+        # once read its norm as 0 and called the parameter without influence
+        jac = np.array([[1.03646549e-162, 4.02576096e+036],
+                        [-3.29953168e-163, -1.36539139e+036],
+                        [-3.03651672e-163, -1.21177612e+036]])
+        with np.errstate(over="ignore", under="ignore"):
+            _check_rank(jac, jac.T @ jac)
+
+    def test_degeneracy_below_the_float_range_is_still_found(self):
+        column = np.linspace(1.0, 2.0, 20) * 1e-170
+        jac = np.column_stack([column, -2.0 * column])
+        with np.errstate(under="ignore"), pytest.raises(
+                SingularJacobianError, match="exactly degenerate"):
+            _check_rank(jac, jac.T @ jac)
+
     def test_degeneracy_past_the_float_range_is_still_found(self):
         column = np.linspace(1.0, 2.0, 20) * 1e160
         jac = np.column_stack([column, -2.0 * column])

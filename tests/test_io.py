@@ -2,6 +2,7 @@
 the CSV reader reports the row it cannot parse, and only io opens files."""
 
 import ast
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -15,7 +16,7 @@ from oracles import write_csv_rowwise
 from dispersive_readout import synthesize_phase_noise
 from dispersive_readout import ConfigError
 from dispersive_readout.config import load_config
-from dispersive_readout.io import _BLOCK_ROWS, read_csv, write_csv
+from dispersive_readout.io import _BLOCK_ROWS, read_csv, read_json, write_csv
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 PACKAGE = Path(__file__).parent.parent / "src" / "dispersive_readout"
@@ -115,6 +116,35 @@ def test_non_finite_cell_is_located(tmp_path, cell, col):
     reason = f"column {col}: '{cell}' is not a finite number"
     assert (info.value.line, info.value.reason) == (3, reason)
     assert str(info.value) == f"{path}: line 3: {reason}"
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ('{"a": 1,\n"a": 1}', 2, "a"),
+    ('{"a": {"b": 1,\n"b": 2}}', 2, "b"),
+    ('{"a": [1, {"c": 1,\n\n"c": 2}]}', 3, "c"),
+    ('[{"a": 1},\n{"a": 1,\n"a": 2}]', 3, "a"),
+    ('{"a": 1,\n"\\u0061": 2}', 2, "a"),
+    ('{"x": {"b": 1,\n"b": 2},\n"x": 3}', 2, "b"),
+    ('{"x": 1,\n"x": 2,\n"z": {"q": 1, "q": 2}}', 2, "x"),
+], ids=["same-value", "nested", "in-an-array", "top-level-array", "escaped",
+        "inner-before-outer", "outer-before-inner"])
+def test_repeated_key_is_refused_at_its_first_repeat(tmp_path, text, line, key):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError) as info:
+        read_json(path)
+    assert str(info.value) == f"{path}: line {line}: repeated key {key!r}"
+
+
+@pytest.mark.parametrize("text", [
+    '{"a": {"k": 1}, "b": {"k": 2}}',
+    '{"k": {"k": [{"k": 1}, {"k": 2}]}}',
+    '{"a": "\\"a\\": 1", "b": 1}',
+], ids=["sibling-objects", "nested-levels", "key-inside-a-string"])
+def test_a_key_shared_across_objects_is_not_a_repeat(tmp_path, text):
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    assert read_json(path) == (text, json.loads(text))
 
 
 def test_non_utf8_byte_past_the_first_buffer_names_the_file(tmp_path):
