@@ -145,8 +145,9 @@ def cmd_relaxation(args, cfg):
 
 @_emits_csv
 def cmd_shift_vs_field(args, cfg):
-    b = np.linspace(_float_option(args, "b_min", physics.check_field),
-                    _float_option(args, "b_max", physics.check_field),
+    in_range = functools.partial(physics.check_transition, ens=cfg.ensemble)
+    b = np.linspace(_float_option(args, "b_min", in_range),
+                    _float_option(args, "b_max", in_range),
                     _count_option(args, "n_points"))
     model = fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
     phase = model.func([cfg.ensemble.n_spins, cfg.ensemble.t2_star], b)

@@ -25,7 +25,7 @@ from .params import (
     check_fraction,
     check_seed,
 )
-from .physics import check_field
+from .physics import check_transition
 
 _ENSEMBLE_KEYS = {
     "n_spins": "n_spins",
@@ -144,14 +144,14 @@ def _build(source, path, data, cls, keys):
                           _line_of(source, path[0])) from exc
 
 
-def _fields(b_fields):
+def _fields(b_fields, ensemble):
     """``b_fields_gauss`` as floats: a non-empty list of JSON numbers, each
-    under ``physics.check_field``."""
+    under ``physics.check_transition`` for the ``ensemble``."""
     if not (isinstance(b_fields, list) and b_fields
             and all(type(b) in (int, float) for b in b_fields)):
         raise InvalidParameterError("b_fields_gauss must be a non-empty list "
                                     f"of numbers, got {b_fields!r}")
-    return tuple(check_field(b_fields).tolist())
+    return tuple(check_transition(b_fields, ensemble).tolist())
 
 
 def _output_dir(output_dir):
@@ -198,7 +198,8 @@ def load_config(path) -> RunConfig:
 
         top = functools.partial(_top_level, source, data)
         return RunConfig(ensemble, cavity, cycle, psd, lockin, optimized,
-                         top("b_fields_gauss", [32.0], _fields),
+                         top("b_fields_gauss", [32.0],
+                             lambda b: _fields(b, ensemble)),
                          top("p_sat", 1.0, lambda p: check_fraction(p, "p_sat")),
                          top("seed", 0, lambda seed: check_seed(seed, "seed")),
                          top("output_dir", ".", _output_dir))

@@ -11,7 +11,8 @@ class DomainError(ValueError):
 
 class SingularJacobianError(RuntimeError):
     """The fit Jacobian is rank deficient (a parameter has no influence
-    on the model, or two parameters are exactly degenerate)."""
+    on the model, or two parameters are exactly degenerate), or its normal
+    equations cannot be solved in floating point."""
 
 
 class ConfigError(ValueError):

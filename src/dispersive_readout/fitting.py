@@ -256,7 +256,8 @@ def fit_nonlinear(model: FitModel, x, y, init,
     cost change or the relative step norm drops below 1e-10; non-convergence
     is reported through ``converged = False``, not an exception. A rank-
     deficient Jacobian (a parameter without influence, or an exact parameter
-    degeneracy) raises SingularJacobianError; data that is not real
+    degeneracy), or normal equations that no damping makes solvable, raise
+    SingularJacobianError; data that is not real
     (``check_real``) or not finite, too few points or a ``max_iterations``
     below 1 or not an integer raise InvalidParameterError.
 
@@ -298,13 +299,14 @@ def fit_nonlinear(model: FitModel, x, y, init,
         grad = jac.T @ r
         diag = np.diag(np.diag(jtj))
 
-        accepted = False
+        accepted = solved = False
         for _ in range(60):
             try:
                 step = np.linalg.solve(jtj + lam * diag, grad)
             except np.linalg.LinAlgError:
                 lam *= 5.0
                 continue
+            solved = True
             p_new = np.clip(p + step, lo, hi)
             r_new = y - model.func(p_new, x)
             cost_new = float(r_new @ r_new)
@@ -312,6 +314,10 @@ def fit_nonlinear(model: FitModel, x, y, init,
                 accepted = True
                 break
             lam *= 5.0
+        if not solved:  # full rank, but jac.T @ jac underflows (to 0, say)
+            raise SingularJacobianError(
+                "singular normal equations: the model's derivatives square "
+                "to 0 in floating point")
         if not accepted:
             break
 

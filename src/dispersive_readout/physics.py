@@ -67,6 +67,21 @@ def transition_frequency(b_field, ens: SpinEnsembleParams):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def check_transition(b_field, ens: SpinEnsembleParams):
+    """``b_field`` under ``check_field`` and below the level crossing: the
+    ``transition_frequency`` there must be > 0, else DomainError. The
+    frequency falls with B, so a sweep is checked at its ends."""
+    b = check_field(b_field)
+    with np.errstate(over="ignore"):  # past the float range it reads -inf
+        f0 = np.atleast_1d(transition_frequency(b, ens))
+    if not np.all(f0 > 0):
+        i = int(np.argmin(f0 > 0))
+        raise DomainError(f"the transition frequency zfs - gamma * "
+                          f"projection_factor * B is {f0[i]:g} Hz at "
+                          f"B = {b.flat[i]:g} G, not > 0")
+    return b
+
+
 def check_polarization(polarization):
     """``polarization``, a real number or array of them (``check_real``)
     within [0, 1], as a float64 scalar or array; InvalidParameterError

@@ -1182,32 +1182,45 @@ class TestLocatedOptionErrors:
     rejected with the other options, before any work, naming the flag or the
     config and line."""
 
-    @pytest.mark.parametrize("flag", ["--b-min", "--b-max"])
-    def test_negative_field_bound_names_the_flag(self, config_path, tmp_path,
-                                                 capsys, monkeypatch, flag):
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--b-min", "-5", "b_field must be finite and >= 0"),
+        ("--b-max", "-5", "b_field must be finite and >= 0"),
+        ("--b-max", "2000", "the transition frequency zfs - gamma * "
+         "projection_factor * B is -3.63162e+08 Hz at B = 2000 G, not > 0")])
+    def test_field_bound_out_of_range_names_the_flag(self, config_path, tmp_path,
+                                                     capsys, monkeypatch, flag,
+                                                     value, reason):
         from dispersive_readout import fitting
         monkeypatch.setattr(fitting, "shift_vs_field_model", None)  # never run
         out = tmp_path / "out"
-        assert main(["shift-vs-field", flag, "-5", "--config", str(config_path),
+        assert main(["shift-vs-field", flag, value, "--config", str(config_path),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"error: {flag} = -5.0: b_field must be finite and >= 0\n")
+            f"error: {flag} = {float(value)}: {reason}\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", list(CSV_NAMES))
-    def test_negative_config_field_is_named_at_its_line(self, config_path,
-                                                        tmp_path, capsys, command):
-        data = json.loads(config_path.read_text())
-        data["b_fields_gauss"] = [32.0, -1.0]
-        text = json.dumps(data, indent=2)
+    @pytest.mark.parametrize("command", [*CSV_NAMES, "noise", "fit"])
+    @pytest.mark.parametrize("path, value, reason", [
+        (("b_fields_gauss",), [32.0, -1.0],
+         "b_fields_gauss = [32.0, -1.0]: b_field must be finite and >= 0"),
+        # the transition frequency is < 0 at any field
+        (("ensemble", "zfs_hz"), 1e-308,
+         "b_fields_gauss = [30.0, 32.0, 34.0]: the transition frequency zfs - "
+         "gamma * projection_factor * B is -4.84974e+07 Hz at B = 30 G, not > 0"),
+    ], ids=["negative", "past-the-level-crossing"])
+    def test_config_field_out_of_range_is_named_at_its_line(
+            self, config_path, tmp_path, capsys, command, path, value, reason):
+        text = json.dumps(_mutated(path, value), indent=2)
         config_path.write_text(text)
         line = next(i for i, row in enumerate(text.splitlines(), start=1)
                     if '"b_fields_gauss"' in row)
         out = tmp_path / "out"
-        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        argv = ([command, "--config", str(config_path), "--out", str(out)]
+                if command != "fit" else _shift_vs_field_fit(config_path, tmp_path, out))
+        capsys.readouterr()
+        assert main(argv) == 2
         assert capsys.readouterr().err == (
-            f"error: {config_path}: line {line}: b_fields_gauss = [32.0, -1.0]: "
-            "b_field must be finite and >= 0\n")
+            f"error: {config_path}: line {line}: {reason}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-5"])
@@ -1264,10 +1277,10 @@ def _scaled(scalings):
     return data
 
 
-def _assert_contract(data):
+def _assert_contract(data, fit_codes=(0, 2)):
     """Run all six subcommands on the config ``data``: each exits 0 or 2,
-    the fit also 3, without a traceback, and an exit 0 or 3 writes only
-    finite numbers."""
+    the fit one of ``fit_codes``, without a traceback, and an exit 0 or 3
+    writes only finite numbers."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         config = tmp / "config.json"
@@ -1280,7 +1293,7 @@ def _assert_contract(data):
         runs["fit_shift_vs_field"] = _shift_vs_field_fit(config, tmp, out / "fit")
         for name, argv in runs.items():
             code, err = _run(argv)
-            assert code in ((0, 2, 3) if argv[0] == "fit" else (0, 2)), (name, err)
+            assert code in (fit_codes if argv[0] == "fit" else (0, 2)), (name, err)
             assert "Traceback" not in err, err
             if code in (0, 3) and argv[0] == "fit":
                 report = json.loads((out / "fit" / f"{name}.json").read_text())
@@ -1294,14 +1307,16 @@ class TestInputContract:
     """Any one config value, section or list replaced or dropped, or any
     three numbers scaled by 10^+-200, under every subcommand: the exit code
     is 0 or 2, nothing escapes main as a traceback, and no output of an exit
-    0 holds a non-finite number. A fit of data the changed config cannot
-    describe (at ensemble.zfs_hz = 1e-308, say) may also end without
-    converging: exit 3, its report written and finite."""
+    0 holds a non-finite number. A fit of data the scaled config cannot
+    describe may also end without converging: exit 3, its report written
+    and finite."""
 
     @settings(max_examples=150, deadline=None)
     @given(mutation=MUTATION)
     @example(mutation=FIT_OVERFLOWS[0])
     @example(mutation=FIT_OVERFLOWS[1])
+    @example(mutation=(("ensemble", "zfs_hz"), 1e-308))  # crossing below 30 G
+    @example(mutation=(("p_sat",), 1e-308))  # the fit's jac.T @ jac is 0
     def test_one_bad_value_exits_0_or_2_with_finite_output(self, mutation):
         _assert_contract(_mutated(*mutation))
 
@@ -1312,7 +1327,7 @@ class TestInputContract:
     @example(scalings=[(("ensemble", "zfs_hz"), 1e-200), (("optimized", "q"), 1e200),
                        (("psd", "f_max_hz"), 1e200)])
     def test_three_scaled_values_exit_0_2_or_3_with_finite_output(self, scalings):
-        _assert_contract(_scaled(scalings))
+        _assert_contract(_scaled(scalings), fit_codes=(0, 2, 3))
 
 
 FLOAT_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "-0.0", "0", "1e308",

@@ -287,6 +287,15 @@ class TestFloatPolicy:
             except (InvalidParameterError, SingularJacobianError):
                 pass
 
+    def test_derivatives_that_square_to_zero_raise(self):
+        # full rank, but every entry of jac.T @ jac underflows to 0, so no
+        # damping makes a step solvable
+        model = FitModel(names=("a", "b"),
+                         func=lambda p, x: 1e-170 * (p[0] * x + p[1]))
+        x = np.linspace(1.0, 2.0, 20)
+        with pytest.raises(SingularJacobianError, match="singular normal equations"):
+            fit_nonlinear(model, x, np.ones(20), init={"a": 1.0, "b": 0.0})
+
     def test_shift_vs_field_past_squared_norm_overflow_is_not_degenerate(
             self, measured_ensemble, measured_cavity):
         # noiseless |y| ~ 7e149; at n_spins = 1e158 the fit converges, at
@@ -597,14 +606,14 @@ def pooled(data, values):
     return st.sampled_from(pool + [-v for v in pool])
 
 
-def check_call_sequence(data, func, oracle, params, x_value):
+def check_call_sequence(data, func, oracle, params, x_value, max_size=6):
     """Call ``func`` over a drawn sequence of parameter vectors, each one
     the last with a single parameter redrawn from its strategy in
     ``params``, as in a finite-difference Jacobian, while x is kept,
-    replaced by an immutable array (the kind fit_nonlinear evaluates on) or
-    a writeable one, or mutated in place. Every result must equal
-    ``oracle`` bit for bit."""
-    xs = st.lists(x_value, min_size=1, max_size=6)
+    replaced by an immutable array of 1 to ``max_size`` values (the kind
+    fit_nonlinear evaluates on) or a writeable one, or mutated in place.
+    Every result must equal ``oracle`` bit for bit."""
+    xs = st.lists(x_value, min_size=1, max_size=max_size)
     x = np.frombuffer(np.array(data.draw(xs), dtype=float).tobytes())
     p = np.array([data.draw(values) for values in params])
     for _ in range(data.draw(st.integers(1, 12))):
@@ -665,7 +674,7 @@ class TestModelsReuseTheirCore:
         model = shift_vs_field_model(ENSEMBLE, cav, polarization)
         check_call_sequence(data, model.func,
                             shift_vs_field_inline(ENSEMBLE, cav, polarization),
-                            params, x_value)
+                            params, x_value, max_size=16)
 
 
 class TestCoreEvaluationCounts:

@@ -451,7 +451,7 @@ class TestReferenceCache:
            seed=st.integers(min_value=0, max_value=2**63 - 1),
            signal_phase=st.floats(min_value=-0.1, max_value=0.1),
            one_over_f=st.booleans())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_interleaved_configs_match_the_oracle_bitwise(self, configs, order,
                                                          seed, signal_phase,
                                                          one_over_f):
