@@ -5,12 +5,7 @@ lock-in sensitivity estimates, and nonlinear least-squares parameter
 recovery.
 """
 
-from .errors import (
-    ConfigError,
-    DomainError,
-    InvalidParameterError,
-    SingularJacobianError,
-)
+from .errors import ConfigError, InvalidParameterError, SingularJacobianError
 from .params import (
     CavityParams,
     ChopperCycle,

@@ -21,12 +21,7 @@ import numpy as np
 
 from . import dynamics, fitting, io, noiselockin, physics
 from .config import load_config
-from .errors import (
-    ConfigError,
-    DomainError,
-    InvalidParameterError,
-    SingularJacobianError,
-)
+from .errors import ConfigError, InvalidParameterError, SingularJacobianError
 from .params import check_count, check_samples, check_seed
 
 EXIT_OK = 0
@@ -66,7 +61,7 @@ def _float_option(args, name, check=None):
     if check is not None:
         try:
             check(value)
-        except (DomainError, InvalidParameterError) as exc:
+        except InvalidParameterError as exc:
             raise ConfigError(f"{_flag(name)} = {value}: {exc}") from exc
     return value
 
@@ -145,7 +140,7 @@ def cmd_relaxation(args, cfg):
 
 @_emits_csv
 def cmd_shift_vs_field(args, cfg):
-    in_range = functools.partial(physics.check_transition, ens=cfg.ensemble)
+    in_range = functools.partial(physics.transition_frequency, ens=cfg.ensemble)
     b = np.linspace(_float_option(args, "b_min", in_range),
                     _float_option(args, "b_max", in_range),
                     _count_option(args, "n_points"))
@@ -320,7 +315,8 @@ def main(argv=None):
     fit names its data CSV instead, whether or not ``--config`` is given
     (a given config is still loaded and checked, and its own errors name it).
     A rank-deficient fit, and an InvalidParameterError the fit raises after
-    the CLI's checks (too few rows), name the data CSV and the model.
+    the CLI's checks (too few rows, or for ``shift_vs_field`` a field that
+    is negative or past the level crossing), name the data CSV and the model.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -338,7 +334,7 @@ def main(argv=None):
         size = next((n for n in ("n_points", "n_samples") if hasattr(args, n)), None)
         error = (ConfigError(reason, path=source) if size is None
                  else ConfigError(f"{_flag(size)} = {getattr(args, size)}: {reason}"))
-    except (ConfigError, InvalidParameterError, DomainError, OSError) as exc:
+    except (ConfigError, InvalidParameterError, OSError) as exc:
         error = exc
     print(f"error: {error}", file=sys.stderr)
     return EXIT_CONFIG

@@ -4,7 +4,9 @@ phase-noise and lock-in sections plus run-level settings.
 Only this module knows the JSON format: one builder makes every section and
 PSD segment from a map of its JSON keys to its parameter class's fields. An
 unknown key is reported at its own line. A missing key (by its JSON name)
-and a bad value are reported at the line of their top-level section.
+and a bad value are reported at the line of their top-level section. The
+fields of ``b_fields_gauss`` meet the one field rule, the one
+``physics.transition_frequency`` applies for the config's ensemble.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import functools
 from dataclasses import MISSING, dataclass, fields
 
-from .errors import ConfigError, DomainError, InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .io import JSON_SPACE, json_members, read_json
 from .params import (
     CavityParams,
@@ -25,7 +27,7 @@ from .params import (
     check_fraction,
     check_seed,
 )
-from .physics import check_transition
+from .physics import check_real, transition_frequency
 
 _ENSEMBLE_KEYS = {
     "n_spins": "n_spins",
@@ -145,13 +147,19 @@ def _build(source, path, data, cls, keys):
 
 
 def _fields(b_fields, ensemble):
-    """``b_fields_gauss`` as floats: a non-empty list of JSON numbers, each
-    under ``physics.check_transition`` for the ``ensemble``."""
+    """``b_fields_gauss`` as floats: a non-empty list of JSON numbers, each a
+    field that ``physics.transition_frequency`` takes for the ``ensemble``.
+    A field it refuses is reported as ``b_fields_gauss = [...]: reason``."""
     if not (isinstance(b_fields, list) and b_fields
             and all(type(b) in (int, float) for b in b_fields)):
         raise InvalidParameterError("b_fields_gauss must be a non-empty list "
                                     f"of numbers, got {b_fields!r}")
-    return tuple(check_transition(b_fields, ensemble).tolist())
+    b = check_real(b_fields, "b_field")
+    try:
+        transition_frequency(b, ensemble)
+    except InvalidParameterError as exc:
+        raise InvalidParameterError(f"b_fields_gauss = {b_fields!r}: {exc}") from exc
+    return tuple(b.tolist())
 
 
 def _output_dir(output_dir):
@@ -162,13 +170,10 @@ def _output_dir(output_dir):
 
 def _top_level(source, data, key, default, check):
     """``check`` of the top-level ``key`` of ``data`` (``default`` when it is
-    absent). A rule it breaks is reported at the key's line; a physics rule,
-    which does not know the key, as ``key = value: reason``."""
+    absent). A rule it breaks is reported at the key's line."""
     value = data.get(key, default)
     try:
         return check(value)
-    except DomainError as exc:
-        raise ConfigError(f"{key} = {value!r}: {exc}", _line_of(source, key)) from exc
     except InvalidParameterError as exc:
         raise ConfigError(str(exc), _line_of(source, key)) from exc
 

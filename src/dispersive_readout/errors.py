@@ -5,10 +5,6 @@ class InvalidParameterError(ValueError):
     """A parameter value violates a model invariant."""
 
 
-class DomainError(ValueError):
-    """An input lies outside the mathematical domain of an operation."""
-
-
 class SingularJacobianError(RuntimeError):
     """The fit Jacobian is rank deficient (a parameter has no influence
     on the model, or two parameters are exactly degenerate), or its normal

@@ -111,9 +111,6 @@ class FitResult:
     def __getitem__(self, name):
         return float(self.params[self.names.index(name)])
 
-    def sigma_of(self, name):
-        return float(self.sigma[self.names.index(name)])
-
     def report(self) -> dict:
         """JSON-ready fit report; a sigma that cannot be computed is None."""
         return {

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 from .params import (
     LockinConfig,
     OptimizedDeviceParams,
@@ -39,12 +39,14 @@ G_LANDE = 2.0028            # NV electron Lande factor
 def psd_value(psd: PhaseNoisePSD, f):
     """One-sided phase-noise PSD S_phi(f) in rad^2/Hz.
 
-    Piecewise power-law evaluation; DomainError outside [f_min, f_max], NaN too.
+    Piecewise power-law evaluation; InvalidParameterError outside [f_min,
+    f_max], NaN too.
     """
     farr = check_real(f, "f")
     ok = (farr >= psd.f_min * (1 - 1e-12)) & (farr <= psd.f_max * (1 + 1e-12))
     if not np.all(ok):
-        raise DomainError(f"frequency outside PSD range [{psd.f_min}, {psd.f_max}] Hz")
+        raise InvalidParameterError(
+            f"frequency outside PSD range [{psd.f_min}, {psd.f_max}] Hz")
     breaks, levels, exponents = np.array(
         [(s.f_break, s.level, s.exponent) for s in psd.segments]).T
     idx = np.clip(np.searchsorted(breaks, farr, side="right") - 1, 0, len(breaks) - 1)

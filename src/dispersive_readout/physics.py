@@ -11,6 +11,11 @@ All frequencies are plain Hz; 2*pi factors cancel in every formula below that
 the literature writes in angular frequencies (they appear squared in the
 numerator and once in each of two denominator factors), so the expressions
 are evaluated directly with Hz values.
+
+A bad argument raises InvalidParameterError. Each rule has one owner: a
+real number or array (``check_real``), a polarization
+(``check_polarization``) and a bias field (``transition_frequency``, which
+also refuses a field past the level crossing).
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, InvalidParameterError
+from .errors import InvalidParameterError
 from .params import CavityParams, OptimizedDeviceParams, SpinEnsembleParams
 
 SQRT2 = math.sqrt(2.0)
@@ -47,39 +52,27 @@ def check_real(value, name):
     return a.astype(float, copy=False)
 
 
-def check_field(b_field):
-    """``b_field`` (gauss), a real number or array of them (``check_real``),
-    finite and >= 0, as a float64 array; DomainError otherwise."""
-    b = check_real(b_field, "b_field")
-    if not np.all((b >= 0) & (b < np.inf)):
-        raise DomainError("b_field must be finite and >= 0")
-    return b
-
-
 def transition_frequency(b_field, ens: SpinEnsembleParams):
     """Mean spin transition frequency (Hz) at field ``b_field`` (gauss).
 
     Linear Zeeman model for the lower (m_s = -1) branch with the field along
-    [001]: f0 = D - gamma * projection_factor * B. Monotone decreasing in B.
-    A field that ``check_field`` rejects raises DomainError.
+    [001]: f0 = D - gamma * projection_factor * B, monotone decreasing in B.
+    ``b_field`` is a real number or an array of them (``check_real``),
+    finite and >= 0, below the level crossing: f0 must be > 0 at every
+    field. Any other field raises InvalidParameterError.
     """
-    out = ens.zfs - ens.gamma * ens.projection_factor * check_field(b_field)
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def check_transition(b_field, ens: SpinEnsembleParams):
-    """``b_field`` under ``check_field`` and below the level crossing: the
-    ``transition_frequency`` there must be > 0, else DomainError. The
-    frequency falls with B, so a sweep is checked at its ends."""
-    b = check_field(b_field)
+    b = check_real(b_field, "b_field")
+    if not np.all((b >= 0) & (b < np.inf)):
+        raise InvalidParameterError("b_field must be finite and >= 0")
     with np.errstate(over="ignore"):  # past the float range it reads -inf
-        f0 = np.atleast_1d(transition_frequency(b, ens))
-    if not np.all(f0 > 0):
-        i = int(np.argmin(f0 > 0))
-        raise DomainError(f"the transition frequency zfs - gamma * "
-                          f"projection_factor * B is {f0[i]:g} Hz at "
-                          f"B = {b.flat[i]:g} G, not > 0")
-    return b
+        out = ens.zfs - ens.gamma * ens.projection_factor * b
+    below = out > 0
+    if not np.all(below):
+        i = int(np.argmin(below))
+        raise InvalidParameterError(f"the transition frequency zfs - gamma * "
+                                    f"projection_factor * B is {out.flat[i]:g} Hz "
+                                    f"at B = {b.flat[i]:g} G, not > 0")
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def check_polarization(polarization):

@@ -279,6 +279,13 @@ CSV_ROWS = "x,y\n0.0,1.0\n1.0,0.5\n2.0,0.2\n"
 EXP_INIT = {"init": {"amplitude": 1.0, "tau": 1.0}}
 RP_INIT = {"init": {"q": 5.0e3, "beta": 0.6}}
 SVF_INIT = {"init": {"n_spins": 1.5e12, "t2_star": 1.5e-8}}
+# noiseless shift-vs-field sweeps at configs/default.json, 4 digits: one
+# starts below 0 G, one crosses the level crossing near 1775.35 G
+NEGATIVE_FIELD_ROWS = ("x,y\n-5,-2.710e-4\n0,-3.153e-4\n5,-3.779e-4\n10,-4.753e-4\n"
+                       "15,-6.550e-4\n20,-1.018e-3\n25,-1.387e-3\n30,-7.679e-4\n")
+CROSSING_ROWS = ("x,y\n1700,5.954e-6\n1725,5.867e-6\n1750,5.781e-6\n1775,5.698e-6\n"
+                 "1800,5.618e-6\n1825,5.539e-6\n1850,5.463e-6\n1875,5.389e-6\n"
+                 "1900,5.317e-6\n")
 
 # name: (model, init JSON as an object or as text, CSV text, the file named,
 # the rest of the one error line after that file's path)
@@ -359,6 +366,13 @@ FIT_DEFECTS = {
         "shift_vs_field", {"init": {"n_spins": 2.0e12, "t2_star": 2.0e-8}},
         "x,y\n30.0,1.0\n31.0,1.0\n", "csv", "model 'shift_vs_field': need at least "
         "3 data points for 2 parameters, got 2"),
+    "shift_vs_field-negative-field": (
+        "shift_vs_field", SVF_INIT, NEGATIVE_FIELD_ROWS, "csv",
+        "model 'shift_vs_field': b_field must be finite and >= 0"),
+    "shift_vs_field-past-the-level-crossing": (
+        "shift_vs_field", SVF_INIT, CROSSING_ROWS, "csv",
+        "model 'shift_vs_field': the transition frequency zfs - gamma * "
+        "projection_factor * B is -3.98454e+07 Hz at B = 1800 G, not > 0"),
 }
 
 

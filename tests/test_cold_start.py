@@ -101,12 +101,13 @@ def test_scipy_loads_only_with_the_dawson_function(tmp_path, src_env):
     assert steps["dawson_mismatches"] == []
 
 
-def test_readout_working_set_stays_within_five_and_a_half_records():
-    """Traced peak of one simulate_readout call at the default config: the
-    noise record, the square wave, the reference phase, the sine and one
-    product buffer are live at once, about 5.02 records of 10^4 float64
-    samples. A call that keeps a temporary per demodulation peaks at about
-    9 records."""
+def test_readout_working_set_stays_within_two_and_a_half_records():
+    """Traced peak of one simulate_readout call at the default config: at
+    most two arrays of a record's size are live at once (the white noise
+    and its spectrum, the spectrum and the noise record, or the noise record
+    and the scaled square wave or a demodulation product), about 2.03
+    records of 10^4 float64 samples. One more such array held across a step
+    breaks the bound."""
     cfg = load_config(CONFIG)
     args = (cfg.optimized, cfg.psd, cfg.lockin, 0.01)
     simulate_readout(*args, 0)
@@ -120,4 +121,4 @@ def test_readout_working_set_stays_within_five_and_a_half_records():
     finally:
         tracemalloc.stop()
     record = 8 * cfg.lockin.n_samples
-    assert peak <= 5.5 * record, f"peak {peak} B = {peak / record:.2f} records"
+    assert peak <= 2.5 * record, f"peak {peak} B = {peak / record:.2f} records"

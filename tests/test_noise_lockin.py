@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from dispersive_readout import (
-    DomainError,
     InvalidParameterError,
     LockinConfig,
     OptimizedDeviceParams,
@@ -75,12 +74,12 @@ class TestPsdValue:
 
     def test_out_of_range_rejected(self):
         psd = white_psd()
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError):
             psd_value(psd, 1e7)
 
     @pytest.mark.parametrize("f", [math.nan, [10.0, math.nan]])
     def test_nan_frequency_rejected(self, f):
-        with pytest.raises(DomainError, match="frequency outside PSD range"):
+        with pytest.raises(InvalidParameterError, match="frequency outside PSD range"):
             psd_value(white_psd(), f)
 
 

@@ -1,11 +1,11 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
 from dispersive_readout import (
     CavityParams,
-    DomainError,
     InvalidParameterError,
     OptimizedDeviceParams,
     dawson,
@@ -36,12 +36,26 @@ class TestTransitionFrequency:
         assert shift2 == pytest.approx(2 * shift1, rel=1e-12)
 
     def test_negative_field_rejected(self, measured_ensemble):
-        with pytest.raises(DomainError):
+        with pytest.raises(InvalidParameterError):
             transition_frequency(-1.0, measured_ensemble)
 
     @pytest.mark.parametrize("b", [math.inf, -math.inf, math.nan, [32.0, math.nan]])
     def test_non_finite_field_rejected(self, measured_ensemble, b):
-        with pytest.raises(DomainError, match="^b_field must be finite and >= 0$"):
+        with pytest.raises(InvalidParameterError,
+                           match="^b_field must be finite and >= 0$"):
+            transition_frequency(b, measured_ensemble)
+
+    @pytest.mark.parametrize("b, at", [(1800.0, 1800.0),
+                                       ([30.0, 1800.0, 1900.0], 1800.0),
+                                       (1e308, 1e308)],
+                             ids=["scalar", "array", "past-the-float-range"])
+    def test_field_past_the_level_crossing_rejected(self, measured_ensemble, b, at):
+        # 1e308 G overflows to -inf Hz without a RuntimeWarning, which the
+        # suite's warning filter would raise instead
+        with pytest.raises(InvalidParameterError,
+                           match=r"^the transition frequency zfs - gamma \* "
+                                 r"projection_factor \* B is -\S+ Hz at "
+                                 f"B = {re.escape(f'{at:g}')} G, not > 0$"):
             transition_frequency(b, measured_ensemble)
 
     @pytest.mark.parametrize("b", [32, np.int64(32), np.uint8(32), np.float32(32.5),

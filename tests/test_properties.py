@@ -1,8 +1,11 @@
 """Property-based invariants: odd symmetries, linearity/scaling laws and
 demodulator algebra."""
 
+import json
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,13 +14,17 @@ from hypothesis import strategies as st
 
 from dispersive_readout import (
     CavityParams,
+    ConfigError,
     InvalidParameterError,
     LockinConfig,
     PolarizationTrace,
     SpinEnsembleParams,
     dawson,
     ensemble_dispersive_shift,
+    fit_shift_vs_field,
+    load_config,
     lockin_demodulate,
+    phase_trace,
     psd_value,
     reflection_phase,
     synthesize_phase_noise,
@@ -102,6 +109,80 @@ def test_every_entry_applies_the_one_polarization_rule(polarization):
     if not isinstance(polarization, list):
         assert accepted[0] == (type(polarization) in (int, float)
                                and 0 <= polarization <= 1)
+
+
+_DEFAULT = Path(__file__).resolve().parent.parent / "configs" / "default.json"
+_CFG = load_config(_DEFAULT)
+
+
+def _last_field_below_the_crossing(ens):
+    """The largest float field at which zfs - gamma * projection_factor * B
+    is still > 0."""
+    slope = ens.gamma * ens.projection_factor
+    b = ens.zfs / slope
+    while ens.zfs - slope * b <= 0:
+        b = math.nextafter(b, 0)
+    while ens.zfs - slope * math.nextafter(b, math.inf) > 0:
+        b = math.nextafter(b, math.inf)
+    return b
+
+
+_BELOW = _last_field_below_the_crossing(_CFG.ensemble)
+FIELDS = [-1.0, -5e-324, 0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 32.0,
+          _BELOW, math.nextafter(_BELOW, math.inf), 1e308]
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.floats())
+def test_every_entry_applies_the_one_field_rule(b):
+    """The transition frequency, a phase trace, the shift-vs-field model, its
+    fit and a config's ``b_fields_gauss`` accept the same fields: finite,
+    >= 0 and below the level crossing. Each refuses the rest with an
+    InvalidParameterError, the config with a ConfigError at the key's line."""
+    ens, cav = _CFG.ensemble, _CFG.cavity
+    params = [ens.n_spins, ens.t2_star]
+    model = shift_vs_field_model(ens, cav, _CFG.p_sat)
+    sweep = np.array([30.0, 32.0, 34.0])
+    y = np.append(model.func(params, sweep), 0.0)
+    data = json.loads(_DEFAULT.read_text())
+    data["b_fields_gauss"] = [b]
+    text = json.dumps(data, indent=2)
+    line = next(i for i, row in enumerate(text.splitlines(), start=1)
+                if '"b_fields_gauss"' in row)
+    entries = [
+        lambda: transition_frequency(b, ens),
+        lambda: phase_trace(PolarizationTrace([0.0, 1e-6], [0.5, 1.0]), ens, cav, b),
+        lambda: model.func(params, np.array([b])),
+        lambda: fit_shift_vs_field(np.append(sweep, b), y,
+                                   {"ensemble": ens, "cavity": cav,
+                                    "polarization": _CFG.p_sat},
+                                   dict(zip(model.names, params)), max_iterations=1),
+    ]
+    accepted = []
+    for entry in entries:
+        try:
+            entry()
+        except InvalidParameterError:
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(text)
+        try:
+            load_config(config)
+        except ConfigError as exc:
+            assert exc.line == line, exc
+            accepted.append(False)
+        else:
+            accepted.append(True)
+    assert accepted in ([True] * 5, [False] * 5), (b, accepted)
+    assert accepted[0] == (0 <= b <= _BELOW), b
+
+
+for _b in FIELDS:  # each named field is tried on every run
+    test_every_entry_applies_the_one_field_rule = example(b=_b)(
+        test_every_entry_applies_the_one_field_rule)
 
 
 # The twelve array arguments that physics.check_real parses, each as (its name,
