@@ -93,9 +93,11 @@ def phase_trace(trace: PolarizationTrace, ens: SpinEnsembleParams,
 
     Each sample maps the instantaneous ensemble pull delta_c(t) (polarization
     p(t)) through the small-shift slope of the reflection phase,
-    ``cav.phase_slope``, at fractional detuning delta_c/f_c.
+    ``cav.phase_slope``, at fractional detuning delta_c/f_c; ``b_field`` is one field.
     """
     omega0 = transition_frequency(b_field, ens)
+    if np.ndim(omega0) > 0:
+        raise InvalidParameterError(f"b_field must be one field, got shape {np.shape(omega0)}")
     delta_c = ensemble_dispersive_shift(ens, cav.omega_c, omega0, trace.p)
     phase = cav.phase_slope * (delta_c / cav.omega_c) + cav.phi0
     if subtract_offset:

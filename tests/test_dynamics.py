@@ -209,6 +209,26 @@ class TestPhaseTrace:
         scale = np.max(np.abs(lin.phase))
         assert np.allclose(full, lin.phase, atol=1e-4 * scale, rtol=0)
 
+    @pytest.mark.parametrize("b_field", [[30.0, 34.0], [30.0, 32.0, 34.0],
+                                         [32.0], np.array([[32.0]])])
+    def test_more_than_one_field_is_refused(self, measured_ensemble,
+                                            measured_cavity, b_field):
+        # as many fields as samples once paired them; another count broadcast;
+        # a one-element list or array is not one field either
+        trace = PolarizationTrace([0.0, 1e-6], [0.5, 1.0])
+        with pytest.raises(InvalidParameterError, match="^b_field must be one field"):
+            phase_trace(trace, measured_ensemble, measured_cavity, b_field)
+
+    @pytest.mark.parametrize("b_field", [32, np.float32(32.0), np.float64(32.0),
+                                         np.array(32.0)],
+                             ids=["int", "float32", "float64", "0-d-array"])
+    def test_one_field_of_any_type_gives_the_float_trace(
+            self, measured_ensemble, measured_cavity, cycle, b_field):
+        trace = polarization_trace(cycle, measured_ensemble)
+        out = phase_trace(trace, measured_ensemble, measured_cavity, b_field)
+        expected = phase_trace(trace, measured_ensemble, measured_cavity, 32.0)
+        assert np.array_equal(out.phase, expected.phase)
+
     @pytest.mark.parametrize("b_field", [0.0, 28.0, 31.0, 34.0, 60.0])
     def test_equals_the_inline_linearized_trace(self, measured_ensemble, cycle,
                                                 b_field):

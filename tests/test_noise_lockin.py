@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -194,39 +195,6 @@ class TestSimulateReadout:
         assert (out.estimated_amplitude, out.noise_floor) == (
             simulate_readout_reference(psd, cfg, 0.01, seed))
 
-    def test_amplitude_std_scales_with_duration(self):
-        psd = white_psd(level=1e-6)
-        p = OptimizedDeviceParams()
-        cfg1 = LockinConfig(f_mod=1e4, fs=1e6, duration=2e-3)
-        cfg4 = LockinConfig(f_mod=1e4, fs=1e6, duration=8e-3)
-        est1 = [simulate_readout(p, psd, cfg1, 0.01, seed=s).estimated_amplitude
-                for s in range(100)]
-        est4 = [simulate_readout(p, psd, cfg4, 0.01, seed=s).estimated_amplitude
-                for s in range(100)]
-        ratio = np.std(est4) / np.std(est1)
-        assert ratio == pytest.approx(0.5, rel=0.20)
-
-    def test_noise_floor_rms_estimates_psd(self, cfg):
-        level = 1e-6
-        psd = white_psd(level)
-        p = OptimizedDeviceParams()
-        floors = [simulate_readout(p, psd, cfg, 0.01, seed=s).noise_floor
-                  for s in range(100)]
-        rms = float(np.sqrt(np.mean(np.square(floors))))
-        assert rms == pytest.approx(math.sqrt(level), rel=0.20)
-
-    def test_one_over_f_noise_with_f_mod_in_flat_region(self, cfg):
-        # 1/f below 1 kHz, flat at the modulation frequency
-        psd = PhaseNoisePSD(
-            (PSDSegment(1.0, -1.0, 1e-3), PSDSegment(1e3, 0.0, 1e-6)),
-            0.5, 5e5,
-        )
-        p = OptimizedDeviceParams()
-        est = [simulate_readout(p, psd, cfg, 0.01, seed=s).estimated_amplitude
-               for s in range(100)]
-        predicted = math.sqrt(1e-6 / cfg.duration)
-        assert np.std(est) == pytest.approx(predicted, rel=0.20)
-
     def test_large_signal_rejected(self, cfg):
         with pytest.raises(InvalidParameterError):
             simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.5, seed=0)
@@ -387,141 +355,17 @@ def uncached_demodulate(x, cfg):
     return 2.0 * float(np.mean(x * np.sin(2.0 * math.pi * cfg.f_mod * t)))
 
 
-class TestReferenceCache:
-    """The sine and cosine references are built once per LockinConfig and
-    kept, read-only, for the last config only; switching configs back and
-    forth changes no bit."""
-
-    def check_interleaved(self, configs, psd_for, seed, signal_phase=0.01):
-        noiselockin._references.cache_clear()
-        rng = np.random.default_rng(seed)
-        for cfg in configs:
-            psd = psd_for(cfg)
-            out = simulate_readout(OptimizedDeviceParams(), psd, cfg, signal_phase, seed)
-            assert ((out.estimated_amplitude, out.noise_floor)
-                    == simulate_readout_reference(psd, cfg, signal_phase, seed))
-            x = rng.standard_normal(cfg.n_samples)
-            assert lockin_demodulate(x, cfg) == uncached_demodulate(x, cfg)
-            assert noiselockin._references.cache_info().currsize <= 1
-
-    def test_configs_a_b_a_match_the_uncached_forms(self, cfg):
-        other = LockinConfig(f_mod=3e3, fs=2e5, duration=2e-3)
-        self.check_interleaved([cfg, other, cfg], lambda c: white_psd(f_max=c.fs),
-                               seed=11)
-        # each switch rebuilt the pair: the cache held one config at a time
-        assert noiselockin._references.cache_info().misses == 3
-
-    def test_repeated_config_is_built_once(self, cfg):
-        noiselockin._references.cache_clear()
-        for seed in range(3):
-            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, seed)
-            lockin_demodulate(np.ones(cfg.n_samples), cfg)
-        # four lookups per readout (two square waves, the in-phase and the
-        # quadrature demodulation) and one per lockin_demodulate, one a miss
-        info = noiselockin._references.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 14, 1)
-
-    def test_cached_references_are_read_only(self, cfg):
-        sin, cos, unit_sq, sq_gain = noiselockin._references(cfg)
-        for ref in (sin, cos, unit_sq):
-            assert ref.shape == (cfg.n_samples,) and ref.dtype == np.float64
-            with pytest.raises(ValueError, match="read-only"):
-                ref[0] = 1.0
-        # a float, immutable, equal to the demodulated unit square wave
-        assert type(sq_gain) is float
-        assert sq_gain == uncached_demodulate(square_wave(cfg), cfg)
-        assert noiselockin._references.cache_info().currsize <= 1
-
-    def test_warm_cache_builds_no_square_wave(self, cfg, monkeypatch):
-        noiselockin._references.cache_clear()
-        simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, 0)
-        calls = []
-        unit_square = noiselockin._unit_square
-        monkeypatch.setattr(noiselockin, "_unit_square",
-                            lambda *args: calls.append(args) or unit_square(*args))
-        for seed in range(1, 4):
-            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, seed)
-        assert square_wave(cfg, 0.5)[0] == 0.5
-        assert calls == []
-
-    @given(configs=st.lists(lockin_configs(), min_size=2, max_size=2),
-           order=st.lists(st.integers(min_value=0, max_value=1),
-                          min_size=3, max_size=6),
-           seed=st.integers(min_value=0, max_value=2**63 - 1),
-           signal_phase=st.floats(min_value=-0.1, max_value=0.1),
-           one_over_f=st.booleans())
-    @settings(max_examples=150, deadline=None)
-    def test_interleaved_configs_match_the_oracle_bitwise(self, configs, order,
-                                                         seed, signal_phase,
-                                                         one_over_f):
-        self.check_interleaved(
-            [configs[i] for i in order],
-            lambda c: one_over_f_psd(c.fs) if one_over_f else white_psd(f_max=c.fs),
-            seed, signal_phase)
-
-
 @st.composite
 def synthesis_args(draw):
-    """(psd, fs, n_samples): a white or 1/f PSD up to 20 MHz, so that two
-    draws often share it, at an arbitrary rate up to 10 MHz and a length of
-    either parity; a few rates and lengths recur, so that two draws also
-    share those."""
-    fs = draw(st.one_of(st.sampled_from([1e6, 2e6]),
+    """(psd, fs, n_samples): a white or 1/f PSD up to 20 MHz (past the
+    Nyquist rate of every ``lockin_configs()`` config) at a rate up to 10 MHz
+    and a length of either parity; a few rates and lengths recur."""
+    fs = draw(st.one_of(st.sampled_from((1e6, 2e6)),
                         st.floats(min_value=1e3, max_value=1e7)))
-    n_samples = draw(st.one_of(st.sampled_from([64, 1001]),
+    n_samples = draw(st.one_of(st.sampled_from((64, 1001)),
                                st.integers(min_value=1, max_value=5000)))
     psd = one_over_f_psd(2e7) if draw(st.booleans()) else white_psd(f_max=2e7)
     return psd, fs, n_samples
-
-
-class TestShapingGainCache:
-    """The noise-shaping gain is built once per (psd, fs, n_samples) and
-    kept, read-only, for the last arguments only; switching arguments back
-    and forth changes no bit against the inline synthesis oracle."""
-
-    @given(args=st.lists(synthesis_args(), min_size=2, max_size=2),
-           order=st.lists(st.integers(min_value=0, max_value=1),
-                          min_size=3, max_size=6),
-           seed=st.integers(min_value=0, max_value=2**63 - 1))
-    @settings(max_examples=60, deadline=None)
-    def test_interleaved_arguments_match_the_oracle_bitwise(self, args, order, seed):
-        noiselockin._shaping_gain.cache_clear()
-        for psd, fs, n_samples in (args[i] for i in order):
-            assert np.array_equal(
-                synthesize_phase_noise(psd, fs, n_samples, seed),
-                synthesize_phase_noise_reference(psd, fs, n_samples, seed))
-            assert noiselockin._shaping_gain.cache_info().currsize <= 1
-            gain = noiselockin._shaping_gain(psd, fs, n_samples)
-            assert gain.shape == (n_samples // 2 + 1,) and gain.dtype == np.float64
-            with pytest.raises(ValueError, match="read-only"):
-                gain[0] = 1.0
-
-    def test_repeated_arguments_are_built_once(self, cfg):
-        noiselockin._shaping_gain.cache_clear()
-        for seed in range(3):
-            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, seed)
-        info = noiselockin._shaping_gain.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-
-    def test_equal_rate_of_another_type_shares_the_float_gain(self):
-        # np.float32(1e6) == 1e6: taken as the float 1e6, it gives its bits
-        psd = one_over_f_psd(2e7)
-        noiselockin._shaping_gain.cache_clear()
-        for fs in (np.float32(1e6), 1e6, np.float32(1e6)):
-            assert np.array_equal(synthesize_phase_noise(psd, fs, 1001, seed=5),
-                                  synthesize_phase_noise_reference(psd, 1e6, 1001, 5))
-        info = noiselockin._shaping_gain.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 2, 1)
-
-    def test_rejected_nyquist_leaves_the_cache_alone(self):
-        psd = white_psd(f_max=5e5)
-        noiselockin._shaping_gain.cache_clear()
-        synthesize_phase_noise(psd, 1e6, 64, seed=0)
-        with pytest.raises(InvalidParameterError, match="Nyquist"):
-            synthesize_phase_noise(psd, 1e6 * (1 + 1e-9), 64, seed=0)
-        synthesize_phase_noise(psd, 1e6, 64, seed=1)
-        info = noiselockin._shaping_gain.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
 
 
 class TestScalarArguments:
@@ -563,89 +407,125 @@ class TestScalarArguments:
             shot_noise_limit(n_spins, t2)
 
 
-NUMBER_TYPES = (int, np.float32, np.float64, float)
-
-
-@st.composite
-def typed(draw, value):
-    """``value``, exact in float32, as an int (where it is integral), a
-    numpy float32 or float64, or a Python float."""
-    kinds = [t for t in NUMBER_TYPES if t is not int or float(value).is_integer()]
-    return draw(st.sampled_from(kinds))(value)
-
-
 @st.composite
 def typed_readout_args(draw):
-    """Two (psd, cfg, fs) triples equal in value, each number drawn of its
-    own type and the segments as a tuple or a list. Every value is exact in
-    float32: f_mod = c*2^e, fs = r*f_mod and duration = p*2^-e, so the record
-    holds c*p whole periods of c*r*p samples."""
-    c, e = draw(st.integers(1, 20)), draw(st.integers(4, 12))
-    p, r = draw(st.integers(1, 4)), draw(st.integers(11, 40))
+    """Two (psd, cfg, fs) triples equal in value, each number an int (where
+    integral), a numpy float32 or float64 or a float, the segments a tuple or
+    a list; all exact in float32: f_mod = c*2^e, fs = r*f_mod, duration = p*2^-e."""
+    c, e, p, r = (draw(st.integers(*b)) for b in ((1, 20), (4, 12), (1, 4), (11, 40)))
     level = 2.0 ** -draw(st.integers(10, 30))
 
+    def t(value):
+        kinds = (int,) * float(value).is_integer() + (np.float32, np.float64, float)
+        return draw(st.sampled_from(kinds))(value)
+
     def build():
-        segments = draw(st.sampled_from([tuple, list]))((
-            PSDSegment(draw(typed(1.0)), draw(typed(-1.0)), draw(typed(level))),
-            PSDSegment(draw(typed(1024.0)), draw(typed(0.0)),
-                       draw(typed(level / 1024))),
-        ))
-        psd = PhaseNoisePSD(segments, draw(typed(0.5)), draw(typed(2.0**25)))
-        cfg = LockinConfig(draw(typed(c * 2.0**e)), draw(typed(c * r * 2.0**e)),
-                           draw(typed(p * 2.0**-e)))
-        return psd, cfg, draw(typed(c * r * 2.0**e))
+        segments = draw(st.sampled_from((tuple, list)))((
+            PSDSegment(t(1.0), t(-1.0), t(level)),
+            PSDSegment(t(1024.0), t(0.0), t(level / 1024))))
+        return (PhaseNoisePSD(segments, t(0.5), t(2.0**25)),
+                LockinConfig(t(c * 2.0**e), t(c * r * 2.0**e), t(p * 2.0**-e)),
+                t(c * r * 2.0**e))
 
     return build(), build()
 
 
-class TestEqualValuesComputeEqualBits:
-    """Containers store every checked number as a Python float and their
-    segments as a tuple, so equal containers hash alike and the readout
-    caches, keyed on values alone, serve each of them the same bits."""
+OTHER_LOCKIN = LockinConfig(f_mod=3e3, fs=2e5, duration=2e-3)
+PLAIN = (one_over_f_psd(1e6), DEFAULT_LOCKIN, 1e6)
+CALLS = ["readout", "demodulate", "synthesize"]
 
-    @given(args=typed_readout_args(),
-           order=st.lists(st.integers(min_value=0, max_value=1),
-                          min_size=3, max_size=6),
-           seed=st.integers(min_value=0, max_value=2**63 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_any_numeric_type_gives_the_cache_cleared_bits(self, args, order, seed):
-        for psd, cfg, _ in args:
-            assert type(psd.segments) is tuple
-            for obj in (cfg, psd, *psd.segments):
-                assert all(type(getattr(obj, f.name)) is float
-                           for f in dataclasses.fields(obj) if f.name != "segments")
-        (psd_a, cfg_a, _), (psd_b, cfg_b, _) = args
-        assert (psd_a, cfg_a) == (psd_b, cfg_b)
-        assert hash((psd_a, cfg_a)) == hash((psd_b, cfg_b))
-        x = np.random.default_rng(seed).standard_normal(cfg_a.n_samples)
 
-        def results(psd, cfg, fs):
-            return (simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed),
-                    lockin_demodulate(x, cfg),
-                    synthesize_phase_noise(psd, fs, cfg.n_samples, seed).tobytes())
+def cache_example(calls, pair=(PLAIN, PLAIN)):
+    return example(configs=[DEFAULT_LOCKIN, OTHER_LOCKIN], pair=pair, calls=calls, seed=7,
+                   syntheses=[(white_psd(f_max=2e7), 1e6, 1001)] * 2, phase=0.01)
 
-        def cache_cleared(psd, cfg, fs):
-            noiselockin._references.cache_clear()
-            noiselockin._shaping_gain.cache_clear()
-            return results(psd, cfg, fs)
 
-        expected = cache_cleared(*args[0])
-        assert cache_cleared(*args[1]) == expected
-        for i in order:
-            assert results(*args[i]) == expected
+def read(cfg=DEFAULT_LOCKIN, seed=0):
+    simulate_readout(OptimizedDeviceParams(), white_psd(f_max=cfg.fs), cfg, 0.01, seed)
+    return lockin_demodulate(np.ones(cfg.n_samples), cfg)
 
-    def test_float32_config_leaves_no_float32_references(self, cfg):
-        # equal to cfg and hashed alike, LockinConfig(np.float32(1e4), ...)
-        # once cached sines of the float32-rounded 2*pi*f_mod for both
-        x = np.random.default_rng(3).standard_normal(cfg.n_samples)
+
+class TestReadoutCaches:
+    """Each cache keeps, read-only, the entry of its last arguments, shared by
+    equal values of any type; no order of calls changes a bit."""
+
+    @given(configs=st.lists(lockin_configs(), min_size=2, max_size=2),
+           syntheses=st.lists(synthesis_args(), min_size=2, max_size=2),
+           pair=typed_readout_args(),
+           calls=st.lists(st.tuples(st.sampled_from(CALLS), st.integers(0, 3)),
+                          min_size=3, max_size=12),
+           seed=st.integers(min_value=0, max_value=2**63 - 1),
+           phase=st.floats(min_value=-0.1, max_value=0.1))
+    @cache_example([(call, i) for i in (0, 1, 0) for call in CALLS[:2]])
+    # a float32 f_mod once cached float32-rounded sines for the equal config
+    @cache_example([("demodulate", 2), ("demodulate", 3), ("synthesize", 2)],
+                   pair=((PLAIN[0], LockinConfig(np.float32(1e4), 1e6, 1e-2),
+                          np.float32(1e6)), PLAIN))
+    @cache_example([("readout", 2), ("readout", 3)],
+                   pair=((PhaseNoisePSD(list(PLAIN[0].segments), 0.5, 1e6),
+                          *PLAIN[1:]), PLAIN))
+    @settings(max_examples=250, deadline=None)
+    def test_interleaved_calls_keep_the_oracle_bits(self, configs, syntheses, pair,
+                                                    calls, seed, phase):
+        for psd, cfg, _ in pair:  # numbers stored as Python floats, segments as a tuple
+            assert {type(getattr(obj, f.name)) for obj in (cfg, psd, *psd.segments)
+                    for f in dataclasses.fields(obj)} == {float, tuple}
+        assert len({(psd, cfg) for psd, cfg, _ in pair}) == 1  # equal, hashed alike
+        lockins = [(s[0], c) for s, c in zip(syntheses, configs)] + [p[:2] for p in pair]
+        syntheses = syntheses + [(psd, fs, cfg.n_samples) for psd, cfg, fs in pair]
         noiselockin._references.cache_clear()
-        lockin_demodulate(x, LockinConfig(np.float32(1e4), cfg.fs, cfg.duration))
-        assert lockin_demodulate(x, cfg) == uncached_demodulate(x, cfg)
+        noiselockin._shaping_gain.cache_clear()
+        for call, i in calls:
+            psd, cfg = lockins[i]
+            gains = [(psd, cfg.fs, cfg.n_samples)]
+            if call == "readout":
+                out = simulate_readout(OptimizedDeviceParams(), psd, cfg, phase, seed)
+                assert (dataclasses.astuple(out)
+                        == simulate_readout_reference(psd, cfg, phase, seed))
+            elif call == "demodulate":
+                x, gains = np.random.default_rng(seed).standard_normal(cfg.n_samples), []
+                assert lockin_demodulate(x, cfg) == uncached_demodulate(x, cfg)
+            else:
+                psd, fs, n_samples = syntheses[i]
+                gains, cfg = [(psd, float(fs), n_samples)], None
+                assert np.array_equal(synthesize_phase_noise(psd, fs, n_samples, seed),
+                                      synthesize_phase_noise_reference(*gains[0], seed))
+            assert noiselockin._references.cache_info().currsize <= 1
+            assert noiselockin._shaping_gain.cache_info().currsize <= 1
+            arrays = [(noiselockin._shaping_gain(*key), key[2] // 2 + 1) for key in gains]
+            if cfg is not None:
+                *refs, sq_gain = noiselockin._references(cfg)
+                arrays += [(ref, cfg.n_samples) for ref in refs]
+                assert type(sq_gain) is float
+                assert sq_gain == uncached_demodulate(square_wave(cfg), cfg)
+            for a, n in arrays:
+                assert (a.shape, a.dtype, a.flags.writeable) == ((n,), np.float64, False)
 
-    def test_psd_from_a_list_of_segments_reads_out_like_the_oracle(self, cfg):
-        psd = PhaseNoisePSD([PSDSegment(1.0, -1.0, 1e-3), PSDSegment(1e3, 0.0, 1e-6)],
-                            0.5, cfg.fs)
-        assert psd == one_over_f_psd(cfg.fs)
-        out = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed=7)
-        assert ((out.estimated_amplitude, out.noise_floor)
-                == simulate_readout_reference(psd, cfg, 0.01, 7))
+    @pytest.mark.parametrize("calls, cache, counts", [
+        # read() looks the record up five times, four of them in the readout
+        (lambda: [read(seed=s) for s in range(3)], "_references", (1, 14, 1)),
+        (lambda: [read(c, 11) for c in (DEFAULT_LOCKIN, OTHER_LOCKIN, DEFAULT_LOCKIN)],
+         "_references", (3, 12, 1)),
+        (lambda: [read(seed=s) for s in range(3)], "_shaping_gain", (1, 2, 1)),
+        (lambda: [synthesize_phase_noise(PLAIN[0], fs, 1001, seed=5)
+                  for fs in (np.float32(1e6), 1e6, np.float32(1e6))],
+         "_shaping_gain", (1, 2, 1)),
+        (lambda: [synthesize_phase_noise(white_psd(), 1e6, 64, seed=0),
+                  pytest.raises(InvalidParameterError, synthesize_phase_noise,
+                                white_psd(), 1e6 * (1 + 1e-9), 64, 0).match("Nyquist"),
+                  synthesize_phase_noise(white_psd(), 1e6, 64, seed=1)],
+         "_shaping_gain", (1, 1, 1)),
+        (lambda: [read(seed=s) for s in range(4)] + [square_wave(DEFAULT_LOCKIN, 0.5)],
+         "_references", (1, 20, 1)),
+    ], ids=["repeated-config", "configs-a-b-a", "repeated-shaping-arguments",
+            "float32-rate", "rejected-nyquist", "warm-cache"])
+    def test_cache_counts(self, monkeypatch, calls, cache, counts):
+        unit_square = mock.Mock(wraps=noiselockin._unit_square)
+        monkeypatch.setattr(noiselockin, "_unit_square", unit_square)
+        noiselockin._references.cache_clear()
+        noiselockin._shaping_gain.cache_clear()
+        calls()
+        info = getattr(noiselockin, cache).cache_info()
+        assert (info.misses, info.hits, info.currsize) == counts
+        # a warm cache builds no square wave: one build per miss
+        assert unit_square.call_count == noiselockin._references.cache_info().misses
