@@ -32,8 +32,8 @@ class PolarizationTrace:
     def __post_init__(self):
         t = check_real(self.times, "times")
         p = check_polarization(self.p)
-        if t.shape != p.shape or t.ndim != 1:
-            raise InvalidParameterError("times and p must be 1-D arrays of equal length")
+        if t.shape != p.shape or t.ndim != 1 or not t.size:
+            raise InvalidParameterError("times and p must be 1-D arrays of equal length > 0")
         dts = np.diff(t)
         if not (np.isfinite(t).all() and np.all(dts > 0)
                 and np.allclose(dts, dts[:1], rtol=1e-9, atol=0)):

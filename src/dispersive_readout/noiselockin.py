@@ -156,7 +156,11 @@ def sensitivity(p: OptimizedDeviceParams, s_phi_sqrt):
     coupling. S_phi^(1/2) is an amplitude spectral density (rad/sqrt(Hz))
     at the modulation frequency; an array gives one eta_B per element.
     """
-    return HBAR / (G_LANDE * MU_B * p.t2) / optimized_phase_shift(p) * s_phi_sqrt
+    s = check_real(s_phi_sqrt, "s_phi_sqrt")
+    if not np.all((s >= 0) & (s < np.inf)):
+        raise InvalidParameterError("s_phi_sqrt must be finite and >= 0")
+    out = HBAR / (G_LANDE * MU_B * p.t2) / optimized_phase_shift(p) * s
+    return float(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)

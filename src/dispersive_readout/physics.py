@@ -126,7 +126,14 @@ def ensemble_dispersive_shift(ens: SpinEnsembleParams, omega_c, mean_omega0,
     reduces to p*N*g^2/Delta in the narrow-line limit sigma_f -> 0.
     """
     p = check_polarization(polarization)
-    detuning = check_real(omega_c, "omega_c") - check_real(mean_omega0, "mean_omega0")
+    omega_c, omega0 = check_real(omega_c, "omega_c"), check_real(mean_omega0, "mean_omega0")
+    shapes = omega_c.shape, omega0.shape, np.shape(p)
+    try:
+        np.broadcast_shapes(*shapes)
+    except ValueError:
+        raise InvalidParameterError("omega_c, mean_omega0 and polarization must broadcast "
+                                    "together, got shapes %s, %s and %s" % shapes) from None
+    detuning = omega_c - omega0
     sigma = ens.sigma_f
     out = ensemble_shift(p, ens.n_spins, ens.g, sigma, ensemble_profile(detuning, sigma))
     return float(out) if np.ndim(out) == 0 else out

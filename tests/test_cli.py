@@ -165,6 +165,8 @@ class TestShiftVsField:
                      "--b-max", "45", "--n-points", "251"]) == 0
         _, (b, phase) = read_csv(tmp_path / "shift_vs_field.csv")
         assert np.min(phase) < 0 < np.max(phase)
+        # of order 2 mrad at the peak, within a tighter band than criterion 10's
+        assert 1e-3 < np.max(np.abs(phase)) < 4e-3
 
     def test_linearity_in_n_spins(self, config_path, tmp_path):
         main(["shift-vs-field", "--config", str(config_path),

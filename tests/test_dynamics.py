@@ -131,7 +131,8 @@ def test_p_sat_of_any_numeric_type_gives_the_float_trace(measured_ensemble, cycl
     ([0.0, 1.0, 2.0], [0.5, 0.5], "1-D arrays of equal length"),
     ([0.0, 1.0, 3.0], [0.5, 0.5, 0.5], "strictly increasing and uniform"),
     ([0.0, 1.0, 2.0], [0.5, 1.1, 0.5], r"within \[0, 1\]"),
-], ids=["unequal-lengths", "non-uniform", "out-of-range"])
+    ([], [], "1-D arrays of equal length"),
+], ids=["unequal-lengths", "non-uniform", "out-of-range", "empty"])
 def test_polarization_trace_validation(times, p, message):
     with pytest.raises(InvalidParameterError, match=message):
         PolarizationTrace(np.array(times), np.array(p))

@@ -1,15 +1,16 @@
-"""Closed-form (Dawson) ensemble shift against the principal-value
-quadrature oracle."""
+"""The Dawson function against its series oracle, and the closed-form
+(Dawson) ensemble shift against the principal-value quadrature oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from oracles import ensemble_shift_oracle
+from oracles import dawson_series, ensemble_shift_oracle
 
 from dispersive_readout import (
     InvalidParameterError,
     SpinEnsembleParams,
+    dawson,
     ensemble_dispersive_shift,
 )
 
@@ -29,14 +30,11 @@ def _rel_err(ens, omega_c, omega0, n_grid=1_000_000):
     return abs(orc - closed) / max(abs(closed), FLOOR)
 
 
-def test_agreement_on_random_parameter_sets():
-    rng = np.random.default_rng(7)
-    omega_c = 2.8175e9
-    for _ in range(50):
-        sigma = 10 ** rng.uniform(4, 8)          # Hz
-        t2_star = 1.0 / (2 * np.pi * sigma)
-        delta = 10 ** rng.uniform(3, 9) * rng.choice([-1, 1])
-        assert _rel_err(_ensemble(t2_star), omega_c, omega_c - delta) < 1e-6
+def test_dawson_against_series_oracle_over_range():
+    xs = np.linspace(-10, 10, 401)
+    errs = [abs(dawson(x) - dawson_series(x)) for x in xs]
+    assert max(errs) < 1e-10
+    assert dawson(0.92) == pytest.approx(0.541, abs=1e-3)  # near the maximum
 
 
 def test_exact_zero_on_symmetric_grid(measured_ensemble):

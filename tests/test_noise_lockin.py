@@ -160,6 +160,12 @@ class TestSensitivity:
         s = np.geomspace(1e-8, 1e-4, 37)
         assert np.array_equal(sensitivity(p, s), [sensitivity(p, v) for v in s])
 
+    @pytest.mark.parametrize("s", [-1.0, math.nan])
+    def test_negative_or_non_finite_density_is_refused(self, s):
+        with pytest.raises(InvalidParameterError,
+                           match="^s_phi_sqrt must be finite and >= 0$"):
+            sensitivity(OptimizedDeviceParams(), s)
+
 
 class TestShotNoise:
     def test_sqrt_scaling_in_n(self):

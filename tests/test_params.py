@@ -130,3 +130,15 @@ def test_checked_numbers_are_stored_as_python_floats(cls, values, kind):
     assert built == plain and hash(built) == hash(plain)
     if extra:
         assert built.segments == (WHITE,)
+
+
+FIELDS = [(cls, values, name) for cls, values in EXACT_VALUES for name in values]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("cls, values, field", FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, _, name in FIELDS])
+def test_every_field_refuses_a_value_that_is_not_finite(cls, values, field, value):
+    extra = {"segments": [WHITE]} if cls is PhaseNoisePSD else {}
+    with pytest.raises(InvalidParameterError, match=f"^{field} must be"):
+        cls(**dict(values, **{field: value}), **extra)

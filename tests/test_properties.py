@@ -1,8 +1,10 @@
 """Property-based invariants: odd symmetries, linearity/scaling laws and
 demodulator algebra."""
 
+import dataclasses
 import json
 import math
+import re
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +19,7 @@ from dispersive_readout import (
     ConfigError,
     InvalidParameterError,
     LockinConfig,
+    OptimizedDeviceParams,
     PolarizationTrace,
     SpinEnsembleParams,
     dawson,
@@ -24,9 +27,12 @@ from dispersive_readout import (
     fit_shift_vs_field,
     load_config,
     lockin_demodulate,
+    optimized_phase_shift,
     phase_trace,
+    photon_budget,
     psd_value,
     reflection_phase,
+    sensitivity,
     synthesize_phase_noise,
     transition_frequency,
 )
@@ -48,6 +54,7 @@ def ensemble(n_spins, g, t2_star):
 
 
 @given(x=st.floats(min_value=-30, max_value=30))
+@example(x=0.0)
 def test_dawson_is_odd(x):
     assert dawson(-x) == -dawson(x)
 
@@ -63,13 +70,14 @@ def test_dawson_is_bounded_by_its_maximum(x):
     n_spins=st.floats(min_value=1.0, max_value=1e14),
     g=st.floats(min_value=1e-3, max_value=1.0),
 )
+@example(detuning=0.0, t2_star=18e-9, n_spins=2e12, g=2.4e-2)
 def test_ensemble_shift_is_odd_in_detuning(detuning, t2_star, n_spins, g):
     ens = ensemble(n_spins, g, t2_star)
     # evaluate at a representable detuning pair so only the shift's own
     # symmetry is probed, not the rounding of omega_c +/- detuning
     plus = ensemble_dispersive_shift(ens, detuning, 0.0, 1.0)
     minus = ensemble_dispersive_shift(ens, -detuning, 0.0, 1.0)
-    assert plus == -minus
+    assert plus == -minus and math.isfinite(plus)
 
 
 NOT_POLARIZATIONS = [math.nan, math.inf, -math.inf, -1e-300, 1 + 1e-13, 5.0, True,
@@ -84,10 +92,12 @@ POLARIZATION = st.one_of(
 @given(polarization=POLARIZATION)
 @example(polarization=1.5)
 @example(polarization=[0.5, [0.5]])  # ragged: numpy cannot make one array of it
+@example(polarization=[0.5, math.nan])
 def test_every_entry_applies_the_one_polarization_rule(polarization):
     """The shift, a trace of samples and the shift-vs-field model accept the
     same polarizations: real numbers within [0, 1], alone or in an array.
-    Each rejects the rest with an InvalidParameterError naming polarization."""
+    Each rejects the rest with an InvalidParameterError naming polarization,
+    a real number outside [0, 1] with the one message of the range."""
     ens = ensemble(2e12, 2.4e-2, 18e-9)
     cav = CavityParams(omega_c=2.8175e9, q=6e3, beta=0.74)
     samples = polarization if isinstance(polarization, list) else [polarization] * 2
@@ -96,12 +106,15 @@ def test_every_entry_applies_the_one_polarization_rule(polarization):
         lambda: PolarizationTrace(np.arange(len(samples)) * 1e-6, samples),
         lambda: shift_vs_field_model(ens, cav, polarization),
     ]
+    real = all(type(v) in (int, float) for v in samples)
     accepted = []
     for entry in entries:
         try:
             entry()
         except InvalidParameterError as exc:
             assert "polarization" in str(exc)
+            if real:
+                assert str(exc) == "polarization must lie within [0, 1]"
             accepted.append(False)
         else:
             accepted.append(True)
@@ -178,6 +191,21 @@ def test_every_entry_applies_the_one_field_rule(b):
             accepted.append(True)
     assert accepted in ([True] * 5, [False] * 5), (b, accepted)
     assert accepted[0] == (0 <= b <= _BELOW), b
+    if accepted[0]:
+        assert transition_frequency(b, ens) == (
+            ens.zfs - ens.gamma * ens.projection_factor * b)
+    else:
+        with pytest.raises(InvalidParameterError, match=_field_refusal(b)):
+            transition_frequency(b, ens)
+
+
+def _field_refusal(b):
+    """The message of a refused field ``b``: the rule's own, or the
+    crossing's, whose frequency reads 0 Hz just past the crossing."""
+    if not 0 <= b < math.inf:
+        return "^b_field must be finite and >= 0$"
+    return (r"^the transition frequency zfs - gamma \* projection_factor \* B is "
+            rf"\S+ Hz at B = {re.escape(f'{b:g}')} G, not > 0$")
 
 
 for _b in FIELDS:  # each named field is tried on every run
@@ -185,7 +213,14 @@ for _b in FIELDS:  # each named field is tried on every run
         test_every_entry_applies_the_one_field_rule)
 
 
-# The twelve array arguments that physics.check_real parses, each as (its name,
+@pytest.mark.parametrize("b, first", [([32.0, math.nan], math.nan),
+                                      ([30.0, 1800.0, 1900.0], 1800.0)])
+def test_an_array_of_fields_is_refused_at_its_first_refused_field(b, first):
+    with pytest.raises(InvalidParameterError, match=_field_refusal(first)):
+        transition_frequency(b, _CFG.ensemble)
+
+
+# The thirteen array arguments that physics.check_real parses, each as (its name,
 # a call that passes a value in its place and valid values elsewhere, a
 # valid value of whole numbers in [0, 255], so every integer type holds it).
 _ENS = ensemble(2e12, 2.4e-2, 18e-9)
@@ -211,6 +246,8 @@ ARRAY_ARGUMENTS = {
         "b_field", lambda v: transition_frequency(v, _ENS), _RAMP),
     "reflection_phase-delta": ("delta", lambda v: reflection_phase(_CAV, v), _RAMP),
     "psd_value-f": ("f", lambda v: psd_value(_PSD, v), _RAMP + 1.0),
+    "sensitivity-s_phi_sqrt": (
+        "s_phi_sqrt", lambda v: sensitivity(OptimizedDeviceParams(), v), _RAMP),
     "lockin_demodulate-signal": (
         "signal", lambda v: lockin_demodulate(v, _LOCKIN), np.arange(100.0) % 7),
     "PolarizationTrace-times": (
@@ -245,7 +282,7 @@ REAL_FORMS = {
                        st.lists(st.sampled_from(NOT_REAL[:6]), min_size=1,
                                 max_size=3)))
 def test_every_array_argument_refuses_what_is_not_a_real_number(argument, value):
-    """Each of the twelve array arguments refuses a value that is not a real
+    """Each of the thirteen array arguments refuses a value that is not a real
     number or an array of them with an InvalidParameterError naming it."""
     name, call, _ = ARRAY_ARGUMENTS[argument]
     with pytest.raises(InvalidParameterError,
@@ -266,6 +303,38 @@ def test_every_array_argument_takes_any_real_type_as_the_float_array(argument,
     value = REAL_FORMS[form](base)
     expected = call(np.asarray(value, dtype=float))
     assert np.asarray(call(value)).tobytes() == np.asarray(expected).tobytes()
+
+
+# The arguments of ARRAY_ARGUMENTS that also take one number, and the forms
+# of a whole number each takes it in
+SCALAR_ARGUMENTS = ["dawson-x", "ensemble_dispersive_shift-omega_c",
+                    "ensemble_dispersive_shift-mean_omega0",
+                    "ensemble_dispersive_shift-polarization",
+                    "transition_frequency-b_field", "reflection_phase-delta",
+                    "psd_value-f", "sensitivity-s_phi_sqrt"]
+SCALAR_FORMS = {"int": int, "int64": np.int64, "int32": np.int32, "uint8": np.uint8,
+                "float32": np.float32, "float64": np.float64, "0-d-array": np.array}
+
+
+@pytest.mark.parametrize("argument", SCALAR_ARGUMENTS)
+@pytest.mark.parametrize("form", SCALAR_FORMS)
+def test_every_scalar_argument_gives_the_python_float(argument, form):
+    _, call, base = ARRAY_ARGUMENTS[argument]
+    expected = call(float(base[1]))
+    got = call(SCALAR_FORMS[form](base[1]))
+    assert type(got) is float and type(expected) is float and got == expected
+
+
+@pytest.mark.parametrize("omega_c, mean_omega0, polarization, shapes", [
+    (np.full(2, 2.8e9), np.full(3, 2.9e9), 1.0, r"\(2,\), \(3,\) and \(\)"),
+    (2.8e9, np.full(2, 2.9e9), np.full(3, 0.5), r"\(\), \(2,\) and \(3,\)"),
+], ids=["omega_c-mean_omega0", "detuning-polarization"])
+def test_ensemble_shift_names_arguments_that_do_not_broadcast(omega_c, mean_omega0,
+                                                              polarization, shapes):
+    with pytest.raises(InvalidParameterError,
+                       match="^omega_c, mean_omega0 and polarization must broadcast "
+                             f"together, got shapes {shapes}$"):
+        ensemble_dispersive_shift(_ENS, omega_c, mean_omega0, polarization)
 
 
 @pytest.mark.parametrize("argument", ARRAY_ARGUMENTS)
@@ -300,10 +369,45 @@ def test_ensemble_shift_scaling_laws(polarization, scale, ):
     )
 
 
+def _flux(p):
+    return photon_budget(p).flux
+
+
+_D = OptimizedDeviceParams()
+_PHASE, _FLUX = optimized_phase_shift(_D), _flux(_D)
+DEVICE_LAWS = {  # (quantity, fields changed from the defaults, value, rel)
+    "phase-q": (optimized_phase_shift, {"q": 2 * _D.q}, 2 * _PHASE, 1e-12),
+    "phase-n_spins": (optimized_phase_shift, {"n_spins": 2 * _D.n_spins}, 2 * _PHASE,
+                      1e-12),
+    "phase-g": (optimized_phase_shift, {"g": 2 * _D.g}, 4 * _PHASE, 1e-12),
+    "phase-omega_0": (optimized_phase_shift, {"omega_0": 2 * _D.omega_0}, _PHASE / 2,
+                      1e-12),
+    "phase-delta": (optimized_phase_shift, {"delta": 2 * _D.delta}, _PHASE / 2, 1e-12),
+    # pi*Q*N/omega_0 times the single-spin dispersive pull g^2/Delta
+    "phase-value": (optimized_phase_shift, {},
+                    math.pi * _D.q * (_D.g**2 / _D.delta) * _D.n_spins / _D.omega_0,
+                    1e-15),
+    "flux-n_spins": (_flux, {"n_spins": 2 * _D.n_spins}, 2 * _FLUX, 1e-12),
+    "flux-t2": (_flux, {"t2": 2 * _D.t2}, _FLUX / 2, 1e-12),
+    # g*sqrt(N*Q/(omega_0*T2)) = 0.3 Hz * sqrt(1e11 photons) at the defaults
+    "rabi-value": (lambda p: photon_budget(p).rabi_from_photons, {},
+                   0.3 * math.sqrt(1e11), 1e-12),
+}
+
+
+@pytest.mark.parametrize("law", DEVICE_LAWS)
+def test_optimized_device_laws(law):
+    """The phase shift pi*Q*N*g^2/(omega_0*Delta) and the photon flux N/T2
+    scale with each argument as their formulas say, and hold their values
+    at the defaults."""
+    quantity, changes, value, rel = DEVICE_LAWS[law]
+    assert quantity(dataclasses.replace(_D, **changes)) == pytest.approx(value, rel=rel)
+
+
 @settings(max_examples=200)
 @given(
     t2_star=st.floats(min_value=1e-12, max_value=1e-3),
-    ratio=st.floats(min_value=1e3, max_value=1e6),
+    ratio=st.floats(min_value=20.0, max_value=1e6),
     sign=st.sampled_from([1.0, -1.0]),
     polarization=st.floats(min_value=1e-3, max_value=1.0),
     n_spins=st.floats(min_value=1.0, max_value=1e15),
@@ -311,7 +415,7 @@ def test_ensemble_shift_scaling_laws(polarization, scale, ):
 )
 def test_ensemble_shift_approaches_the_narrow_line_limit(t2_star, ratio, sign,
                                                          polarization, n_spins, g):
-    """At |Delta| >= 10^3 sigma the shift is p*N*g^2/Delta times
+    """At |Delta| >= 20 sigma the shift is p*N*g^2/Delta times
     1 + (sigma/Delta)^2 + O((sigma/Delta)^4), from the Dawson tail
     D(x) = 1/(2x) + 1/(4x^3) + ...; its excess over the limit lies within
     [0.5, 2] (sigma/Delta)^2. The draw stops at |Delta| = 10^6 sigma, where
@@ -331,9 +435,26 @@ def test_ensemble_shift_approaches_the_narrow_line_limit(t2_star, ratio, sign,
     q=st.floats(min_value=1e2, max_value=1e6),
     delta=st.floats(min_value=1e-9, max_value=1e-2),
 )
+@example(beta=0.74, q=6e3, delta=0.0)
 def test_reflection_phase_is_odd_without_background(beta, q, delta):
     cav = CavityParams(omega_c=2.8e9, q=q, beta=beta)
     assert reflection_phase(cav, delta) == -reflection_phase(cav, -delta)
+
+
+def test_reflection_phase_slope_by_central_difference():
+    cav = CavityParams(omega_c=2.8175e9, q=6.0e3, beta=0.74, k=3.0, phi0=0.1)
+    h = 1e-12
+    slope = (reflection_phase(cav, h) - reflection_phase(cav, -h)) / (2 * h)
+    expected = 4 * cav.beta * cav.q / (1 - cav.beta**2) + cav.k
+    assert slope == pytest.approx(expected, rel=1e-6)
+
+
+def test_reflection_phase_undercoupled_sweep_peak_to_peak(measured_cavity):
+    delta = np.linspace(-5e-4, 5e-4, 2001)
+    phase = reflection_phase(measured_cavity, delta)
+    peak = measured_cavity.beta / math.sqrt(1 - measured_cavity.beta**2)
+    # peak-to-peak excursion is twice the resonant-term maximum
+    assert np.max(phase) - np.min(phase) == pytest.approx(2 * peak, rel=1e-3)
 
 
 def test_reflection_phase_is_the_tangent_of_arg_s11_at_the_measured_cavity():
