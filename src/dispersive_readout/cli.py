@@ -31,9 +31,13 @@ EXIT_NO_CONVERGENCE = 3
 
 def _out_dir(args, cfg=None):
     """The output directory, which is created only when an output is
-    written. Checked before any work: a path that exists and is not a
-    directory raises the FileExistsError ``os.makedirs`` would."""
-    out = args.out or (cfg.output_dir if cfg is not None else ".")
+    written. Checked before any work: an empty --out is refused, and a path
+    that exists and is not a directory raises the FileExistsError
+    ``os.makedirs`` would."""
+    if args.out == "":
+        raise ConfigError("--out must name a directory, got ''")
+    out = args.out if args.out is not None else (
+        cfg.output_dir if cfg is not None else ".")
     if os.path.lexists(out) and not os.path.isdir(out):
         raise FileExistsError(errno.EEXIST, os.strerror(errno.EEXIST), out)
     return out

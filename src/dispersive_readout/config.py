@@ -163,8 +163,9 @@ def _fields(b_fields, ensemble):
 
 
 def _output_dir(output_dir):
-    if not isinstance(output_dir, str):
-        raise InvalidParameterError(f"output_dir must be a string, got {output_dir!r}")
+    if not isinstance(output_dir, str) or not output_dir:
+        raise InvalidParameterError("output_dir must be a non-empty string, got "
+                                    f"{output_dir!r}")
     return output_dir
 
 
