@@ -943,11 +943,13 @@ def _mutated(*changes):
 
 
 class TestConfigMutations:
+    # each row under each command, so a failure names both
+    @pytest.mark.parametrize("command", [*CSV_NAMES, "noise", "fit"])
     @pytest.mark.parametrize("path, value, message", CONFIG_DEFECTS,
                              ids=[f"{'.'.join(map(str, p))}={v!r}"
                                   for p, v, _ in CONFIG_DEFECTS])
     def test_defect_exits_2_at_its_line(self, config_path, tmp_path, capsys,
-                                        path, value, message):
+                                        path, value, message, command):
         text = json.dumps(_mutated((path, value)), indent=2)
         config_path.write_text(text)
         # a defect is located at its top-level key, and a broken field rule at
@@ -958,14 +960,11 @@ class TestConfigMutations:
         line = next(i for i, row in enumerate(text.splitlines(), start=1)
                     if row.startswith(f'  "{key}"'))
         out = tmp_path / "out"
-        runs = [[cmd, "--config", str(config_path), "--out", str(out)]
-                for cmd in [*CSV_NAMES, "noise"]]
-        runs.append(_shift_vs_field_fit(config_path, tmp_path, out))
+        argv = ([command, "--config", str(config_path), "--out", str(out)]
+                if command != "fit" else _shift_vs_field_fit(config_path, tmp_path, out))
         capsys.readouterr()
-        for argv in runs:
-            assert main(argv) == 2
-            assert (capsys.readouterr().err
-                    == f"error: {config_path}: line {line}: {message}\n"), argv[0]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {config_path}: line {line}: {message}\n"
         assert not out.exists()
 
 
