@@ -163,8 +163,9 @@ def format_with_uncertainty(value, sigma):
 def start_values(model: FitModel, init) -> np.ndarray:
     """The start vector of ``model`` from ``init``, a mapping of parameter
     names to finite numbers. Parameters in ``model.optional`` default to 0;
-    an unknown key, a value that is not a finite number or a missing
-    required parameter raises InvalidParameterError naming the key."""
+    an unknown key, a value that is not a finite number, a missing required
+    parameter or a value outside its bounds raises InvalidParameterError
+    naming the key."""
     if not isinstance(init, Mapping):
         raise InvalidParameterError(
             f"init must map parameter names to starting values, got {init!r}")
@@ -182,6 +183,12 @@ def start_values(model: FitModel, init) -> np.ndarray:
             raise InvalidParameterError(
                 f'"init" has no starting value for {name!r}, which model '
                 f"'{model.name}' needs")
+    for name, (lo, hi) in zip(model.names, model.bounds or ()):
+        bound = (lo is not None and start[name] < lo and f">= {lo:g}"
+                 or hi is not None and start[name] > hi and f"<= {hi:g}")
+        if bound:
+            raise InvalidParameterError(f'"init" value for {name!r} must be '
+                                        f"{bound}, got {start[name]!r}")
     return np.array([start[name] for name in model.names], dtype=float)
 
 

@@ -289,7 +289,17 @@ FIT_DEFECTS = {
         "shift_vs_field", {"init": {**SVF_INIT["init"], "g": 0.024}}, CSV_ROWS, "init",
         "\"init\" key 'g' is not a parameter of model 'shift_vs_field' "
         "(n_spins, t2_star)"),
-    "exponential-x_scale": ("exponential", {**EXP_INIT, "x_scale": 2.0}, CSV_ROWS,
+    # a start below its model's bound: the exponential exited 2 naming the
+    # CSV for a non-finite Jacobian, the shift vs field exited 3 with the
+    # start in its report
+    "exponential-tau-below-its-bound": (
+        "exponential", {"init": {"amplitude": 0.7, "tau": -1e-3}},
+        _csv_text(DECAY_T, DECAY_Y), "init",
+        "\"init\" value for 'tau' must be >= 1e-300, got -0.001"),
+    "shift_vs_field-t2_star-below-its-bound": (
+        "shift_vs_field", {"init": {"n_spins": 1.6e12, "t2_star": -1e-8}}, SWEEP, "init",
+        "\"init\" value for 't2_star' must be >= 1e-300, got -1e-08"),
+    "exponential-x_scale":("exponential", {**EXP_INIT, "x_scale": 2.0}, CSV_ROWS,
                             "init", "\"x_scale\" is not read by model 'exponential'"),
     "shift_vs_field-x_scale": (
         "shift_vs_field", {**SVF_INIT, "x_scale": 2.0}, CSV_ROWS, "init",

@@ -11,7 +11,6 @@ ROOT = Path(__file__).parent.parent
 
 
 @pytest.mark.parametrize("argv", [
-    ["relaxation_fits.py"],
     ["sensitivity_estimate.py", "--seeds", "3"],
 ], ids=lambda argv: argv[0])
 def test_script_exits_0(argv, src_env):
