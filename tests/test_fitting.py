@@ -174,6 +174,11 @@ REFUSALS = {
         f"\"init\" value for '{key}' must be >= {bound}, got {value!r}")
        for model, key, value, bound in BELOW_BOUNDS
        for fit, init, _ in [ENTRY_POINTS[model]]},
+    # no built-in model has an upper bound
+    "custom-a-above-its-bound": (
+        functools.partial(fit_nonlinear, dataclasses.replace(LINEAR, bounds=((None, 2.0),)),
+                          X_LINEAR, 2.0 * X_LINEAR, init={"a": 2.5}), E,
+        "\"init\" value for 'a' must be <= 2, got 2.5"),
     "init-not-a-mapping": (fit_line(init=[1.5]), E,
                            "init must map parameter names to starting values, got [1.5]"),
     **{f"{axis}-point-7={value}": (
