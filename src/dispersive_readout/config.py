@@ -148,8 +148,9 @@ def _build(source, path, data, cls, keys):
 
 def _fields(b_fields, ensemble):
     """``b_fields_gauss`` as floats: a non-empty list of JSON numbers, each a
-    field that ``physics.transition_frequency`` takes for the ``ensemble``.
-    A field it refuses is reported as ``b_fields_gauss = [...]: reason``."""
+    field that ``physics.transition_frequency`` takes for the ``ensemble``,
+    none listed twice. A field it refuses is reported as ``b_fields_gauss =
+    [...]: reason``."""
     if not (isinstance(b_fields, list) and b_fields
             and all(type(b) in (int, float) for b in b_fields)):
         raise InvalidParameterError("b_fields_gauss must be a non-empty list "
@@ -159,7 +160,12 @@ def _fields(b_fields, ensemble):
         transition_frequency(b, ensemble)
     except InvalidParameterError as exc:
         raise InvalidParameterError(f"b_fields_gauss = {b_fields!r}: {exc}") from exc
-    return tuple(b.tolist())
+    fields = b.tolist()
+    if len(set(fields)) < len(fields):  # 32 and 32.0, or 0.0 and -0.0, are one field
+        repeat = next(b_fields[i] for i, v in enumerate(fields) if v in fields[:i])
+        raise InvalidParameterError(
+            f"b_fields_gauss = {b_fields!r}: field {repeat!r} is listed more than once")
+    return tuple(fields)
 
 
 def _output_dir(output_dir):

@@ -482,6 +482,9 @@ def shift_vs_field_model(ens: SpinEnsembleParams, cav: CavityParams,
     )
 
 
+_FIXED = ("ensemble", "cavity", "polarization")
+
+
 def fit_shift_vs_field(b, y, fixed, init,
                        max_iterations=MAX_ITERATIONS) -> FitResult:
     """Fit the field sweep of the linearized dispersive phase over
@@ -489,8 +492,20 @@ def fit_shift_vs_field(b, y, fixed, init,
 
     ``fixed`` carries the non-fitted physics: {"ensemble": SpinEnsembleParams
     (provides g, the Zeeman model and geometry), "cavity": CavityParams,
-    "polarization": float (default 1.0)}.
+    "polarization": float (default 1.0)}. A ``fixed`` that is not a mapping,
+    or has another key or lacks a required one, raises InvalidParameterError.
     """
+    if not isinstance(fixed, Mapping):
+        raise InvalidParameterError("fixed must map 'ensemble', 'cavity' and "
+                                    f"optionally 'polarization' to values, got {fixed!r}")
+    for key in fixed:
+        if key not in _FIXED:
+            raise InvalidParameterError(f'"fixed" key {key!r} is not one of '
+                                        + ", ".join(map(repr, _FIXED)))
+    for key in _FIXED[:2]:
+        if key not in fixed:
+            raise InvalidParameterError(
+                f"\"fixed\" has no {key!r}, which model 'shift_vs_field' needs")
     model = shift_vs_field_model(
         fixed["ensemble"], fixed["cavity"], fixed.get("polarization", 1.0)
     )

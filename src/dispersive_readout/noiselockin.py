@@ -144,7 +144,10 @@ def lockin_demodulate(signal, cfg: LockinConfig):
 
 def square_wave(cfg: LockinConfig, amplitude=1.0):
     """Unit-phase square wave at f_mod sampled on the lock-in grid: +A on the
-    first half of each modulation period, -A on the second."""
+    first half of each modulation period, -A on the second. An ``amplitude``
+    that is not a finite number raises InvalidParameterError."""
+    if not is_finite_number(amplitude):
+        raise InvalidParameterError(f"amplitude must be a finite number, got {amplitude!r}")
     return _references(cfg).unit_sq * amplitude
 
 

@@ -1,7 +1,7 @@
 """Independent verification oracles used by the test suite.
 
 These deliberately avoid the production code paths: the Dawson oracle is a
-high-precision power/asymptotic series in mpmath, and the PSD variance
+high-precision power series in mpmath, and the PSD variance
 oracle is the Parseval identity. The CSV oracle is the row-by-row writer
 the block writer replaced: one cell at a time, one write per row. The rank
 oracle is the fitter's SVD-only Jacobian rank check, which the Gram-matrix
@@ -54,17 +54,6 @@ def dawson_series(x, dps=150):
             if n > 10000:
                 raise RuntimeError("series did not converge")
         return float(total)
-
-
-def dawson_asymptotic(x, n_terms=8):
-    """Large-|x| expansion D(x) ~ sum_n (2n-1)!! / (2^(n+1) x^(2n+1))."""
-    total = 0.0
-    term = 1.0 / (2.0 * x)
-    total += term
-    for n in range(1, n_terms):
-        term *= (2 * n - 1) / (2.0 * x * x)
-        total += term
-    return total
 
 
 def white_noise_variance(level, fs):

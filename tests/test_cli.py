@@ -910,6 +910,10 @@ CONFIG_DEFECTS = [
     (("p_sat",), 0, "p_sat must be a number in (0, 1], got 0"),
     (("b_fields_gauss",), [32.0, -1.0],
      "b_fields_gauss = [32.0, -1.0]: b_field must be finite and >= 0"),
+    # two columns once shared one name; 32 and 32.0, 0.0 and -0.0 are one field
+    *((("b_fields_gauss",), fields,
+       f"b_fields_gauss = {fields!r}: field {fields[1]!r} is listed more than once")
+      for fields in ([32.0, 32], [0.0, -0.0])),
     # the transition frequency is < 0 at any field: the fields' rule, at
     # their line
     (("ensemble", "zfs_hz"), 1e-308, "b_fields_gauss = [30.0, 32.0, 34.0]: the "

@@ -45,8 +45,8 @@ ENSEMBLE = SpinEnsembleParams(n_spins=2.0e12, g=2.4e-2, t2_star=18e-9,
                               t1_dark=740e-6, t1_light=427e-6)
 CAVITY = CavityParams(omega_c=2.8175e9, q=6.0e3, beta=0.74)
 SHIFT_VS_FIELD = shift_vs_field_model(ENSEMBLE, CAVITY)
-FIT_SHIFT_VS_FIELD = functools.partial(fit_shift_vs_field,
-                                       fixed={"ensemble": ENSEMBLE, "cavity": CAVITY})
+FIXED = {"ensemble": ENSEMBLE, "cavity": CAVITY}
+FIT_SHIFT_VS_FIELD = functools.partial(fit_shift_vs_field, fixed=FIXED)
 LINEAR = FitModel(names=("a",), func=lambda p, x: p[0] * x)
 QUADRATIC = FitModel(names=("a", "b", "c"),
                      func=lambda p, x: p[0] * x**2 + p[1] * x + p[2])
@@ -179,6 +179,19 @@ REFUSALS = {
         functools.partial(fit_nonlinear, dataclasses.replace(LINEAR, bounds=((None, 2.0),)),
                           X_LINEAR, 2.0 * X_LINEAR, init={"a": 2.5}), E,
         "\"init\" value for 'a' must be <= 2, got 2.5"),
+    # a misspelt key once fitted as if the polarization were 1
+    **{f"fixed-{name}": (
+        functools.partial(fit_shift_vs_field, X_40, Y_40, fixed,
+                          init=ENTRY_POINTS["shift_vs_field"][1]), E, message)
+       for name, fixed, message in [
+           ("not-a-mapping", None, "fixed must map 'ensemble', 'cavity' and optionally "
+            "'polarization' to values, got None"),
+           ("unknown-key", {"ensemble": ENSEMBLE, "cavity": CAVITY, "polarisation": 0.5},
+            "\"fixed\" key 'polarisation' is not one of 'ensemble', 'cavity', "
+            "'polarization'"),
+           *((f"without-{key}", {k: v for k, v in FIXED.items() if k != key},
+              f"\"fixed\" has no '{key}', which model 'shift_vs_field' needs")
+             for key in FIXED)]},
     "init-not-a-mapping": (fit_line(init=[1.5]), E,
                            "init must map parameter names to starting values, got [1.5]"),
     **{f"{axis}-point-7={value}": (

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 from unittest import mock
 
@@ -38,179 +39,6 @@ from oracles import (
 
 def white_psd(level=1e-6, f_max=5e5):
     return PhaseNoisePSD((PSDSegment(1.0, 0.0, level),), 0.1, f_max)
-
-
-@pytest.fixture
-def cfg():
-    return LockinConfig(f_mod=1e4, fs=1e6, duration=1e-2)
-
-
-class TestPsdValue:
-    def test_white_segment_is_constant(self):
-        psd = white_psd(3e-7)
-        for f in (0.1, 1.0, 123.4, 5e5):
-            assert psd_value(psd, f) == 3e-7
-
-    def test_one_over_f_halves_per_doubling(self):
-        psd = PhaseNoisePSD((PSDSegment(10.0, -1.0, 1e-6),), 1.0, 1e5)
-        assert psd_value(psd, 200.0) == pytest.approx(psd_value(psd, 100.0) / 2,
-                                                      rel=1e-12)
-
-    def test_two_segment_continuity(self):
-        psd = PhaseNoisePSD(
-            (PSDSegment(1.0, -1.0, 1e-6), PSDSegment(100.0, 0.0, 1e-8)),
-            0.5, 1e5,
-        )
-        eps = 1e-9
-        assert psd_value(psd, 100.0 - eps) == pytest.approx(
-            psd_value(psd, 100.0 + eps), rel=1e-9
-        )
-
-    def test_discontinuous_model_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            PhaseNoisePSD(
-                (PSDSegment(1.0, -1.0, 1e-6), PSDSegment(100.0, 0.0, 5e-8)),
-                0.5, 1e5,
-            )
-
-    def test_out_of_range_rejected(self):
-        psd = white_psd()
-        with pytest.raises(InvalidParameterError):
-            psd_value(psd, 1e7)
-
-    @pytest.mark.parametrize("f", [math.nan, [10.0, math.nan]])
-    def test_nan_frequency_rejected(self, f):
-        with pytest.raises(InvalidParameterError, match="frequency outside PSD range"):
-            psd_value(white_psd(), f)
-
-
-class TestSynthesis:
-    def test_different_seeds_differ(self):
-        psd = white_psd()
-        a = synthesize_phase_noise(psd, 1e6, 4096, seed=1)
-        b = synthesize_phase_noise(psd, 1e6, 4096, seed=2)
-        assert not np.array_equal(a, b)
-
-    def test_vanishing_level_gives_vanishing_series(self):
-        psd = white_psd(level=1e-40)
-        x = synthesize_phase_noise(psd, 1e6, 4096, seed=0)
-        assert np.max(np.abs(x)) < 1e-10
-
-    def test_white_variance_matches_parseval(self):
-        level, fs = 1e-6, 1e6
-        psd = white_psd(level)
-        var = np.mean(
-            [
-                np.var(synthesize_phase_noise(psd, fs, 8192, seed=s))
-                for s in range(100)
-            ]
-        )
-        assert var == pytest.approx(white_noise_variance(level, fs), rel=0.05)
-
-    def test_nyquist_above_band_rejected(self):
-        psd = white_psd(f_max=1e3)
-        with pytest.raises(InvalidParameterError):
-            synthesize_phase_noise(psd, 1e6, 1024, seed=0)
-
-
-class TestDemodulation:
-    def test_in_phase_sine_returns_amplitude(self, cfg):
-        t = np.arange(cfg.n_samples) / cfg.fs
-        sig = 1.0 * np.sin(2 * math.pi * cfg.f_mod * t)
-        assert lockin_demodulate(sig, cfg) == pytest.approx(1.0, abs=1e-10)
-
-    def test_square_wave_returns_four_over_pi(self, cfg):
-        out = lockin_demodulate(square_wave(cfg), cfg)
-        assert out == pytest.approx(4 / math.pi, rel=1e-3)
-
-    def test_third_harmonic_rejected(self, cfg):
-        t = np.arange(cfg.n_samples) / cfg.fs
-        sig = np.sin(2 * math.pi * 3 * cfg.f_mod * t)
-        assert abs(lockin_demodulate(sig, cfg)) < 1e-10
-
-    def test_linearity(self, cfg):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal(cfg.n_samples)
-        b = rng.standard_normal(cfg.n_samples)
-        lhs = lockin_demodulate(2.0 * a + 3.0 * b, cfg)
-        rhs = 2.0 * lockin_demodulate(a, cfg) + 3.0 * lockin_demodulate(b, cfg)
-        assert lhs == pytest.approx(rhs, abs=1e-12)
-
-    def test_length_mismatch_is_an_invalid_parameter(self, cfg):
-        with pytest.raises(InvalidParameterError,
-                           match=r"signal length \(9999,\) does not match "
-                                 r"fs\*duration = 10000"):
-            lockin_demodulate(np.zeros(cfg.n_samples - 1), cfg)
-
-
-class TestSensitivity:
-    def test_linear_in_noise_density(self):
-        p = OptimizedDeviceParams()
-        assert sensitivity(p, 2e-6) == pytest.approx(2 * sensitivity(p, 1e-6),
-                                                     rel=1e-12)
-
-    def test_inverse_in_n(self):
-        p1 = OptimizedDeviceParams()
-        p2 = OptimizedDeviceParams(n_spins=2e14)
-        assert sensitivity(p2, 1e-6) == pytest.approx(sensitivity(p1, 1e-6) / 2,
-                                                      rel=1e-12)
-
-    def test_array_matches_elementwise(self):
-        p = OptimizedDeviceParams()
-        s = np.geomspace(1e-8, 1e-4, 37)
-        assert np.array_equal(sensitivity(p, s), [sensitivity(p, v) for v in s])
-
-    @pytest.mark.parametrize("s", [-1.0, math.nan])
-    def test_negative_or_non_finite_density_is_refused(self, s):
-        with pytest.raises(InvalidParameterError,
-                           match="^s_phi_sqrt must be finite and >= 0$"):
-            sensitivity(OptimizedDeviceParams(), s)
-
-
-class TestShotNoise:
-    def test_sqrt_scaling_in_n(self):
-        assert shot_noise_limit(4e14, 1e-3).eta_spin == pytest.approx(
-            shot_noise_limit(1e14, 1e-3).eta_spin / 2, rel=1e-12
-        )
-
-
-class TestSimulateReadout:
-    def test_zero_noise_returns_square_wave_gain(self, cfg):
-        psd = white_psd(level=1e-40)
-        out = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed=0)
-        gain = lockin_demodulate(square_wave(cfg), cfg)
-        assert out.estimated_amplitude == pytest.approx(0.01 * gain, rel=1e-8)
-        assert abs(out.noise_floor) < 1e-12
-
-    @pytest.mark.parametrize("seed", [-1, True, 2.5, "3"])
-    def test_seed_outside_the_rule_is_named(self, cfg, seed):
-        # numpy's own ValueError or TypeError before params.check_seed
-        message = rf"^seed must be a non-negative integer, got {seed!r}$"
-        with pytest.raises(InvalidParameterError, match=message):
-            synthesize_phase_noise(white_psd(), cfg.fs, cfg.n_samples, seed)
-        with pytest.raises(InvalidParameterError, match=message):
-            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.01, seed)
-
-    @pytest.mark.parametrize("seed", [0, 2**64])
-    def test_seed_at_the_rule_s_edges_keeps_its_bits(self, cfg, seed):
-        psd = white_psd()
-        assert np.array_equal(
-            synthesize_phase_noise(psd, cfg.fs, cfg.n_samples, seed),
-            synthesize_phase_noise_reference(psd, cfg.fs, cfg.n_samples, seed))
-        out = simulate_readout(OptimizedDeviceParams(), psd, cfg, 0.01, seed)
-        assert (out.estimated_amplitude, out.noise_floor) == (
-            simulate_readout_reference(psd, cfg, 0.01, seed))
-
-    def test_large_signal_rejected(self, cfg):
-        with pytest.raises(InvalidParameterError):
-            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, 0.5, seed=0)
-
-    @pytest.mark.parametrize("duration", [1e300, 1e13])
-    def test_record_longer_than_an_array_rejected(self, duration):
-        # 1e306 and 1e19 samples; the longest array holds 2**60 (1.15e18)
-        with pytest.raises(InvalidParameterError,
-                           match="samples: more than one array can hold"):
-            LockinConfig(f_mod=1e4, fs=1e6, duration=duration)
 
 
 def one_over_f_psd(f_max):
@@ -292,6 +120,36 @@ def continuous_psds(draw, f_mod, fs):
 
 
 @st.composite
+def psds_and_frequencies(draw):
+    """A ``continuous_psds()`` PSD and one to eight frequencies in its band:
+    its edges, its breaks or anywhere between."""
+    cfg = draw(whole_bin_configs())
+    psd = draw(continuous_psds(cfg.f_mod, cfg.fs))
+    edges = [psd.f_min, psd.f_max, *(s.f_break for s in psd.segments)]
+    anywhere = st.floats(min_value=psd.f_min, max_value=psd.f_max)
+    return psd, draw(st.lists(st.one_of(st.sampled_from(edges), anywhere),
+                              min_size=1, max_size=8))
+
+
+@given(case=psds_and_frequencies())
+@example(case=(white_psd(3e-7), [0.1, 1.0, 123.4, 5e5]))
+@example(case=(PhaseNoisePSD((PSDSegment(10.0, -1.0, 1e-6),), 1.0, 1e5), [100.0, 200.0]))
+@example(case=(PhaseNoisePSD((PSDSegment(1.0, -1.0, 1e-6), PSDSegment(100.0, 0.0, 1e-8)),
+                             0.5, 1e5), [100.0 - 1e-9, 100.0, 100.0 + 1e-9]))
+@settings(max_examples=300, deadline=None)
+def test_psd_value_is_the_power_law_of_its_segment(case):
+    """One frequency gives the oracle's float bit for bit; in an array each
+    agrees to 4 eps, numpy's vectorized pow rounding a few ulps apart."""
+    psd, freqs = case
+    expected = np.array([psd_at(psd, f) for f in freqs])
+    for f, value in zip(freqs, expected):
+        got = psd_value(psd, f)
+        assert type(got) is float and got == value
+    got = psd_value(psd, np.array(freqs))
+    assert np.all(np.abs(got - expected) <= 4 * np.finfo(float).eps * expected)
+
+
+@st.composite
 def one_bin_readouts(draw):
     cfg = draw(whole_bin_configs())
     return (draw(continuous_psds(cfg.f_mod, cfg.fs)), cfg,
@@ -319,6 +177,9 @@ class TestOneBinReadout:
 
     @given(case=one_bin_readouts())
     @example(case=(DEFAULT_PSD, DEFAULT_LOCKIN, 0.01, 2024))
+    @example(case=(white_psd(level=1e-40), DEFAULT_LOCKIN, 0.01, 0))  # no noise
+    @example(case=(white_psd(), DEFAULT_LOCKIN, 0.01, 0))  # the seed rule's edges
+    @example(case=(white_psd(), DEFAULT_LOCKIN, 0.01, 2**64))
     @settings(max_examples=150, deadline=None)
     def test_readout_matches_the_one_bin_formula(self, case):
         psd, cfg, signal_phase, seed = case
@@ -356,6 +217,86 @@ class TestOneBinReadout:
         assert lo < np.sum(noise**2) * cfg.duration / s_phi < hi
 
 
+def test_white_variance_matches_parseval():
+    level, fs = 1e-6, 1e6
+    psd = white_psd(level)
+    var = np.mean([np.var(synthesize_phase_noise(psd, fs, 8192, seed=s))
+                   for s in range(100)])
+    assert var == pytest.approx(white_noise_variance(level, fs), rel=0.05)
+
+
+def test_array_matches_elementwise():
+    p = OptimizedDeviceParams()
+    s = np.geomspace(1e-8, 1e-4, 37)
+    assert np.array_equal(sensitivity(p, s), [sensitivity(p, v) for v in s])
+
+
+SYNTHESIZE = functools.partial(synthesize_phase_noise, white_psd())
+READ = functools.partial(simulate_readout, OptimizedDeviceParams(), white_psd(),
+                         DEFAULT_LOCKIN)
+# name: (a call, its whole message)
+LOCKIN_REFUSALS = {
+    **{f"psd_value-f={f!r}": (functools.partial(psd_value, white_psd(), f),
+                              "frequency outside PSD range [0.1, 500000.0] Hz")
+       for f in (1e7, math.nan, [10.0, math.nan])},
+    "nyquist-above-the-band": (
+        functools.partial(synthesize_phase_noise, white_psd(f_max=1e3), 1e6, 1024, 0),
+        "Nyquist fs/2 = 500000.0 exceeds PSD f_max = 1000.0"),
+    "signal-length": (
+        functools.partial(lockin_demodulate, np.zeros(9999), DEFAULT_LOCKIN),
+        "signal length (9999,) does not match fs*duration = 10000"),
+    **{f"s_phi_sqrt={s!r}": (functools.partial(sensitivity, OptimizedDeviceParams(), s),
+                             "s_phi_sqrt must be finite and >= 0")
+       for s in (-1.0, math.nan)},
+    **{f"signal_phase={phase!r}": (
+        functools.partial(READ, phase, 0),
+        "signal_phase must be finite and at most 0.1 rad in magnitude, the intended "
+        f"linear range, got {phase!r}")
+       for phase in (0.5, math.nan, math.inf, -math.inf, None)},
+    # numpy's own ValueError or TypeError before params.check_seed
+    **{f"{name}-seed={seed!r}": (functools.partial(call, seed),
+                                 f"seed must be a non-negative integer, got {seed!r}")
+       for name, call in [("synthesize", functools.partial(SYNTHESIZE, 1e6, 10000)),
+                          ("readout", functools.partial(READ, 0.01))]
+       for seed in (-1, True, 2.5, "3")},
+    **{f"fs={fs!r}": (functools.partial(SYNTHESIZE, fs, 16, 0),
+                      f"fs must be finite and > 0, got {fs!r}")
+       for fs in (math.nan, -1e6, 0.0, -0.0, math.inf, "1e6")},
+    **{f"n_samples={n!r}": (functools.partial(SYNTHESIZE, 1e6, n, 0),
+                            f"n_samples must be an integer >= 1, got {n!r}")
+       for n in (0, -3, 2.5, True)},
+    "n_samples=2**61": (functools.partial(SYNTHESIZE, 1e6, 2**61, 0),
+                        "n_samples = 2305843009213693952 samples: more than one "
+                        "array can hold (1.15292e+18)"),
+    **{f"shot_noise-{name}={value!r}": (
+        functools.partial(shot_noise_limit, **{"n_spins": 1e14, "t2": 1e-3, name: value}),
+        f"{name} must be finite and > 0, got {value!r}")
+       for name, values in [("n_spins", (math.inf, math.nan, 0)),
+                            ("t2", (math.inf, math.nan, -1e-3, 0.0))] for value in values},
+    **{f"amplitude={a!r}": (functools.partial(square_wave, DEFAULT_LOCKIN, a),
+                            f"amplitude must be a finite number, got {a!r}")
+       for a in (math.nan, math.inf, "x", None, [1, 2], True)},
+}
+
+
+@pytest.mark.parametrize("call, message", LOCKIN_REFUSALS.values(),
+                         ids=list(LOCKIN_REFUSALS))
+def test_refusal_states_its_cause_and_builds_nothing(monkeypatch, call, message):
+    """A refused call raises InvalidParameterError with its whole message
+    before it draws noise or builds a lock-in record or a shaping gain."""
+    default_rng = mock.Mock(wraps=np.random.default_rng)
+    monkeypatch.setattr(noiselockin.np.random, "default_rng", default_rng)
+    noiselockin._references.cache_clear()
+    noiselockin._shaping_gain.cache_clear()
+    with pytest.raises(InvalidParameterError) as info:
+        call()
+    assert type(info.value) is InvalidParameterError
+    assert str(info.value) == message
+    assert not default_rng.called
+    assert noiselockin._references.cache_info().currsize == 0
+    assert noiselockin._shaping_gain.cache_info().currsize == 0
+
+
 def uncached_demodulate(x, cfg):
     t = np.arange(cfg.n_samples) / cfg.fs
     return 2.0 * float(np.mean(x * np.sin(2.0 * math.pi * cfg.f_mod * t)))
@@ -372,45 +313,6 @@ def synthesis_args(draw):
                                st.integers(min_value=1, max_value=5000)))
     psd = one_over_f_psd(2e7) if draw(st.booleans()) else white_psd(f_max=2e7)
     return psd, fs, n_samples
-
-
-class TestScalarArguments:
-    """A scalar argument of the readout library that is not finite, or not
-    in its range, raises InvalidParameterError naming it; a rejected rate
-    leaves the shaping-gain cache empty."""
-
-    @pytest.mark.parametrize("fs", [math.nan, -1e6, 0.0, -0.0, math.inf, "1e6"])
-    def test_bad_rate_is_named_and_never_cached(self, fs):
-        noiselockin._shaping_gain.cache_clear()
-        with pytest.raises(InvalidParameterError,
-                           match=f"fs must be finite and > 0, got {fs!r}"):
-            synthesize_phase_noise(white_psd(), fs, 16, seed=0)
-        assert noiselockin._shaping_gain.cache_info().currsize == 0
-
-    @pytest.mark.parametrize("n_samples", [0, -3, 2.5, True, 2**61])
-    def test_bad_sample_count_is_named_before_any_allocation(self, monkeypatch,
-                                                             n_samples):
-        # no noise is drawn and no shaping gain is built
-        monkeypatch.setattr(noiselockin.np.random, "default_rng", None)
-        noiselockin._shaping_gain.cache_clear()
-        with pytest.raises(InvalidParameterError,
-                           match=f"^n_samples (must|= {n_samples!r})"):
-            synthesize_phase_noise(white_psd(), 1e6, n_samples, seed=0)
-        assert noiselockin._shaping_gain.cache_info().currsize == 0
-
-    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf, None])
-    def test_non_finite_signal_phase_is_named(self, cfg, phase):
-        with pytest.raises(InvalidParameterError,
-                           match=f"^signal_phase must be finite.*got {phase!r}$"):
-            simulate_readout(OptimizedDeviceParams(), white_psd(), cfg, phase, seed=0)
-
-    @pytest.mark.parametrize("n_spins, t2, name", [
-        (math.inf, 1e-3, "n_spins"), (math.nan, 1e-3, "n_spins"), (0, 1.0, "n_spins"),
-        (1e14, math.inf, "t2"), (1e14, math.nan, "t2"), (1e14, -1e-3, "t2"),
-        (1e14, 0.0, "t2")])
-    def test_shot_noise_limit_names_its_argument(self, n_spins, t2, name):
-        with pytest.raises(InvalidParameterError, match=f"^{name} must be finite and > 0"):
-            shot_noise_limit(n_spins, t2)
 
 
 @st.composite

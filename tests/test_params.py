@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -68,23 +69,26 @@ WHITE = PSDSegment(f_break=10.0, exponent=0.0, level=1e-6)
     ((WHITE,), 1e5, 1e5, "require 0 < f_min < f_max"),
     ((WHITE,), 2e5, 1e5, "require 0 < f_min < f_max"),
     ((WHITE, WHITE), 0.1, 1e5, "strictly increasing"),
+    ((PSDSegment(1.0, -1.0, 1e-6), PSDSegment(100.0, 0.0, 5e-8)), 0.5, 1e5,
+     r"^PSD discontinuous at 100\.0 Hz: 1e-08 from below vs 5e-08 from above$"),
 ], ids=["no-segments", "f_min-equals-f_max", "f_min-above-f_max",
-        "repeated-break"])
+        "repeated-break", "discontinuous"])
 def test_malformed_psd_rejected(segments, f_min, f_max, message):
     with pytest.raises(InvalidParameterError, match=message):
         PhaseNoisePSD(segments, f_min, f_max)
 
 
-def test_lockin_record_of_partial_periods_rejected():
-    with pytest.raises(InvalidParameterError, match="integer number of modulation"):
-        LockinConfig(f_mod=1e4, fs=1e6, duration=1.5e-4)
-
-
-def test_lockin_record_of_a_partial_sample_rejected():
+@pytest.mark.parametrize("f_mod, fs, duration, message", [
+    (1e4, 1e6, 1.5e-4, "duration must be an integer number of modulation periods"),
     # 11 samples spanning 1.028 periods: a unit sine would demodulate to 0.9736
-    with pytest.raises(InvalidParameterError,
-                       match=r"fs\*duration = 10.7 must be a whole number of samples"):
-        LockinConfig(f_mod=1.0, fs=10.7, duration=1.0)
+    (1.0, 10.7, 1.0, "fs*duration = 10.7 must be a whole number of samples"),
+    # 1e306 and 1e19 samples; the longest array holds 2**60 (1.15e18)
+    *((1e4, 1e6, duration, f"fs*duration = {1e6 * duration:g} samples: more than one "
+       "array can hold (1.15292e+18)") for duration in (1e300, 1e13)),
+], ids=["partial-period", "partial-sample", "1e306-samples", "1e19-samples"])
+def test_malformed_lockin_record_rejected(f_mod, fs, duration, message):
+    with pytest.raises(InvalidParameterError, match=f"^{re.escape(message)}$"):
+        LockinConfig(f_mod=f_mod, fs=fs, duration=duration)
 
 
 def test_integer_beyond_float_range_is_not_finite():

@@ -33,6 +33,8 @@ from dispersive_readout import (
     psd_value,
     reflection_phase,
     sensitivity,
+    shot_noise_limit,
+    square_wave,
     synthesize_phase_noise,
     transition_frequency,
 )
@@ -375,6 +377,8 @@ def _flux(p):
 
 _D = OptimizedDeviceParams()
 _PHASE, _FLUX = optimized_phase_shift(_D), _flux(_D)
+_ETA, _ETA_SPIN = sensitivity(_D, 1e-6), shot_noise_limit(_D.n_spins, _D.t2).eta_spin
+_LOCKIN_1E4 = LockinConfig(f_mod=1e4, fs=1e6, duration=1e-2)  # 100 samples a period
 DEVICE_LAWS = {  # (quantity, fields changed from the defaults, value, rel)
     "phase-q": (optimized_phase_shift, {"q": 2 * _D.q}, 2 * _PHASE, 1e-12),
     "phase-n_spins": (optimized_phase_shift, {"n_spins": 2 * _D.n_spins}, 2 * _PHASE,
@@ -392,6 +396,15 @@ DEVICE_LAWS = {  # (quantity, fields changed from the defaults, value, rel)
     # g*sqrt(N*Q/(omega_0*T2)) = 0.3 Hz * sqrt(1e11 photons) at the defaults
     "rabi-value": (lambda p: photon_budget(p).rabi_from_photons, {},
                    0.3 * math.sqrt(1e11), 1e-12),
+    "sensitivity-s_phi_sqrt": (lambda p: sensitivity(p, 2e-6), {}, 2 * _ETA, 1e-12),
+    "sensitivity-n_spins": (lambda p: sensitivity(p, 1e-6), {"n_spins": 2 * _D.n_spins},
+                            _ETA / 2, 1e-12),
+    "shot-noise-n_spins": (lambda p: shot_noise_limit(p.n_spins, p.t2).eta_spin,
+                           {"n_spins": 4 * _D.n_spins}, _ETA_SPIN / 2, 1e-12),
+    # the square wave's fundamental: 4/pi in the limit of many samples a period
+    "square-wave-lock-in-gain": (
+        lambda p: lockin_demodulate(square_wave(_LOCKIN_1E4), _LOCKIN_1E4), {}, 4 / math.pi,
+        1e-3),
 }
 
 
@@ -399,9 +412,13 @@ DEVICE_LAWS = {  # (quantity, fields changed from the defaults, value, rel)
 def test_optimized_device_laws(law):
     """The phase shift pi*Q*N*g^2/(omega_0*Delta) and the photon flux N/T2
     scale with each argument as their formulas say, and hold their values
-    at the defaults."""
+    at the defaults; the sensitivity is linear in the noise density and in
+    1/N, the projection-noise limit goes as 1/sqrt(N), and the square wave
+    demodulates to 4/pi."""
     quantity, changes, value, rel = DEVICE_LAWS[law]
-    assert quantity(dataclasses.replace(_D, **changes)) == pytest.approx(value, rel=rel)
+    # abs=0: approx's default 1e-12 would pass any sensitivity, about 1e-15 T/sqrt(Hz)
+    assert quantity(dataclasses.replace(_D, **changes)) == pytest.approx(value, rel=rel,
+                                                                         abs=0)
 
 
 @settings(max_examples=200)
@@ -491,6 +508,7 @@ def test_reflection_phase_is_the_tangent_of_arg_s11(beta, q, u):
     b=st.floats(min_value=-10, max_value=10),
     harmonic=st.integers(min_value=2, max_value=9),
 )
+@example(a=1.0, b=1.0, harmonic=3)
 @settings(max_examples=30, deadline=None)
 def test_demodulator_linearity_and_orthogonality(a, b, harmonic):
     cfg = LockinConfig(f_mod=1e3, fs=5e4, duration=1e-2)
@@ -498,7 +516,7 @@ def test_demodulator_linearity_and_orthogonality(a, b, harmonic):
     fundamental = np.sin(2 * math.pi * cfg.f_mod * t)
     other = np.sin(2 * math.pi * harmonic * cfg.f_mod * t)
     out = lockin_demodulate(a * fundamental + b * other, cfg)
-    assert out == pytest.approx(a, abs=1e-9 * max(1.0, abs(a) + abs(b)))
+    assert out == pytest.approx(a, abs=1e-11 * max(1.0, abs(a) + abs(b)))
 
 
 @given(seed=st.integers(min_value=0, max_value=2**63 - 1))
