@@ -56,7 +56,12 @@ def check_positive(value, name):
 
 
 def check_fraction(value, name):
-    """``value``, the argument ``name``, as a float if a number in (0, 1]."""
+    """``value``, the argument ``name``, as a float if a number in (0, 1].
+
+    A subnormal fraction such as 5e-324 is accepted. A ``p_sat`` that small
+    is resolved only in steps of 5e-324, the spacing of subnormal floats:
+    ``dynamics.polarization_trace`` at ``p_sat=5e-324`` holds 2 distinct
+    values, and at 1e-320 it holds 1292."""
     if not (is_finite_number(value) and 0 < float(value) <= 1):
         raise InvalidParameterError(f"{name} must be a number in (0, 1], got {value!r}")
     return float(value)

@@ -241,8 +241,8 @@ def test_criterion_7_noise_synthesis_fidelity(exponent):
 def test_criterion_8_photon_budget():
     b = photon_budget(OptimizedDeviceParams())
     ok = (
-        b.flux == pytest.approx(1e17, rel=1e-12)
-        and b.avg_photons == pytest.approx(1.0e11, rel=1e-12)
+        b.flux == pytest.approx(1e17, rel=1e-12, abs=0)
+        and b.avg_photons == pytest.approx(1.0e11, rel=1e-12, abs=0)
     )
     report(
         8, ok,
@@ -262,7 +262,7 @@ def test_criterion_9_property_suites():
     )
     ref = ensemble_dispersive_shift(ens, 2.82e9, 2.80e9, 1.0)
     linear = ensemble_dispersive_shift(ens, 2.82e9, 2.80e9, 0.5) == pytest.approx(
-        0.5 * ref, rel=1e-12
+        0.5 * ref, rel=1e-12, abs=0
     )
     cfg = LockinConfig(f_mod=1e3, fs=1e5, duration=1e-2)
     t = np.arange(cfg.n_samples) / cfg.fs

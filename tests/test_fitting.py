@@ -335,8 +335,8 @@ class TestEngine:
         r1 = fit_exponential(x, y, init)
         r2 = fit_exponential(x, 1e3 * y, {"amplitude": 500, "tau": 1e-3,
                                           "offset": 0.0})
-        assert r2["tau"] == pytest.approx(r1["tau"], rel=1e-10)
-        assert r2["amplitude"] == pytest.approx(1e3 * r1["amplitude"], rel=1e-10)
+        assert r2["tau"] == pytest.approx(r1["tau"], rel=1e-10, abs=0)
+        assert r2["amplitude"] == pytest.approx(1e3 * r1["amplitude"], rel=1e-10, abs=0)
 
 
 @st.composite
