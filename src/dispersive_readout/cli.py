@@ -251,9 +251,17 @@ def cmd_fit(args):
     return EXIT_OK if result.converged else EXIT_NO_CONVERGENCE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line with a ConfigError, which ``main`` prints
+    as one ``error:`` line; ``--help`` still exits 0."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache  # argparse keeps no state between parse_args calls
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dispersive-readout",
         description="Simulate and fit cavity-dispersive spin-ensemble readout",
     )
@@ -322,14 +330,12 @@ def main(argv=None):
     the CLI's checks (too few rows, or for ``shift_vs_field`` a field that
     is negative or past the level crossing), name the data CSV and the model.
     """
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    command = globals()["cmd_" + args.command.replace("-", "_")]
-    uses_config = args.command != "fit" or args.model == "shift_vs_field"
-    source = args.config if uses_config else args.input_csv
     try:
+        args = build_parser().parse_args(argv)  # refuses with a ConfigError only
+        uses_config = args.command != "fit" or args.model == "shift_vs_field"
+        source = args.config if uses_config else args.input_csv
         with np.errstate(all="ignore"):
-            return command(args)
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ArithmeticError as exc:
         error = ConfigError("values outside the floating-point range "
                             f"({type(exc).__name__}: {exc})", path=source)

@@ -1,8 +1,11 @@
+import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
 import math
+import re
 import shutil
 import subprocess
 import sys
@@ -19,10 +22,61 @@ from dispersive_readout.cli import main
 from dispersive_readout.io import read_csv
 
 CONFIGS = Path(__file__).parent.parent / "configs"
+DEFAULT_CONFIG = json.loads((CONFIGS / "default.json").read_text())
+DROP = sentinel.DROP  # removes the key instead of replacing its value
+SWEEP = sentinel.SWEEP  # the 12-point shift-vs-field sweep of configs/default.json
+DIRECTORY = sentinel.DIRECTORY  # an empty directory where a file is read
 
 
 def sha256(path):
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def _mutated(*changes):
+    """The default config with each (path, value) of ``changes`` applied:
+    the value replaces the one at the path, or DROP removes it."""
+    data = json.loads(json.dumps(DEFAULT_CONFIG))
+    for path, value in changes:
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        if value is DROP:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+    return data
+
+
+@functools.cache
+def _sweep_bytes():
+    """SWEEP's CSV, as ``shift-vs-field`` writes it."""
+    with tempfile.TemporaryDirectory() as tmp:
+        assert main(["shift-vs-field", "--config", str(CONFIGS / "default.json"),
+                     "--out", tmp, "--n-points", "12"]) == 0
+        return (Path(tmp) / "shift_vs_field.csv").read_bytes()
+
+
+def _write(path, content):
+    """Write an input file: a JSON value as JSON on one line, text or bytes
+    as given, SWEEP as its CSV, DIRECTORY as an empty directory, and None as
+    no file at all."""
+    if content is SWEEP:
+        content = _sweep_bytes()
+    if content is DIRECTORY:
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        path.write_text(content)
+    elif content is not None:
+        path.write_text(json.dumps(content))
+
+
+def _line(text, pattern):
+    """The number of the first line of ``text`` that starts with a match of
+    the regular expression ``pattern``."""
+    return next(i for i, row in enumerate(text.splitlines(), start=1)
+                if re.match(pattern, row))
 
 
 @pytest.fixture
@@ -32,20 +86,9 @@ def config_path(tmp_path):
     return dst
 
 
-def edit_config(path, **overrides):
-    data = json.loads(Path(path).read_text())
-    for dotted, value in overrides.items():
-        node = data
-        keys = dotted.split(".")
-        for key in keys[:-1]:
-            node = node[key]
-        node[keys[-1]] = value
-    Path(path).write_text(json.dumps(data))
-
-
 class TestSpectrum:
     def test_dispersion_shape_and_zero_crossing(self, config_path, tmp_path):
-        edit_config(config_path, **{"ensemble.n_spins": 1.0})
+        _write(config_path, _mutated((("ensemble", "n_spins"), 1.0)))
         assert main(["spectrum", "--config", str(config_path),
                      "--out", str(tmp_path)]) == 0
         header, (det, phase) = read_csv(tmp_path / "spectrum.csv")
@@ -56,7 +99,7 @@ class TestSpectrum:
 
     def test_sweep_clear_of_an_overcoupled_pole_is_written(self, config_path,
                                                            tmp_path):
-        edit_config(config_path, **{"cavity.beta": 1.1})
+        _write(config_path, _mutated((("cavity", "beta"), 1.1)))
         assert main(["spectrum", "--det-min=-1e5", "--det-max=1e5",
                      "--config", str(config_path), "--out", str(tmp_path)]) == 0
         _, (_, phase) = read_csv(tmp_path / "spectrum.csv")
@@ -70,7 +113,7 @@ class TestSpectrum:
                       ) == ["config.json", "out", "out/spectrum.csv"]
 
     def test_round_trip_through_cmd_fit(self, config_path, tmp_path):
-        edit_config(config_path, **{"ensemble.n_spins": 1.0})
+        _write(config_path, _mutated((("ensemble", "n_spins"), 1.0)))
         main(["spectrum", "--config", str(config_path), "--out", str(tmp_path)])
         init = tmp_path / "init.json"
         init.write_text(json.dumps(
@@ -98,16 +141,16 @@ class TestRelaxation:
             assert abs(np.mean(col)) < 1e-12 * max(np.max(np.abs(col)), 1e-300)
 
     def test_zero_duty_gives_flat_zero_trace(self, config_path, tmp_path):
-        edit_config(config_path, **{"cycle.duty": 0.0,
-                                    "b_fields_gauss": [32.0]})
+        _write(config_path, _mutated((("cycle", "duty"), 0.0),
+                                     (("b_fields_gauss",), [32.0])))
         assert main(["relaxation", "--config", str(config_path),
                      "--out", str(tmp_path)]) == 0
         _, cols = read_csv(tmp_path / "relaxation.csv")
         assert np.all(cols[1] == 0.0)
 
     def test_exponential_fit_round_trip(self, config_path, tmp_path):
-        edit_config(config_path, **{"b_fields_gauss": [30.0],
-                                    "cycle.n_periods": 6})
+        _write(config_path, _mutated((("b_fields_gauss",), [30.0]),
+                                     (("cycle", "n_periods"), 6)))
         main(["relaxation", "--config", str(config_path), "--out", str(tmp_path),
               "--no-subtract-offset"])
         header, (t, phase) = read_csv(tmp_path / "relaxation.csv")
@@ -142,7 +185,7 @@ class TestShiftVsField:
     def test_linearity_in_n_spins(self, config_path, tmp_path):
         main(["shift-vs-field", "--config", str(config_path),
               "--out", str(tmp_path / "a")])
-        edit_config(config_path, **{"ensemble.n_spins": 4.0e12})
+        _write(config_path, _mutated((("ensemble", "n_spins"), 4.0e12)))
         main(["shift-vs-field", "--config", str(config_path),
               "--out", str(tmp_path / "b")])
         _, (_, y1) = read_csv(tmp_path / "a" / "shift_vs_field.csv")
@@ -166,10 +209,8 @@ class TestShiftVsField:
 
 class TestSensitivity:
     def test_white_psd_gives_flat_reference_lines(self, config_path, tmp_path):
-        edit_config(config_path, **{
-            "psd.segments": [{"f_break_hz": 1.0, "exponent": 0.0,
-                              "level_rad2_per_hz": 1e-12}],
-        })
+        _write(config_path, _mutated((("psd", "segments"), [
+            {"f_break_hz": 1.0, "exponent": 0.0, "level_rad2_per_hz": 1e-12}])))
         assert main(["sensitivity", "--config", str(config_path),
                      "--out", str(tmp_path), "--f-min", "1e3",
                      "--f-max", "1e5", "--n-points", "11"]) == 0
@@ -179,10 +220,8 @@ class TestSensitivity:
         assert np.allclose(optical, 2.7e-15, rtol=0.01)
 
     def test_one_over_f_log_slope(self, config_path, tmp_path):
-        edit_config(config_path, **{
-            "psd.segments": [{"f_break_hz": 1.0, "exponent": -1.0,
-                              "level_rad2_per_hz": 1e-10}],
-        })
+        _write(config_path, _mutated((("psd", "segments"), [
+            {"f_break_hz": 1.0, "exponent": -1.0, "level_rad2_per_hz": 1e-10}])))
         main(["sensitivity", "--config", str(config_path), "--out",
               str(tmp_path), "--f-min", "1e2", "--f-max", "1e5",
               "--n-points", "31"])
@@ -193,256 +232,15 @@ class TestSensitivity:
 
 class TestNoise:
     def test_near_zero_psd_gives_zero_series(self, config_path, tmp_path):
-        edit_config(config_path, **{
-            "psd.segments": [{"f_break_hz": 1.0, "exponent": 0.0,
-                              "level_rad2_per_hz": 1e-60}],
-        })
+        _write(config_path, _mutated((("psd", "segments"), [
+            {"f_break_hz": 1.0, "exponent": 0.0, "level_rad2_per_hz": 1e-60}])))
         main(["noise", "--config", str(config_path), "--out", str(tmp_path),
               "--n-samples", "1024"])
         _, (_, value) = read_csv(tmp_path / "noise.csv")
         assert np.max(np.abs(value)) < 1e-20
 
 
-CSV_ROWS = "x,y\n0.0,1.0\n1.0,0.5\n2.0,0.2\n"
-EXP_INIT = {"init": {"amplitude": 1.0, "tau": 1.0}}
-RP_INIT = {"init": {"q": 5.0e3, "beta": 0.6}}
-SVF_INIT = {"init": {"n_spins": 1.5e12, "t2_star": 1.5e-8}}
-# noiseless shift-vs-field sweeps at configs/default.json, 4 digits: one
-# starts below 0 G, one crosses the level crossing near 1775.35 G
-NEGATIVE_FIELD_ROWS = ("x,y\n-5,-2.710e-4\n0,-3.153e-4\n5,-3.779e-4\n10,-4.753e-4\n"
-                       "15,-6.550e-4\n20,-1.018e-3\n25,-1.387e-3\n30,-7.679e-4\n")
-CROSSING_ROWS = ("x,y\n1700,5.954e-6\n1725,5.867e-6\n1750,5.781e-6\n1775,5.698e-6\n"
-                 "1800,5.618e-6\n1825,5.539e-6\n1850,5.463e-6\n1875,5.389e-6\n"
-                 "1900,5.317e-6\n")
-SWEEP = sentinel.SWEEP  # the 12-point shift-vs-field sweep of configs/default.json
-SWEEP_INIT = {"init": {"n_spins": 1.6e12, "t2_star": 22e-9}}
-DECAY = {"amplitude": 0.8, "tau": 7e-4, "offset": 0.1}
-DECAY_T = np.linspace(0.0, 2e-3, 40)
-DECAY_Y = DECAY["amplitude"] * np.exp(-DECAY_T / DECAY["tau"]) + DECAY["offset"]
-OVERFLOW = ("values outside the floating-point range (OverflowError: (34, "
-            "'Numerical result out of range'))")
-# finite config values whose formulas overflow in Python floats: the CSV
-# commands named the config, and a fit ended in an OverflowError traceback
-FIT_OVERFLOWS = [(("cavity", "beta"), 1e200), (("ensemble", "g_hz"), 1e200)]
-
-
-def _csv_text(x, y):
-    return "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
-
-
-# name: (model, init JSON as an object or as text, CSV text or SWEEP, the
-# file named or None, the rest of the one error line after that file's path,
-# and optionally the config: changes {path: value} to configs/default.json,
-# {} when left out, or None for a fit without --config)
-FIT_DEFECTS = {
-    "no-init": ("exponential", '{"amplitude": 1.0, "tau": 1.0}', CSV_ROWS, "init",
-                'expected an object with an "init" object of starting values'),
-    "invalid-json": ("exponential", '{"init":\n', CSV_ROWS, "init",
-                     "line 2: invalid JSON: Expecting value"),
-    "repeated-key": ("exponential", '{"init": {"amplitude": 1.0,\n"tau": 1.0, '
-                     '"tau": 2.0}}', CSV_ROWS, "init", "line 2: repeated key 'tau'"),
-    "non-numeric-cell": ("exponential", EXP_INIT, "x,y\n0.0,1.0\n1.0,oops\n2.0,0.2\n",
-                         "csv", "line 3: column 2: 'oops' is not a number"),
-    # float() reads '1_000', numpy's reader does not
-    "underscore-cell": ("exponential", EXP_INIT,
-                        "x,y\n1_000,1.0\n2.0,0.5\n3.0,0.2\n4.0,0.1\n", "csv",
-                        "line 2: column 1: '1_000' is not a number"),
-    "ragged": ("exponential", EXP_INIT, "x,y\n0.0,1.0\n\n1.0\n", "csv",
-               "line 4: expected 2 columns, found 1"),
-    "one-column": ("exponential", EXP_INIT, "x,y\n0.0\n1.0\n", "csv",
-                   "expected x and y columns of numbers"),
-    "nan-cell": ("exponential", EXP_INIT, "x,y\n0.0,1.0\n1.0,0.5\n2.0,nan\n3.0,0.1\n",
-                 "csv", "line 4: column 2: 'nan' is not a finite number"),
-    "inf-cell": ("exponential", EXP_INIT, "x,y\n0.0,1.0\n1.0,0.5\n2.0,inf\n3.0,0.1\n",
-                 "csv", "line 4: column 2: 'inf' is not a finite number"),
-    "reflection_phase-missing": (
-        "reflection_phase", {"init": {"q": 5.0e3}}, CSV_ROWS, "init",
-        "\"init\" has no starting value for 'beta', which model 'reflection_phase' "
-        "needs"),
-    "shift_vs_field-missing": (
-        "shift_vs_field", {"init": {"t2_star": 2.0e-8}}, CSV_ROWS, "init",
-        "\"init\" has no starting value for 'n_spins', which model 'shift_vs_field' "
-        "needs"),
-    "exponential-missing": (
-        "exponential", {"init": {"tau": 1.0, "offset": 0.0}}, CSV_ROWS, "init",
-        "\"init\" has no starting value for 'amplitude', which model 'exponential' "
-        "needs"),
-    "reflection_phase-non-numeric": (
-        "reflection_phase", {"init": {"q": "big", "beta": 0.6}}, CSV_ROWS, "init",
-        "\"init\" value for 'q' must be a finite number, got 'big'"),
-    "shift_vs_field-nan": (
-        "shift_vs_field", {"init": {"n_spins": 1.5e12, "t2_star": math.nan}},
-        CSV_ROWS, "init",
-        "\"init\" value for 't2_star' must be a finite number, got nan"),
-    "exponential-inf": (
-        "exponential", {"init": {"amplitude": math.inf, "tau": 1.0}}, CSV_ROWS, "init",
-        "\"init\" value for 'amplitude' must be a finite number, got inf"),
-    "reflection_phase-key": (
-        "reflection_phase", {"init": {"q": 5.0e3, "beta": 0.6, "phi_0": 0.1}},
-        CSV_ROWS, "init", "\"init\" key 'phi_0' is not a parameter of model "
-        "'reflection_phase' (q, beta, k, phi0)"),
-    "exponential-key": (
-        "exponential", {"init": {"amplitude": 1.0, "tau": 1.0, "rate": 1.0}},
-        CSV_ROWS, "init", "\"init\" key 'rate' is not a parameter of model "
-        "'exponential' (amplitude, tau, offset)"),
-    "shift_vs_field-key": (
-        "shift_vs_field", {"init": {**SVF_INIT["init"], "g": 0.024}}, CSV_ROWS, "init",
-        "\"init\" key 'g' is not a parameter of model 'shift_vs_field' "
-        "(n_spins, t2_star)"),
-    # a start below its model's bound: the exponential exited 2 naming the
-    # CSV for a non-finite Jacobian, the shift vs field exited 3 with the
-    # start in its report
-    "exponential-tau-below-its-bound": (
-        "exponential", {"init": {"amplitude": 0.7, "tau": -1e-3}},
-        _csv_text(DECAY_T, DECAY_Y), "init",
-        "\"init\" value for 'tau' must be >= 1e-300, got -0.001"),
-    "shift_vs_field-t2_star-below-its-bound": (
-        "shift_vs_field", {"init": {"n_spins": 1.6e12, "t2_star": -1e-8}}, SWEEP, "init",
-        "\"init\" value for 't2_star' must be >= 1e-300, got -1e-08"),
-    "exponential-x_scale":("exponential", {**EXP_INIT, "x_scale": 2.0}, CSV_ROWS,
-                            "init", "\"x_scale\" is not read by model 'exponential'"),
-    "shift_vs_field-x_scale": (
-        "shift_vs_field", {**SVF_INIT, "x_scale": 2.0}, CSV_ROWS, "init",
-        "\"x_scale\" is not read by model 'shift_vs_field'"),
-    "reflection_phase-top-level-key": (
-        "reflection_phase", {**RP_INIT, "xscale": 2.0}, CSV_ROWS, "init",
-        "\"xscale\" is not read by model 'reflection_phase'"),
-    "non-numeric-x_scale": (
-        "reflection_phase", {**RP_INIT, "x_scale": "GHz"}, CSV_ROWS, "init",
-        "\"x_scale\" must be a finite non-zero number, got 'GHz'"),
-    "exponential-too-few-rows": (
-        "exponential", EXP_INIT, "x,y\n30.0,1.0\n", "csv",
-        "model 'exponential': need at least 4 data points for 3 parameters, got 1"),
-    "reflection_phase-too-few-rows": (
-        "reflection_phase", RP_INIT, "x,y\n30.0,1.0\n31.0,1.0\n32.0,1.0\n33.0,1.0\n",
-        "csv", "model 'reflection_phase': need at least 5 data points for 4 "
-        "parameters, got 4"),
-    "shift_vs_field-too-few-rows": (
-        "shift_vs_field", {"init": {"n_spins": 2.0e12, "t2_star": 2.0e-8}},
-        "x,y\n30.0,1.0\n31.0,1.0\n", "csv", "model 'shift_vs_field': need at least "
-        "3 data points for 2 parameters, got 2"),
-    "shift_vs_field-negative-field": (
-        "shift_vs_field", SVF_INIT, NEGATIVE_FIELD_ROWS, "csv",
-        "model 'shift_vs_field': b_field must be finite and >= 0"),
-    "shift_vs_field-past-the-level-crossing": (
-        "shift_vs_field", SVF_INIT, CROSSING_ROWS, "csv",
-        "model 'shift_vs_field': the transition frequency zfs - gamma * "
-        "projection_factor * B is -3.98454e+07 Hz at B = 1800 G, not > 0"),
-    **{f"{model}-x-times-{scale:g}": (
-        model, {"init": init}, _csv_text(DECAY_T * scale, DECAY_Y), "csv",
-        f"model '{model}': rank-deficient Jacobian: a parameter has no influence "
-        "on the model", None)
-       for model, init in [("exponential", {"amplitude": 0.7, "tau": 5e-4}),
-                           ("reflection_phase", {"q": 5.0e3, "beta": 0.6})]
-       for scale in (1e-300, 1e300)},
-    # the config, given but unread by the model, is not named
-    "exponential-cost-overflows": (
-        "exponential", {"init": {"amplitude": 0.7, "tau": 5e-4}},
-        _csv_text(DECAY_T, 1e200 * DECAY_Y), "csv",
-        "values outside the floating-point range (FloatingPointError: model "
-        "'exponential' ends the fit with chi2_reduced = inf)"),
-    # exit 2 with "parameters are exactly degenerate" while the rank check
-    # overflowed, and exit 3 with an Infinity and NaN report once it did not
-    "shift_vs_field-cost-overflows": (
-        "shift_vs_field", SWEEP_INIT, SWEEP, "config",
-        "values outside the floating-point range (FloatingPointError: model "
-        "'shift_vs_field' ends the fit with chi2_reduced = inf)",
-        {("cavity", "q"): 1e200}),
-    # exit 0 with a report of NaN sigmas before: the fit converges at the
-    # bounds, where the model has underflowed and no covariance exists
-    "shift_vs_field-converges-without-sigma": (
-        "shift_vs_field", SWEEP_INIT, SWEEP, "config",
-        "values outside the floating-point range (FloatingPointError: model "
-        "'shift_vs_field' converges with sigma = [nan nan])",
-        {("p_sat",): 1e-200, ("cavity", "omega_c_hz"): 2.8175e9 * 1e-200}),
-    **{f"shift_vs_field-{'.'.join(path)}={value:g}": (
-        "shift_vs_field", SWEEP_INIT, SWEEP, "config", OVERFLOW, {path: value})
-       for path, value in FIT_OVERFLOWS},
-    # the config is written on one line
-    "shift_vs_field-config-defect": (
-        "shift_vs_field", SVF_INIT, CSV_ROWS, "config",
-        "line 1: invalid 'cavity' section: beta must be >= 0, got -0.5",
-        {("cavity", "beta"): -0.5}),
-    "shift_vs_field-without-config": (
-        "shift_vs_field", SVF_INIT, CSV_ROWS, None, "model 'shift_vs_field' "
-        "requires --config for the fixed ensemble/cavity parameters", None),
-}
-# kind: (the exception the fit entry point raises, the rest of the line)
-INJECTED = {
-    "overflow": (OverflowError("(34, 'Numerical result out of range')"), OVERFLOW),
-    "memory": (MemoryError("Unable to allocate 8.00 EiB"),
-               "out of memory (Unable to allocate 8.00 EiB); nothing written"),
-}
-# (model, its entry point fitting.fit_<model> raises an INJECTED kind, with
-# --config, the file named): the config only for the model whose results use it
-FIT_FAILURES = [
-    ("exponential", "overflow", False, "csv"),
-    ("exponential", "overflow", True, "csv"),
-    ("exponential", "memory", False, "csv"),
-    ("exponential", "memory", True, "csv"),
-    ("reflection_phase", "overflow", False, "csv"),
-    ("reflection_phase", "overflow", True, "csv"),
-    ("reflection_phase", "memory", False, "csv"),
-    ("reflection_phase", "memory", True, "csv"),
-    ("shift_vs_field", "overflow", True, "config"),
-    ("shift_vs_field", "memory", True, "config"),
-]
-INITS = {"exponential": EXP_INIT, "reflection_phase": RP_INIT,
-         "shift_vs_field": SVF_INIT}
-
-
 class TestExitCodes:
-    @pytest.mark.parametrize("model, init_json, rows, named, message, config",
-                             [(*row, {})[:6] for row in FIT_DEFECTS.values()],
-                             ids=list(FIT_DEFECTS))
-    def test_fit_defect_exits_2_naming_its_file(self, tmp_path, capsys, model,
-                                                init_json, rows, named, message,
-                                                config):
-        files = {"csv": tmp_path / "data.csv", "init": tmp_path / "init.json",
-                 "config": tmp_path / "config.json"}
-        if rows is SWEEP:
-            files["csv"] = _sweep(tmp_path)
-        else:
-            files["csv"].write_text(rows)
-        files["init"].write_text(init_json if isinstance(init_json, str)
-                                 else json.dumps(init_json))
-        out = tmp_path / "out"
-        argv = ["fit", str(files["csv"]), "--model", model,
-                "--init", str(files["init"]), "--out", str(out)]
-        if config is not None:
-            files["config"].write_text(json.dumps(_mutated(*config.items())))
-            argv += ["--config", str(files["config"])]
-        capsys.readouterr()
-        assert main(argv) == 2
-        named = "" if named is None else f"{files[named]}: "
-        assert capsys.readouterr().err == f"error: {named}{message}\n"
-        assert not out.exists()
-
-    @pytest.mark.parametrize("model, kind, with_config, named", FIT_FAILURES,
-                             ids=[f"{model}-{kind}-{'with' if config else 'no'}-config"
-                                  for model, kind, config, _ in FIT_FAILURES])
-    def test_fit_failure_names_the_source_of_its_values(
-            self, tmp_path, capsys, monkeypatch, model, kind, with_config, named):
-        from dispersive_readout import fitting
-        failure, reason = INJECTED[kind]
-
-        def failing(*args, **kwargs):
-            raise failure
-
-        monkeypatch.setattr(fitting, f"fit_{model}", failing)
-        files = {"csv": tmp_path / "data.csv", "init": tmp_path / "init.json",
-                 "config": CONFIGS / "default.json"}
-        files["csv"].write_text(CSV_ROWS)
-        files["init"].write_text(json.dumps(INITS[model]))
-        out = tmp_path / "out"
-        argv = ["fit", str(files["csv"]), "--model", model,
-                "--init", str(files["init"]), "--out", str(out)]
-        if with_config:
-            argv += ["--config", str(files["config"])]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {files[named]}: {reason}\n"
-        assert not out.exists()
-
     def test_non_convergence_exits_3_but_writes_report(self, tmp_path):
         from dispersive_readout.io import write_csv
         t = np.linspace(0, 2e-3, 60)
@@ -498,75 +296,50 @@ class TestConsoleScript:
         assert not out.exists(), runner
 
 
+CSV_ROWS = "x,y\n0.0,1.0\n1.0,0.5\n2.0,0.2\n"
+EXP_INIT = {"init": {"amplitude": 1.0, "tau": 1.0}}
+RP_INIT = {"init": {"q": 5.0e3, "beta": 0.6}}
+SVF_INIT = {"init": {"n_spins": 1.5e12, "t2_star": 1.5e-8}}
+# noiseless shift-vs-field sweeps at configs/default.json, 4 digits: one
+# starts below 0 G, one crosses the level crossing near 1775.35 G
+NEGATIVE_FIELD_ROWS = ("x,y\n-5,-2.710e-4\n0,-3.153e-4\n5,-3.779e-4\n10,-4.753e-4\n"
+                       "15,-6.550e-4\n20,-1.018e-3\n25,-1.387e-3\n30,-7.679e-4\n")
+CROSSING_ROWS = ("x,y\n1700,5.954e-6\n1725,5.867e-6\n1750,5.781e-6\n1775,5.698e-6\n"
+                 "1800,5.618e-6\n1825,5.539e-6\n1850,5.463e-6\n1875,5.389e-6\n"
+                 "1900,5.317e-6\n")
+SWEEP_INIT = {"init": {"n_spins": 1.6e12, "t2_star": 22e-9}}
+DECAY = {"amplitude": 0.8, "tau": 7e-4, "offset": 0.1}
+DECAY_T = np.linspace(0.0, 2e-3, 40)
+DECAY_Y = DECAY["amplitude"] * np.exp(-DECAY_T / DECAY["tau"]) + DECAY["offset"]
+OVERFLOW = ("values outside the floating-point range (OverflowError: (34, "
+            "'Numerical result out of range'))")
+# finite config values whose formulas overflow in Python floats: the CSV
+# commands named the config, and a fit ended in an OverflowError traceback
+FIT_OVERFLOWS = [(("cavity", "beta"), 1e200), (("ensemble", "g_hz"), 1e200)]
+
+
+def _csv_text(x, y):
+    return "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+
+
+DECAY_CSV = _csv_text(DECAY_T, DECAY_Y)
+DECAY_START = {"amplitude": 0.7, "tau": 5e-4, "offset": 0.0}
+
+
 def fit_inputs(tmp_path, init=None):
     """A noiseless exponential-decay CSV of ``DECAY`` and its init JSON in
     ``tmp_path``: ``init`` if given (``DECAY`` itself converges on the first
-    iteration), else starting values off the true ones."""
-    from dispersive_readout.io import write_csv
-    csv = tmp_path / "decay.csv"
-    write_csv(csv, ["time_s", "value"], [DECAY_T, DECAY_Y])
-    init_path = tmp_path / "decay_init.json"
-    init_path.write_text(json.dumps(
-        {"init": init or {"amplitude": 0.7, "tau": 5e-4, "offset": 0.0}}))
+    iteration), else ``DECAY_START``, off the true values."""
+    csv, init_path = tmp_path / "decay.csv", tmp_path / "decay_init.json"
+    _write(csv, DECAY_CSV)
+    _write(init_path, {"init": init or DECAY_START})
     return csv, init_path
 
 
-def reading(target, path, tmp_path):
-    """argv of a command that reads ``path`` as its config, init or CSV."""
-    out = str(tmp_path / "out")
-    if target == "config":
-        return ["spectrum", "--config", str(path), "--out", out]
-    csv, init = fit_inputs(tmp_path)
-    csv, init = (csv, path) if target == "init" else (path, init)
-    return ["fit", str(csv), "--model", "exponential", "--init", str(init),
-            "--out", out]
-
-
-def one_error_naming(capsys, path):
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert str(path) in err
-    return err
-
-
-# id: (the input it is read as, its bytes)
-NON_UTF8 = {
-    "config": ("config", b"\xff\xfe"),
-    "init": ("init", b"\xff\xfe"),
-    "csv": ("csv", b"\xff\xfe"),
-    # numpy stops at the bad row; the row search then meets the bytes
-    "csv-bad-row-then-non-utf8": (
-        "csv", b"x,y\n0.0,oops\n" + b"1.0,2.0\n" * 200_000 + b"3.0,\xff\xfe\n"),
-    # the header decodes, so numpy's reader is the one to meet the byte
-    "csv-non-utf8-past-the-first-buffer": (
-        "csv", b"x,y\n" + b"1.0,2.0\n" * 2000 + b"3.0,\xff\n"),
-}
-
-
 class TestInputFiles:
-    """Every input is read through io: a path that cannot be read, or an
-    input that is not UTF-8, exits 2 with one error line naming the path and
-    writes nothing."""
-
-    @pytest.mark.parametrize("target", ["config", "init", "csv"])
-    def test_directory_as_input_exits_2(self, tmp_path, capsys, target):
-        folder = tmp_path / "a_folder"
-        folder.mkdir()
-        assert main(reading(target, folder, tmp_path)) == 2
-        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{folder}'\n"
-        assert not (tmp_path / "out").exists()
-
-    @pytest.mark.parametrize("target, data", NON_UTF8.values(), ids=list(NON_UTF8))
-    def test_non_utf8_input_exits_2(self, tmp_path, capsys, target, data):
-        bad = tmp_path / ("bad.csv" if target == "csv" else "bad.json")
-        bad.write_bytes(data)
-        assert main(reading(target, bad, tmp_path)) == 2
-        assert "not UTF-8 text" in one_error_naming(capsys, bad)
-        assert not (tmp_path / "out").exists()
-
     def test_malformed_csv_is_opened_once(self, tmp_path, capsys, monkeypatch):
         import builtins
-        csv = tmp_path / "data.csv"
+        csv, init = fit_inputs(tmp_path)
         csv.write_text("x,y\n0.0,1.0\n1.0,oops\n2.0,0.2\n")
         opened = []
         real_open = builtins.open
@@ -576,14 +349,15 @@ class TestInputFiles:
             return real_open(file, *args, **kwargs)
 
         monkeypatch.setattr(builtins, "open", counting_open)
-        assert main(reading("csv", csv, tmp_path)) == 2
+        assert main(["fit", str(csv), "--model", "exponential", "--init", str(init),
+                     "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             f"error: {csv}: line 3: column 2: 'oops' is not a number\n")
         assert opened.count(str(csv)) == 1
 
     def test_load_config_errors_start_with_the_path(self, config_path):
         from dispersive_readout import ConfigError, load_config
-        edit_config(config_path, seed=-1)
+        _write(config_path, _mutated((("seed",), -1)))
         with pytest.raises(ConfigError) as info:
             load_config(config_path)
         assert str(info.value) == (
@@ -613,36 +387,215 @@ POLE = ("{config}: cavity beta = 1.1 > 1 puts poles of the reflection phase at "
 NEGATIVE_AT_2000_G = ("the transition frequency zfs - gamma * projection_factor "
                       "* B is -3.63162e+08 Hz at B = 2000 G, not > 0")
 
-# id: (the config: changes {path: value} to configs/default.json, {} for
-# none, its raw text, or None for no file; the argv, whose {config}, {csv}
-# and {init} name the config and fit_inputs' files, with --out <tmp>/out
-# added unless it names one; the one error line after "error: "; the entry
-# points that must not run, as the defect is found before the work)
+
+def _argparse_refusal(option, value, **spec):
+    """The line argparse gives for ``option value`` on a parser that holds
+    the one option ``spec`` declares."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument(option, **spec)
+    try:
+        parser.parse_args([option, value])
+    except argparse.ArgumentError as exc:
+        return str(exc)
+
+
+# raised by an entry point that a row's defect must stop before it is reached
+NOT_RUN = AssertionError("the work ran before its input was checked")
+NOT_UTF8 = "not UTF-8 text (invalid start byte)"
+# the inputs of a row that does not give its own
+DEFAULT_INPUTS = {"config": DEFAULT_CONFIG, "csv": DECAY_CSV,
+                  "init": {"init": DECAY_START}}
+
+
+def _fit(model, init, csv, line, config=DEFAULT_CONFIG, raises=None):
+    """The COMMAND_DEFECTS row of a fit of ``csv`` by ``model`` from
+    ``init``, with --config at ``config``, or without for None."""
+    argv = f"fit {{csv}} --model {model} --init {{init}}" + (
+        "" if config is None else " --config {config}")
+    return {"config": config, "csv": csv, "init": init}, argv, line, raises or {}
+
+
+# id: (the inputs: "config", "csv" and "init" each map to what _write
+# writes, DEFAULT_INPUTS for any left out; the argv, whose {config}, {csv}
+# and {init} name those files, with --out <tmp>/out added unless it gives
+# one; the one error line after "error: "; each entry point patched, to the
+# exception it raises: NOT_RUN where the defect is found before the work)
 COMMAND_DEFECTS = {
     # beta = 1.1, q = 6e3: poles near +/-107.6 kHz, where the phase jumps
     # from about -2400 to +2400 rad
     **{f"spectrum-pole-in-{lo}..{hi}": (
-        {("cavity", "beta"): 1.1},
-        f"spectrum --det-min={lo} --det-max={hi} --config {{config}}", POLE, ())
+        {"config": _mutated((("cavity", "beta"), 1.1))},
+        f"spectrum --det-min={lo} --det-max={hi} --config {{config}}", POLE, {})
        for lo, hi in [("-1e6", "1e6"), ("-1e6", "-1e5"), ("1e5", "1e6")]},
     # a numpy traceback before --seed went through params.check_seed
     "noise-negative-seed": ({}, "noise --config {config} --seed -1",
-                            "--seed must be a non-negative integer, got -1", ()),
+                            "--seed must be a non-negative integer, got -1", {}),
     "noise-psd-band-below-nyquist": (
-        {("psd", "f_max_hz"): 1e5}, "noise --config {config}",
-        "{config}: Nyquist fs/2 = 500000.0 exceeds PSD f_max = 100000.0", ()),
-    "config-not-an-object": ("[1, 2]\n", "spectrum --config {config}",
-                             "{config}: the configuration must be a JSON object", ()),
-    "config-missing": (None, "spectrum --config {config}", NO_CONFIG, ()),
+        {"config": _mutated((("psd", "f_max_hz"), 1e5))}, "noise --config {config}",
+        "{config}: Nyquist fs/2 = 500000.0 exceeds PSD f_max = 100000.0", {}),
+    "config-not-an-object": ({"config": "[1, 2]\n"}, "spectrum --config {config}",
+                             "{config}: the configuration must be a JSON object", {}),
+    "config-missing": ({"config": None}, "spectrum --config {config}", NO_CONFIG, {}),
     "config-invalid-json": (
-        "{\n  oops\n}\n", "spectrum --config {config}", "{config}: line 2: invalid "
-        "JSON: Expecting property name enclosed in double quotes", ()),
-    "config-repeated-section": (REPEATED_CAVITY, "spectrum --config {config}",
-                                "{config}: line 49: repeated key 'cavity'", ()),
+        {"config": "{\n  oops\n}\n"}, "spectrum --config {config}", "{config}: line 2: "
+        "invalid JSON: Expecting property name enclosed in double quotes", {}),
+    "config-repeated-section": ({"config": REPEATED_CAVITY}, "spectrum --config {config}",
+                                "{config}: line 49: repeated key 'cavity'", {}),
+    # every input is read through io: a directory, or bytes that are not
+    # UTF-8, where a config, an init JSON or a CSV is read
+    **{f"{name}-is-a-directory": ({name: DIRECTORY}, argv,
+                                  f"[Errno 21] Is a directory: '{{{name}}}'", {})
+       for name, argv in [("config", "spectrum --config {config}"), ("init", FIT_ARGV),
+                          ("csv", FIT_ARGV)]},
+    **{f"{name}-non-utf8": ({name: b"\xff\xfe"}, argv, f"{{{name}}}: {NOT_UTF8}", {})
+       for name, argv in [("config", "spectrum --config {config}"), ("init", FIT_ARGV),
+                          ("csv", FIT_ARGV)]},
+    # numpy stops at the bad row; the row search then meets the bytes
+    "csv-bad-row-then-non-utf8": (
+        {"csv": b"x,y\n0.0,oops\n" + b"1.0,2.0\n" * 200_000 + b"3.0,\xff\xfe\n"},
+        FIT_ARGV, f"{{csv}}: {NOT_UTF8}", {}),
+    # the header decodes from the first 8 KiB buffer, so numpy's reader is
+    # the one to meet the byte
+    "csv-non-utf8-past-the-first-buffer": (
+        {"csv": b"x,y\n" + b"1.0,2.0\n" * 2000 + b"3.0,\xff\n"}, FIT_ARGV,
+        f"{{csv}}: {NOT_UTF8}", {}),
+    # a fit's init JSON, then its CSV, each named for its own defect
+    "fit-no-init": _fit("exponential", '{"amplitude": 1.0, "tau": 1.0}', CSV_ROWS,
+                        '{init}: expected an object with an "init" object of '
+                        "starting values"),
+    "fit-invalid-json": _fit("exponential", '{"init":\n', CSV_ROWS,
+                             "{init}: line 2: invalid JSON: Expecting value"),
+    "fit-repeated-key": _fit(
+        "exponential", '{"init": {"amplitude": 1.0,\n"tau": 1.0, "tau": 2.0}}', CSV_ROWS,
+        "{init}: line 2: repeated key 'tau'"),
+    "fit-non-numeric-cell": _fit("exponential", EXP_INIT,
+                                 "x,y\n0.0,1.0\n1.0,oops\n2.0,0.2\n",
+                                 "{csv}: line 3: column 2: 'oops' is not a number"),
+    # float() reads '1_000', numpy's reader does not
+    "fit-underscore-cell": _fit("exponential", EXP_INIT,
+                                "x,y\n1_000,1.0\n2.0,0.5\n3.0,0.2\n4.0,0.1\n",
+                                "{csv}: line 2: column 1: '1_000' is not a number"),
+    "fit-ragged": _fit("exponential", EXP_INIT, "x,y\n0.0,1.0\n\n1.0\n",
+                       "{csv}: line 4: expected 2 columns, found 1"),
+    "fit-one-column": _fit("exponential", EXP_INIT, "x,y\n0.0\n1.0\n",
+                           "{csv}: expected x and y columns of numbers"),
+    **{f"fit-{value}-cell": _fit(
+        "exponential", EXP_INIT, f"x,y\n0.0,1.0\n1.0,0.5\n2.0,{value}\n3.0,0.1\n",
+        f"{{csv}}: line 4: column 2: '{value}' is not a finite number")
+       for value in ("nan", "inf")},
+    **{f"fit-{model}-missing": _fit(
+        model, {"init": init}, CSV_ROWS, f"{{init}}: \"init\" has no starting value "
+        f"for '{key}', which model '{model}' needs")
+       for model, init, key in [("reflection_phase", {"q": 5.0e3}, "beta"),
+                                ("shift_vs_field", {"t2_star": 2.0e-8}, "n_spins"),
+                                ("exponential", {"tau": 1.0, "offset": 0.0}, "amplitude")]},
+    **{f"fit-{model}-{kind}": _fit(
+        model, {"init": init}, CSV_ROWS, f"{{init}}: \"init\" value for '{key}' must be "
+        f"a finite number, got {init[key]!r}")
+       for model, kind, init, key in [
+           ("reflection_phase", "non-numeric", {"q": "big", "beta": 0.6}, "q"),
+           ("shift_vs_field", "nan", {"n_spins": 1.5e12, "t2_star": math.nan}, "t2_star"),
+           ("exponential", "inf", {"amplitude": math.inf, "tau": 1.0}, "amplitude")]},
+    **{f"fit-{model}-key": _fit(
+        model, {"init": {**init, key: value}}, CSV_ROWS, f"{{init}}: \"init\" key "
+        f"'{key}' is not a parameter of model '{model}' ({names})")
+       for model, init, key, value, names in [
+           ("reflection_phase", {"q": 5.0e3, "beta": 0.6}, "phi_0", 0.1,
+            "q, beta, k, phi0"),
+           ("exponential", {"amplitude": 1.0, "tau": 1.0}, "rate", 1.0,
+            "amplitude, tau, offset"),
+           ("shift_vs_field", SVF_INIT["init"], "g", 0.024, "n_spins, t2_star")]},
+    # a start below its model's bound: the exponential exited 2 naming the
+    # CSV for a non-finite Jacobian, the shift vs field exited 3 with the
+    # start in its report
+    "fit-exponential-tau-below-its-bound": _fit(
+        "exponential", {"init": {"amplitude": 0.7, "tau": -1e-3}}, DECAY_CSV,
+        "{init}: \"init\" value for 'tau' must be >= 1e-300, got -0.001"),
+    "fit-shift_vs_field-t2_star-below-its-bound": _fit(
+        "shift_vs_field", {"init": {"n_spins": 1.6e12, "t2_star": -1e-8}}, SWEEP,
+        "{init}: \"init\" value for 't2_star' must be >= 1e-300, got -1e-08"),
+    **{f"fit-{model}-x_scale": _fit(model, {**init, "x_scale": 2.0}, CSV_ROWS,
+                                    f"{{init}}: \"x_scale\" is not read by model '{model}'")
+       for model, init in [("exponential", EXP_INIT), ("shift_vs_field", SVF_INIT)]},
+    "fit-reflection_phase-top-level-key": _fit(
+        "reflection_phase", {**RP_INIT, "xscale": 2.0}, CSV_ROWS,
+        "{init}: \"xscale\" is not read by model 'reflection_phase'"),
+    "fit-non-numeric-x_scale": _fit(
+        "reflection_phase", {**RP_INIT, "x_scale": "GHz"}, CSV_ROWS,
+        "{init}: \"x_scale\" must be a finite non-zero number, got 'GHz'"),
+    "fit-exponential-too-few-rows": _fit(
+        "exponential", EXP_INIT, "x,y\n30.0,1.0\n", "{csv}: model 'exponential': need "
+        "at least 4 data points for 3 parameters, got 1"),
+    "fit-reflection_phase-too-few-rows": _fit(
+        "reflection_phase", RP_INIT, "x,y\n30.0,1.0\n31.0,1.0\n32.0,1.0\n33.0,1.0\n",
+        "{csv}: model 'reflection_phase': need at least 5 data points for 4 "
+        "parameters, got 4"),
+    "fit-shift_vs_field-too-few-rows": _fit(
+        "shift_vs_field", {"init": {"n_spins": 2.0e12, "t2_star": 2.0e-8}},
+        "x,y\n30.0,1.0\n31.0,1.0\n", "{csv}: model 'shift_vs_field': need at least "
+        "3 data points for 2 parameters, got 2"),
+    "fit-shift_vs_field-negative-field": _fit(
+        "shift_vs_field", SVF_INIT, NEGATIVE_FIELD_ROWS,
+        "{csv}: model 'shift_vs_field': b_field must be finite and >= 0"),
+    "fit-shift_vs_field-past-the-level-crossing": _fit(
+        "shift_vs_field", SVF_INIT, CROSSING_ROWS, "{csv}: model 'shift_vs_field': the "
+        "transition frequency zfs - gamma * projection_factor * B is -3.98454e+07 Hz "
+        "at B = 1800 G, not > 0"),
+    **{f"fit-{model}-x-times-{scale:g}": _fit(
+        model, {"init": init}, _csv_text(DECAY_T * scale, DECAY_Y), f"{{csv}}: model "
+        f"'{model}': rank-deficient Jacobian: a parameter has no influence on the model",
+        None)
+       for model, init in [("exponential", {"amplitude": 0.7, "tau": 5e-4}),
+                           ("reflection_phase", {"q": 5.0e3, "beta": 0.6})]
+       for scale in (1e-300, 1e300)},
+    # the config, given but unread by the model, is not named
+    "fit-exponential-cost-overflows": _fit(
+        "exponential", {"init": {"amplitude": 0.7, "tau": 5e-4}},
+        _csv_text(DECAY_T, 1e200 * DECAY_Y), "{csv}: values outside the floating-point "
+        "range (FloatingPointError: model 'exponential' ends the fit with chi2_reduced "
+        "= inf)"),
+    # exit 2 with "parameters are exactly degenerate" while the rank check
+    # overflowed, and exit 3 with an Infinity and NaN report once it did not
+    "fit-shift_vs_field-cost-overflows": _fit(
+        "shift_vs_field", SWEEP_INIT, SWEEP, "{config}: values outside the floating-"
+        "point range (FloatingPointError: model 'shift_vs_field' ends the fit with "
+        "chi2_reduced = inf)", _mutated((("cavity", "q"), 1e200))),
+    # exit 0 with a report of NaN sigmas before: the fit converges at the
+    # bounds, where the model has underflowed and no covariance exists
+    "fit-shift_vs_field-converges-without-sigma": _fit(
+        "shift_vs_field", SWEEP_INIT, SWEEP, "{config}: values outside the floating-"
+        "point range (FloatingPointError: model 'shift_vs_field' converges with sigma "
+        "= [nan nan])", _mutated((("p_sat",), 1e-200),
+                                 (("cavity", "omega_c_hz"), 2.8175e9 * 1e-200))),
+    **{f"fit-shift_vs_field-{'.'.join(path)}={value:g}": _fit(
+        "shift_vs_field", SWEEP_INIT, SWEEP, f"{{config}}: {OVERFLOW}",
+        _mutated((path, value)))
+       for path, value in FIT_OVERFLOWS},
+    # the config is written on one line
+    "fit-shift_vs_field-config-defect": _fit(
+        "shift_vs_field", SVF_INIT, CSV_ROWS, "{config}: line 1: invalid 'cavity' "
+        "section: beta must be >= 0, got -0.5", _mutated((("cavity", "beta"), -0.5))),
+    "fit-shift_vs_field-without-config": _fit(
+        "shift_vs_field", SVF_INIT, CSV_ROWS, "model 'shift_vs_field' requires --config "
+        "for the fixed ensemble/cavity parameters", None),
+    # an entry point fitting.fit_<model> that raises names the source of the
+    # values: the config for the model whose results use it, else the CSV
+    **{f"fit-{model}-{kind}-{'with' if config else 'no'}-config": _fit(
+        model, init, CSV_ROWS, f"{{{named}}}: {line}",
+        DEFAULT_CONFIG if config else None, {f"fitting.fit_{model}": failure})
+       for model, init, named, configs in [
+           ("exponential", EXP_INIT, "csv", (False, True)),
+           ("reflection_phase", RP_INIT, "csv", (False, True)),
+           ("shift_vs_field", SVF_INIT, "config", (True,))]
+       for kind, failure, line in [
+           ("overflow", OverflowError("(34, 'Numerical result out of range')"), OVERFLOW),
+           ("memory", MemoryError("Unable to allocate 8.00 EiB"),
+            "out of memory (Unable to allocate 8.00 EiB); nothing written")]
+       for config in configs},
     # a fit loads and checks a given config first, whatever its model
     **{f"fit-{model}-config-{bad}": (
-        config, f"fit {{csv}} --model {model} --init {{init}} --config {{config}}",
-        line, ())
+        {"config": config}, f"fit {{csv}} --model {model} --init {{init}} "
+        "--config {config}", line, {})
        for model in ("exponential", "reflection_phase")
        for bad, config, line in [
            ("missing", None, NO_CONFIG),
@@ -650,31 +603,31 @@ COMMAND_DEFECTS = {
             "{config}: line 1: invalid JSON: Expecting value")]},
     **{f"shift-vs-field{flag}={value}": (
         {}, f"shift-vs-field {flag} {value} --config {{config}}",
-        f"{flag} = {float(value)}: {reason}", ("fitting.shift_vs_field_model",))
+        f"{flag} = {float(value)}: {reason}", {"fitting.shift_vs_field_model": NOT_RUN})
        for flag, value, reason in [
            ("--b-min", "-5", "b_field must be finite and >= 0"),
            ("--b-max", "-5", "b_field must be finite and >= 0"),
            ("--b-max", "2000", NEGATIVE_AT_2000_G)]},
     **{f"fit--max-iterations={value}": (
         {}, f"{FIT_ARGV} --max-iterations {value}",
-        f"--max-iterations must be an integer >= 1, got {value}", ("io.read_csv",))
+        f"--max-iterations must be an integer >= 1, got {value}", {"io.read_csv": NOT_RUN})
        for value in ("0", "-5")},
     # refused before the 256 PiB that --n-points asks for is allocated
     **{f"sensitivity{flag}={value}": (
         {}, f"sensitivity {flag}={value} --n-points {2**55} --config {{config}}",
         f"{flag} = {float(value)}: frequency outside PSD range [1.0, 500000.0] Hz",
-        ())
+        {})
        for flag, value in [*((flag, value) for flag in ("--f-min", "--f-max")
                              for value in ("0", "-0", "-100")),
                            ("--f-max", "1e9"), ("--f-min", "0.5"), ("--f-min", "1e6")]},
     **{f"{command}{flag}={value}": (
         {}, f"{command} {flag}={value} --config {{config}}",
-        f"{flag} must be an integer >= 1, got {value}", ())
+        f"{flag} must be an integer >= 1, got {value}", {})
        for command, flag in SIZE_OPTIONS for value in ("0", "-5")},
     # rejected before anything is allocated
     **{f"{command}{flag}={value}": (
         {}, f"{command} {flag}={value} --config {{config}}",
-        f"{flag} = {value} samples: more than one array can hold (1.15292e+18)", ())
+        f"{flag} = {value} samples: more than one array can hold (1.15292e+18)", {})
        for command, flag, value in [*((command, flag, 10**19)
                                       for command, flag in SIZE_OPTIONS),
                                     ("noise", "--n-samples", 2**61)]},
@@ -683,44 +636,63 @@ COMMAND_DEFECTS = {
     **{f"{command}{flag}={2**55}": (
         {}, f"{command} {flag}={2**55} --config {{config}}",
         f"{flag} = {2**55}: out of memory (Unable to allocate 256. PiB for an "
-        f"array with shape ({2**55},) and data type float64); nothing written", ())
+        f"array with shape ({2**55},) and data type float64); nothing written", {})
        for command, flag in SIZE_OPTIONS},
     **{f"{command}{flag}={value}": (
         {}, f"{command} {flag}={value} --config {{config}}",
-        f"{flag} must be a finite number, got {float(value)}", ())
+        f"{flag} must be a finite number, got {float(value)}", {})
        for command, flag in FLOAT_OPTIONS for value in ("inf", "-inf", "nan", "1e400")},
     # finite config values whose results leave the float range: each ended in
     # exit 0 with NaN cells or in an OverflowError traceback before the CSV
     # commands were guarded
     "cavity.q=1e308-relaxation": (
-        {("cavity", "q"): 1e308}, "relaxation --config {config}",
+        {"config": _mutated((("cavity", "q"), 1e308))}, "relaxation --config {config}",
         "{config}: column 'phase_rad_b30.0' would hold nan at data row 1: values "
-        "outside the floating-point range; nothing written", ()),
+        "outside the floating-point range; nothing written", {}),
     "cavity.q=1e308-shift-vs-field": (
-        {("cavity", "q"): 1e308}, "shift-vs-field --config {config}",
+        {"config": _mutated((("cavity", "q"), 1e308))}, "shift-vs-field --config {config}",
         "{config}: column 'phase_rad' would hold -inf at data row 1: values "
-        "outside the floating-point range; nothing written", ()),
+        "outside the floating-point range; nothing written", {}),
     **{f"ensemble.g_hz=1e308-{command}": (
-        {("ensemble", "g_hz"): 1e308}, f"{command} --config {{config}}",
-        f"{{config}}: {OVERFLOW}", ())
+        {"config": _mutated((("ensemble", "g_hz"), 1e308))},
+        f"{command} --config {{config}}", f"{{config}}: {OVERFLOW}", {})
        for command in ("spectrum", "relaxation", "shift-vs-field")},
     # found before any work, once the config is loaded or a fit's inputs read
     "noise-out-is-a-file": ({}, "noise --config {config} --out {csv}",
                             "[Errno 17] File exists: '{csv}'",
-                            ("noiselockin.synthesize_phase_noise",)),
+                            {"noiselockin.synthesize_phase_noise": NOT_RUN}),
     "fit-out-is-a-file": ({}, f"{FIT_ARGV} --out {{csv}}",
-                          "[Errno 17] File exists: '{csv}'", ("fitting.fit_nonlinear",)),
+                          "[Errno 17] File exists: '{csv}'",
+                          {"fitting.fit_nonlinear": NOT_RUN}),
     # an empty --out wrote to the config's output_dir, or a fit's report to
     # the working directory
     "spectrum-empty-out": ({}, "spectrum --config {config} --out=",
-                           "--out must name a directory, got ''", ()),
+                           "--out must name a directory, got ''", {}),
     "fit-empty-out": ({}, f"{FIT_ARGV} --out=", "--out must name a directory, got ''",
-                      ("fitting.fit_nonlinear",)),
+                      {"fitting.fit_nonlinear": NOT_RUN}),
+    # argparse's own refusals: its usage and a SystemExit(2) out of main before
+    "spectrum--n-points=x": ({}, "spectrum --config {config} --n-points x",
+                             "argument --n-points: invalid int value: 'x'", {}),
+    # worded as this Python's argparse words it
+    "fit--model=nope": ({}, "fit {csv} --model nope --init {init}",
+                        _argparse_refusal("--model", "nope", choices=[
+                            "reflection_phase", "exponential", "shift_vs_field"]), {}),
+    "spectrum-without-config": ({}, "spectrum",
+                                "the following arguments are required: --config", {}),
+    "spectrum-unknown-option": ({}, "spectrum --config {config} --bogus",
+                                "unrecognized arguments: --bogus", {}),
+    # no subcommand: the row gives its own --out, as an --out added after it
+    # would be read where the subcommand belongs
+    "no-subcommand": ({}, "--out=out", "the following arguments are required: command",
+                      {}),
 }
 
 
-def _must_not_run(*args, **kwargs):
-    raise AssertionError("the work ran before its input was checked")
+def _raising(exc):
+    """An entry point that raises ``exc``, whatever it is called with."""
+    def entry_point(*args, **kwargs):
+        raise exc
+    return entry_point
 
 
 def _tree(path):
@@ -729,23 +701,22 @@ def _tree(path):
 
 
 class TestCommandDefects:
-    @pytest.mark.parametrize("config, argv, line, never_run",
+    @pytest.mark.parametrize("inputs, argv, line, raises",
                              COMMAND_DEFECTS.values(), ids=list(COMMAND_DEFECTS))
     def test_defect_exits_2_with_its_one_line_and_writes_nothing(
-            self, tmp_path, capsys, monkeypatch, config, argv, line, never_run):
+            self, tmp_path, capsys, monkeypatch, inputs, argv, line, raises):
         monkeypatch.chdir(tmp_path)
-        csv, init = fit_inputs(tmp_path)
-        files = {"config": tmp_path / "config.json", "csv": csv, "init": init}
-        if isinstance(config, str):
-            files["config"].write_text(config)
-        elif config is not None:
-            files["config"].write_text(json.dumps(_mutated(*config.items())))
-        for entry_point in never_run:
-            monkeypatch.setattr(f"dispersive_readout.{entry_point}", _must_not_run)
+        files = {"config": tmp_path / "config.json", "csv": tmp_path / "data.csv",
+                 "init": tmp_path / "init.json"}
+        for name, content in {**DEFAULT_INPUTS, **inputs}.items():
+            _write(files[name], content)
+        for entry_point, exc in raises.items():
+            monkeypatch.setattr(f"dispersive_readout.{entry_point}", _raising(exc))
         argv = [arg.format(**files) for arg in argv.split()]
         if not any(arg.startswith("--out") for arg in argv):
             argv += ["--out", str(tmp_path / "out")]
         before = _tree(tmp_path)
+        capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {line.format(**files)}\n"
         assert _tree(tmp_path) == before
@@ -839,7 +810,6 @@ class TestParserReuse:
         assert calls == [model]
 
 
-DROP = sentinel.DROP  # removes the key instead of replacing its value
 # (path into the config, value, the rest of the one error line after the
 # line number); a key inside a section is located at the section's line, a
 # top-level key at its own
@@ -937,23 +907,7 @@ def _paths(node, prefix=()):
             yield from _paths(value, prefix + (key,))
 
 
-DEFAULT_CONFIG = json.loads((CONFIGS / "default.json").read_text())
 CONFIG_PATHS = list(_paths(DEFAULT_CONFIG))
-
-
-def _mutated(*changes):
-    """The default config with each (path, value) of ``changes`` applied:
-    the value replaces the one at the path, or DROP removes it."""
-    data = json.loads(json.dumps(DEFAULT_CONFIG))
-    for path, value in changes:
-        node = data
-        for key in path[:-1]:
-            node = node[key]
-        if value is DROP:
-            del node[path[-1]]
-        else:
-            node[path[-1]] = value
-    return data
 
 
 class TestConfigMutations:
@@ -971,8 +925,7 @@ class TestConfigMutations:
         key = message.partition(" ")[0]
         if key not in DEFAULT_CONFIG:
             key = path[0]
-        line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                    if row.startswith(f'  "{key}"'))
+        line = _line(text, f'  "{key}"')
         out = tmp_path / "out"
         argv = ([command, "--config", str(config_path), "--out", str(out)]
                 if command != "fit" else _shift_vs_field_fit(config_path, tmp_path, out))
@@ -1006,8 +959,7 @@ class TestConfigKeys:
                      "--out", str(tmp_path), "--n-points", "3"])
         assert code in (0, 2)
         if code == 2:
-            line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                        if row.startswith(f'  "{path[0]}"'))
+            line = _line(text, f'  "{path[0]}"')
             err = capsys.readouterr().err
             assert f"line {line}: " in err and f"'{path[-1]}'" in err, err
 
@@ -1020,8 +972,7 @@ class TestConfigKeys:
         key = next(p[-1] for p in KEY_PATHS if p[-1] not in _at(path))
         text = json.dumps(_mutated((path + (key,), "unknown")), indent=2)
         config_path.write_text(text)
-        line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                    if f'"{key}": "unknown"' in row)
+        line = _line(text, rf'\s*"{key}": "unknown"')
         assert main(["sensitivity", "--config", str(config_path),
                      "--out", str(tmp_path), "--n-points", "3"]) == 2
         section = ".".join(map(str, path))
@@ -1037,20 +988,14 @@ def _run(argv):
     return code, err.getvalue()
 
 
-def _sweep(tmp_path):
-    """The path of SWEEP, written to ``tmp_path``."""
-    assert main(["shift-vs-field", "--config", str(CONFIGS / "default.json"),
-                 "--out", str(tmp_path), "--n-points", "12"]) == 0
-    return tmp_path / "shift_vs_field.csv"
-
-
 def _shift_vs_field_fit(config, tmp_path, out):
     """argv of a shift_vs_field fit at ``config`` of SWEEP, whose inputs are
     written to ``tmp_path``."""
-    init = tmp_path / "init.json"
-    init.write_text(json.dumps(SWEEP_INIT))
-    return ["fit", str(_sweep(tmp_path)), "--model", "shift_vs_field",
-            "--init", str(init), "--config", str(config), "--out", str(out)]
+    csv, init = tmp_path / "sweep.csv", tmp_path / "init.json"
+    _write(csv, SWEEP)
+    _write(init, SWEEP_INIT)
+    return ["fit", str(csv), "--model", "shift_vs_field", "--init", str(init),
+            "--config", str(config), "--out", str(out)]
 
 
 CONTRACT_VALUES = [DROP, 0, -1, 1e308, -1e308, 1e200, 1e-308, math.inf, -math.inf,
@@ -1080,17 +1025,6 @@ NUMBER_PATHS = [p for p in CONFIG_PATHS if type(_at(p)) in (int, float) and _at(
 SCALINGS = st.lists(st.tuples(st.sampled_from(NUMBER_PATHS),
                               st.sampled_from([1e200, 1e-200])),
                     min_size=3, max_size=3, unique_by=lambda s: s[0])
-
-
-def _scaled(scalings):
-    """The default config with the number at each (path, factor) multiplied by factor."""
-    data = json.loads(json.dumps(DEFAULT_CONFIG))
-    for path, factor in scalings:
-        node = data
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] *= factor
-    return data
 
 
 def _assert_contract(data, fit_codes=(0, 2)):
@@ -1143,13 +1077,14 @@ class TestInputContract:
     @example(scalings=[(("ensemble", "zfs_hz"), 1e-200), (("optimized", "q"), 1e200),
                        (("psd", "f_max_hz"), 1e200)])
     def test_three_scaled_values_exit_0_2_or_3_with_finite_output(self, scalings):
-        _assert_contract(_scaled(scalings), fit_codes=(0, 2, 3))
+        scaled = _mutated(*((path, _at(path) * factor) for path, factor in scalings))
+        _assert_contract(scaled, fit_codes=(0, 2, 3))
 
 
 FLOAT_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "-0.0", "0", "1e308",
-                "-1e308", "5e-324", "3e9"]
+                "-1e308", "5e-324", "3e9", "x"]
 # no size between 2**20 and 2**54, so no drawn run allocates more than a few MB
-COUNT_VALUES = [0, -1, -2**63, 2**60, 2**61, 10**19, 1, 2]
+COUNT_VALUES = [0, -1, -2**63, 2**60, 2**61, 10**19, 1, 2, "x"]
 OPTION_CASES = ([(command, flag, value) for command, flag in FLOAT_OPTIONS
                  for value in FLOAT_VALUES]
                 + [(command, flag, str(value))
@@ -1212,11 +1147,10 @@ class TestChopperRecordsPastTheAddressSpace:
     @example(log2_samples=60.0)
     @example(log2_samples=62.0)
     def test_relaxation_exits_2_naming_the_config(self, log2_samples):
-        data = json.loads(json.dumps(DEFAULT_CONFIG))
-        cycle = data["cycle"]
-        cycle["dt_s"] = cycle["n_periods"] * cycle["period_s"] / 2.0**log2_samples
-        samples = cycle["n_periods"] * cycle["period_s"] / cycle["dt_s"]
-        text = json.dumps(data, indent=2)
+        cycle = DEFAULT_CONFIG["cycle"]
+        dt = cycle["n_periods"] * cycle["period_s"] / 2.0**log2_samples
+        samples = cycle["n_periods"] * cycle["period_s"] / dt
+        text = json.dumps(_mutated((("cycle", "dt_s"), dt)), indent=2)
         with tempfile.TemporaryDirectory() as tmp:
             config, out = Path(tmp) / "config.json", Path(tmp) / "out"
             config.write_text(text)
@@ -1229,7 +1163,6 @@ class TestChopperRecordsPastTheAddressSpace:
             assert "out of memory (Unable to allocate " in err, err
             assert err.endswith("; nothing written\n"), err
         else:
-            line = next(i for i, row in enumerate(text.splitlines(), start=1)
-                        if '"cycle"' in row)
+            line = _line(text, '  "cycle"')
             assert (f"line {line}: invalid 'cycle' section: "
                     "n_periods*period/dt = ") in err, err
