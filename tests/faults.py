@@ -40,6 +40,9 @@ NOISE = "src/dispersive_readout/noiselockin.py"
 FIT = "src/dispersive_readout/fitting.py"
 CLI = "src/dispersive_readout/cli.py"
 IO = "src/dispersive_readout/io.py"
+PARAMS = "src/dispersive_readout/params.py"
+DYNAMICS = "src/dispersive_readout/dynamics.py"
+SPACING = "and (t.size < 3 or np.ptp(dts) <= 4 * np.spacing(max(-t[0], t[-1])))"
 
 FAULTS = [
     # the readout chain and the trace
@@ -55,13 +58,14 @@ FAULTS = [
      "/ optimized_phase_shift(p) * s**2"),
     ("shot-noise-without-its-square-root", NOISE, "math.sqrt(n_spins * t2)",
      "(n_spins * t2)"),
-    ("dark-decay-at-t1-light", "src/dispersive_readout/dynamics.py",
+    ("dark-decay-at-t1-light", DYNAMICS,
      "np.exp(-t / ens.t1_dark)", "np.exp(-t / ens.t1_light)"),
-    ("phase-trace-at-the-resonant-slope", "src/dispersive_readout/dynamics.py",
+    ("phase-trace-at-the-resonant-slope", DYNAMICS,
      "phase = cav.phase_slope * (delta_c / cav.omega_c)",
      "phase = cav.resonant_slope * (delta_c / cav.omega_c)"),
-    ("trace-without-the-uniform-spacing-check", "src/dispersive_readout/dynamics.py",
-     "and np.allclose(dts, dts[:1], rtol=1e-9, atol=0)", "and True"),
+    ("trace-without-the-uniform-spacing-check", DYNAMICS, SPACING, "and True"),
+    ("trace-spacing-at-a-relative-tolerance-of-1e-9", DYNAMICS, SPACING,
+     "and np.allclose(dts, dts[:1], rtol=1e-9, atol=0)"),
     # the fit engine, the ensemble formula, the CSV writer and the config
     ("jacobian-by-forward-differences", FIT,
      "np.divide(func(p_hi, x) - func(p_lo, x), 2.0 * step, out=jac[:, i])",
@@ -76,6 +80,17 @@ FAULTS = [
      "c[start:start + _BLOCK_ROWS - 1]"),
     ("repeated-field-accepted", "src/dispersive_readout/config.py",
      "if len(set(fields)) < len(fields):", "if False:"),
+    # the parameter rules and the readers
+    ("negative-beta-accepted", PARAMS, "if self.beta < 0:", "if False:"),
+    ("psd-continuity-at-1e-3", PARAMS, "rel_tol=1e-6", "rel_tol=1e-3"),
+    ("duty-outside-the-unit-interval-accepted", PARAMS, "if not 0 <= self.duty <= 1:",
+     "if False:"),
+    ("fraction-is-a-finite-number", PARAMS, "isinstance(value, (bool, fractions.Fraction))",
+     "isinstance(value, bool)"),
+    ("nested-repeated-key-not-found", IO, "inner = _first_repeat(source, start)",
+     "inner = None"),
+    ("underscore-cell-is-a-number", IO, 'return "_" not in cell and cell.strip().isascii()',
+     "return cell.strip().isascii()"),
     # how the CLI routes a refusal: its exit, its one line and what it writes
     ("init-key-unread-by-the-model-accepted", CLI, "        if unread:",
      "        if False:"),

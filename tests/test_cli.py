@@ -190,7 +190,7 @@ class TestShiftVsField:
               "--out", str(tmp_path / "b")])
         _, (_, y1) = read_csv(tmp_path / "a" / "shift_vs_field.csv")
         _, (_, y2) = read_csv(tmp_path / "b" / "shift_vs_field.csv")
-        assert np.allclose(y2, 2 * y1, rtol=1e-12)
+        assert np.allclose(y2, 2 * y1, rtol=1e-12, atol=0)
 
     def test_fit_round_trip(self, config_path, tmp_path):
         main(["shift-vs-field", "--config", str(config_path),
@@ -215,9 +215,9 @@ class TestSensitivity:
                      "--out", str(tmp_path), "--f-min", "1e3",
                      "--f-max", "1e5", "--n-points", "11"]) == 0
         _, (f, eta, shot, optical) = read_csv(tmp_path / "sensitivity.csv")
-        assert np.allclose(eta, 2.0e-15, rtol=0.01)
-        assert np.allclose(shot, 1.8e-17, rtol=0.01)
-        assert np.allclose(optical, 2.7e-15, rtol=0.01)
+        assert np.allclose(eta, 2.0e-15, rtol=0.01, atol=0)
+        assert np.allclose(shot, 1.8e-17, rtol=0.01, atol=0)
+        assert np.allclose(optical, 2.7e-15, rtol=0.01, atol=0)
 
     def test_one_over_f_log_slope(self, config_path, tmp_path):
         _write(config_path, _mutated((("psd", "segments"), [
@@ -227,7 +227,7 @@ class TestSensitivity:
               "--n-points", "31"])
         _, (f, eta, _, _) = read_csv(tmp_path / "sensitivity.csv")
         slopes = np.diff(np.log(eta)) / np.diff(np.log(f))
-        assert np.allclose(slopes, -0.5, rtol=0.01)
+        assert np.allclose(slopes, -0.5, rtol=0.01, atol=0)
 
 
 class TestNoise:

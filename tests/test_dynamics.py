@@ -135,6 +135,19 @@ def test_refusal_states_its_cause(call, message):
     assert str(info.value) == message
 
 
+# name: times whose steps differ only by float rounding: those of the grid
+# offset by 1 s span 2.2e-7 of a step, and those of np.linspace through zero
+# three float spacings at max|t|
+UNIFORM_GRIDS = {"offset-by-1-s": 1.0 + np.arange(8) * 1e-9,
+                 "through-zero": np.linspace(-3.3, 7.1, 11)}
+
+
+@pytest.mark.parametrize("times", UNIFORM_GRIDS.values(), ids=list(UNIFORM_GRIDS))
+def test_a_grid_uniform_to_float_rounding_is_accepted(times):
+    trace = PolarizationTrace(times, np.full(times.size, 0.5))
+    assert trace.times.tobytes() == times.tobytes()
+
+
 # name: (a call giving a trace's samples, a number of another type than float)
 TRACE_FORMS = {
     **{f"p_sat-{type(v).__name__}": (

@@ -1,5 +1,5 @@
-"""The block CSV writer emits the same bytes as the row-by-row reference,
-the CSV reader reports the row it cannot parse, and only io opens files."""
+"""The block CSV writer emits the same bytes as the row-by-row reference, each
+reader refusal is one row of ``READ_REFUSALS``, and only io opens files."""
 
 import ast
 import json
@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import write_csv_rowwise
 
@@ -49,91 +49,78 @@ def csv_columns(draw):
     return columns
 
 
+_CFG = load_config(CONFIGS / "default.json")
+NOISE_TRACE = [np.arange(2**16) / _CFG.lockin.fs,
+               synthesize_phase_noise(_CFG.psd, _CFG.lockin.fs, 2**16, _CFG.seed)]
+
+
 @given(columns=csv_columns())
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
-def test_block_writer_matches_rowwise_reference(columns, tmp_path):
+@example(columns=NOISE_TRACE)  # the emitted noise trace of the default config
+@example(columns=[[1, 2, 3], np.array([4, 5, 6], dtype=np.int64),
+                  np.array([0.5, -1.5, 2.0], dtype=np.float32)])
+@example(columns=[np.zeros(3), np.zeros(4)])
+@settings(max_examples=40, deadline=None)
+def test_block_writer_matches_rowwise_reference(columns):
+    """The bytes are the reference's, any number written as its float, one
+    line a row; a finite table reads back bit for bit, and columns of
+    unequal length are refused before the file is opened."""
     header = [f"c{i}" for i in range(len(columns))]
-    write_csv(tmp_path / "block.csv", header, columns)
-    write_csv_rowwise(tmp_path / "rowwise.csv", header, columns)
-    assert (tmp_path / "block.csv").read_bytes() == (
-        tmp_path / "rowwise.csv").read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        block, rowwise = Path(tmp) / "block.csv", Path(tmp) / "rowwise.csv"
+        if len({len(c) for c in columns}) > 1:
+            with pytest.raises(ValueError, match="^all columns must have equal length$"):
+                write_csv(block, header, columns)
+            assert not block.exists()
+            return
+        write_csv(block, header, columns)
+        write_csv_rowwise(rowwise, header, columns)
+        data = block.read_bytes()
+        assert data == rowwise.read_bytes()
+        assert data.count(b"\n") == len(columns[0]) + 1
+        if len(columns[0]) and np.isfinite(columns).all():
+            assert np.array_equal(read_csv(block)[1], np.asarray(columns, dtype=float))
 
 
-def test_noise_trace_matches_rowwise_reference(tmp_path):
-    cfg = load_config(CONFIGS / "default.json")
-    n = 2**16
-    times = np.arange(n) / cfg.lockin.fs
-    series = synthesize_phase_noise(cfg.psd, cfg.lockin.fs, n, cfg.seed)
-    write_csv(tmp_path / "block.csv", ["time_s", "value"], [times, series])
-    write_csv_rowwise(tmp_path / "rowwise.csv", ["time_s", "value"],
-                      [times, series])
-    data = (tmp_path / "block.csv").read_bytes()
-    assert data == (tmp_path / "rowwise.csv").read_bytes()
-    assert data.count(b"\n") == n + 1
-    _, (t, v) = read_csv(tmp_path / "block.csv")
-    assert np.array_equal(t, times) and np.array_equal(v, series)
+def _cells(row, col, cell):
+    """``row`` with its cell ``col`` (from 1) replaced by ``cell``."""
+    return ",".join(cell if i == col else v for i, v in enumerate(row.split(","), start=1))
 
 
-def test_non_float_inputs_are_written_as_floats(tmp_path):
-    columns = [[1, 2, 3], np.array([4, 5, 6], dtype=np.int64),
-               np.array([0.5, -1.5, 2.0], dtype=np.float32)]
-    write_csv(tmp_path / "block.csv", ["a", "b", "c"], columns)
-    assert (tmp_path / "block.csv").read_text() == (
-        "a,b,c\n1.0,4.0,0.5\n2.0,5.0,-1.5\n3.0,6.0,2.0\n")
+# name: (the reader, the file's text, the line it names, its reason)
+READ_REFUSALS = {
+    "csv-non-numeric": (read_csv, "x,y\n0.0,1.0\n1.0,oops\n", 3,
+                        "column 2: 'oops' is not a number"),
+    "csv-ragged": (read_csv, "x,y\n0.0,1.0 # comment\n\n1.0\n", 4,
+                   "expected 2 columns, found 1"),
+    # float() takes it, numpy's reader not
+    "csv-underscore": (read_csv, "x,y\n0.0,1.0\n1_0,0.5\n", 3,
+                       "column 1: '1_0' is not a number"),
+    **{f"csv-{cell}-in-column-{col}": (
+        read_csv, f"x,y,z\n0.0,1.0,2.0\n{_cells('0.5,1.5,2.5', col, cell)}\n3.0,4.0,5.0\n",
+        3, f"column {col}: '{cell}' is not a finite number")
+       for cell in ("nan", "inf", "-inf", "1e400") for col in (1, 2, 3)},
+    # an object's first repeated key, in file order, at the line of its repeat
+    **{f"json-{name}": (read_json, text, line, f"repeated key {key!r}")
+       for name, text, line, key in [
+           ("same-value", '{"a": 1,\n"a": 1}', 2, "a"),
+           ("nested", '{"a": {"b": 1,\n"b": 2}}', 2, "b"),
+           ("in-an-array", '{"a": [1, {"c": 1,\n\n"c": 2}]}', 3, "c"),
+           ("top-level-array", '[{"a": 1},\n{"a": 1,\n"a": 2}]', 3, "a"),
+           ("escaped", '{"a": 1,\n"\\u0061": 2}', 2, "a"),
+           ("inner-before-outer", '{"x": {"b": 1,\n"b": 2},\n"x": 3}', 2, "b"),
+           ("outer-before-inner", '{"x": 1,\n"x": 2,\n"z": {"q": 1, "q": 2}}', 2, "x")]},
+}
 
 
-def test_unequal_lengths_raise_before_writing(tmp_path):
-    path = tmp_path / "bad.csv"
-    with pytest.raises(ValueError, match="equal length"):
-        write_csv(path, ["a", "b"], [np.zeros(3), np.zeros(4)])
-    assert not path.exists()
-
-
-@pytest.mark.parametrize("rows, line, reason", [
-    ("0.0,1.0\n1.0,oops\n", 3, "column 2: 'oops' is not a number"),
-    ("0.0,1.0 # comment\n\n1.0\n", 4, "expected 2 columns, found 1"),
-    ("0.0,1.0\n1_0,0.5\n", 3, "column 1: '1_0' is not a number"),  # float() takes it
-], ids=["non-numeric", "ragged", "underscore"])
-def test_unparsable_row_is_located(tmp_path, rows, line, reason):
-    path = tmp_path / "data.csv"
-    path.write_text("x,y\n" + rows)
-    with pytest.raises(ConfigError) as info:
-        read_csv(path)
-    assert (info.value.line, info.value.reason) == (line, reason)
-    assert str(info.value) == f"{path}: line {line}: {reason}"
-
-
-@pytest.mark.parametrize("col", [1, 2, 3], ids=["x", "y", "third"])
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
-def test_non_finite_cell_is_located(tmp_path, cell, col):
-    row = ["0.5", "1.5", "2.5"]
-    row[col - 1] = cell
-    path = tmp_path / "data.csv"
-    path.write_text("x,y,z\n0.0,1.0,2.0\n" + ",".join(row) + "\n3.0,4.0,5.0\n")
-    with pytest.raises(ConfigError) as info:
-        read_csv(path)
-    reason = f"column {col}: '{cell}' is not a finite number"
-    assert (info.value.line, info.value.reason) == (3, reason)
-    assert str(info.value) == f"{path}: line 3: {reason}"
-
-
-@pytest.mark.parametrize("text, line, key", [
-    ('{"a": 1,\n"a": 1}', 2, "a"),
-    ('{"a": {"b": 1,\n"b": 2}}', 2, "b"),
-    ('{"a": [1, {"c": 1,\n\n"c": 2}]}', 3, "c"),
-    ('[{"a": 1},\n{"a": 1,\n"a": 2}]', 3, "a"),
-    ('{"a": 1,\n"\\u0061": 2}', 2, "a"),
-    ('{"x": {"b": 1,\n"b": 2},\n"x": 3}', 2, "b"),
-    ('{"x": 1,\n"x": 2,\n"z": {"q": 1, "q": 2}}', 2, "x"),
-], ids=["same-value", "nested", "in-an-array", "top-level-array", "escaped",
-        "inner-before-outer", "outer-before-inner"])
-def test_repeated_key_is_refused_at_its_first_repeat(tmp_path, text, line, key):
-    path = tmp_path / "in.json"
+@pytest.mark.parametrize("reader, text, line, reason", READ_REFUSALS.values(),
+                         ids=list(READ_REFUSALS))
+def test_read_refusal_names_the_file_and_line(tmp_path, reader, text, line, reason):
+    path = tmp_path / "in.txt"
     path.write_text(text)
     with pytest.raises(ConfigError) as info:
-        read_json(path)
-    assert str(info.value) == f"{path}: line {line}: repeated key {key!r}"
+        reader(path)
+    assert (info.value.line, info.value.reason) == (line, reason)
+    assert str(info.value) == f"{path}: line {line}: {reason}"
 
 
 @pytest.mark.parametrize("text", [

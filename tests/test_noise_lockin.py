@@ -225,6 +225,22 @@ def test_white_variance_matches_parseval():
     assert var == pytest.approx(white_noise_variance(level, fs), rel=0.05, abs=0)
 
 
+@given(
+    a=st.floats(min_value=-10, max_value=10),
+    b=st.floats(min_value=-10, max_value=10),
+    harmonic=st.integers(min_value=2, max_value=9),
+)
+@example(a=1.0, b=1.0, harmonic=3)
+@settings(max_examples=30, deadline=None)
+def test_demodulator_linearity_and_orthogonality(a, b, harmonic):
+    cfg = LockinConfig(f_mod=1e3, fs=5e4, duration=1e-2)
+    t = np.arange(cfg.n_samples) / cfg.fs
+    fundamental = np.sin(2 * math.pi * cfg.f_mod * t)
+    other = np.sin(2 * math.pi * harmonic * cfg.f_mod * t)
+    out = lockin_demodulate(a * fundamental + b * other, cfg)
+    assert out == pytest.approx(a, abs=1e-11 * max(1.0, abs(a) + abs(b)))
+
+
 def test_array_matches_elementwise():
     p = OptimizedDeviceParams()
     s = np.geomspace(1e-8, 1e-4, 37)
