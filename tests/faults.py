@@ -111,6 +111,19 @@ FAULTS = [
      "except (ConfigError, InvalidParameterError) as exc:"),
     ("argparse-refusal-prints-its-usage", CLI, "        raise ConfigError(message)",
      "        super().error(message)"),
+    # what a successful run prints and writes
+    ("no-subtract-offset-ignored", CLI, "subtract_offset=args.subtract_offset,",
+     "subtract_offset=True,"),
+    ("one-field-column-named-by-its-field", CLI, 'header.append("phase_rad")',
+     'header.append(f"phase_rad_b{io.format_float(b)}")'),
+    ("csv-commands-print-nothing", CLI,
+     "        io.write_csv(path, header, columns)\n        print(path)\n",
+     "        io.write_csv(path, header, columns)\n"),
+    ("fit-prints-no-report-path", CLI,
+     "    io.write_json(path, result.report())\n    print(path)\n",
+     "    io.write_json(path, result.report())\n"),
+    ("fit-prints-no-summary", CLI, "    print(result.summary())\n", ""),
+    ("fit-reads-the-last-two-columns", CLI, "x, y = columns[:2]", "x, y = columns[-2:]"),
 ]
 
 

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import functools
 import hashlib
 import io
@@ -18,13 +19,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dispersive_readout.cli import main
+from dispersive_readout import ConfigError, cli, dynamics, fitting, load_config
+from dispersive_readout.cli import build_parser, main
 from dispersive_readout.io import read_csv
 
 CONFIGS = Path(__file__).parent.parent / "configs"
 DEFAULT_CONFIG = json.loads((CONFIGS / "default.json").read_text())
 DROP = sentinel.DROP  # removes the key instead of replacing its value
-SWEEP = sentinel.SWEEP  # the 12-point shift-vs-field sweep of configs/default.json
 DIRECTORY = sentinel.DIRECTORY  # an empty directory where a file is read
 
 
@@ -48,8 +49,9 @@ def _mutated(*changes):
 
 
 @functools.cache
-def _sweep_bytes():
-    """SWEEP's CSV, as ``shift-vs-field`` writes it."""
+def SWEEP():
+    """The 12-point shift-vs-field sweep of configs/default.json, as the CSV
+    ``shift-vs-field`` writes: an input that ``_write`` computes once."""
     with tempfile.TemporaryDirectory() as tmp:
         assert main(["shift-vs-field", "--config", str(CONFIGS / "default.json"),
                      "--out", tmp, "--n-points", "12"]) == 0
@@ -57,11 +59,11 @@ def _sweep_bytes():
 
 
 def _write(path, content):
-    """Write an input file: a JSON value as JSON on one line, text or bytes
-    as given, SWEEP as its CSV, DIRECTORY as an empty directory, and None as
-    no file at all."""
-    if content is SWEEP:
-        content = _sweep_bytes()
+    """Write an input file: a callable as what it returns, a JSON value as
+    JSON on one line, text or bytes as given, DIRECTORY as an empty
+    directory, and None as no file at all."""
+    if callable(content):
+        content = content()
     if content is DIRECTORY:
         path.mkdir()
     elif isinstance(content, bytes):
@@ -84,182 +86,6 @@ def config_path(tmp_path):
     dst = tmp_path / "config.json"
     shutil.copy(CONFIGS / "default.json", dst)
     return dst
-
-
-class TestSpectrum:
-    def test_dispersion_shape_and_zero_crossing(self, config_path, tmp_path):
-        _write(config_path, _mutated((("ensemble", "n_spins"), 1.0)))
-        assert main(["spectrum", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 0
-        header, (det, phase) = read_csv(tmp_path / "spectrum.csv")
-        assert header == ["detuning_hz", "phase_rad"]
-        mid = len(det) // 2
-        assert abs(phase[mid]) < 1e-9  # zero crossing at resonance
-        assert phase[mid + 5] * phase[mid - 5] < 0
-
-    def test_sweep_clear_of_an_overcoupled_pole_is_written(self, config_path,
-                                                           tmp_path):
-        _write(config_path, _mutated((("cavity", "beta"), 1.1)))
-        assert main(["spectrum", "--det-min=-1e5", "--det-max=1e5",
-                     "--config", str(config_path), "--out", str(tmp_path)]) == 0
-        _, (_, phase) = read_csv(tmp_path / "spectrum.csv")
-        assert np.all(np.isfinite(phase))
-
-    def test_without_out_writes_into_the_configs_output_dir(
-            self, config_path, tmp_path, monkeypatch):
-        monkeypatch.chdir(tmp_path)
-        assert main(["spectrum", "--config", str(config_path)]) == 0  # "out"
-        assert sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")
-                      ) == ["config.json", "out", "out/spectrum.csv"]
-
-    def test_round_trip_through_cmd_fit(self, config_path, tmp_path):
-        _write(config_path, _mutated((("ensemble", "n_spins"), 1.0)))
-        main(["spectrum", "--config", str(config_path), "--out", str(tmp_path)])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps(
-            {"init": {"q": 5.0e3, "beta": 0.6}, "x_scale": 2.8175e9}
-        ))
-        code = main(["fit", str(tmp_path / "spectrum.csv"),
-                     "--model", "reflection_phase", "--init", str(init),
-                     "--config", str(config_path), "--out", str(tmp_path)])
-        assert code == 0
-        report = json.loads((tmp_path / "fit_reflection_phase.json").read_text(),
-                            parse_constant=lambda name: pytest.fail(name))
-        assert report["converged"]
-        assert report["params"]["q"]["value"] == pytest.approx(6.0e3, rel=1e-4, abs=0)
-        assert report["params"]["beta"]["value"] == pytest.approx(0.74, rel=1e-4, abs=0)
-
-
-class TestRelaxation:
-    def test_map_mode_columns_and_offset(self, config_path, tmp_path):
-        assert main(["relaxation", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 0
-        header, cols = read_csv(tmp_path / "relaxation.csv")
-        assert header[0] == "time_s"
-        assert len(cols) == 4  # three configured fields
-        for col in cols[1:]:
-            assert abs(np.mean(col)) < 1e-12 * max(np.max(np.abs(col)), 1e-300)
-
-    def test_zero_duty_gives_flat_zero_trace(self, config_path, tmp_path):
-        _write(config_path, _mutated((("cycle", "duty"), 0.0),
-                                     (("b_fields_gauss",), [32.0])))
-        assert main(["relaxation", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 0
-        _, cols = read_csv(tmp_path / "relaxation.csv")
-        assert np.all(cols[1] == 0.0)
-
-    def test_exponential_fit_round_trip(self, config_path, tmp_path):
-        _write(config_path, _mutated((("b_fields_gauss",), [30.0]),
-                                     (("cycle", "n_periods"), 6)))
-        main(["relaxation", "--config", str(config_path), "--out", str(tmp_path),
-              "--no-subtract-offset"])
-        header, (t, phase) = read_csv(tmp_path / "relaxation.csv")
-        # last dark half-cycle decays with t1_dark = 740 us
-        per = int(round(4e-3 / 4e-6))
-        seg = slice(5 * per + per // 2, 6 * per)
-        seg_csv = tmp_path / "segment.csv"
-        from dispersive_readout.io import write_csv
-        write_csv(seg_csv, ["time_s", "phase_rad"],
-                  [t[seg] - t[seg][0], phase[seg]])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps(
-            {"init": {"amplitude": float(phase[seg][0]), "tau": 1e-3,
-                      "offset": 0.0}}
-        ))
-        assert main(["fit", str(seg_csv), "--model", "exponential",
-                     "--init", str(init), "--out", str(tmp_path)]) == 0
-        report = json.loads((tmp_path / "fit_exponential.json").read_text())
-        assert report["params"]["tau"]["value"] == pytest.approx(740e-6, rel=5e-3, abs=0)
-
-
-class TestShiftVsField:
-    def test_antisymmetric_about_resonance(self, config_path, tmp_path):
-        assert main(["shift-vs-field", "--config", str(config_path),
-                     "--out", str(tmp_path), "--b-min", "20",
-                     "--b-max", "45", "--n-points", "251"]) == 0
-        _, (b, phase) = read_csv(tmp_path / "shift_vs_field.csv")
-        assert np.min(phase) < 0 < np.max(phase)
-        # of order 2 mrad at the peak, within a tighter band than criterion 10's
-        assert 1e-3 < np.max(np.abs(phase)) < 4e-3
-
-    def test_linearity_in_n_spins(self, config_path, tmp_path):
-        main(["shift-vs-field", "--config", str(config_path),
-              "--out", str(tmp_path / "a")])
-        _write(config_path, _mutated((("ensemble", "n_spins"), 4.0e12)))
-        main(["shift-vs-field", "--config", str(config_path),
-              "--out", str(tmp_path / "b")])
-        _, (_, y1) = read_csv(tmp_path / "a" / "shift_vs_field.csv")
-        _, (_, y2) = read_csv(tmp_path / "b" / "shift_vs_field.csv")
-        assert np.allclose(y2, 2 * y1, rtol=1e-12, atol=0)
-
-    def test_fit_round_trip(self, config_path, tmp_path):
-        main(["shift-vs-field", "--config", str(config_path),
-              "--out", str(tmp_path)])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps(
-            {"init": {"n_spins": 1.6e12, "t2_star": 22e-9}}
-        ))
-        assert main(["fit", str(tmp_path / "shift_vs_field.csv"),
-                     "--model", "shift_vs_field", "--init", str(init),
-                     "--config", str(config_path), "--out", str(tmp_path)]) == 0
-        report = json.loads((tmp_path / "fit_shift_vs_field.json").read_text())
-        assert report["params"]["n_spins"]["value"] == pytest.approx(2e12, rel=1e-4, abs=0)
-        assert report["params"]["t2_star"]["value"] == pytest.approx(18e-9, rel=1e-4, abs=0)
-
-
-class TestSensitivity:
-    def test_white_psd_gives_flat_reference_lines(self, config_path, tmp_path):
-        _write(config_path, _mutated((("psd", "segments"), [
-            {"f_break_hz": 1.0, "exponent": 0.0, "level_rad2_per_hz": 1e-12}])))
-        assert main(["sensitivity", "--config", str(config_path),
-                     "--out", str(tmp_path), "--f-min", "1e3",
-                     "--f-max", "1e5", "--n-points", "11"]) == 0
-        _, (f, eta, shot, optical) = read_csv(tmp_path / "sensitivity.csv")
-        assert np.allclose(eta, 2.0e-15, rtol=0.01, atol=0)
-        assert np.allclose(shot, 1.8e-17, rtol=0.01, atol=0)
-        assert np.allclose(optical, 2.7e-15, rtol=0.01, atol=0)
-
-    def test_one_over_f_log_slope(self, config_path, tmp_path):
-        _write(config_path, _mutated((("psd", "segments"), [
-            {"f_break_hz": 1.0, "exponent": -1.0, "level_rad2_per_hz": 1e-10}])))
-        main(["sensitivity", "--config", str(config_path), "--out",
-              str(tmp_path), "--f-min", "1e2", "--f-max", "1e5",
-              "--n-points", "31"])
-        _, (f, eta, _, _) = read_csv(tmp_path / "sensitivity.csv")
-        slopes = np.diff(np.log(eta)) / np.diff(np.log(f))
-        assert np.allclose(slopes, -0.5, rtol=0.01, atol=0)
-
-
-class TestNoise:
-    def test_near_zero_psd_gives_zero_series(self, config_path, tmp_path):
-        _write(config_path, _mutated((("psd", "segments"), [
-            {"f_break_hz": 1.0, "exponent": 0.0, "level_rad2_per_hz": 1e-60}])))
-        main(["noise", "--config", str(config_path), "--out", str(tmp_path),
-              "--n-samples", "1024"])
-        _, (_, value) = read_csv(tmp_path / "noise.csv")
-        assert np.max(np.abs(value)) < 1e-20
-
-
-class TestExitCodes:
-    def test_non_convergence_exits_3_but_writes_report(self, tmp_path):
-        from dispersive_readout.io import write_csv
-        t = np.linspace(0, 2e-3, 60)
-        y = 0.8 * np.exp(-t / 7e-4) + 0.1
-        csv = tmp_path / "data.csv"
-        write_csv(csv, ["time_s", "value"], [t, y])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps(
-            {"init": {"amplitude": 0.3, "tau": 2e-3, "offset": 0.5}}
-        ))
-        code = main(["fit", str(csv), "--model", "exponential",
-                     "--init", str(init), "--out", str(tmp_path),
-                     "--max-iterations", "1"])
-        assert code == 3
-        # strict JSON: the sigma that cannot be computed is null, not NaN
-        report = json.loads((tmp_path / "fit_exponential.json").read_text(),
-                            parse_constant=lambda name: pytest.fail(name))
-        assert report["converged"] is False
-        assert [p["sigma"] for p in report["params"].values()] == [None] * 3
 
 
 class TestConsoleScript:
@@ -300,6 +126,10 @@ CSV_ROWS = "x,y\n0.0,1.0\n1.0,0.5\n2.0,0.2\n"
 EXP_INIT = {"init": {"amplitude": 1.0, "tau": 1.0}}
 RP_INIT = {"init": {"q": 5.0e3, "beta": 0.6}}
 SVF_INIT = {"init": {"n_spins": 1.5e12, "t2_star": 1.5e-8}}
+# each model's parameters, in its order, as README lists them
+PARAMETERS = {"reflection_phase": ["q", "beta", "k", "phi0"],
+              "exponential": ["amplitude", "tau", "offset"],
+              "shift_vs_field": ["n_spins", "t2_star"]}
 # noiseless shift-vs-field sweeps at configs/default.json, 4 digits: one
 # starts below 0 G, one crosses the level crossing near 1775.35 G
 NEGATIVE_FIELD_ROWS = ("x,y\n-5,-2.710e-4\n0,-3.153e-4\n5,-3.779e-4\n10,-4.753e-4\n"
@@ -318,8 +148,11 @@ OVERFLOW = ("values outside the floating-point range (OverflowError: (34, "
 FIT_OVERFLOWS = [(("cavity", "beta"), 1e200), (("ensemble", "g_hz"), 1e200)]
 
 
-def _csv_text(x, y):
-    return "x,y\n" + "".join(f"{a!r},{b!r}\n" for a, b in zip(x.tolist(), y.tolist()))
+def _csv_text(*columns):
+    """A CSV of the arrays ``columns`` under the header x,y or x,y,z."""
+    rows = zip(*(column.tolist() for column in columns))
+    return ",".join("xyz"[:len(columns)]) + "\n" + "".join(
+        ",".join(map(repr, row)) + "\n" for row in rows)
 
 
 DECAY_CSV = _csv_text(DECAY_T, DECAY_Y)
@@ -356,7 +189,6 @@ class TestInputFiles:
         assert opened.count(str(csv)) == 1
 
     def test_load_config_errors_start_with_the_path(self, config_path):
-        from dispersive_readout import ConfigError, load_config
         _write(config_path, _mutated((("seed",), -1)))
         with pytest.raises(ConfigError) as info:
             load_config(config_path)
@@ -366,11 +198,16 @@ class TestInputFiles:
             1, "seed must be a non-negative integer, got -1")
 
 
-SIZE_OPTIONS = [("spectrum", "--n-points"), ("shift-vs-field", "--n-points"),
-                ("sensitivity", "--n-points"), ("noise", "--n-samples")]
-FLOAT_OPTIONS = [("spectrum", "--det-min"), ("spectrum", "--det-max"),
-                 ("shift-vs-field", "--b-min"), ("shift-vs-field", "--b-max"),
-                 ("sensitivity", "--f-min"), ("sensitivity", "--f-max")]
+SUBCOMMANDS = next(action.choices for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction))
+# (command, flag, type) of every option of build_parser() that takes a number
+NUMBER_OPTIONS = [(command, action.option_strings[0], action.type)
+                  for command, parser in SUBCOMMANDS.items()
+                  for action in parser._actions if action.type in (int, float)]
+FLOAT_OPTIONS = [(command, flag) for command, flag, kind in NUMBER_OPTIONS if kind is float]
+# the array sizes: the integer options named --n-<what>
+SIZE_OPTIONS = [(command, flag) for command, flag, kind in NUMBER_OPTIONS
+                if kind is int and flag.startswith("--n-")]
 
 
 # a second "cavity" section in configs/default.json, whose bad q must not be
@@ -498,13 +335,12 @@ COMMAND_DEFECTS = {
            ("exponential", "inf", {"amplitude": math.inf, "tau": 1.0}, "amplitude")]},
     **{f"fit-{model}-key": _fit(
         model, {"init": {**init, key: value}}, CSV_ROWS, f"{{init}}: \"init\" key "
-        f"'{key}' is not a parameter of model '{model}' ({names})")
-       for model, init, key, value, names in [
-           ("reflection_phase", {"q": 5.0e3, "beta": 0.6}, "phi_0", 0.1,
-            "q, beta, k, phi0"),
-           ("exponential", {"amplitude": 1.0, "tau": 1.0}, "rate", 1.0,
-            "amplitude, tau, offset"),
-           ("shift_vs_field", SVF_INIT["init"], "g", 0.024, "n_spins, t2_star")]},
+        f"'{key}' is not a parameter of model '{model}' "
+        f"({', '.join(PARAMETERS[model])})")
+       for model, init, key, value in [
+           ("reflection_phase", {"q": 5.0e3, "beta": 0.6}, "phi_0", 0.1),
+           ("exponential", {"amplitude": 1.0, "tau": 1.0}, "rate", 1.0),
+           ("shift_vs_field", SVF_INIT["init"], "g", 0.024)]},
     # a start below its model's bound: the exponential exited 2 naming the
     # CSV for a non-finite Jacobian, the shift vs field exited 3 with the
     # start in its report
@@ -722,41 +558,235 @@ class TestCommandDefects:
         assert _tree(tmp_path) == before
 
 
-class TestSweepOptions:
-    @pytest.mark.parametrize("command, flag", SIZE_OPTIONS)
-    def test_a_size_of_one_writes_one_row(self, config_path, tmp_path, command, flag):
-        assert main([command, f"{flag}=1", "--config", str(config_path),
-                     "--out", str(tmp_path)]) == 0
-        (written,) = tmp_path.glob("*.csv")
-        _, cols = read_csv(written)
-        assert [len(col) for col in cols] == [1] * len(cols)
+# how each subcommand runs at a small size on the config {config}, and the
+# file it writes; the fit fits SWEEP from SWEEP_INIT at {sweep} and {init}
+RUNS = {"spectrum": ("spectrum --config {config}", "spectrum.csv"),
+        "relaxation": ("relaxation --config {config}", "relaxation.csv"),
+        "shift-vs-field": ("shift-vs-field --config {config}", "shift_vs_field.csv"),
+        "sensitivity": ("sensitivity --config {config}", "sensitivity.csv"),
+        "noise": ("noise --n-samples 256 --config {config}", "noise.csv"),
+        "fit": ("fit {sweep} --model shift_vs_field --init {init} --config {config}",
+                "fit_shift_vs_field.json")}
 
 
-class TestDeterminism:
-    def test_reruns_are_byte_identical(self, config_path, tmp_path):
-        # each run writes <name>.csv; noise at the config's seed and at --seed 99
-        runs = {"spectrum": ["spectrum"], "relaxation": ["relaxation"],
-                "shift_vs_field": ["shift-vs-field", "--n-points", "50"],
-                "sensitivity": ["sensitivity", "--n-points", "20"],
-                "noise": ["noise", "--n-samples", "4096"],
-                "seed_99/noise": ["noise", "--n-samples", "4096", "--seed", "99"]}
-        for sub in ("a", "b"):
-            for name, cmd in runs.items():
-                out = (tmp_path / sub / name).parent
-                assert main(cmd + ["--config", str(config_path),
-                                   "--out", str(out)]) == 0
-        for name in runs:
-            assert sha256(tmp_path / "a" / f"{name}.csv") == sha256(
-                tmp_path / "b" / f"{name}.csv"
-            ), name
-        assert sha256(tmp_path / "a" / "noise.csv") != sha256(
-            tmp_path / "a" / "seed_99" / "noise.csv")
+def _runs(config, tmp):
+    """{command: (argv, the file it writes)} of each RUNS entry on the config
+    file ``config``, into ``tmp``/<command>; the fit's inputs go in ``tmp``."""
+    files = {"config": config, "sweep": tmp / "sweep.csv", "init": tmp / "sweep_init.json"}
+    tmp.mkdir(parents=True, exist_ok=True)
+    _write(files["sweep"], SWEEP)
+    _write(files["init"], SWEEP_INIT)
+    return {command: ([arg.format(**files) for arg in argv.split()]
+                      + ["--out", str(tmp / command)], tmp / command / name)
+            for command, (argv, name) in RUNS.items()}
+
+
+def _readme_header(argv):
+    """The columns of the CSV that ``argv`` writes, as README's subcommand
+    table gives them: relaxation's hold one phase column per field."""
+    config = json.loads(Path(argv[argv.index("--config") + 1]).read_text())
+    fields = [float(b) for b in config["b_fields_gauss"]]
+    phases = ["phase_rad"] if len(fields) == 1 else [f"phase_rad_b{b!r}" for b in fields]
+    return {"spectrum": ["detuning_hz", "phase_rad"], "relaxation": ["time_s", *phases],
+            "shift-vs-field": ["b_gauss", "phase_rad"],
+            "sensitivity": ["f_hz", "sensitivity_t_per_sqrthz", "shot_noise_t_per_sqrthz",
+                            "optical_t_per_sqrthz"],
+            "noise": ["time_s", "value"]}[argv[0]]
+
+
+def _summary(report):
+    """The lines ``fit`` prints after its report's path: the model, one line
+    per parameter, then the chi-square, convergence and iterations."""
+    params = {name: (p["value"], math.nan if p["sigma"] is None else p["sigma"])
+              for name, p in report["params"].items()}
+    return "\n".join([f"model: {report['model']}", *(
+        f"  {name} = {fitting.format_with_uncertainty(*params[name])}"
+        for name in PARAMETERS[report["model"]]),
+        f"  chi2_reduced = {report['chi2_reduced']:.4g}, converged = "
+        f"{report['converged']}, iterations = {report['n_iterations']}"])
+
+
+def _raw_trace():
+    """time_s and the phase at 30 G over six chopper periods of
+    configs/default.json, by dynamics with no offset subtracted."""
+    cfg = load_config(CONFIGS / "default.json")
+    trace = dynamics.polarization_trace(dataclasses.replace(cfg.cycle, n_periods=6),
+                                        cfg.ensemble, p_sat=cfg.p_sat)
+    return [trace.times, dynamics.phase_trace(trace, cfg.ensemble, cfg.cavity, 30.0,
+                                              subtract_offset=False).phase]
+
+
+def _last_dark_half_cycle():
+    """The raw trace over its last dark half-cycle, 1000 samples a period,
+    timed from its start: a decay at t1_dark = 740 us."""
+    t, phase = (column[5500:6000] for column in _raw_trace())
+    return t - t[0], phase
+
+
+def _psd(exponent, level):
+    """The default config with one PSD segment, level * (f / 1 Hz)^exponent."""
+    return _mutated((("psd", "segments"), [
+        {"f_break_hz": 1.0, "exponent": exponent, "level_rad2_per_hz": level}]))
+
+
+def _params(report, **expected):
+    """Whether each fitted value of ``report`` is ``expected``'s (value, rel)."""
+    return all(report["params"][name]["value"] == pytest.approx(value, rel=rel, abs=0)
+               for name, (value, rel) in expected.items())
+
+
+BARE = (("ensemble", "n_spins"), 1.0)  # no shift: the bare resonance
+SIX_PERIODS_AT_30_G = _mutated((("b_fields_gauss",), [30.0]), (("cycle", "n_periods"), 6))
+
+# id: (the input files of the working directory, configs/default.json as
+# config.json unless given; each run in order, as its argv and the one file
+# it writes, whose path it prints; the last run's exit code, the others
+# exiting 0; a check of each run's columns or report, in order)
+COMMAND_RESULTS = {
+    "spectrum-beta=1.1-clear-of-its-poles": (
+        {"config.json": _mutated((("cavity", "beta"), 1.1))},
+        [("spectrum --det-min=-1e5 --det-max=1e5 --config config.json",
+          "out/spectrum.csv")], 0,
+        lambda c: (c[0][0], c[0][-1]) == (-1e5, 1e5) and np.all(np.isfinite(c[1]))),
+    # 401 points from -5 to +5 half-widths, the phase crossing zero at resonance
+    "spectrum-of-the-bare-cavity-into-the-configs-output_dir": (
+        {"config.json": _mutated(BARE, (("output_dir",), "plots"))},
+        [("spectrum --config config.json", "plots/spectrum.csv")], 0,
+        lambda c: len(c[0]) == 401 and c[0][0] == -c[0][-1] and abs(c[1][200]) < 1e-9
+        and c[1][205] * c[1][195] < 0),
+    # a fit without --out writes into the working directory
+    "spectrum-then-fit-reflection_phase": (
+        {"config.json": _mutated(BARE), "init.json": {**RP_INIT, "x_scale": 2.8175e9}},
+        [("spectrum --config config.json", "out/spectrum.csv"),
+         ("fit out/spectrum.csv --model reflection_phase --init init.json --config "
+          "config.json", "./fit_reflection_phase.json")], 0,
+        lambda _, r: r["converged"] and _params(r, q=(6.0e3, 1e-4), beta=(0.74, 1e-4))),
+    "relaxation-subtracts-each-offset": (
+        {}, [("relaxation --config config.json", "out/relaxation.csv")], 0,
+        lambda c: all(abs(np.mean(col)) < 1e-12 * max(np.max(np.abs(col)), 1e-300)
+                      for col in c[1:])),
+    "relaxation--no-subtract-offset-writes-the-raw-trace": (
+        {"config.json": SIX_PERIODS_AT_30_G},
+        [("relaxation --no-subtract-offset --config config.json", "out/relaxation.csv")], 0,
+        lambda c: all(map(np.array_equal, c, _raw_trace()))),
+    "relaxation-duty=0-is-flat-zero-at-one-field": (
+        {"config.json": _mutated((("cycle", "duty"), 0.0), (("b_fields_gauss",), [32.0]))},
+        [("relaxation --config config.json", "out/relaxation.csv")], 0,
+        lambda c: np.all(c[1] == 0.0)),
+    "fit-exponential-of-the-last-dark-half-cycle": (
+        {"data.csv": lambda: _csv_text(*_last_dark_half_cycle()),
+         "init.json": lambda: {"init": {"amplitude": float(_last_dark_half_cycle()[1][0]),
+                                        "tau": 1e-3, "offset": 0.0}}},
+        [("fit data.csv --model exponential --init init.json --out fits",
+          "fits/fit_exponential.json")], 0,
+        lambda r: _params(r, tau=(740e-6, 5e-3))),
+    # of order 2 mrad at the peak, within a tighter band than criterion 10's
+    "shift-vs-field-20..45-G-swings-through-zero": (
+        {}, [("shift-vs-field --b-min 20 --b-max 45 --n-points 251 --config config.json",
+              "out/shift_vs_field.csv")], 0,
+        lambda c: (c[0][0], c[0][-1], len(c[0])) == (20, 45, 251)
+        and np.min(c[1]) < 0 < np.max(c[1]) and 1e-3 < np.max(np.abs(c[1])) < 4e-3),
+    # 106 points from 28 to 38.5 G
+    "shift-vs-field-doubles-with-n_spins": (
+        {"doubled.json": _mutated((("ensemble", "n_spins"), 4.0e12))},
+        [("shift-vs-field --config config.json", "out/shift_vs_field.csv"),
+         ("shift-vs-field --config doubled.json --out doubled",
+          "doubled/shift_vs_field.csv")], 0,
+        lambda a, b: (a[0][0], a[0][-1], len(a[0])) == (28.0, 38.5, 106)
+        and np.allclose(b[1], 2 * a[1], rtol=1e-12, atol=0)),
+    "shift-vs-field-then-fit": (
+        {"init.json": SWEEP_INIT},
+        [("shift-vs-field --config config.json", "out/shift_vs_field.csv"),
+         ("fit out/shift_vs_field.csv --model shift_vs_field --init init.json "
+          "--config config.json --out out", "out/fit_shift_vs_field.json")], 0,
+        lambda _, r: _params(r, n_spins=(2e12, 1e-4), t2_star=(18e-9, 1e-4))),
+    "sensitivity-white-psd-gives-flat-limits": (
+        {"config.json": _psd(0.0, 1e-12)},
+        [("sensitivity --f-min 1e3 --f-max 1e5 --n-points 11 --config config.json",
+          "out/sensitivity.csv")], 0,
+        lambda c: np.allclose(c[1:], [[2.0e-15], [1.8e-17], [2.7e-15]], rtol=0.01, atol=0)),
+    "sensitivity-one-over-f-psd-has-log-slope-minus-half": (
+        {"config.json": _psd(-1.0, 1e-10)},
+        [("sensitivity --f-min 1e2 --f-max 1e5 --n-points 31 --config config.json",
+          "out/sensitivity.csv")], 0,
+        lambda c: np.allclose(np.diff(np.log(c[1])) / np.diff(np.log(c[0])), -0.5,
+                              rtol=0.01, atol=0)),
+    # times at the lock-in's fs = 1 MHz
+    "noise-near-zero-psd-is-zero": (
+        {"config.json": _psd(0.0, 1e-60)},
+        [("noise --n-samples 1024 --config config.json", "out/noise.csv")], 0,
+        lambda c: np.array_equal(c[0], np.arange(1024) / 1e6)
+        and np.max(np.abs(c[1])) < 1e-20),
+    # strict JSON: the sigma that cannot be computed is null, not NaN
+    "fit-exponential-after-one-iteration-exits-3": (
+        {"data.csv": DECAY_CSV,
+         "init.json": {"init": {"amplitude": 0.3, "tau": 2e-3, "offset": 0.5}}},
+        [("fit data.csv --model exponential --init init.json --max-iterations 1",
+          "./fit_exponential.json")], 3,
+        lambda r: not r["converged"] and [p["sigma"] for p in r["params"].values()]
+        == [None] * 3),
+    # a third column that is not y
+    "fit-reads-the-first-two-columns": (
+        {"data.csv": _csv_text(DECAY_T, DECAY_Y, DECAY_T),
+         "init.json": {"init": DECAY_START}},
+        [("fit data.csv --model exponential --init init.json", "./fit_exponential.json")],
+        0, lambda r: _params(r, **{name: (value, 1e-6) for name, value in DECAY.items()})),
+    **{f"{command}{flag}=1": (
+        {}, [(f"{command} {flag}=1 --config config.json", f"out/{RUNS[command][1]}")], 0,
+        lambda c: [len(col) for col in c] == [1] * len(c))
+       for command, flag in SIZE_OPTIONS},
+}
+
+
+class TestCommandResults:
+    @pytest.mark.parametrize("inputs, runs, code, check", COMMAND_RESULTS.values(),
+                             ids=list(COMMAND_RESULTS))
+    def test_runs_print_and_write_their_files_only(self, tmp_path, capsys, monkeypatch,
+                                                   inputs, runs, code, check):
+        monkeypatch.chdir(tmp_path)
+        for name, content in {"config.json": DEFAULT_CONFIG, **inputs}.items():
+            _write(tmp_path / name, content)
+        before = _tree(tmp_path)
+        written = []
+        for i, (line, artifact) in enumerate(runs):
+            argv = line.split()
+            exit_code = main(argv)
+            out, err = capsys.readouterr()
+            assert (exit_code, err) == (code if i == len(runs) - 1 else 0, ""), line
+            if artifact.endswith(".json"):
+                written.append(json.loads(Path(artifact).read_text(),
+                                          parse_constant=pytest.fail))
+                assert out == f"{artifact}\n{_summary(written[-1])}\n"
+            else:
+                header, columns = read_csv(artifact)
+                assert header == _readme_header(argv)
+                assert out == f"{artifact}\n"
+                written.append(columns)
+        after = _tree(tmp_path)
+        assert {path: after[path] for path in before} == before  # inputs untouched
+        assert set(after) - set(before) == {
+            tmp_path / path for _, artifact in runs
+            for path in (Path(artifact), *Path(artifact).parents[:-1])}
+        assert check(*written)
+
+
+class TestRuns:
+    def test_runs_holds_every_subcommand_of_the_parser(self):
+        assert sorted(RUNS) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_reruns_are_byte_identical_and_only_noise_reads_seed(self, tmp_path, command):
+        digests = []
+        for sub, seed in [("a", []), ("b", []), ("seed_99", ["--seed", "99"])]:
+            argv, path = _runs(CONFIGS / "default.json", tmp_path / sub)[command]
+            assert _run(argv + seed)[0] == 0
+            digests.append(sha256(path))
+        assert digests[0] == digests[1]
+        assert (digests[2] != digests[0]) == (command == "noise")
 
 
 class TestParserReuse:
     def test_second_call_matches_a_fresh_parser(self, config_path, tmp_path):
-        from dispersive_readout import cli
-        from dispersive_readout.cli import build_parser
         assert build_parser() is build_parser()
         first, second, fresh = (tmp_path / d for d in ("first", "second", "fresh"))
         assert main(["spectrum", "--n-points", "11", "--config", str(config_path),
@@ -771,7 +801,6 @@ class TestParserReuse:
 
     def test_a_command_replaced_after_the_first_call_is_the_one_run(
             self, config_path, tmp_path, monkeypatch):
-        from dispersive_readout import cli
         argv = ["sensitivity", "--config", str(config_path), "--out", str(tmp_path)]
         assert main(argv) == 0
         calls = []
@@ -788,17 +817,14 @@ class TestParserReuse:
     ], ids=["reflection_phase", "exponential", "shift_vs_field"])
     def test_a_fit_entry_point_replaced_after_the_first_call_is_the_one_run(
             self, config_path, tmp_path, monkeypatch, model, x, init_values):
-        from dispersive_readout import fitting, load_config
-        from dispersive_readout.io import write_csv
         cfg = load_config(config_path)
         fit_model = (fitting.shift_vs_field_model(cfg.ensemble, cfg.cavity, cfg.p_sat)
                      if model == "shift_vs_field"
                      else getattr(fitting, f"{model}_model")())
-        csv = tmp_path / "data.csv"
-        write_csv(csv, ["x", "y"],
-                  [x, fit_model.func(fitting.start_values(fit_model, init_values), x)])
-        init = tmp_path / "init.json"
-        init.write_text(json.dumps({"init": init_values}))
+        y = fit_model.func(fitting.start_values(fit_model, init_values), x)
+        csv, init = tmp_path / "data.csv", tmp_path / "init.json"
+        _write(csv, _csv_text(x, y))
+        _write(init, {"init": init_values})
         argv = ["fit", str(csv), "--model", model, "--init", str(init),
                 "--config", str(config_path), "--out", str(tmp_path)]
         assert main(argv) == 0
@@ -894,9 +920,6 @@ CONFIG_DEFECTS = [
     (("output_dir",), "", "output_dir must be a non-empty string, got ''"),
 ]
 
-CSV_NAMES = {"spectrum": "spectrum", "relaxation": "relaxation",
-             "shift-vs-field": "shift_vs_field", "sensitivity": "sensitivity"}
-
 
 def _paths(node, prefix=()):
     """The path of every value below ``node``: sections, lists and leaves."""
@@ -912,7 +935,7 @@ CONFIG_PATHS = list(_paths(DEFAULT_CONFIG))
 
 class TestConfigMutations:
     # each row under each command, so a failure names both
-    @pytest.mark.parametrize("command", [*CSV_NAMES, "noise", "fit"])
+    @pytest.mark.parametrize("command", RUNS)
     @pytest.mark.parametrize("path, value, message", CONFIG_DEFECTS,
                              ids=[f"{'.'.join(map(str, p))}={v!r}"
                                   for p, v, _ in CONFIG_DEFECTS])
@@ -926,13 +949,11 @@ class TestConfigMutations:
         if key not in DEFAULT_CONFIG:
             key = path[0]
         line = _line(text, f'  "{key}"')
-        out = tmp_path / "out"
-        argv = ([command, "--config", str(config_path), "--out", str(out)]
-                if command != "fit" else _shift_vs_field_fit(config_path, tmp_path, out))
+        argv, written = _runs(config_path, tmp_path)[command]
         capsys.readouterr()
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {config_path}: line {line}: {message}\n"
-        assert not out.exists()
+        assert not written.parent.exists()
 
 
 def _at(path):
@@ -988,16 +1009,6 @@ def _run(argv):
     return code, err.getvalue()
 
 
-def _shift_vs_field_fit(config, tmp_path, out):
-    """argv of a shift_vs_field fit at ``config`` of SWEEP, whose inputs are
-    written to ``tmp_path``."""
-    csv, init = tmp_path / "sweep.csv", tmp_path / "init.json"
-    _write(csv, SWEEP)
-    _write(init, SWEEP_INIT)
-    return ["fit", str(csv), "--model", "shift_vs_field", "--init", str(init),
-            "--config", str(config), "--out", str(out)]
-
-
 CONTRACT_VALUES = [DROP, 0, -1, 1e308, -1e308, 1e200, 1e-308, math.inf, -math.inf,
                    math.nan, "x", None, [], {}, True, False]
 INTEGER_KEYS = {"n_periods", "seed"}
@@ -1028,29 +1039,22 @@ SCALINGS = st.lists(st.tuples(st.sampled_from(NUMBER_PATHS),
 
 
 def _assert_contract(data, fit_codes=(0, 2)):
-    """Run all six subcommands on the config ``data``: each exits 0 or 2,
-    the fit one of ``fit_codes``, without a traceback, and an exit 0 or 3
-    writes only finite numbers."""
+    """Run every RUNS entry on the config ``data``: each exits 0 or 2, the
+    fit one of ``fit_codes``, without a traceback, and an exit 0 or 3 writes
+    only finite numbers."""
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        config = tmp / "config.json"
+        config = Path(tmp) / "config.json"
         config.write_text(json.dumps(data, indent=2))
-        out = tmp / "out"
-        runs = {name: [cmd, "--config", str(config), "--out", str(out / cmd)]
-                for cmd, name in CSV_NAMES.items()}
-        runs["noise"] = ["noise", "--n-samples", "256", "--config", str(config),
-                         "--out", str(out / "noise")]
-        runs["fit_shift_vs_field"] = _shift_vs_field_fit(config, tmp, out / "fit")
-        for name, argv in runs.items():
+        for command, (argv, path) in _runs(config, Path(tmp)).items():
             code, err = _run(argv)
-            assert code in (fit_codes if argv[0] == "fit" else (0, 2)), (name, err)
+            assert code in (fit_codes if command == "fit" else (0, 2)), (command, err)
             assert "Traceback" not in err, err
-            if code in (0, 3) and argv[0] == "fit":
-                report = json.loads((out / "fit" / f"{name}.json").read_text())
+            if code in (0, 3) and command == "fit":
+                report = json.loads(path.read_text())
                 assert _finite_numbers(report), report
             elif code == 0:
-                _, columns = read_csv(out / argv[0] / f"{name}.csv")
-                assert all(np.all(np.isfinite(c)) for c in columns), name
+                _, columns = read_csv(path)
+                assert all(np.all(np.isfinite(c)) for c in columns), command
 
 
 class TestInputContract:
@@ -1085,12 +1089,9 @@ FLOAT_VALUES = ["nan", "inf", "-inf", "1e400", "-1", "-0.0", "0", "1e308",
                 "-1e308", "5e-324", "3e9", "x"]
 # no size between 2**20 and 2**54, so no drawn run allocates more than a few MB
 COUNT_VALUES = [0, -1, -2**63, 2**60, 2**61, 10**19, 1, 2, "x"]
-OPTION_CASES = ([(command, flag, value) for command, flag in FLOAT_OPTIONS
-                 for value in FLOAT_VALUES]
-                + [(command, flag, str(value))
-                   for command, flag in SIZE_OPTIONS + [("fit", "--max-iterations"),
-                                                        ("noise", "--seed")]
-                   for value in COUNT_VALUES])
+# every number option of build_parser() at each edge value of its type
+OPTION_CASES = [(command, flag, str(value)) for command, flag, kind in NUMBER_OPTIONS
+                for value in (FLOAT_VALUES if kind is float else COUNT_VALUES)]
 
 
 class TestOptionContract:
@@ -1099,35 +1100,33 @@ class TestOptionContract:
     naming the option, the config or the CSV, and creates no output
     directory; an exit 0 writes only finite numbers."""
 
-    @settings(max_examples=120, deadline=None)
-    @given(case=st.sampled_from(OPTION_CASES))
-    @example(case=("noise", "--seed", "-1"))
-    def test_one_option_exits_0_or_2_naming_its_source(self, case):
-        command, flag, value = case
-        with tempfile.TemporaryDirectory() as tmp:
-            tmp = Path(tmp)
-            if command == "fit":
-                csv, init = fit_inputs(tmp, DECAY)
-                argv, source = ["fit", str(csv), "--model", "exponential",
-                                "--init", str(init)], str(csv)
+    @pytest.mark.parametrize("command, flag, value", OPTION_CASES,
+                             ids=[f"{command}{flag}={value}"
+                                  for command, flag, value in OPTION_CASES])
+    def test_one_option_exits_0_or_2_naming_its_source(self, tmp_path, command, flag,
+                                                        value):
+        if command == "fit":
+            csv, init = fit_inputs(tmp_path, DECAY)
+            argv, source = ["fit", str(csv), "--model", "exponential",
+                            "--init", str(init)], str(csv)
+        else:
+            source = str(CONFIGS / "default.json")
+            argv = [command, "--config", source]
+        out = tmp_path / "out"
+        code, err = _run(argv + [f"{flag}={value}", "--out", str(out)])
+        assert code in (0, 2), err
+        assert "Traceback" not in err, err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert err.endswith("\n") and (flag in err or source in err), err
+            assert not out.exists()
+            return
+        for path in out.iterdir():
+            if path.suffix == ".json":
+                assert _finite_numbers(json.loads(path.read_text())), path
             else:
-                source = str(CONFIGS / "default.json")
-                argv = [command, "--config", source]
-            out = tmp / "out"
-            code, err = _run(argv + [f"{flag}={value}", "--out", str(out)])
-            assert code in (0, 2), err
-            assert "Traceback" not in err, err
-            if code == 2:
-                assert err.startswith("error: ") and err.count("\n") == 1, err
-                assert err.endswith("\n") and (flag in err or source in err), err
-                assert not out.exists()
-                return
-            for path in out.iterdir():
-                if path.suffix == ".json":
-                    assert _finite_numbers(json.loads(path.read_text())), path
-                else:
-                    _, columns = read_csv(path)
-                    assert all(np.all(np.isfinite(c)) for c in columns), path
+                _, columns = read_csv(path)
+                assert all(np.all(np.isfinite(c)) for c in columns), path
 
 
 class TestChopperRecordsPastTheAddressSpace:

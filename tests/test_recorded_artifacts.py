@@ -1,18 +1,19 @@
 """The benchmark's recorded CLI artifacts stay byte-identical.
 
-``perfbench/refs/cli_paper.json`` holds the exit code and the sha256 of each
-artifact of the ``cli-paper`` workload at ``configs/default.json``. Here the
-commands that do not read ``--seed`` and both fits run with the workload's
-own init specs, and each artifact is compared with its recorded digest;
-``noise`` runs at two recorded seeds. The refs are read, never written. A
-mismatch names the running platform beside the one that recorded the
-digests (see ``recorded.py``).
+The ``cli-paper`` workload of ``perfbench/workloads.py`` runs here as the
+benchmark runs it: each op is ``CliPaper.argv(op, seed)`` at
+``configs/default.json``, and its artifact's sha256 must be
+``CliPaper.expected_sha(op, seed)``, from the workload's ``refs``
+(``perfbench/refs/cli_paper.json``, read, never written). Every op but
+``noise`` runs once, in the workload's order, so each fit reads the CSV of
+a command before it; ``noise`` runs at two recorded seeds. A mismatch names
+the running platform beside the one that recorded the digests (see
+``recorded.py``).
 """
 
 import contextlib
-import hashlib
 import io
-import json
+import os
 import platform
 
 import numpy
@@ -30,56 +31,42 @@ from recorded import (
     _versions,
 )
 
-CONFIG = ROOT / "configs" / "default.json"
-REFS = json.loads((ROOT / "perfbench" / "refs" / "cli_paper.json").read_text())
 CLI_PAPER = WORKLOADS.CliPaper
+# the ops that do not read --seed, run at seed 0
+UNSEEDED_OPS = [op for op in CLI_PAPER.ARTIFACTS if op != "noise"]
 
-# in this order: each fit reads the CSV of a command before it
-OPS = ["spectrum", "relaxation", "shift-vs-field", "sensitivity",
-       "fit-reflection_phase", "fit-shift_vs_field"]
-FIT_INPUTS = {"reflection_phase": "spectrum.csv",
-              "shift_vs_field": "shift_vs_field.csv"}
+
+def _run(workload, op, seed):
+    """The exit code of ``op`` at ``seed``, and the sha256 of its artifact."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(workload.argv(op, seed))
+    return code, WORKLOADS.sha256(os.path.join(workload.out, CLI_PAPER.ARTIFACTS[op]))
 
 
 @pytest.fixture(scope="module")
 def cli_paper_run(tmp_path_factory):
-    """Runs every op into one output directory; returns (codes, directory)."""
-    work = tmp_path_factory.mktemp("cli_paper")
-    out = work / "out"
-    codes = {}
-    for op in OPS:
-        argv = [op]
-        if op.startswith("fit-"):
-            model = op[len("fit-"):]
-            init = work / f"init_{model}.json"
-            init.write_text(json.dumps(CLI_PAPER.INITS[model]))
-            argv = ["fit", str(out / FIT_INPUTS[model]), "--model", model,
-                    "--init", str(init)]
-        with contextlib.redirect_stdout(io.StringIO()):
-            codes[op] = main(argv + ["--config", str(CONFIG), "--out", str(out)])
-    return codes, out
+    """The workload, and each unseeded op's exit code and digest."""
+    workload = CLI_PAPER(ROOT, tmp_path_factory.mktemp("cli_paper"), seed=0)
+    return workload, {op: _run(workload, op, 0) for op in UNSEEDED_OPS}
 
 
-@pytest.mark.parametrize("op", OPS)
+@pytest.mark.parametrize("op", UNSEEDED_OPS)
 def test_artifact_matches_recorded_sha256(cli_paper_run, op):
-    codes, out = cli_paper_run
-    assert codes[op] == REFS["exit_codes"][op]
+    workload, runs = cli_paper_run
+    code, digest = runs[op]
+    assert code == workload.refs["exit_codes"][op]
     name = CLI_PAPER.ARTIFACTS[op]
-    digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-    assert digest == REFS["artifacts"][name], f"{name}: {_versions()}"
+    assert digest == workload.expected_sha(op, 0), f"{name}: {_versions()}"
 
 
 def test_noise_csv_matches_recorded_sha256_at_two_seeds(tmp_path):
-    recorded = REFS["noise_csv_by_seed"]
+    workload = CLI_PAPER(ROOT, tmp_path, seed=0)
     noiselockin._shaping_gain.cache_clear()
-    for seed in sorted(recorded, key=int)[:2]:
-        out = tmp_path / f"seed{seed}"
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["noise", "--n-samples", "65536", "--seed", seed,
-                         "--config", str(CONFIG), "--out", str(out)])
-        assert code == REFS["exit_codes"]["noise"]
-        digest = hashlib.sha256((out / "noise.csv").read_bytes()).hexdigest()
-        assert digest == recorded[seed], f"noise.csv, seed {seed}: {_versions()}"
+    for seed in sorted(map(int, workload.refs["noise_csv_by_seed"]))[:2]:
+        code, digest = _run(workload, "noise", seed)
+        assert code == workload.refs["exit_codes"]["noise"]
+        assert digest == workload.expected_sha("noise", seed), (
+            f"noise.csv, seed {seed}: {_versions()}")
     # the second seed reused the first one's shaping gain
     info = noiselockin._shaping_gain.cache_info()
     assert (info.misses, info.hits) == (1, 1)
