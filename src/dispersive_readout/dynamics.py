@@ -24,6 +24,9 @@ from .physics import (
 )
 
 
+_BLOCK = 1 << 16  # samples per block of polarization_trace
+
+
 @dataclass(frozen=True)
 class PolarizationTrace:
     times: np.ndarray   # s, uniform spacing
@@ -57,15 +60,14 @@ def polarization_trace(cycle: ChopperCycle, ens: SpinEnsembleParams,
     starting unpolarized (p = 0).
 
     Segments are joined continuously; samples are exact closed-form values.
+    The samples are computed in blocks of ``_BLOCK`` with the same
+    operations per sample, so the working set beyond the trace is bounded.
     """
     p_sat = check_fraction(p_sat, "p_sat")
     n = int(round(cycle.n_periods * cycle.period / cycle.dt))
     times = np.arange(n) * cycle.dt
     p = np.empty(n)
-
     t_on = cycle.duty * cycle.period
-    in_period = times % cycle.period
-    period_idx = np.minimum((times // cycle.period).astype(int), cycle.n_periods - 1)
 
     def build_up(p_start, t):  # t after the laser turns on
         return p_sat + (p_start - p_sat) * np.exp(-t / ens.t1_light)
@@ -82,11 +84,16 @@ def polarization_trace(cycle: ChopperCycle, ens: SpinEnsembleParams,
         p_dark[i] = build_up(p0, t_on)
         p0 = decay(p_dark[i], cycle.period - t_on)
 
-    on = in_period < t_on
-    p[on] = build_up(p_period[period_idx[on]], in_period[on])
-    off = ~on
-    p[off] = decay(p_dark[period_idx[off]], in_period[off] - t_on)
-    return PolarizationTrace(times, np.clip(p, 0.0, 1.0))
+    for start in range(0, n, _BLOCK):
+        block = times[start:start + _BLOCK]
+        in_period = block % cycle.period
+        period_idx = np.minimum((block // cycle.period).astype(int), cycle.n_periods - 1)
+        on = in_period < t_on
+        off = ~on
+        p_block = p[start:start + _BLOCK]
+        p_block[on] = build_up(p_period[period_idx[on]], in_period[on])
+        p_block[off] = decay(p_dark[period_idx[off]], in_period[off] - t_on)
+    return PolarizationTrace(times, np.clip(p, 0.0, 1.0, out=p))
 
 
 def phase_trace(trace: PolarizationTrace, ens: SpinEnsembleParams,

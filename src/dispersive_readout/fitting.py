@@ -3,15 +3,19 @@ engine with finite-difference Jacobians, plus the three concrete models
 used throughout the package (reflection phase, mono-exponential relaxation,
 dispersive shift vs magnetic field).
 
+The exponential is fitted by variable projection (Golub & Pereyra, SIAM J.
+Numer. Anal. 10, 413 (1973)): the engine iterates over tau alone, and the
+amplitude and offset, which enter linearly, are solved exactly at each tau.
+
 A model's ``func`` must be pure in (params, x): its value depends on
 nothing else, and it writes neither argument. The engine evaluates it on a
 private copy of x that no one can write to, and a central-difference step
-changes one parameter at a time, so each built-in model keeps the costly
-part of its last evaluation and reuses it while the parameters that part
-reads keep their bits: the resonant term in (q, beta) of the reflection
-phase, exp(-t/tau) of the exponential, and the field's detuning grid and
-the Dawson profile in t2_star of the shift vs field. The reused part is the
-same array the formula would compute again, so results keep every bit.
+changes one parameter at a time, so the reflection phase and the shift vs
+field keep the costly part of their last evaluation and reuse it while the
+parameters that part reads keep their bits: the resonant term in (q, beta)
+of the reflection phase, and the field's detuning grid and the Dawson
+profile in t2_star of the shift vs field. The reused part is the same
+array the formula would compute again, so results keep every bit.
 
 A fit allocates its n x k Jacobian once: every iteration's Jacobian and
 the final one behind the covariance fill the same buffer, each column
@@ -20,8 +24,9 @@ models add their terms in place. The n x k scan for non-finite entries
 runs only when ``jac.T @ jac`` is not finite.
 
 A fit decides once what a floating-point error does: ``fit_nonlinear``
-runs with overflow, invalid operations and division by zero ignored,
-because its trial steps probe wild parameter values, so no fit warns.
+and the exponential's projection run with overflow, invalid operations and
+division by zero ignored, because trial steps probe wild parameter values,
+so no fit warns.
 Non-finite values are handled where the fit acts on them: the data check
 rejects them, the step-acceptance test refuses a step whose cost is not
 finite, the rank check raises on a non-finite Jacobian, and a covariance
@@ -77,10 +82,10 @@ _GRAM_MIN_SQ_NORM = np.finfo(float).tiny / np.finfo(float).eps
 class FitModel:
     """A model y = func(params, x) with named parameters.
 
-    ``func`` must be pure in (params, x) and write neither; the built-in
-    models reuse the costly part of their last evaluation (see the module
-    docstring). ``bounds`` are per-parameter (lo, hi) with None for an open
-    side.
+    ``func`` must be pure in (params, x) and write neither; the reflection
+    phase and the shift vs field reuse the costly part of their last
+    evaluation (see the module docstring). ``bounds`` are per-parameter
+    (lo, hi) with None for an open side.
     Parameters named in ``optional`` start at 0 when ``init`` leaves them
     out; every other parameter needs a starting value.
     """
@@ -248,6 +253,46 @@ def _check_rank(jac, jtj):
         )
 
 
+def _checked_data(x, y, n_params, max_iterations):
+    """``x`` and ``y`` as float arrays, once ``max_iterations`` is a count
+    and the data are real, 1-D, of equal length, at least one point more
+    than ``n_params`` and finite; InvalidParameterError otherwise."""
+    check_count(max_iterations, "max_iterations")
+    x, y = check_real(x, "x"), check_real(y, "y")
+    if x.ndim != 1 or x.shape != y.shape:
+        raise InvalidParameterError("x and y must be 1-D arrays of equal length")
+    if len(y) < n_params + 1:
+        raise InvalidParameterError(
+            f"need at least {n_params + 1} data points for {n_params} "
+            f"parameters, got {len(y)}")
+    finite = np.isfinite(x) & np.isfinite(y)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise InvalidParameterError(
+            f"data point {i} is not finite: x = {x[i]}, y = {y[i]}")
+    return x, y
+
+
+def _fit_result(model, p, jac, cost, converged, n_iter):
+    """The FitResult of ``model`` at ``p``, whose Jacobian there is ``jac``
+    (one row per data point) and whose cost is ``cost``: the covariance is
+    inv(jac.T @ jac) scaled by the reduced chi-square, NaN where it cannot
+    be computed."""
+    n_points, n_params = jac.shape
+    chi2_reduced = cost / (n_points - n_params)
+    jtj = jac.T @ jac
+    try:
+        if not _all_finite(jac, jtj):
+            raise np.linalg.LinAlgError("non-finite Jacobian")
+        cov = np.linalg.inv(jtj)
+    except np.linalg.LinAlgError:
+        cov = np.full((n_params, n_params), np.nan)
+    cov = cov * chi2_reduced
+    sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    return FitResult(model.names, p, sigma, cov, chi2_reduced, converged, n_iter,
+                     model.name)
+
+
 # the fit's one floating-point policy; the module docstring says where
 # non-finite values are handled
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -273,19 +318,7 @@ def fit_nonlinear(model: FitModel, x, y, init,
     bounds = model.bounds or ((None, None),) * n_params
     lo = np.array([-np.inf if a is None else a for a, _ in bounds], dtype=float)
     hi = np.array([np.inf if b is None else b for _, b in bounds], dtype=float)
-    check_count(max_iterations, "max_iterations")
-    x, y = check_real(x, "x"), check_real(y, "y")
-    if x.ndim != 1 or x.shape != y.shape:
-        raise InvalidParameterError("x and y must be 1-D arrays of equal length")
-    if len(y) < n_params + 1:
-        raise InvalidParameterError(
-            f"need at least {n_params + 1} data points for {n_params} "
-            f"parameters, got {len(y)}")
-    finite = np.isfinite(x) & np.isfinite(y)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise InvalidParameterError(
-            f"data point {i} is not finite: x = {x[i]}, y = {y[i]}")
+    x, y = _checked_data(x, y, n_params, max_iterations)
     # a copy no one can write to, so the built-in models may reuse what they
     # computed from it (see _reuse_last)
     x = np.frombuffer(x.tobytes(), dtype=float)
@@ -334,19 +367,7 @@ def fit_nonlinear(model: FitModel, x, y, init,
             break
 
     _jacobian(model.func, p, x, jac)
-    chi2_reduced = cost / (len(y) - n_params)
-    jtj = jac.T @ jac
-    try:
-        if not _all_finite(jac, jtj):
-            raise np.linalg.LinAlgError("non-finite Jacobian")
-        cov = np.linalg.inv(jtj)
-    except np.linalg.LinAlgError:
-        cov = np.full((n_params, n_params), np.nan)
-    cov = cov * chi2_reduced
-    sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-
-    return FitResult(model.names, p, sigma, cov, chi2_reduced, converged, n_iter,
-                     model.name)
+    return _fit_result(model, p, jac, cost, converged, n_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +448,12 @@ def _decay(t, tau):
 
 
 def exponential_model() -> FitModel:
-    """amplitude * exp(-t/tau) + offset; ``func`` reuses the decay while
-    only the amplitude and the offset change."""
-    decay = _reuse_last(_decay)
+    """amplitude * exp(-t/tau) + offset; ``fit_exponential`` needs a start
+    for tau alone."""
 
     def func(params, t):
         amplitude, tau, offset = params
-        out = amplitude * decay(t, tau)
+        out = amplitude * _decay(t, tau)
         out += offset
         return out
 
@@ -442,13 +462,53 @@ def exponential_model() -> FitModel:
         func=func,
         bounds=((None, None), (1e-300, None), (None, None)),
         name="exponential",
-        optional=("offset",),
+        optional=("amplitude", "offset"),
     )
 
 
+def _amplitude(centred, y_centred):
+    """The least-squares amplitude of the centred decay against the centred
+    data; 0, the least-norm one, when the decay is constant."""
+    norm = centred @ centred
+    return (centred @ y_centred) / norm if norm else 0.0
+
+
+# a decay that overflows or a norm of 0 * inf: the policy of fit_nonlinear
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def fit_exponential(t, y, init, max_iterations=MAX_ITERATIONS) -> FitResult:
-    """Fit y = amplitude * exp(-t/tau) + offset (offset defaults to 0)."""
-    return fit_nonlinear(exponential_model(), t, y, init, max_iterations)
+    """Fit y = amplitude * exp(-t/tau) + offset: ``fit_nonlinear`` over tau
+    alone, on the exact least-squares amplitude and offset at each tau.
+    ``init`` needs tau; a given amplitude or offset is checked and otherwise
+    unused. The covariance of all three parameters comes from their
+    closed-form Jacobian at the solution."""
+    model = exponential_model()
+    tau = start_values(model, init)[1]
+    t, y = _checked_data(t, y, len(model.names), max_iterations)
+    y_mean = y.mean()
+    y_centred = y - y_mean
+
+    def projected(params, t):
+        # the data's mean plus the least-squares amplitude times the centred
+        # decay: the least-squares amplitude * decay + offset at this tau (the
+        # sum over n has the bits of np.mean, without its overhead)
+        out = _decay(t, params[0])
+        out -= out.sum() / len(out)
+        out *= _amplitude(out, y_centred)
+        out += y_mean
+        return out
+
+    fit = fit_nonlinear(FitModel(("tau",), projected, model.bounds[1:2], model.name),
+                        t, y, {"tau": tau}, max_iterations)
+    tau = fit.params[0]
+    decay = _decay(t, tau)
+    decay_mean = decay.mean()
+    centred = decay - decay_mean
+    amplitude = _amplitude(centred, y_centred)
+    residual = y_centred - amplitude * centred
+    # d/d(amplitude, tau, offset) of amplitude * decay + offset
+    jac = np.array((decay, decay * (t / tau) * (amplitude / tau), np.ones_like(t))).T
+    return _fit_result(model, np.array([amplitude, tau, y_mean - amplitude * decay_mean]),
+                       jac, float(residual @ residual), fit.converged, fit.n_iterations)
 
 
 def shift_vs_field_model(ens: SpinEnsembleParams, cav: CavityParams,

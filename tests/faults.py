@@ -71,6 +71,11 @@ FAULTS = [
      "np.divide(func(p_hi, x) - func(p_lo, x), 2.0 * step, out=jac[:, i])",
      "np.divide(func(p_hi, x) - func(params, x), step, out=jac[:, i])"),
     ("covariance-not-scaled-by-chi2", FIT, "cov = cov * chi2_reduced", "cov = cov * 1.0"),
+    ("projection-drops-the-offset-column", FIT,
+     "        out -= out.sum() / len(out)\n        out *= _amplitude(out, y_centred)\n"
+     "        out += y_mean\n", "        out *= _amplitude(out, y)\n"),
+    ("covariance-tau-column-over-tau-not-tau-squared", FIT,
+     "decay * (t / tau) * (amplitude / tau)", "decay * (t / tau) * amplitude"),
     ("lm-accepts-an-uphill-step", FIT, "if np.isfinite(cost_new) and cost_new <= cost:",
      "if np.isfinite(cost_new):"),
     ("dawson-argument-over-2-sigma", "src/dispersive_readout/physics.py",

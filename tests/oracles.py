@@ -27,7 +27,8 @@ costly parts; the nonlinear trace maps each sample through the full
 reflection phase, as the trace once could. The fit oracle is the
 Levenberg-Marquardt loop written plainly: a fresh Jacobian for every
 iteration, each column computed in one expression, no buffers and no
-reused model parts.
+reused model parts. The projected exponential oracle runs that loop over
+tau alone, with the amplitude and offset solved in place at every tau.
 """
 
 import math
@@ -296,12 +297,12 @@ def phase_trace_nonlinear(p, ens, cav, b_field):
     return phase - np.mean(phase)
 
 
-def fit_nonlinear_reference(func, bounds, x, y, start, max_iterations=200):
-    """(params, sigma, covariance, chi2_reduced, converged, n_iterations) of
-    the damped Gauss-Newton fit of ``func(params, x)`` to ``y`` from the
-    start vector ``start``, with per-parameter (lo, hi) ``bounds`` (None for
-    an open side). Central-difference steps of max(1e-6*|p|, 1e-12); a
-    rank-deficient Jacobian raises SingularJacobianError."""
+def _levenberg_marquardt(func, bounds, x, y, start, max_iterations):
+    """(params, cost, converged, n_iterations, jacobian) of the damped
+    Gauss-Newton fit of ``func(params, x)`` to ``y`` from ``start``, with
+    per-parameter (lo, hi) ``bounds`` (None for an open side); ``jacobian``
+    takes central-difference steps of max(1e-6*|p|, 1e-12). A rank-deficient
+    Jacobian raises SingularJacobianError."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     p = np.array(start, dtype=float)
@@ -360,15 +361,64 @@ def fit_nonlinear_reference(func, bounds, x, y, start, max_iterations=200):
         if rel_dcost < 1e-10 or rel_step < 1e-10:
             converged = True
             break
+    return p, cost, converged, n_iter, jacobian
 
-    jac = jacobian(p)
-    chi2_reduced = cost / max(len(y) - len(p), 1)
+
+def _covariance(jac, cost):
+    """(sigma, covariance, chi2_reduced) from the Jacobian ``jac`` at the
+    solution and its ``cost``: inv(jac.T @ jac) times the reduced
+    chi-square, NaN when the Jacobian is not finite or jac.T @ jac is
+    singular."""
+    n, k = jac.shape
+    chi2_reduced = cost / max(n - k, 1)
     try:
         if not np.all(np.isfinite(jac)):
             raise np.linalg.LinAlgError("non-finite Jacobian")
         cov = np.linalg.inv(jac.T @ jac)
     except np.linalg.LinAlgError:
-        cov = np.full((len(p), len(p)), np.nan)
+        cov = np.full((k, k), np.nan)
     cov = cov * chi2_reduced
-    sigma = np.sqrt(np.clip(np.diag(cov), 0.0, None))
-    return p, sigma, cov, chi2_reduced, converged, n_iter
+    return np.sqrt(np.clip(np.diag(cov), 0.0, None)), cov, chi2_reduced
+
+
+def fit_nonlinear_reference(func, bounds, x, y, start, max_iterations=200):
+    """(params, sigma, covariance, chi2_reduced, converged, n_iterations) of
+    the damped Gauss-Newton fit of ``func(params, x)`` to ``y`` from the
+    start vector ``start``, with per-parameter (lo, hi) ``bounds`` (None for
+    an open side). Central-difference steps of max(1e-6*|p|, 1e-12); a
+    rank-deficient Jacobian raises SingularJacobianError."""
+    p, cost, converged, n_iter, jacobian = _levenberg_marquardt(
+        func, bounds, x, y, start, max_iterations)
+    return (p, *_covariance(jacobian(p), cost), converged, n_iter)
+
+
+def fit_exponential_projected_reference(t, y, tau_start, max_iterations=200):
+    """The same six values for amplitude * exp(-t/tau) + offset, fitted by
+    variable projection: the loop above over tau alone, on the model whose
+    value at each tau is the mean of ``y`` plus the least-squares amplitude
+    times the centred decay (an amplitude of 0 where the decay is
+    constant), which is the least-squares amplitude * decay + offset. At the
+    solution the amplitude and offset are solved once more, and the
+    covariance comes from the written-out Jacobian of all three parameters:
+    the decay, amplitude * decay * t / tau^2 and 1."""
+    t = np.asarray(t, dtype=float)
+    y = np.asarray(y, dtype=float)
+
+    def projection(tau):
+        decay = np.exp(-t / tau)
+        centred = decay - np.mean(decay)
+        norm = centred @ centred
+        amplitude = (centred @ (y - np.mean(y))) / norm if norm else 0.0
+        return decay, centred, amplitude
+
+    def func(params, _):
+        _, centred, amplitude = projection(params[0])
+        return np.mean(y) + amplitude * centred
+
+    (tau,), _, converged, n_iter, _ = _levenberg_marquardt(
+        func, [(1e-300, None)], t, y, [tau_start], max_iterations)
+    decay, centred, amplitude = projection(tau)
+    residual = (y - np.mean(y)) - amplitude * centred
+    jac = np.array((decay, decay * (t / tau) * (amplitude / tau), np.ones_like(t))).T
+    params = np.array([amplitude, tau, np.mean(y) - amplitude * np.mean(decay)])
+    return (params, *_covariance(jac, float(residual @ residual)), converged, n_iter)

@@ -325,7 +325,7 @@ COMMAND_DEFECTS = {
         f"for '{key}', which model '{model}' needs")
        for model, init, key in [("reflection_phase", {"q": 5.0e3}, "beta"),
                                 ("shift_vs_field", {"t2_star": 2.0e-8}, "n_spins"),
-                                ("exponential", {"tau": 1.0, "offset": 0.0}, "amplitude")]},
+                                ("exponential", {"amplitude": 1.0, "offset": 0.0}, "tau")]},
     **{f"fit-{model}-{kind}": _fit(
         model, {"init": init}, CSV_ROWS, f"{{init}}: \"init\" value for '{key}' must be "
         f"a finite number, got {init[key]!r}")
@@ -717,10 +717,12 @@ COMMAND_RESULTS = {
         [("noise --n-samples 1024 --config config.json", "out/noise.csv")], 0,
         lambda c: np.array_equal(c[0], np.arange(1024) / 1e6)
         and np.max(np.abs(c[1])) < 1e-20),
-    # strict JSON: the sigma that cannot be computed is null, not NaN
+    # strict JSON: the sigma that cannot be computed is null, not NaN; the
+    # one step takes tau to its bound, where the decay fits the step exactly
+    # and its tau derivative is 0 * inf
     "fit-exponential-after-one-iteration-exits-3": (
-        {"data.csv": DECAY_CSV,
-         "init.json": {"init": {"amplitude": 0.3, "tau": 2e-3, "offset": 0.5}}},
+        {"data.csv": _csv_text(np.arange(8) * 1e9, np.eye(8)[0]),
+         "init.json": {"init": {"tau": 1e10}}},
         [("fit data.csv --model exponential --init init.json --max-iterations 1",
           "./fit_exponential.json")], 3,
         lambda r: not r["converged"] and [p["sigma"] for p in r["params"].values()]

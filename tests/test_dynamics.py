@@ -6,6 +6,7 @@ phase-trace laws."""
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,6 +32,25 @@ CAVITY = CavityParams(omega_c=2.8175e9, q=6.0e3, beta=0.74)
 CYCLE = ChopperCycle(period=4e-3, duty=0.5, n_periods=6, dt=2e-6)
 PER = int(round(CYCLE.period / CYCLE.dt))  # samples per period
 TRACE = polarization_trace(CYCLE, ENSEMBLE)
+
+
+def test_a_long_trace_is_built_in_about_its_own_size():
+    # 2e6 samples over 2000 periods, 31 blocks of samples: the peak of
+    # everything allocated stays within 1.75x the times and p the trace
+    # holds (trace-length masks and index arrays reach 3.3x), and every bit
+    # is the inline oracle's
+    cycle = dataclasses.replace(CYCLE, n_periods=2000, dt=4e-6)
+    tracemalloc.start()
+    try:
+        trace = polarization_trace(cycle, ENSEMBLE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(trace.p) == 2_000_000
+    assert peak <= 1.75 * (trace.times.nbytes + trace.p.nbytes)
+    times, p = polarization_trace_inline(cycle, ENSEMBLE)
+    assert trace.times.tobytes() == times.tobytes()
+    assert trace.p.tobytes() == p.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import special
 from oracles import (
     exponential_inline,
+    fit_exponential_projected_reference,
     fit_nonlinear_reference,
     jacobian_rank_defect,
     reflection_phase_inline,
@@ -72,6 +73,9 @@ X_LINEAR, X_QUADRATIC = np.linspace(0, 10, 50), np.linspace(-2, 2, 60)
 X_SWEEP, Y_SWEEP = reflection_sweep()
 X_BACKGROUND, Y_BACKGROUND = reflection_sweep(k=5.0, phi0=0.02)
 T_500, T_200 = np.linspace(0, 2e-3, 500), np.linspace(0, 3e-3, 200)
+# the relaxation of the fit-roundtrip benchmark: T1 under light, 10^4 points
+T_10K, TAU_LIGHT = np.linspace(0.0, 2e-3, 10_000), 4.27e-4
+BUILD_UP = 1.0 - np.exp(-T_10K / TAU_LIGHT)
 B_106 = np.linspace(28, 38.5, 106)
 F_C = 2.8175e9
 REFLECTION = {"q": 6.0e3, "beta": 0.74, "k": 5.0, "phi0": 0.02}
@@ -112,16 +116,22 @@ ROUND_TRIPS = {
     "exponential-from-5-perturbed-starts": (
         fit_exponential, T_200, exponential_model().func(list(DECAY.values()), T_200),
         DECAY, perturbed(43, DECAY), 1e-6, 1e-8),
+    # 2.3x the truth, with the offset at its default: the first step once
+    # clipped tau to its bound and the fit ended on a non-finite Jacobian
+    "exponential-tau-started-at-1e-3": (
+        fit_exponential, T_10K, BUILD_UP,
+        {"amplitude": -1.0, "tau": TAU_LIGHT, "offset": 1.0},
+        [{"amplitude": -0.8, "tau": 1e-3}], 1e-8, 0.0),
 }
 
 X_40, Y_40 = np.linspace(28.0, 38.5, 40), np.linspace(1.0, 0.5, 40)
-# model: (its entry point on 40 points, a complete init with the optional
-# parameters left out, the model's parameters)
+# model: (its entry point on 40 points, a complete init whose first key the
+# model needs, the model's parameters)
 ENTRY_POINTS = {
     "reflection_phase": (functools.partial(fit_reflection_phase, X_40, Y_40),
                          {"q": 5.0e3, "beta": 0.6}, "q, beta, k, phi0"),
     "exponential": (functools.partial(fit_exponential, X_40, Y_40),
-                    {"amplitude": 0.7, "tau": 1e-3}, "amplitude, tau, offset"),
+                    {"tau": 1e-3, "amplitude": 0.7}, "amplitude, tau, offset"),
     "shift_vs_field": (functools.partial(FIT_SHIFT_VS_FIELD, X_40, Y_40),
                        {"n_spins": 1.5e12, "t2_star": 1.5e-8}, "n_spins, t2_star"),
 }
@@ -193,6 +203,11 @@ REFUSALS = {
            *((f"without-{key}", {k: v for k, v in FIXED.items() if k != key},
               f"\"fixed\" has no '{key}', which model 'shift_vs_field' needs")
              for key in FIXED)]},
+    # a start the projection does not read is checked all the same
+    **{f"exponential-given-{key}={value!r}": (
+        functools.partial(fit_exponential, X_40, Y_40, init={"tau": 1e-3, key: value}),
+        E, f"\"init\" value for '{key}' must be a finite number, got {value!r}")
+       for key, value in [("amplitude", math.nan), ("offset", "big")]},
     "init-not-a-mapping": (fit_line(init=[1.5]), E,
                            "init must map parameter names to starting values, got [1.5]"),
     **{f"{axis}-point-7={value}": (
@@ -253,6 +268,18 @@ class TestEngine:
                                    "n_iterations"}
             assert list(report["params"]) == list(res.names)
             assert all(set(p) == {"value", "sigma"} for p in report["params"].values())
+
+    # tau started log-uniformly within a factor of 100 of the truth, amplitude
+    # and offset left out; from 2.3x the truth on, none converged before the
+    # amplitude and offset were projected out
+    @given(log10_factor=st.floats(-2.0, 2.0))
+    @example(log10_factor=-2.0)
+    @example(log10_factor=2.0)
+    @settings(max_examples=60, deadline=None)
+    def test_exponential_starts_within_a_factor_of_100_converge(self, log10_factor):
+        fit, x, y, truth, _, rtol, atol = ROUND_TRIPS["exponential-tau-started-at-1e-3"]
+        self.test_noiseless_data_fits_back_to_its_truth(
+            fit, x, y, truth, [{"tau": truth["tau"] * 10.0**log10_factor}], rtol, atol)
 
     @pytest.mark.parametrize("call, error, message", REFUSALS.values(),
                              ids=list(REFUSALS))
@@ -640,8 +667,6 @@ CORE_COUNTS = {
     "shift_vs_field": (physics, "dawson", 2, 1),
     # q and beta steps, then one back to (q, beta) for the k and phi0 steps
     "reflection_phase": (fitting, "reflection_resonance", 5, 0),
-    # tau steps, then one back to tau for the offset steps
-    "exponential": (fitting, "_decay", 3, 0),
 }
 
 
@@ -721,7 +746,8 @@ def reference_case(model, n, variant, ensemble, cavity):
 class TestEngineMatchesTheReference:
     """The public fits give the plain Levenberg-Marquardt loop's results bit
     for bit: its Jacobian buffer, in-place model sums and reused model parts
-    change no bit of a result."""
+    change no bit of a result. The exponential is matched against the plain
+    loop over tau alone, with its amplitude and offset projected out."""
 
     @pytest.mark.parametrize("max_iterations", [2, 3, 200])
     @pytest.mark.parametrize("variant", [0, 1])
@@ -734,7 +760,9 @@ class TestEngineMatchesTheReference:
             model, n, variant, measured_ensemble, measured_cavity)
         result = fit(y, max_iterations)
         params, sigma, cov, chi2_reduced, converged, n_iter = (
-            fit_nonlinear_reference(func, bounds, x, y, start, max_iterations))
+            fit_exponential_projected_reference(x, y, start[1], max_iterations)
+            if model == "exponential"
+            else fit_nonlinear_reference(func, bounds, x, y, start, max_iterations))
         assert result.params.tobytes() == params.tobytes()
         assert result.sigma.tobytes() == sigma.tobytes()
         assert result.covariance.tobytes() == cov.tobytes()
