@@ -448,8 +448,10 @@ def _decay(t, tau):
 
 
 def exponential_model() -> FitModel:
-    """amplitude * exp(-t/tau) + offset; ``fit_exponential`` needs a start
-    for tau alone."""
+    """amplitude * exp(-t/tau) + offset. The amplitude and the offset are
+    optional because ``fit_exponential`` solves them at each tau; a plain
+    ``fit_nonlinear`` of this model starts a left-out amplitude at 0, where
+    tau has no influence, so it needs an amplitude start."""
 
     def func(params, t):
         amplitude, tau, offset = params

@@ -44,10 +44,11 @@ def psd_value(psd: PhaseNoisePSD, f):
     """
     farr = check_real(f, "f")
     ok = (farr >= psd.f_min * (1 - 1e-12)) & (farr <= psd.f_max * (1 + 1e-12))
-    if not ok.all():
+    if not np.all(ok):
         raise InvalidParameterError(
             f"frequency outside PSD range [{psd.f_min}, {psd.f_max}] Hz")
-    breaks, levels, exponents = psd.table
+    breaks, levels, exponents = np.array(
+        [(s.f_break, s.level, s.exponent) for s in psd.segments]).T
     idx = np.clip(np.searchsorted(breaks, farr, side="right") - 1, 0, len(breaks) - 1)
     out = levels[idx] * (farr / breaks[idx]) ** exponents[idx]
     return float(out) if out.ndim == 0 else out

@@ -17,8 +17,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import InvalidParameterError
 
 # Cosine of the angle between any NV axis and a field along [001];
@@ -233,10 +231,7 @@ class PhaseNoisePSD:
     Segment i applies from its breakpoint up to the next one (the first
     segment extends down to f_min, the last up to f_max):
     S_phi(f) = level_i * (f / f_break_i)^exponent_i.
-    Continuity across breakpoints is enforced at construction, which also
-    builds ``table``, the read-only rows (breaks, levels, exponents) that
-    ``noiselockin.psd_value`` reads; it is not a field, so equality and the
-    hash see the segments and the band alone.
+    Continuity across breakpoints is enforced at construction.
     """
 
     segments: tuple         # PSDSegments: any sequence, stored as a tuple
@@ -260,9 +255,6 @@ class PhaseNoisePSD:
                 raise InvalidParameterError(
                     f"PSD discontinuous at {hi.f_break} Hz: "
                     f"{left} from below vs {hi.level} from above")
-        table = np.array([(s.f_break, s.level, s.exponent) for s in segments]).T
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True)

@@ -116,8 +116,7 @@ ROUND_TRIPS = {
     "exponential-from-5-perturbed-starts": (
         fit_exponential, T_200, exponential_model().func(list(DECAY.values()), T_200),
         DECAY, perturbed(43, DECAY), 1e-6, 1e-8),
-    # 2.3x the truth, with the offset at its default: the first step once
-    # clipped tau to its bound and the fit ended on a non-finite Jacobian
+    # tau started at 2.3x the truth, without an offset start
     "exponential-tau-started-at-1e-3": (
         fit_exponential, T_10K, BUILD_UP,
         {"amplitude": -1.0, "tau": TAU_LIGHT, "offset": 1.0},
@@ -237,6 +236,14 @@ REFUSALS = {
                           init={"amplitude": 0.0, "tau": 0.3, "offset": 0.5}),
         SingularJacobianError,
         "rank-deficient Jacobian: a parameter has no influence on the model"),
+    # the plain engine starts a left-out amplitude at 0, where tau has no
+    # influence; fit_exponential needs no amplitude start
+    "exponential-model-without-an-amplitude-in-the-plain-engine": (
+        functools.partial(fit_nonlinear, exponential_model(), T_200,
+                          exponential_model().func(list(DECAY.values()), T_200),
+                          init={"tau": DECAY["tau"]}),
+        SingularJacobianError,
+        "rank-deficient Jacobian: a parameter has no influence on the model"),
     "n_spins-and-g": (
         functools.partial(fit_nonlinear, N_AND_G, B_60,
                           SHIFT_VS_FIELD.func([2.0e12, 18e-9], B_60),
@@ -269,9 +276,8 @@ class TestEngine:
             assert list(report["params"]) == list(res.names)
             assert all(set(p) == {"value", "sigma"} for p in report["params"].values())
 
-    # tau started log-uniformly within a factor of 100 of the truth, amplitude
-    # and offset left out; from 2.3x the truth on, none converged before the
-    # amplitude and offset were projected out
+    # tau started log-uniformly over [truth/100, 100 * truth] converges
+    # without amplitude or offset starts
     @given(log10_factor=st.floats(-2.0, 2.0))
     @example(log10_factor=-2.0)
     @example(log10_factor=2.0)
